@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -377,9 +377,7 @@ def simulate_event(graph: VesselGraph, plan: SimPlan, event: TargetEvent,
                              sense_rate_hz=plan.sense_rate_hz)
     result = run_simulation(graph, upsampled, plan.anchors, scenario,
                             plan.energy_cfg, plan.channel_cfg,
-                            duration_s=plan.duration_s,
-                            seed=_child_seed(seed, event.id, 2),
-                            protocol=plan.protocol)
+                            duration_s=plan.duration_s, protocol=plan.protocol)
     return result
 
 
@@ -423,20 +421,7 @@ class MetricsReport:
     run_errors: dict
 
     def to_dict(self) -> dict:
-        return {
-            "region_accuracy": self.region_accuracy,
-            "n_correct": self.n_correct,
-            "n_total": self.n_total,
-            "reliability": self.reliability,
-            "point_errors_cm": self.point_errors_cm,
-            "mean_point_error_cm": self.mean_point_error_cm,
-            "mean_point_error_correct_cm": self.mean_point_error_correct_cm,
-            "by_region_type": self.by_region_type,
-            "by_sim_time_s": self.by_sim_time_s,
-            "energy_summary": self.energy_summary,
-            "config_fingerprint": self.config_fingerprint,
-            "run_errors": self.run_errors,
-        }
+        return asdict(self)
 
 
 def _metric_block(estimates: list[RegionEstimate], truths: list[TargetEvent],
@@ -458,6 +443,21 @@ def _metric_block(estimates: list[RegionEstimate], truths: list[TargetEvent],
         "mean_point_error_correct_cm": (sum(errors_correct) / len(errors_correct))
                                        if errors_correct else None,
     }
+
+
+def _build_report(final: list[RegionEstimate], truths: list[TargetEvent],
+                  graph: VesselGraph, correct_only: bool, **rest) -> MetricsReport:
+    """Top-level and by-region-type metric blocks of `final`, plus `rest`."""
+    by_type = {}
+    for rtype in (0, 1, 2):
+        sel = [t for t in truths if t.region_type == rtype]
+        if not sel:
+            continue
+        ids = {t.id for t in sel}
+        by_type[str(rtype)] = _metric_block([e for e in final if e.event_id in ids],
+                                            sel, graph, correct_only)
+    return MetricsReport(**_metric_block(final, truths, graph, correct_only),
+                         by_region_type=by_type, **rest)
 
 
 def run_events(graph: VesselGraph, events: list[TargetEvent], plan: SimPlan,
@@ -511,30 +511,15 @@ def run_benchmark(graph: VesselGraph, events: list[TargetEvent], plan: SimPlan,
         if err is not None:
             run_errors[str(event_id)] = err
 
-    final = per_time[sim_times[-1]]
-    top = _metric_block(final, truths, graph, point_error_correct_only)
-    by_type = {}
-    for rtype in (0, 1, 2):
-        sel = [t for t in truths if t.region_type == rtype]
-        if not sel:
-            continue
-        ids = {t.id for t in sel}
-        ests = [e for e in final if e.event_id in ids]
-        by_type[str(rtype)] = _metric_block(ests, sel, graph, point_error_correct_only)
     by_time = {f"{t:g}": _metric_block(per_time[t], truths, graph, point_error_correct_only)
                for t in sim_times}
     energy = {
         "mean_consumed_pj": (sum(consumed_all) / len(consumed_all)) if consumed_all else None,
         "max_consumed_pj": max(consumed_all) if consumed_all else None,
     }
-    return MetricsReport(
-        region_accuracy=top["region_accuracy"], n_correct=top["n_correct"],
-        n_total=top["n_total"], reliability=top["reliability"],
-        point_errors_cm=top["point_errors_cm"],
-        mean_point_error_cm=top["mean_point_error_cm"],
-        mean_point_error_correct_cm=top["mean_point_error_correct_cm"],
-        by_region_type=by_type, by_sim_time_s=by_time, energy_summary=energy,
-        config_fingerprint=config_fingerprint, run_errors=run_errors)
+    return _build_report(per_time[sim_times[-1]], truths, graph, point_error_correct_only,
+                         by_sim_time_s=by_time, energy_summary=energy,
+                         config_fingerprint=config_fingerprint, run_errors=run_errors)
 
 
 # ---------------------------------------------------------------------------
@@ -628,20 +613,6 @@ def score_external(estimates: list[RegionEstimate], truths: list[TargetEvent],
     """
     by_id = {e.event_id: e for e in estimates}
     filled = [by_id.get(t.id, RegionEstimate(t.id, None, None)) for t in truths]
-    top = _metric_block(filled, truths, graph, point_error_correct_only)
-    by_type = {}
-    for rtype in (0, 1, 2):
-        sel = [t for t in truths if t.region_type == rtype]
-        if not sel:
-            continue
-        ids = {t.id for t in sel}
-        by_type[str(rtype)] = _metric_block([e for e in filled if e.event_id in ids],
-                                            sel, graph, point_error_correct_only)
-    return MetricsReport(
-        region_accuracy=top["region_accuracy"], n_correct=top["n_correct"],
-        n_total=top["n_total"], reliability=top["reliability"],
-        point_errors_cm=top["point_errors_cm"],
-        mean_point_error_cm=top["mean_point_error_cm"],
-        mean_point_error_correct_cm=top["mean_point_error_correct_cm"],
-        by_region_type=by_type, by_sim_time_s={}, energy_summary={},
-        config_fingerprint=config_fingerprint, run_errors={})
+    return _build_report(filled, truths, graph, point_error_correct_only,
+                         by_sim_time_s={}, energy_summary={},
+                         config_fingerprint=config_fingerprint, run_errors={})

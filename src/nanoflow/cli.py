@@ -11,11 +11,10 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from .benchmark import (SimPlan, convergence_curve, dense_locations,
-                        export_events_csv, load_estimates_csv, run_benchmark,
-                        run_events, sample_locations, score_external)
+from .benchmark import (SimPlan, _child_seed, convergence_curve,
+                        dense_locations, export_events_csv, load_estimates_csv,
+                        run_benchmark, run_events, sample_locations,
+                        score_external)
 from .config import STRATEGIES, RunConfig, load_config
 from .errors import (ConfigError, ConfigMismatch, EmptyTrace,
                      ExternalDataError, InvalidGraph, MismatchedSets,
@@ -26,10 +25,6 @@ from .vasculature import (UpsampleParams, export_trace_csv, simulate_mobility,
                           upsample_trace)
 
 EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_EXTERNAL = 0, 1, 2, 3
-
-
-def _sub_seed(seed: int, *path: int) -> int:
-    return int(np.random.SeedSequence((seed,) + tuple(path)).generate_state(1)[0])
 
 
 def _plan_from_config(cfg: RunConfig) -> SimPlan:
@@ -72,7 +67,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
     traces = simulate_mobility(graph, cfg.device_count, cfg.duration_s, seed=cfg.seed)
     upsampled = [upsample_trace(tr, UpsampleParams(factor=cfg.upsample_factor,
                                                    sigma_cm=cfg.upsample_sigma_cm,
-                                                   seed=_sub_seed(cfg.seed, 1, tr.device_id)))
+                                                   seed=_child_seed(cfg.seed, 1, tr.device_id)))
                  for tr in traces]
     target = cfg.raw["scenario"]["target_cm"]
     scenario = EventScenario(target=None if target is None else tuple(target),
@@ -80,8 +75,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
                              sense_rate_hz=cfg.sense_rate_hz)
     result = run_simulation(graph, upsampled, plan.anchors, scenario,
                             plan.energy_cfg, plan.channel_cfg,
-                            duration_s=cfg.duration_s, seed=_sub_seed(cfg.seed, 2),
-                            protocol=plan.protocol)
+                            duration_s=cfg.duration_s, protocol=plan.protocol)
     export_raw_csv(result.records, os.path.join(out_dir, "raw_records.csv"))
     export_energy_csv(result.energy_rows, os.path.join(out_dir, "energy.csv"))
     export_trace_csv(upsampled, os.path.join(out_dir, "trace.csv"))

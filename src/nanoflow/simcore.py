@@ -1,32 +1,46 @@
-"""Discrete-event engine: beaconing, sensing, backscatter responses, records.
+"""Simulation engine: beaconing, sensing, backscatter responses, records.
 
-One run owns an event queue ordered by (time, kind, subject); kinds break
-timestamp ties as beacon < sense < reception < energy-sample, so a run is a
-deterministic total order regardless of how the caller schedules runs.
+Devices interact in one place only: responses that overlap at an anchor.
+Nothing flows back from there (a device has spent its energy and marked the
+episode answered before reception is decided), whether a beacon is decoded
+depends only on geometry and on the other anchors' timing, and a device's
+energy depends only on its own events.  A run is therefore three phases:
 
-The physics split drives the design: anchor contact is rare (a device is
-within THz range for well under a second per circulation loop), so contact
-windows are precomputed per device from the piecewise-linear trace and the
-beacon handler only touches devices whose window covers the beacon instant.
-Energy is advanced lazily with the closed-form harvest curve, never cycle
-by cycle.
+1. Geometry.  Each device's visit schedule gives, per anchor, the time
+   windows in which it is within packet range; the beacon instants
+   k * interval inside a window are decided against sensitivity and the
+   other anchors' overlapping beacons.  A trace without a visit schedule
+   is read as one constant-velocity visit per sample interval, in the heart
+   when the interval's vessel id is the heart.
+2. Per-device scan.  One pass over the device's own timeline of decoded
+   beacons, sense ticks (on the upsampled sample grid) and 1 Hz energy
+   samples advances its capacitor with the closed-form harvest curve,
+   spends energy, keeps the circulation clock and event bit, and collects
+   the responses it sends.  At equal timestamps beacons come first, by
+   anchor index, then the sense tick, then the energy sample.
+3. Collisions.  Responses arriving within _T_EPS of the earliest pending
+   arrival form one batch.  Each is decided against the others in the
+   batch, summed in (arrival time, anchor, device) order; a decoded one
+   becomes a record stamped with the batch's earliest arrival.
+
+Energy rows come out in (time, device) order and records in (time, mac)
+order, so a run is deterministic regardless of how the caller schedules runs.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
 from . import channel as ch
 from .energy import EnergyConfig, EnergyState, advance_harvest, try_consume
 from .errors import ConfigMismatch
-from .vasculature import MobilityTrace, VesselGraph, locate_vessel
+from .vasculature import MobilityTrace, VesselGraph
 
-_BEACON, _SENSE, _RECEPTION, _ENERGY = 0, 1, 2, 3
+_BEACON, _SENSE, _SAMPLE = 0, 1, 2   # tie order of one device's events
 _T_EPS = 1e-9
 
 
@@ -74,80 +88,24 @@ class SimResult:
     duration_s: float
 
 
-class NanodeviceRuntime:
-    """Mutable per-device state while a run is in flight.
+def _visit_schedule(trace: MobilityTrace, motion: dict):
+    """(entry times, start points, velocities, heart flags), one row per visit.
 
-    RF geometry (contact windows, positions at beacon instants) reads the
-    trace's exact visit schedule when present: the sampled polyline corner-
-    cuts short vessels and would place the device centimeters away from
-    where it really is exactly when it crosses the heart.  Sensing, by
-    contract, stays on the upsampled sample grid.
+    RF geometry reads the exact visit schedule: the sampled polyline corner-
+    cuts short vessels and would place the device centimeters away from where
+    it really is exactly when it crosses the heart.  `motion` maps a vessel id
+    to its (start, velocity, is_heart).
     """
-
-    __slots__ = ("mac", "times", "pos", "vids", "state", "last_adv",
-                 "last_reset", "event_bit", "last_beacon_rx_dbm",
-                 "last_delivered", "responded", "consumed", "sense_idx",
-                 "sense_stride", "vt", "vstart", "vvel", "vheart", "vvid")
-
-    def __init__(self, trace: MobilityTrace, graph: VesselGraph):
-        self.mac = trace.device_id
-        self.times = np.asarray(trace.times, dtype=float)
-        self.pos = np.asarray(trace.positions, dtype=float)
-        self.vids = np.asarray(trace.vessel_ids, dtype=int)
-        self.state = EnergyState()
-        self.last_adv = 0.0
-        self.last_reset = 0.0
-        self.event_bit = 0
-        self.last_beacon_rx_dbm: float | None = None
-        self.last_delivered: float | None = None
-        self.responded = False
-        self.consumed = 0.0
-        self.sense_idx = 0
-        self.sense_stride = 1
-        if trace.visit_times is not None and trace.visit_vessels is not None:
-            self.vt = np.asarray(trace.visit_times, dtype=float)
-            self.vvid = np.asarray(trace.visit_vessels, dtype=int)
-            m = len(self.vt)
-            self.vstart = np.empty((m, 3))
-            self.vvel = np.empty((m, 3))
-            self.vheart = np.empty(m, dtype=bool)
-            for k, vid in enumerate(self.vvid):
-                v = graph.vessel(int(vid))
-                self.vstart[k] = v.start
-                length = v.length
-                direction = (v.end - v.start) / length if length > 0 else v.start * 0.0
-                self.vvel[k] = direction * v.speed_cm_s
-                self.vheart[k] = v.is_heart
-        else:
-            self.vt = None
-            self.vvid = self.vstart = self.vvel = self.vheart = None
-
-    def advance(self, t: float, cfg: EnergyConfig) -> None:
-        if t > self.last_adv:
-            advance_harvest(self.state, t - self.last_adv, cfg)
-            self.last_adv = t
-
-    def spend(self, cost: float, cfg: EnergyConfig) -> bool:
-        if try_consume(self.state, cost, cfg) is None:
-            return False
-        self.consumed += cost
-        return True
-
-    def position_at(self, t: float):
-        """Exact (position, velocity, vessel id, in_heart) at time t."""
-        if self.vt is not None:
-            k = int(np.searchsorted(self.vt, t, side="right")) - 1
-            k = max(0, k)
-            p = self.vstart[k] + (t - self.vt[k]) * self.vvel[k]
-            return p, self.vvel[k], int(self.vvid[k]), bool(self.vheart[k])
-        i = int(np.searchsorted(self.times, t, side="right")) - 1
-        i = max(0, min(i, len(self.times) - 2))
-        t0, t1 = self.times[i], self.times[i + 1]
-        seg = self.pos[i + 1] - self.pos[i]
-        frac = (t - t0) / (t1 - t0) if t1 > t0 else 0.0
-        p = self.pos[i] + frac * seg
-        velocity = seg / (t1 - t0) if t1 > t0 else seg * 0.0
-        return p, velocity, int(self.vids[i]), None
+    if trace.visit_times is not None and trace.visit_vessels is not None:
+        rows = [motion[int(vid)] for vid in trace.visit_vessels]
+        return (np.asarray(trace.visit_times, dtype=float),
+                np.array([r[0] for r in rows], dtype=float).reshape(-1, 3),
+                np.array([r[1] for r in rows], dtype=float).reshape(-1, 3),
+                [r[2] for r in rows])
+    times = np.asarray(trace.times, dtype=float)
+    pos = np.asarray(trace.positions, dtype=float)
+    return (times[:-1], pos[:-1], (pos[1:] - pos[:-1]) / np.diff(times)[:, None],
+            [motion[int(vid)][2] for vid in trace.vessel_ids[:-1]])
 
 
 def _max_range_cm(tx_dbm: float, ccfg: ch.ChannelConfig) -> float:
@@ -169,14 +127,14 @@ def _max_range_cm(tx_dbm: float, ccfg: ch.ChannelConfig) -> float:
     return lo
 
 
-def _visit_windows(dev: "NanodeviceRuntime", anchor_pos: np.ndarray,
-                   radius_cm: float, t_end: float) -> list[tuple[float, float]]:
-    """[t_in, t_out] in-range intervals from the exact visit schedule.
+def _visit_windows(vt: np.ndarray, vstart: np.ndarray, vvel: np.ndarray,
+                   anchor_pos: np.ndarray, radius_cm: float,
+                   t_end: float) -> list[tuple[float, float]]:
+    """[t_in, t_out] in-range intervals from a visit schedule.
 
     Inside one visit the position is vstart + tau * vvel, so the in-range
     condition is a quadratic in tau; windows from touching visits merge.
     """
-    vt, vstart, vvel = dev.vt, dev.vstart, dev.vvel
     ends = np.append(vt[1:], t_end)
     w = vstart - anchor_pos
     aa = np.einsum("ij,ij->i", vvel, vvel)
@@ -205,44 +163,6 @@ def _visit_windows(dev: "NanodeviceRuntime", anchor_pos: np.ndarray,
     return out
 
 
-def _contact_windows(times: np.ndarray, pos: np.ndarray, anchor_pos: np.ndarray,
-                     radius_cm: float) -> list[tuple[float, float]]:
-    """Fallback [t_in, t_out] intervals from the sampled polyline.
-
-    Only used for traces without a visit schedule; the polyline corner-cuts
-    vessels shorter than one sample step, so windows can be missed.
-    """
-    if len(times) < 2:
-        return []
-    w = pos[:-1] - anchor_pos
-    d = pos[1:] - pos[:-1]
-    aa = np.einsum("ij,ij->i", d, d)
-    bb = 2.0 * np.einsum("ij,ij->i", w, d)
-    cc = np.einsum("ij,ij->i", w, w) - radius_cm * radius_cm
-    out: list[tuple[float, float]] = []
-    moving = aa > 0.0
-    disc = bb * bb - 4.0 * aa * cc
-    hit = moving & (disc >= 0.0)
-    idx = np.nonzero(hit | (~moving & (cc <= 0.0)))[0]
-    for i in idx:
-        if aa[i] > 0.0:
-            root = math.sqrt(disc[i])
-            s0 = (-bb[i] - root) / (2.0 * aa[i])
-            s1 = (-bb[i] + root) / (2.0 * aa[i])
-            s0, s1 = max(s0, 0.0), min(s1, 1.0)
-            if s0 >= s1:
-                continue
-        else:
-            s0, s1 = 0.0, 1.0
-        dt = times[i + 1] - times[i]
-        t0, t1 = times[i] + s0 * dt, times[i] + s1 * dt
-        if out and t0 <= out[-1][1] + _T_EPS:
-            out[-1] = (out[-1][0], max(out[-1][1], t1))
-        else:
-            out.append((t0, t1))
-    return out
-
-
 def _beacon_interferers(anchors: list[Anchor], active_idx: int, t: float,
                         p: np.ndarray, ccfg: ch.ChannelConfig,
                         beacon_air: float) -> list[float]:
@@ -260,23 +180,82 @@ def _beacon_interferers(anchors: list[Anchor], active_idx: int, t: float,
     return powers
 
 
+def _decoded_beacons(schedule, anchors: list[Anchor], anchor_pos: list[np.ndarray],
+                     anchor_tx: list[float], ranges: list[float],
+                     ccfg: ch.ChannelConfig, beacon_air: float, duration_s: float):
+    """(t, anchor index, position, closing speed, rx dBm, in heart) per beacon
+    the device decodes, in (t, anchor index) order."""
+    vt, vstart, vvel, vheart = schedule
+    out = []
+    for ai, anchor in enumerate(anchors):
+        interval = anchor.beacon_interval_s
+        k = 0
+        for t0, t1 in _visit_windows(vt, vstart, vvel, anchor_pos[ai], ranges[ai], duration_s):
+            k = max(k, math.ceil((t0 - _T_EPS) / interval) - 1)
+            while True:
+                t = k * interval
+                if t > duration_s + _T_EPS or t1 < t - _T_EPS:
+                    break
+                k += 1
+                if t0 > t + _T_EPS:
+                    continue
+                v = max(0, int(np.searchsorted(vt, t, side="right")) - 1)
+                p = vstart[v] + (t - vt[v]) * vvel[v]
+                offset = p - anchor_pos[ai]
+                dist = float(np.linalg.norm(offset))
+                closing = -float(np.dot(vvel[v], offset) / dist) if dist > 0 else -0.0
+                link = ch.link_sample(dist, closing, anchor_tx[ai], ccfg)
+                if link.rx_power_dbm < ccfg.rx_sensitivity_dbm:
+                    continue
+                interferers = _beacon_interferers(anchors, ai, t, p, ccfg, beacon_air)
+                sinr = ch.sinr_db(link.rx_power_dbm, interferers, ccfg.noise_floor_dbm)
+                if ch.reception_decision(link.rx_power_dbm, sinr, ccfg) is ch.Reception.DELIVERED:
+                    out.append((t, ai, p, closing, link.rx_power_dbm, bool(vheart[v])))
+    out.sort(key=itemgetter(0, 1))
+    return out
+
+
+def _decide_responses(responses: list[tuple], anchor_pos: list[np.ndarray],
+                      ccfg: ch.ChannelConfig, macs: list[int]) -> list[RawRecord]:
+    """Records of the responses that survive their collision batch.
+
+    `responses` holds (arrival, anchor index, device index, position,
+    tx dBm, closing speed, circulation time, event bit) in (arrival,
+    anchor, device) order.
+    """
+    records = []
+    start = 0
+    while start < len(responses):
+        t = responses[start][0]
+        stop = start + 1
+        while stop < len(responses) and responses[stop][0] - t <= _T_EPS:
+            stop += 1
+        batch = responses[start:stop]
+        for _arr, ai, di, p, tx_dbm, closing, circulation, bit in batch:
+            apos = anchor_pos[ai]
+            link = ch.link_sample(float(np.linalg.norm(p - apos)), closing, tx_dbm, ccfg)
+            interferers = [otx - ch.path_loss_db(float(np.linalg.norm(op - apos)), ccfg)
+                           for _oarr, oai, odi, op, otx, *_ in batch
+                           if oai != ai or odi != di]
+            sinr = ch.sinr_db(link.rx_power_dbm, interferers, ccfg.noise_floor_dbm)
+            if ch.reception_decision(link.rx_power_dbm, sinr, ccfg) is ch.Reception.DELIVERED:
+                records.append(RawRecord(t, macs[di], circulation, bit))
+        start = stop
+    return records
+
+
 def run_simulation(graph: VesselGraph, traces: list[MobilityTrace],
                    anchors: list[Anchor], scenario: EventScenario,
                    energy_cfg: EnergyConfig, channel_cfg: ch.ChannelConfig,
-                   duration_s: float, seed: int = 0,
+                   duration_s: float,
                    protocol: ProtocolParams | None = None) -> SimResult:
-    """Run one deterministic simulation and collect raw records.
-
-    `seed` is part of the interface for forward compatibility (the engine
-    itself draws no random numbers; all stochasticity lives in the traces).
-    """
+    """Run one deterministic simulation and collect raw records."""
     proto = protocol or ProtocolParams()
     if not anchors:
         raise ConfigMismatch("at least one anchor is required")
     if duration_s <= 0:
         raise ConfigMismatch("duration_s must be positive")
-
-    devices = []
+    strides = []
     for trace in traces:
         if len(trace.times) < 2:
             raise ConfigMismatch(f"device {trace.device_id}: trace has fewer than 2 samples")
@@ -284,176 +263,90 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace],
             raise ConfigMismatch(
                 f"device {trace.device_id}: trace covers {trace.times[-1]:.3f} s "
                 f"< simulation duration {duration_s:.3f} s")
-        devices.append(NanodeviceRuntime(trace, graph))
-
-    # sense ticks ride the upsampled sample grid
-    for dev in devices:
-        dt = dev.times[1] - dev.times[0]
+        # sense ticks ride the upsampled sample grid
+        dt = trace.times[1] - trace.times[0]
         stride = (1.0 / scenario.sense_rate_hz) / dt
         if abs(stride - round(stride)) > 1e-6 or round(stride) < 1:
             raise ConfigMismatch(
-                f"device {dev.mac}: trace period {dt:.6f} s does not divide the "
+                f"device {trace.device_id}: trace period {dt:.6f} s does not divide the "
                 f"sense period {1.0 / scenario.sense_rate_hz:.6f} s")
-        dev.sense_stride = int(round(stride))
+        strides.append(int(round(stride)))
 
     target = None if scenario.target is None else np.asarray(scenario.target, dtype=float)
+    t_last = duration_s + _T_EPS
     beacon_air = ch.airtime_s(proto.beacon_bits, channel_cfg)
     response_air = ch.airtime_s(proto.response_bits, channel_cfg)
     rx_cost = ch.pulse_count(proto.beacon_bits) * energy_cfg.cost_rx_pulse
     tx_cost = ch.pulse_count(proto.response_bits) * energy_cfg.cost_tx_pulse
-
-    # per-anchor contact windows, sorted by entry time
     anchor_pos = [np.asarray(a.position, dtype=float) for a in anchors]
     anchor_tx = [a.tx_power_dbm if a.tx_power_dbm is not None else channel_cfg.tx_power_dbm
                  for a in anchors]
-    anchor_windows = []
-    for ai in range(len(anchors)):
-        radius = _max_range_cm(anchor_tx[ai], channel_cfg)
+    ranges = [_max_range_cm(tx, channel_cfg) for tx in anchor_tx]
+    motion = {}
+    for v in graph.vessels:
+        direction = (v.end - v.start) / v.length if v.length > 0 else v.start * 0.0
+        motion[v.id] = (v.start, direction * v.speed_cm_s, v.is_heart)
+    samples = [(float(m), _SAMPLE, None) for m in range(math.floor(t_last) + 1)]
+
+    device_rows, responses, consumed_pj = [], [], {}
+    for di, (trace, stride) in enumerate(zip(traces, strides)):
+        beacons = _decoded_beacons(_visit_schedule(trace, motion), anchors, anchor_pos,
+                                   anchor_tx, ranges, channel_cfg, beacon_air, duration_s)
+        times = np.asarray(trace.times, dtype=float)
+        positions = np.asarray(trace.positions, dtype=float)
+        ticks = np.arange(0, len(times), stride)
+        ticks = ticks[times[ticks] <= t_last]
+        timeline = ([(b[0], _BEACON, b) for b in beacons]
+                    + [(float(times[i]), _SENSE, i) for i in ticks] + samples)
+        timeline.sort(key=itemgetter(0, 1))   # stable: beacons stay in anchor order
+
+        state = EnergyState()
+        last_adv = last_reset = consumed = 0.0
+        last_delivered = None
+        event_bit, responded = 0, False
         rows = []
-        for di, dev in enumerate(devices):
-            if dev.vt is not None:
-                windows = _visit_windows(dev, anchor_pos[ai], radius, duration_s)
+        for t, kind, item in timeline:
+            if t > last_adv:
+                advance_harvest(state, t - last_adv, energy_cfg)
+                last_adv = t
+            if kind == _SAMPLE:
+                rows.append((t, trace.device_id, state.energy * 1e12, int(state.powered)))
+            elif kind == _SENSE:
+                if state.powered and try_consume(state, energy_cfg.cost_sense, energy_cfg) is not None:
+                    consumed += energy_cfg.cost_sense
+                    if target is not None and (float(np.linalg.norm(positions[item] - target))
+                                               < scenario.detection_radius_cm):
+                        event_bit = 1
             else:
-                windows = _contact_windows(dev.times, dev.pos, anchor_pos[ai], radius)
-            for t0, t1 in windows:
-                rows.append((t0, t1, di))
-        rows.sort()
-        anchor_windows.append({"rows": rows, "ptr": 0, "active": {}})
+                _, ai, p, closing, rx_dbm, in_heart = item
+                if not state.powered or try_consume(state, rx_cost, energy_cfg) is None:
+                    continue
+                consumed += rx_cost
+                gap = proto.episode_gap_intervals * anchors[ai].beacon_interval_s
+                if last_delivered is None or t - last_delivered > gap + _T_EPS:
+                    responded = False
+                last_delivered = t
+                circulation, bit = t - last_reset, event_bit
+                if in_heart:
+                    last_reset, event_bit = t, 0
+                if responded or try_consume(state, tx_cost, energy_cfg) is None:
+                    continue
+                consumed += tx_cost
+                responded = True
+                t_rx = t + beacon_air + response_air
+                if t_rx <= t_last:
+                    responses.append((t_rx, ai, di, p, rx_dbm + channel_cfg.backscatter_gain_db,
+                                      closing, circulation, bit))
+        device_rows.append(rows)
+        consumed_pj[trace.device_id] = consumed * 1e12
 
-    heap: list[tuple[float, int, int, int]] = []
-    seq = itertools.count()
-    payloads: dict[int, tuple[int, list]] = {}
-    records: list[RawRecord] = []
-    energy_rows: list[tuple[float, int, float, int]] = []
-
-    for ai, anchor in enumerate(anchors):
-        heapq.heappush(heap, (0.0, _BEACON, ai, next(seq)))
-    for di, dev in enumerate(devices):
-        heapq.heappush(heap, (float(dev.times[0]), _SENSE, di, next(seq)))
-        heapq.heappush(heap, (0.0, _ENERGY, di, next(seq)))
-    beacon_count = [0] * len(anchors)
-
-    def process_beacon(ai: int, t: float) -> None:
-        anchor = anchors[ai]
-        beacon_count[ai] += 1
-        t_next = beacon_count[ai] * anchor.beacon_interval_s
-        if t_next <= duration_s + _T_EPS:
-            heapq.heappush(heap, (t_next, _BEACON, ai, next(seq)))
-        state = anchor_windows[ai]
-        rows, active = state["rows"], state["active"]
-        ptr = state["ptr"]
-        while ptr < len(rows) and rows[ptr][0] <= t + _T_EPS:
-            t0, t1, di = rows[ptr]
-            if t1 >= t - _T_EPS:
-                active[di] = t1
-            ptr += 1
-        state["ptr"] = ptr
-        for di in [d for d, end in active.items() if end < t - _T_EPS]:
-            del active[di]
-        if not active:
-            return
-        responders = []
-        for di in sorted(active):
-            dev = devices[di]
-            p, velocity, vid, in_heart = dev.position_at(t)
-            if in_heart is None:
-                in_heart = graph.vessel(locate_vessel(graph, p)).is_heart
-            offset = p - anchor_pos[ai]
-            dist = float(np.linalg.norm(offset))
-            radial = float(np.dot(velocity, offset) / dist) if dist > 0 else 0.0
-            link = ch.link_sample(dist, -radial, anchor_tx[ai], channel_cfg)
-            if link.rx_power_dbm < channel_cfg.rx_sensitivity_dbm:
-                continue
-            interferers = _beacon_interferers(anchors, ai, t, p, channel_cfg, beacon_air)
-            sinr = ch.sinr_db(link.rx_power_dbm, interferers, channel_cfg.noise_floor_dbm)
-            if ch.reception_decision(link.rx_power_dbm, sinr, channel_cfg) is not ch.Reception.DELIVERED:
-                continue
-            dev.advance(t, energy_cfg)
-            if not dev.state.powered:
-                continue
-            if not dev.spend(rx_cost, energy_cfg):
-                continue
-            dev.last_beacon_rx_dbm = link.rx_power_dbm
-            gap = proto.episode_gap_intervals * anchor.beacon_interval_s
-            if dev.last_delivered is None or t - dev.last_delivered > gap + _T_EPS:
-                dev.responded = False
-            dev.last_delivered = t
-            circulation = t - dev.last_reset
-            bit = dev.event_bit
-            if in_heart:
-                dev.last_reset = t
-                dev.event_bit = 0
-            if dev.responded:
-                continue
-            if not dev.spend(tx_cost, energy_cfg):
-                continue
-            dev.responded = True
-            t_rx = t + beacon_air + response_air
-            if t_rx <= duration_s + _T_EPS:
-                tx_dbm = link.rx_power_dbm + channel_cfg.backscatter_gain_db
-                responders.append((di, p, tx_dbm, -radial, circulation, bit))
-        if responders:
-            sid = next(seq)
-            payloads[sid] = (ai, responders)
-            heapq.heappush(heap, (t + beacon_air + response_air, _RECEPTION, ai, sid))
-
-    def process_receptions(first: tuple) -> None:
-        t = first[0]
-        batch = [payloads.pop(first[3])]
-        while heap and heap[0][1] == _RECEPTION and abs(heap[0][0] - t) <= _T_EPS:
-            batch.append(payloads.pop(heapq.heappop(heap)[3]))
-        transmitters = [(ai, *resp) for ai, responders in batch for resp in responders]
-        for ai, responders in batch:
-            apos = anchor_pos[ai]
-            for di, p, tx_dbm, radial, circulation, bit in responders:
-                dist = float(np.linalg.norm(p - apos))
-                link = ch.link_sample(dist, radial, tx_dbm, channel_cfg)
-                interferers = []
-                for oai, odi, op, otx, _orad, _oc, _ob in transmitters:
-                    if oai == ai and odi == di:
-                        continue
-                    odist = float(np.linalg.norm(op - apos))
-                    interferers.append(otx - ch.path_loss_db(odist, channel_cfg))
-                sinr = ch.sinr_db(link.rx_power_dbm, interferers, channel_cfg.noise_floor_dbm)
-                if ch.reception_decision(link.rx_power_dbm, sinr, channel_cfg) is ch.Reception.DELIVERED:
-                    records.append(RawRecord(t, devices[di].mac, circulation, bit))
-
-    def process_sense(di: int, t: float) -> None:
-        dev = devices[di]
-        i = dev.sense_idx
-        dev.advance(t, energy_cfg)
-        if dev.state.powered and dev.spend(energy_cfg.cost_sense, energy_cfg):
-            if target is not None:
-                if float(np.linalg.norm(dev.pos[i] - target)) < scenario.detection_radius_cm:
-                    dev.event_bit = 1
-        nxt = i + dev.sense_stride
-        if nxt < len(dev.times) and dev.times[nxt] <= duration_s + _T_EPS:
-            dev.sense_idx = nxt
-            heapq.heappush(heap, (float(dev.times[nxt]), _SENSE, di, next(seq)))
-
-    def process_energy_sample(di: int, t: float) -> None:
-        dev = devices[di]
-        dev.advance(t, energy_cfg)
-        energy_rows.append((t, dev.mac, dev.state.energy * 1e12, int(dev.state.powered)))
-        if t + 1.0 <= duration_s + _T_EPS:
-            heapq.heappush(heap, (t + 1.0, _ENERGY, di, next(seq)))
-
-    while heap:
-        event = heapq.heappop(heap)
-        t, kind, subject = event[0], event[1], event[2]
-        if kind == _BEACON:
-            process_beacon(subject, t)
-        elif kind == _SENSE:
-            process_sense(subject, t)
-        elif kind == _RECEPTION:
-            process_receptions(event)
-        else:
-            process_energy_sample(subject, t)
-
+    responses.sort(key=itemgetter(0, 1, 2))
+    records = _decide_responses(responses, anchor_pos, channel_cfg,
+                                [trace.device_id for trace in traces])
     records.sort(key=lambda r: (r.report_time_s, r.device_mac))
-    consumed = {dev.mac: dev.consumed * 1e12 for dev in devices}
+    energy_rows = [row for group in zip(*device_rows) for row in group]
     return SimResult(records=records, energy_rows=energy_rows,
-                     consumed_pj=consumed, duration_s=duration_s)
+                     consumed_pj=consumed_pj, duration_s=duration_s)
 
 
 def export_raw_csv(records: list[RawRecord], path: str) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from enum import IntEnum
 
 import numpy as np
@@ -37,7 +38,7 @@ class Vessel:
     successors: list[int]
     is_heart: bool = False
 
-    @property
+    @cached_property
     def length(self) -> float:
         return float(np.linalg.norm(self.end - self.start))
 

@@ -44,7 +44,7 @@ def run(traces, *, anchors=ANCHOR, scenario=SCENARIO, energy=IDEAL_ENERGY,
         channel=None, duration=20.0, protocol=None, graph=GRAPH):
     return run_simulation(graph, traces, anchors, scenario, energy,
                           channel or ChannelConfig(), duration_s=duration,
-                          seed=0, protocol=protocol)
+                          protocol=protocol)
 
 
 def test_one_record_per_heart_passage_with_ideal_energy():
