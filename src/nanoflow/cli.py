@@ -194,13 +194,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_workers(args) -> int:
-    explicit = getattr(args, "workers", None)
-    if explicit is None:
+    workers, source = getattr(args, "workers", None), "--workers"
+    if workers is None:
         env = os.environ.get("NANOFLOW_WORKERS")
-        explicit = int(env) if env else 1
-    if explicit < 1:
-        raise ConfigError("config key workers must be >= 1")
-    return explicit
+        if not env:
+            return 1
+        source = "NANOFLOW_WORKERS"
+        try:
+            workers = int(env)
+        except ValueError:
+            raise ConfigError(f"NANOFLOW_WORKERS must be an integer, got {env!r}") from None
+    if workers < 1:
+        raise ConfigError(f"{source} must be >= 1, got {workers}")
+    return workers
 
 
 def _overrides_from(args) -> dict:

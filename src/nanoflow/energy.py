@@ -11,11 +11,27 @@ cycle_index() is the inverse mapping rounded up to the cycle grid.  Energy
 only accrues at whole-cycle boundaries; a device turns ON when the stored
 energy first reaches e_turn_on and OFF once consumption drags it to
 e_turn_off or below.
+
+advance_harvest() walks the curve as energy_at_cycle(cycle_index(E) + k),
+but reads both steps off a charge grid: the list E(0), E(1), ... built with
+energy_at_cycle itself, kept per process for each curve (v_g, delta_q,
+e_max), grown on demand and never past its first entry equal to e_max.
+The grid is non-decreasing, so bisect_left(grid, E) is by definition the
+smallest m with E(m) >= E, which is what cycle_index() returns: the lookup
+is exact, not an approximation of the inverse.  It does not lift the float64
+limit of the inverse either: where the curve is flat to the last bit
+(n ~ 19000 under the default config), a grid energy still maps back to the
+first of its equal neighbours, as cycle_index() does.  Beyond _GRID_LIMIT
+entries the closed form is used instead, so an extreme config costs time,
+not memory.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import EnergyOutOfRange
@@ -106,6 +122,42 @@ def turn_on_latency_cycles(cfg: EnergyConfig) -> int:
     return n
 
 
+_GRID_LIMIT = 1 << 17   # entries per charge grid; 23,767 reach e_max by default
+_GROWING = threading.Lock()
+
+
+@functools.lru_cache(maxsize=8)
+def _charge_grid(v_g: float, delta_q: float, e_max: float) -> list[float]:
+    # E(0), E(1), ... of one curve, grown in place by _grown; keyed by the
+    # curve's values rather than the (mutable) EnergyConfig
+    return []
+
+
+def _grown(grid: list[float], n: int, energy: float, cfg: EnergyConfig) -> bool:
+    """Extend grid until it holds index n and an entry >= energy, or ends at
+    e_max.  False if it cannot: past _GRID_LIMIT, or on a curve of NaNs."""
+    with _GROWING:   # entry k must land at index k, whichever thread appends
+        while len(grid) <= n or grid[-1] < energy:
+            if grid and grid[-1] == cfg.e_max:
+                break
+            if len(grid) >= _GRID_LIMIT:
+                return False
+            grid.append(energy_at_cycle(len(grid), cfg))
+        return grid[-1] >= energy
+
+
+def _energy_after(energy: float, cycles: int, cfg: EnergyConfig) -> float:
+    """energy_at_cycle(cycle_index(energy) + cycles), read off the charge grid."""
+    grid = _charge_grid(cfg.v_g, cfg.delta_q, cfg.e_max)
+    if energy >= 0.0 and ((grid and grid[-1] >= energy) or _grown(grid, 0, energy, cfg)):
+        n = bisect_left(grid, energy) + cycles
+        if n < len(grid):
+            return grid[n]
+        if _grown(grid, n, 0.0, cfg):
+            return grid[min(n, len(grid) - 1)]   # past the end the curve stays at e_max
+    return energy_at_cycle(cycle_index(energy, cfg) + cycles, cfg)
+
+
 def advance_harvest(state: EnergyState, dt: float, cfg: EnergyConfig) -> EnergyState:
     """Accrue harvested energy over dt seconds (whole cycles only).
 
@@ -118,8 +170,7 @@ def advance_harvest(state: EnergyState, dt: float, cfg: EnergyConfig) -> EnergyS
     cycles = int(total / cfg.t_cycle)
     state.phase = total - cycles * cfg.t_cycle
     if cycles > 0 and state.energy < cfg.e_max:
-        n = cycle_index(state.energy, cfg)
-        state.energy = energy_at_cycle(n + cycles, cfg)
+        state.energy = _energy_after(state.energy, cycles, cfg)
     if not state.powered and state.energy >= cfg.e_turn_on:
         state.powered = True
     return state

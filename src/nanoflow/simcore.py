@@ -14,10 +14,14 @@ energy depends only on its own events.  A run is therefore three phases:
    when the interval's vessel id is the heart.
 2. Per-device scan.  One pass over the device's own timeline of decoded
    beacons, sense ticks (on the upsampled sample grid) and 1 Hz energy
-   samples advances its capacitor with the closed-form harvest curve,
-   spends energy, keeps the circulation clock and event bit, and collects
-   the responses it sends.  At equal timestamps beacons come first, by
-   anchor index, then the sense tick, then the energy sample.
+   samples advances its capacitor along the harvest curve (a lookup in the
+   energy module's charge grid), spends energy, keeps the circulation clock
+   and event bit, and collects the responses it sends.  Whether a sense tick
+   sees the target is decided beforehand for all of the device's ticks in
+   one distance pass (the sense-hit mask); the scan reads one bool per tick
+   and sets the bit when that tick's sensing is paid for.  At equal
+   timestamps beacons come first, by anchor index, then the sense tick,
+   then the energy sample.
 3. Collisions.  Responses arriving within _T_EPS of the earliest pending
    arrival form one batch.  Each is decided against the others in the
    batch, summed in (arrival time, anchor, device) order; a decoded one
@@ -215,6 +219,24 @@ def _decoded_beacons(schedule, anchors: list[Anchor], anchor_pos: list[np.ndarra
     return out
 
 
+def _sense_hits(points: np.ndarray, target: np.ndarray | None,
+                radius_cm: float) -> np.ndarray:
+    """float(np.linalg.norm(p - target)) < radius_cm for each row p of points;
+    all False without a target.
+
+    The row-wise norm may differ from the per-vector one (a BLAS dot) in the
+    last bits, so rows within a hair of the radius are decided one by one.
+    """
+    if target is None:
+        return np.zeros(len(points), dtype=bool)
+    offsets = points - target
+    dist = np.linalg.norm(offsets, axis=1)
+    hits = dist < radius_cm
+    for i in np.nonzero(np.abs(dist - radius_cm) <= 1e-9 * radius_cm)[0]:
+        hits[i] = float(np.linalg.norm(offsets[i])) < radius_cm
+    return hits
+
+
 def _decide_responses(responses: list[tuple], anchor_pos: list[np.ndarray],
                       ccfg: ch.ChannelConfig, macs: list[int]) -> list[RawRecord]:
     """Records of the responses that survive their collision batch.
@@ -293,11 +315,13 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace],
         beacons = _decoded_beacons(_visit_schedule(trace, motion), anchors, anchor_pos,
                                    anchor_tx, ranges, channel_cfg, beacon_air, duration_s)
         times = np.asarray(trace.times, dtype=float)
-        positions = np.asarray(trace.positions, dtype=float)
         ticks = np.arange(0, len(times), stride)
         ticks = ticks[times[ticks] <= t_last]
+        hits = _sense_hits(np.asarray(trace.positions, dtype=float)[ticks], target,
+                           scenario.detection_radius_cm)
         timeline = ([(b[0], _BEACON, b) for b in beacons]
-                    + [(float(times[i]), _SENSE, i) for i in ticks] + samples)
+                    + [(t, _SENSE, hit) for t, hit in zip(times[ticks].tolist(), hits.tolist())]
+                    + samples)
         timeline.sort(key=itemgetter(0, 1))   # stable: beacons stay in anchor order
 
         state = EnergyState()
@@ -314,8 +338,7 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace],
             elif kind == _SENSE:
                 if state.powered and try_consume(state, energy_cfg.cost_sense, energy_cfg) is not None:
                     consumed += energy_cfg.cost_sense
-                    if target is not None and (float(np.linalg.norm(positions[item] - target))
-                                               < scenario.detection_radius_cm):
+                    if item:
                         event_bit = 1
             else:
                 _, ai, p, closing, rx_dbm, in_heart = item

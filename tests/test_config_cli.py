@@ -223,12 +223,16 @@ def test_cli_exit_codes(tmp_path):
                  "--out", str(tmp_path / "x")]) == 1
 
 
-def test_cli_workers_env(tmp_path, monkeypatch):
+def test_cli_workers_env(tmp_path, monkeypatch, capsys):
     out = tmp_path / "bm"
     monkeypatch.setenv("NANOFLOW_WORKERS", "2")
     rc = main(["benchmark", "--strategy", "rgs", "--k", "3", "--devices", "4",
                "--duration-s", "60", "--seed", "3", "--out", str(out)])
     assert rc == 0
-    monkeypatch.setenv("NANOFLOW_WORKERS", "0")
-    assert main(["benchmark", "--strategy", "rgs", "--k", "3",
-                 "--out", str(tmp_path / "y")]) == 1
+    capsys.readouterr()
+    for bad, message in (("0", "NANOFLOW_WORKERS must be >= 1, got 0"),
+                         ("abc", "NANOFLOW_WORKERS must be an integer, got 'abc'")):
+        monkeypatch.setenv("NANOFLOW_WORKERS", bad)
+        assert main(["benchmark", "--strategy", "rgs", "--k", "3",
+                     "--out", str(tmp_path / "y")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"

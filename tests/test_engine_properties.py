@@ -6,14 +6,15 @@ the other devices, and neither do its records once collisions are switched
 off.  The remaining properties are invariants of every run.
 """
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from nanoflow.channel import ChannelConfig  # noqa: E402
+from nanoflow.channel import ChannelConfig, airtime_s  # noqa: E402
 from nanoflow.energy import EnergyConfig  # noqa: E402
-from nanoflow.simcore import Anchor, EventScenario, run_simulation  # noqa: E402
+from nanoflow.simcore import Anchor, EventScenario, ProtocolParams, run_simulation  # noqa: E402
 from nanoflow.vasculature import (UpsampleParams, build_reference_vasculature,  # noqa: E402
                                   simulate_mobility, upsample_trace)
 
@@ -77,3 +78,34 @@ def test_run_invariants(case):
     e_max_pj = ENERGY.e_max * 1e12
     for _t, _mac, pj, _powered in result.energy_rows:
         assert 0.0 <= pj <= e_max_pj
+
+
+@settings(max_examples=15, deadline=None)
+@given(cases(), st.data())
+def test_event_bits_come_from_sense_ticks_near_the_target(case, data):
+    anchors, traces, scenario, duration = case
+    if scenario.target is not None:   # a target some device passes, so bits of 1 occur
+        trace = data.draw(st.sampled_from(traces))
+        i = data.draw(st.integers(0, len(trace.times) - 1))
+        scenario = EventScenario(target=tuple(trace.positions[i]), sense_rate_hz=3,
+                                 detection_radius_cm=data.draw(st.sampled_from([0.5, 1.0, 3.0])))
+    channel = ChannelConfig()
+    result = run_simulation(GRAPH, traces, anchors, scenario, ENERGY, channel,
+                            duration_s=duration)
+    if scenario.target is None:
+        assert all(r.event_bit == 0 for r in result.records)
+        return
+    proto = ProtocolParams()
+    lag = airtime_s(proto.beacon_bits, channel) + airtime_s(proto.response_bits, channel)
+    by_mac = {tr.device_id: tr for tr in traces}
+    for r in result.records:
+        if not r.event_bit:
+            continue
+        trace = by_mac[r.device_mac]
+        stride = round(1.0 / scenario.sense_rate_hz / (trace.times[1] - trace.times[0]))
+        ticks, points = trace.times[::stride], trace.positions[::stride]
+        near = np.linalg.norm(points - np.asarray(scenario.target), axis=1) \
+            < scenario.detection_radius_cm
+        t_b = r.report_time_s - lag   # the beacon this record answers
+        inside = (ticks >= t_b - r.circulation_time_s - 1e-9) & (ticks <= t_b + 1e-9)
+        assert (near & inside).any(), r

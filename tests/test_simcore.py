@@ -12,7 +12,7 @@ import pytest
 from nanoflow.channel import ChannelConfig
 from nanoflow.energy import EnergyConfig
 from nanoflow.errors import ConfigMismatch
-from nanoflow.simcore import (Anchor, EventScenario, ProtocolParams,
+from nanoflow.simcore import (Anchor, EventScenario, ProtocolParams, _sense_hits,
                               export_energy_csv, export_raw_csv,
                               run_simulation)
 from nanoflow.vasculature import (MobilityTrace, RegionType, UpsampleParams,
@@ -120,6 +120,20 @@ def test_sense_sets_event_bit():
     # without a target every bit stays 0
     res0 = run([up], scenario=EventScenario(target=None, sense_rate_hz=3))
     assert all(r.event_bit == 0 for r in res0.records)
+
+
+def test_sense_hits_match_the_per_vector_norm_at_the_radius():
+    # the row-wise norm and np.linalg.norm of one vector can differ in the
+    # last bit; at a radius equal to either, the mask must follow the latter
+    rng = np.random.default_rng(3)
+    points = rng.normal(size=(500, 3)) * 5.0
+    target = np.array([0.3, -0.2, 0.1])
+    per_vector = np.array([float(np.linalg.norm(p - target)) for p in points])
+    row_wise = np.linalg.norm(points - target, axis=1)
+    differ = np.nonzero(per_vector != row_wise)[0]
+    for radius in [*per_vector[:5], *per_vector[differ[:10]], *row_wise[differ[:10]]]:
+        assert _sense_hits(points, target, radius).tolist() == (per_vector < radius).tolist()
+    assert not _sense_hits(points, None, 1e9).any()
 
 
 def test_event_bit_clears_after_reset():
