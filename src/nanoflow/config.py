@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 from .channel import ChannelConfig, Layer
@@ -114,6 +115,19 @@ def _validate(user, defaults, path: str) -> None:
         pass  # nullable leaf; consumer validates the payload
     else:  # pragma: no cover - defaults only contain the shapes above
         raise ConfigError(f"config key {key} has unsupported type")
+
+
+def _require_finite(user, key: str) -> None:
+    """Reject NaN and infinities (JSON's NaN/Infinity literals, or a float
+    override) anywhere in user, naming the key that holds one."""
+    if isinstance(user, float) and not math.isfinite(user):
+        raise ConfigError(f"config key {key} must be a finite number, got {user!r}")
+    if isinstance(user, dict):
+        for name, val in user.items():
+            _require_finite(val, f"{key}.{name}" if key else str(name))
+    elif isinstance(user, list):
+        for i, val in enumerate(user):
+            _require_finite(val, f"{key}[{i}]")
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -297,9 +311,11 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         _validate(user, DEFAULT_CONFIG, "")
+        _require_finite(user, "")
         resolved = _merge(resolved, user)
     if overrides:
         _validate(overrides, DEFAULT_CONFIG, "")
+        _require_finite(overrides, "")
         resolved = _merge(resolved, overrides)
     cfg = RunConfig(raw=resolved)
     cfg.validate_consistency()

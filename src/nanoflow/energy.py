@@ -23,7 +23,9 @@ limit of the inverse either: where the curve is flat to the last bit
 (n ~ 19000 under the default config), a grid energy still maps back to the
 first of its equal neighbours, as cycle_index() does.  Beyond _GRID_LIMIT
 entries the closed form is used instead, so an extreme config costs time,
-not memory.
+not memory.  The walk itself is energy_after(); a caller that steps one
+capacitor many times (the simulation engine's per-device scan) fetches the
+grid once with charge_grid() and calls energy_after() directly.
 """
 
 from __future__ import annotations
@@ -146,9 +148,14 @@ def _grown(grid: list[float], n: int, energy: float, cfg: EnergyConfig) -> bool:
         return grid[-1] >= energy
 
 
-def _energy_after(energy: float, cycles: int, cfg: EnergyConfig) -> float:
-    """energy_at_cycle(cycle_index(energy) + cycles), read off the charge grid."""
-    grid = _charge_grid(cfg.v_g, cfg.delta_q, cfg.e_max)
+def charge_grid(cfg: EnergyConfig) -> list[float]:
+    """The charge grid of cfg's curve, shared per process; energy_after()
+    grows it on demand."""
+    return _charge_grid(cfg.v_g, cfg.delta_q, cfg.e_max)
+
+
+def energy_after(grid: list[float], energy: float, cycles: int, cfg: EnergyConfig) -> float:
+    """energy_at_cycle(cycle_index(energy) + cycles), read off grid = charge_grid(cfg)."""
     if energy >= 0.0 and ((grid and grid[-1] >= energy) or _grown(grid, 0, energy, cfg)):
         n = bisect_left(grid, energy) + cycles
         if n < len(grid):
@@ -170,7 +177,7 @@ def advance_harvest(state: EnergyState, dt: float, cfg: EnergyConfig) -> EnergyS
     cycles = int(total / cfg.t_cycle)
     state.phase = total - cycles * cfg.t_cycle
     if cycles > 0 and state.energy < cfg.e_max:
-        state.energy = _energy_after(state.energy, cycles, cfg)
+        state.energy = energy_after(charge_grid(cfg), state.energy, cycles, cfg)
     if not state.powered and state.energy >= cfg.e_turn_on:
         state.powered = True
     return state

@@ -14,14 +14,17 @@ energy depends only on its own events.  A run is therefore three phases:
    when the interval's vessel id is the heart.
 2. Per-device scan.  One pass over the device's own timeline of decoded
    beacons, sense ticks (on the upsampled sample grid) and 1 Hz energy
-   samples advances its capacitor along the harvest curve (a lookup in the
-   energy module's charge grid), spends energy, keeps the circulation clock
-   and event bit, and collects the responses it sends.  Whether a sense tick
-   sees the target is decided beforehand for all of the device's ticks in
-   one distance pass (the sense-hit mask); the scan reads one bool per tick
-   and sets the bit when that tick's sensing is paid for.  At equal
-   timestamps beacons come first, by anchor index, then the sense tick,
-   then the energy sample.
+   samples advances its capacitor along the harvest curve, spends energy,
+   keeps the circulation clock and event bit, and collects the responses it
+   sends.  The capacitor steps exactly as energy.advance_harvest does, with
+   the cycle phase in a local and the charge grid fetched once per run;
+   every spend goes through energy.try_consume.  Whether a sense tick sees
+   the target is decided beforehand for all of the device's ticks in one
+   distance pass (the sense-hit mask); the scan reads one bool per tick and
+   sets the bit when that tick's sensing is paid for.  The timeline is the
+   three time arrays concatenated in tie order and put in time order by one
+   stable argsort: at equal timestamps beacons come first, by anchor index,
+   then the sense tick, then the energy sample.
 3. Collisions.  Responses arriving within _T_EPS of the earliest pending
    arrival form one batch.  Each is decided against the others in the
    batch, summed in (arrival time, anchor, device) order; a decoded one
@@ -29,6 +32,9 @@ energy depends only on its own events.  A run is therefore three phases:
 
 Energy rows come out in (time, device) order and records in (time, mac)
 order, so a run is deterministic regardless of how the caller schedules runs.
+A caller that does not read the energy rows can skip building them
+(energy_rows=False); the samples still advance the capacitor, so records and
+consumption do not change.
 """
 
 from __future__ import annotations
@@ -40,11 +46,10 @@ from operator import itemgetter
 import numpy as np
 
 from . import channel as ch
-from .energy import EnergyConfig, EnergyState, advance_harvest, try_consume
+from .energy import EnergyConfig, EnergyState, charge_grid, energy_after, try_consume
 from .errors import ConfigMismatch
 from .vasculature import MobilityTrace, VesselGraph
 
-_BEACON, _SENSE, _SAMPLE = 0, 1, 2   # tie order of one device's events
 _T_EPS = 1e-9
 
 
@@ -92,24 +97,23 @@ class SimResult:
     duration_s: float
 
 
-def _visit_schedule(trace: MobilityTrace, motion: dict):
+def _visit_schedule(trace: MobilityTrace, graph: VesselGraph):
     """(entry times, start points, velocities, heart flags), one row per visit.
 
     RF geometry reads the exact visit schedule: the sampled polyline corner-
     cuts short vessels and would place the device centimeters away from where
-    it really is exactly when it crosses the heart.  `motion` maps a vessel id
-    to its (start, velocity, is_heart).
+    it really is exactly when it crosses the heart.
     """
+    _, starts, _ = graph.segment_arrays()
+    velocities, heart = graph.motion_arrays
     if trace.visit_times is not None and trace.visit_vessels is not None:
-        rows = [motion[int(vid)] for vid in trace.visit_vessels]
-        return (np.asarray(trace.visit_times, dtype=float),
-                np.array([r[0] for r in rows], dtype=float).reshape(-1, 3),
-                np.array([r[1] for r in rows], dtype=float).reshape(-1, 3),
-                [r[2] for r in rows])
+        rows = graph.rows_of(trace.visit_vessels)
+        return (np.asarray(trace.visit_times, dtype=float), starts[rows], velocities[rows],
+                heart[rows])
     times = np.asarray(trace.times, dtype=float)
     pos = np.asarray(trace.positions, dtype=float)
     return (times[:-1], pos[:-1], (pos[1:] - pos[:-1]) / np.diff(times)[:, None],
-            [motion[int(vid)][2] for vid in trace.vessel_ids[:-1]])
+            heart[graph.rows_of(trace.vessel_ids[:-1])])
 
 
 def _max_range_cm(tx_dbm: float, ccfg: ch.ChannelConfig) -> float:
@@ -270,8 +274,10 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace],
                    anchors: list[Anchor], scenario: EventScenario,
                    energy_cfg: EnergyConfig, channel_cfg: ch.ChannelConfig,
                    duration_s: float,
-                   protocol: ProtocolParams | None = None) -> SimResult:
-    """Run one deterministic simulation and collect raw records."""
+                   protocol: ProtocolParams | None = None,
+                   energy_rows: bool = True) -> SimResult:
+    """Run one deterministic simulation and collect raw records (and the
+    1 Hz energy rows unless energy_rows is False)."""
     proto = protocol or ProtocolParams()
     if not anchors:
         raise ConfigMismatch("at least one anchor is required")
@@ -300,66 +306,76 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace],
     response_air = ch.airtime_s(proto.response_bits, channel_cfg)
     rx_cost = ch.pulse_count(proto.beacon_bits) * energy_cfg.cost_rx_pulse
     tx_cost = ch.pulse_count(proto.response_bits) * energy_cfg.cost_tx_pulse
+    cost_sense = energy_cfg.cost_sense
+    t_cycle, e_max, e_turn_on = energy_cfg.t_cycle, energy_cfg.e_max, energy_cfg.e_turn_on
+    grid = charge_grid(energy_cfg)
     anchor_pos = [np.asarray(a.position, dtype=float) for a in anchors]
     anchor_tx = [a.tx_power_dbm if a.tx_power_dbm is not None else channel_cfg.tx_power_dbm
                  for a in anchors]
     ranges = [_max_range_cm(tx, channel_cfg) for tx in anchor_tx]
-    motion = {}
-    for v in graph.vessels:
-        direction = (v.end - v.start) / v.length if v.length > 0 else v.start * 0.0
-        motion[v.id] = (v.start, direction * v.speed_cm_s, v.is_heart)
-    samples = [(float(m), _SAMPLE, None) for m in range(math.floor(t_last) + 1)]
+    sample_t = np.arange(math.floor(t_last) + 1, dtype=float)
+    sample_times = sample_t.tolist()   # one float per second, shared by every device's rows
 
     device_rows, responses, consumed_pj = [], [], {}
     for di, (trace, stride) in enumerate(zip(traces, strides)):
-        beacons = _decoded_beacons(_visit_schedule(trace, motion), anchors, anchor_pos,
+        beacons = _decoded_beacons(_visit_schedule(trace, graph), anchors, anchor_pos,
                                    anchor_tx, ranges, channel_cfg, beacon_air, duration_s)
         times = np.asarray(trace.times, dtype=float)
         ticks = np.arange(0, len(times), stride)
         ticks = ticks[times[ticks] <= t_last]
         hits = _sense_hits(np.asarray(trace.positions, dtype=float)[ticks], target,
-                           scenario.detection_radius_cm)
-        timeline = ([(b[0], _BEACON, b) for b in beacons]
-                    + [(t, _SENSE, hit) for t, hit in zip(times[ticks].tolist(), hits.tolist())]
-                    + samples)
-        timeline.sort(key=itemgetter(0, 1))   # stable: beacons stay in anchor order
+                           scenario.detection_radius_cm).tolist()
+        # beacons, sense ticks, samples: concatenated in tie order, so a stable
+        # sort on time alone keeps that order at equal times (and beacons in
+        # their (t, anchor) order)
+        n_beacons, first_sample = len(beacons), len(beacons) + len(ticks)
+        merged = np.concatenate(([b[0] for b in beacons], times[ticks], sample_t))
+        order = np.argsort(merged, kind="stable")
 
         state = EnergyState()
-        last_adv = last_reset = consumed = 0.0
+        last_adv = last_reset = consumed = phase = 0.0
         last_delivered = None
         event_bit, responded = 0, False
         rows = []
-        for t, kind, item in timeline:
-            if t > last_adv:
-                advance_harvest(state, t - last_adv, energy_cfg)
+        for t, k in zip(merged[order].tolist(), order.tolist()):
+            if t > last_adv:   # energy.advance_harvest, on locals
+                total = phase + (t - last_adv)
+                cycles = int(total / t_cycle)
+                phase = total - cycles * t_cycle
+                if cycles > 0 and state.energy < e_max:
+                    state.energy = energy_after(grid, state.energy, cycles, energy_cfg)
+                if not state.powered and state.energy >= e_turn_on:
+                    state.powered = True
                 last_adv = t
-            if kind == _SAMPLE:
-                rows.append((t, trace.device_id, state.energy * 1e12, int(state.powered)))
-            elif kind == _SENSE:
-                if state.powered and try_consume(state, energy_cfg.cost_sense, energy_cfg) is not None:
-                    consumed += energy_cfg.cost_sense
-                    if item:
+            if k >= n_beacons:
+                if k >= first_sample:
+                    if energy_rows:
+                        rows.append((sample_times[k - first_sample], trace.device_id,
+                                     state.energy * 1e12, int(state.powered)))
+                elif state.powered and try_consume(state, cost_sense, energy_cfg) is not None:
+                    consumed += cost_sense
+                    if hits[k - n_beacons]:
                         event_bit = 1
-            else:
-                _, ai, p, closing, rx_dbm, in_heart = item
-                if not state.powered or try_consume(state, rx_cost, energy_cfg) is None:
-                    continue
-                consumed += rx_cost
-                gap = proto.episode_gap_intervals * anchors[ai].beacon_interval_s
-                if last_delivered is None or t - last_delivered > gap + _T_EPS:
-                    responded = False
-                last_delivered = t
-                circulation, bit = t - last_reset, event_bit
-                if in_heart:
-                    last_reset, event_bit = t, 0
-                if responded or try_consume(state, tx_cost, energy_cfg) is None:
-                    continue
-                consumed += tx_cost
-                responded = True
-                t_rx = t + beacon_air + response_air
-                if t_rx <= t_last:
-                    responses.append((t_rx, ai, di, p, rx_dbm + channel_cfg.backscatter_gain_db,
-                                      closing, circulation, bit))
+                continue
+            _, ai, p, closing, rx_dbm, in_heart = beacons[k]
+            if not state.powered or try_consume(state, rx_cost, energy_cfg) is None:
+                continue
+            consumed += rx_cost
+            gap = proto.episode_gap_intervals * anchors[ai].beacon_interval_s
+            if last_delivered is None or t - last_delivered > gap + _T_EPS:
+                responded = False
+            last_delivered = t
+            circulation, bit = t - last_reset, event_bit
+            if in_heart:
+                last_reset, event_bit = t, 0
+            if responded or try_consume(state, tx_cost, energy_cfg) is None:
+                continue
+            consumed += tx_cost
+            responded = True
+            t_rx = t + beacon_air + response_air
+            if t_rx <= t_last:
+                responses.append((t_rx, ai, di, p, rx_dbm + channel_cfg.backscatter_gain_db,
+                                  closing, circulation, bit))
         device_rows.append(rows)
         consumed_pj[trace.device_id] = consumed * 1e12
 
@@ -367,8 +383,8 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace],
     records = _decide_responses(responses, anchor_pos, channel_cfg,
                                 [trace.device_id for trace in traces])
     records.sort(key=lambda r: (r.report_time_s, r.device_mac))
-    energy_rows = [row for group in zip(*device_rows) for row in group]
-    return SimResult(records=records, energy_rows=energy_rows,
+    return SimResult(records=records,
+                     energy_rows=[row for group in zip(*device_rows) for row in group],
                      consumed_pj=consumed_pj, duration_s=duration_s)
 
 

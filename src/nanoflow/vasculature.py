@@ -6,6 +6,13 @@ Devices move along segments at the per-vessel blood speed, pick uniformly
 among successors at bifurcations, and are sampled at 1 Hz.  A separate
 upsampling step inserts linearly interpolated positions with optional
 Gaussian jitter so downstream sensing can run faster than 1 Hz.
+
+A graph caches per-vessel tables (ids, end points, lengths, speeds,
+successors, velocities) on first use, so per-call work does not rebuild
+them: the walk records (vessel, arc) per sample and places a device's
+samples in one pass (points_at, bit for bit Vessel.point_at), and
+locate_vessel maps many points at once.  A graph is therefore not edited
+once it is in use.
 """
 
 from __future__ import annotations
@@ -55,6 +62,7 @@ class VesselGraph:
     _by_id: dict = field(default_factory=dict, repr=False)
     _seg_cache: tuple | None = field(default=None, repr=False)
     _cycle_cache: list | None = field(default=None, repr=False)
+    _validated: bool = field(default=False, repr=False)   # set by validate_graph
 
     def __post_init__(self):
         self._by_id = {v.id: v for v in self.vessels}
@@ -63,13 +71,60 @@ class VesselGraph:
         return self._by_id[vessel_id]
 
     def segment_arrays(self):
-        """(ids, starts, ends) as arrays, cached for vectorised queries."""
+        """(ids, starts, ends) as arrays, one row per vessel in list order,
+        cached for vectorised queries."""
         if self._seg_cache is None:
             ids = np.array([v.id for v in self.vessels])
             starts = np.array([v.start for v in self.vessels], dtype=float)
             ends = np.array([v.end for v in self.vessels], dtype=float)
             self._seg_cache = (ids, starts, ends)
         return self._seg_cache
+
+    @cached_property
+    def _id_order(self) -> np.ndarray:
+        return np.argsort(self.segment_arrays()[0], kind="stable")
+
+    def rows_of(self, vessel_ids) -> np.ndarray:
+        """Row of each vessel id in segment_arrays(); KeyError for an id the
+        graph does not have."""
+        ids = self.segment_arrays()[0]
+        at = np.searchsorted(ids, vessel_ids, sorter=self._id_order)
+        rows = self._id_order[np.minimum(at, len(ids) - 1)]
+        if not np.array_equal(ids[rows], vessel_ids):
+            raise KeyError(f"vessel ids not in the graph: {np.setdiff1d(vessel_ids, ids)[:5]}")
+        return rows
+
+    @cached_property
+    def _placement(self) -> tuple[np.ndarray, np.ndarray]:
+        _, starts, ends = self.segment_arrays()
+        return np.array([v.length for v in self.vessels]), ends - starts
+
+    def points_at(self, rows: np.ndarray, arcs: np.ndarray) -> np.ndarray:
+        """(n, 3) positions: row k is vessel rows[k] (a row of segment_arrays())
+        at arc arcs[k], bit for bit what Vessel.point_at gives, in one pass."""
+        lengths, deltas = self._placement
+        pos = deltas[rows]   # in place: fewer temporaries, and + and * commute exactly
+        pos *= np.clip(arcs / lengths[rows], 0.0, 1.0)[:, None]
+        pos += self.segment_arrays()[1][rows]
+        return pos
+
+    @cached_property
+    def _walk_table(self) -> tuple[list, list, list, int]:
+        # (length, speed, successor rows) per row of segment_arrays(), and the heart's row
+        row = {v.id: i for i, v in enumerate(self.vessels)}
+        return ([v.length for v in self.vessels], [v.speed_cm_s for v in self.vessels],
+                [[row[s] for s in v.successors] for v in self.vessels], row[self.heart_id])
+
+    @cached_property
+    def motion_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(velocity in cm/s, is_heart) per row of segment_arrays(); a
+        zero-length vessel has zero velocity."""
+        _, starts, _ = self.segment_arrays()
+        lengths, deltas = self._placement
+        direction = np.divide(deltas, lengths[:, None], out=starts * 0.0,
+                              where=lengths[:, None] > 0)
+        speeds = np.array([v.speed_cm_s for v in self.vessels], dtype=float)
+        return direction * speeds[:, None], np.array([bool(v.is_heart) for v in self.vessels])
 
     def cycles_through_heart(self, limit: int = 10000) -> list[tuple[int, ...]]:
         """All simple cycles that pass through the heart vessel.
@@ -178,6 +233,7 @@ def validate_graph(graph: VesselGraph) -> None:
     stranded = id_set - (reach_from_heart & reach_to_heart)
     if stranded:
         raise InvalidGraph(f"vessels not on any heart loop: {sorted(stranded)}")
+    graph._validated = True
 
 
 def _reachable(adj: dict, root: int) -> set:
@@ -354,47 +410,54 @@ def simulate_mobility(graph: VesselGraph, device_count: int, duration_s: float,
 
     All devices start at the heart inlet.  Within a vessel the speed is
     exact; a sampling step can cross several vessels, each bifurcation
-    resolved by a uniform draw from the seeded stream.
+    resolved by a uniform draw from the seeded stream.  The walk reads the
+    graph's cached per-vessel tables and keeps only (vessel, arc) per sample;
+    each device's positions are then placed in one pass by
+    VesselGraph.points_at, bit for bit what Vessel.point_at gives.
     """
-    validate_graph(graph)
+    if not graph._validated:   # once per graph: like its cached arrays, it is not edited in use
+        validate_graph(graph)
     rng = np.random.default_rng(seed)
     n = int(round(duration_s)) + 1
+    if n < 1:
+        raise ValueError(f"duration_s {duration_s!r} leaves no sample")
+    times = np.arange(n, dtype=float)
+    ids = graph.segment_arrays()[0]
+    lengths, speeds, successors, heart = graph._walk_table
     traces = []
     for dev in range(device_count):
-        times = np.arange(n, dtype=float)
-        pos = np.empty((n, 3))
-        vids = np.empty(n, dtype=int)
-        v = graph.vessel(graph.heart_id)
+        r = heart   # the vessel the device is in, as a row of segment_arrays()
         arc = 0.0
         t_cursor = 0.0
         visit_t = [0.0]
-        visit_v = [v.id]
-        pos[0] = v.point_at(0.0)
-        vids[0] = v.id
-        for i in range(1, n):
+        visit_r = [r]
+        sample_r = [r]
+        sample_arc = [0.0]
+        for _ in range(1, n):
             remaining = 1.0
             while remaining > 0:
-                to_end = v.length - arc
-                t_exit = to_end / v.speed_cm_s
+                to_end = lengths[r] - arc
+                t_exit = to_end / speeds[r]
                 if t_exit > remaining:
-                    arc += v.speed_cm_s * remaining
+                    arc += speeds[r] * remaining
                     t_cursor += remaining
                     remaining = 0.0
                 else:
                     remaining -= t_exit
                     t_cursor += t_exit
-                    succ = v.successors
-                    nxt = succ[0] if len(succ) == 1 else succ[int(rng.integers(len(succ)))]
-                    v = graph.vessel(nxt)
+                    succ = successors[r]
+                    r = succ[0] if len(succ) == 1 else succ[int(rng.integers(len(succ)))]
                     arc = 0.0
                     visit_t.append(t_cursor)
-                    visit_v.append(v.id)
-            pos[i] = v.point_at(arc)
-            vids[i] = v.id
-        traces.append(MobilityTrace(device_id=dev, times=times, positions=pos,
-                                    vessel_ids=vids,
+                    visit_r.append(r)
+            sample_r.append(r)
+            sample_arc.append(arc)
+        rows = np.array(sample_r)
+        traces.append(MobilityTrace(device_id=dev, times=times.copy(),
+                                    positions=graph.points_at(rows, np.array(sample_arc)),
+                                    vessel_ids=ids[rows],
                                     visit_times=np.asarray(visit_t),
-                                    visit_vessels=np.asarray(visit_v, dtype=int)))
+                                    visit_vessels=ids[np.array(visit_r)]))
     return traces
 
 
@@ -450,17 +513,30 @@ def _copy_or_none(arr: np.ndarray | None) -> np.ndarray | None:
 # geometry queries
 # ---------------------------------------------------------------------------
 
-def locate_vessel(graph: VesselGraph, position) -> int:
-    """Id of the segment nearest to position; exact ties go to the lowest id."""
+_LOCATE_CHUNK = 32   # positions per pass: bounds the (chunk, vessels, 3) temporaries
+
+
+def locate_vessel(graph: VesselGraph, position):
+    """Id of the segment nearest to position; exact ties go to the lowest id.
+
+    position is one point, giving an int, or an (n, 3) array, giving an
+    array of n ids; both take the same vectorised path.
+    """
     p = np.asarray(position, dtype=float)
+    points = p.reshape(-1, 3)
     ids, starts, ends = graph.segment_arrays()
     d = ends - starts
     seg_len2 = np.einsum("ij,ij->i", d, d)
-    t = np.clip(np.einsum("ij,ij->i", p[None, :] - starts, d) / seg_len2, 0.0, 1.0)
-    nearest = starts + t[:, None] * d
-    dist2 = np.einsum("ij,ij->i", nearest - p[None, :], nearest - p[None, :])
-    order = np.lexsort((ids, dist2))  # distance first, id breaks ties
-    return int(ids[order[0]])
+    tie_ids = np.broadcast_to(ids, (min(len(points), _LOCATE_CHUNK), len(ids)))
+    out = np.empty(len(points), dtype=ids.dtype)
+    for lo in range(0, len(points), _LOCATE_CHUNK):
+        q = points[lo:lo + _LOCATE_CHUNK, None, :]
+        t = np.clip(np.einsum("kij,ij->ki", q - starts, d) / seg_len2, 0.0, 1.0)
+        gap = starts + t[:, :, None] * d - q
+        dist2 = np.einsum("kij,kij->ki", gap, gap)
+        order = np.lexsort((tie_ids[:len(dist2)], dist2))   # distance first, id breaks ties
+        out[lo:lo + len(dist2)] = ids[order[:, 0]]
+    return int(out[0]) if p.ndim == 1 else out
 
 
 def vessel_centroid(graph: VesselGraph, region_id: int) -> np.ndarray:
@@ -490,6 +566,10 @@ def export_trace_csv(traces: list[MobilityTrace], path: str) -> None:
     with open(path, "w") as fh:
         fh.write("time_s,device_id,x_cm,y_cm,z_cm,vessel_id\n")
         for tr in traces:
-            for t, p, vid in zip(tr.times, tr.positions, tr.vessel_ids):
-                fh.write(f"{t:.6f},{tr.device_id},{p[0]:.6f},{p[1]:.6f},"
-                         f"{p[2]:.6f},{int(vid)}\n")
+            dev = tr.device_id
+            for lo in range(0, len(tr.times), 1024):   # Python floats for a block of rows at a time
+                block = slice(lo, lo + 1024)
+                fh.writelines(f"{t:.6f},{dev},{x:.6f},{y:.6f},{z:.6f},{vid}\n"
+                              for t, (x, y, z), vid in zip(tr.times[block].tolist(),
+                                                          tr.positions[block].tolist(),
+                                                          tr.vessel_ids[block].astype(int).tolist()))

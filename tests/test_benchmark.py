@@ -155,6 +155,14 @@ def test_dense_is_deterministic_and_covers_graph():
     assert len(DENSE) == 1368
 
 
+def test_dense_regions_are_what_target_event_at_gives():
+    # dense_locations looks all regions up in one call; TargetEvent.at looks
+    # up one point through the same routine
+    for e in DENSE:
+        at = TargetEvent.at(e.id, e.position, GRAPH)
+        assert (at.region_id, at.region_type) == (e.region_id, e.region_type)
+
+
 def test_dense_spacing_near_one_cm():
     from collections import Counter
     counts = Counter(e.region_id for e in DENSE)

@@ -55,6 +55,33 @@ def test_override_merging(tmp_path):
     assert cfg.duration_s == DEFAULT_CONFIG["duration_s"]
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"energy": {"e_max_pj": Infinity}}', "energy.e_max_pj"),
+    ('{"scenario": {"detection_radius_cm": NaN}}', "scenario.detection_radius_cm"),
+    ('{"duration_s": -Infinity}', "duration_s"),
+    ('{"anchors": [{"mac": 0, "position_cm": [0.8, NaN, 0.0], "beacon_interval_s": 0.1}]}',
+     r"anchors\[0\].position_cm\[1\]"),
+    ('{"benchmark": {"sim_times_s": [10, Infinity]}}', r"benchmark.sim_times_s\[1\]"),
+    ('{"channel": {"layers": [{"name": "skin", "thickness_cm": NaN, "atten_db_per_cm": 1}]}}',
+     r"channel.layers\[0\].thickness_cm"),
+])
+def test_non_finite_numbers_are_rejected_by_key(tmp_path, capsys, text, key):
+    p = tmp_path / "c.json"
+    p.write_text(text)   # JSON's NaN / Infinity literals, which json.load accepts
+    with pytest.raises(ConfigError, match=key + " must be a finite number"):
+        load_config(str(p))
+    assert main(["simulate", "--config", str(p), "--devices", "2", "--duration-s", "20",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert "must be a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_overrides_are_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="duration_s must be a finite number"):
+        load_config(None, overrides={"duration_s": float("nan")})
+    assert main(["simulate", "--duration-s", "inf", "--out", str(tmp_path / "x")]) == 1
+
+
 def test_bad_strategy_rejected():
     with pytest.raises(ConfigError, match="benchmark.strategy"):
         load_config(None, overrides={"benchmark": {"strategy": "lhc"}})

@@ -126,6 +126,39 @@ def test_locate_vessel_on_segment_points():
             p - GRAPH.vessel(found).point_at(0)) < 1e-9
 
 
+def _reference_locate(graph, p):
+    # one point at a time, as locate_vessel did before it took many
+    ids, starts, ends = graph.segment_arrays()
+    d = ends - starts
+    seg_len2 = np.einsum("ij,ij->i", d, d)
+    t = np.clip(np.einsum("ij,ij->i", p[None, :] - starts, d) / seg_len2, 0.0, 1.0)
+    nearest = starts + t[:, None] * d
+    dist2 = np.einsum("ij,ij->i", nearest - p[None, :], nearest - p[None, :])
+    return int(ids[np.lexsort((ids, dist2))[0]])
+
+
+def test_locate_vessel_takes_many_points_in_one_call():
+    rng = np.random.default_rng(13)
+    ends = np.array([v.end for v in GRAPH.vessels])
+    mids = np.array([v.point_at(0.5 * v.length) for v in GRAPH.vessels])
+    pts = np.concatenate([rng.uniform([-40, -90, -3], [40, 50, 3], size=(700, 3)), ends, mids])
+    found = locate_vessel(GRAPH, pts)
+    assert found.shape == (len(pts),)
+    assert found.tolist() == [_reference_locate(GRAPH, p) for p in pts]
+    assert found.tolist() == [locate_vessel(GRAPH, p) for p in pts]
+    assert locate_vessel(GRAPH, pts[:0]).shape == (0,)
+
+
+def test_locate_vessel_ties_go_to_the_lowest_id_not_the_first_row():
+    # two vessels meeting at the origin, listed with the higher id first
+    a = Vessel(9, np.array([-3.0, 0, 0]), np.zeros(3), RegionType.ARTERIAL, 20.0, [4], True)
+    b = Vessel(4, np.zeros(3), np.array([0, 3.0, 0]), RegionType.ARTERIAL, 20.0, [9])
+    graph = VesselGraph([a, b], heart_id=9)
+    assert locate_vessel(graph, np.zeros(3)) == 4
+    assert locate_vessel(graph, np.zeros((3, 3))).tolist() == [4, 4, 4]
+    assert locate_vessel(graph, [[-1.0, 0, 0], [0, 1.0, 0]]).tolist() == [9, 4]
+
+
 def test_vessel_centroid():
     v = GRAPH.vessel(GRAPH.heart_id)
     np.testing.assert_allclose(vessel_centroid(GRAPH, v.id), (v.start + v.end) / 2)
@@ -144,6 +177,53 @@ def test_mobility_deterministic():
         np.testing.assert_array_equal(ta.vessel_ids, tb.vessel_ids)
     c = simulate_mobility(GRAPH, 3, 120.0, seed=6)[0]
     assert not np.array_equal(a[0].positions, c.positions)
+
+
+def _reference_mobility(graph, device_count, duration_s, seed):
+    # the walk as it was: one Vessel.point_at per sample
+    rng = np.random.default_rng(seed)
+    n = int(round(duration_s)) + 1
+    out = []
+    for _ in range(device_count):
+        pos = np.empty((n, 3))
+        vids = np.empty(n, dtype=int)
+        v = graph.vessel(graph.heart_id)
+        arc = 0.0
+        pos[0], vids[0] = v.point_at(0.0), v.id
+        for i in range(1, n):
+            remaining = 1.0
+            while remaining > 0:
+                t_exit = (v.length - arc) / v.speed_cm_s
+                if t_exit > remaining:
+                    arc += v.speed_cm_s * remaining
+                    remaining = 0.0
+                else:
+                    remaining -= t_exit
+                    succ = v.successors
+                    nxt = succ[0] if len(succ) == 1 else succ[int(rng.integers(len(succ)))]
+                    v = graph.vessel(nxt)
+                    arc = 0.0
+            pos[i], vids[i] = v.point_at(arc), v.id
+        out.append((pos, vids))
+    return out
+
+
+def _relabelled(graph, relabel):
+    # the same anatomy under other vessel ids, listed in the same order
+    vessels = [Vessel(relabel(v.id), v.start.copy(), v.end.copy(), v.region_type, v.speed_cm_s,
+                      [relabel(s) for s in v.successors], v.is_heart) for v in graph.vessels]
+    return VesselGraph(vessels, heart_id=relabel(graph.heart_id))
+
+
+@pytest.mark.parametrize("graph", [GRAPH, _relabelled(GRAPH, lambda i: 1000 - 7 * i)],
+                         ids=["reference", "relabelled"])
+@pytest.mark.parametrize("seed, duration", [(0, 300.0), (5, 61.4), (17, 99.6), (2024, 12.5)])
+def test_mobility_positions_are_point_at_bit_for_bit(graph, seed, duration):
+    traces = simulate_mobility(graph, 3, duration, seed=seed)
+    for tr, (pos, vids) in zip(traces, _reference_mobility(graph, 3, duration, seed)):
+        assert tr.positions.dtype == pos.dtype and tr.positions.tobytes() == pos.tobytes()
+        assert tr.vessel_ids.tolist() == vids.tolist()
+        assert tr.times.tolist() == list(map(float, range(len(pos))))
 
 
 def test_mobility_sampling_grid():
@@ -262,6 +342,30 @@ def test_upsample_rejects_empty_trace():
                           positions=np.zeros((0, 3)), vessel_ids=np.array([]))
     with pytest.raises(EmptyTrace):
         upsample_trace(empty, UpsampleParams())
+
+
+def _reference_trace_csv(traces, path):
+    # the row-by-row writer export_trace_csv replaced
+    with open(path, "w") as fh:
+        fh.write("time_s,device_id,x_cm,y_cm,z_cm,vessel_id\n")
+        for tr in traces:
+            for t, p, vid in zip(tr.times, tr.positions, tr.vessel_ids):
+                fh.write(f"{t:.6f},{tr.device_id},{p[0]:.6f},{p[1]:.6f},"
+                         f"{p[2]:.6f},{int(vid)}\n")
+
+
+def test_trace_csv_bytes_match_the_row_by_row_writer(tmp_path):
+    traces = [upsample_trace(tr, UpsampleParams(factor=3, sigma_cm=0.2, seed=tr.device_id))
+              for tr in simulate_mobility(GRAPH, 3, 40.0, seed=2)]
+    awkward = np.array([[-0.0, 1e-7, -1e-7], [5e-7, -5e-7, 2.5e-6], [1e9 / 3, -123456.7890125, 0.1],
+                        [np.nextafter(0.5e-6, 1), 1.0000005, -2.0000005]])
+    traces.append(MobilityTrace(17, np.array([0.0, 1 / 3, 2 / 3, 1e6 + 1 / 7]), awkward,
+                                np.array([0.0, 93.0, 12.0, 40.0])))   # ids written as ints
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    export_trace_csv(traces, str(got))
+    _reference_trace_csv(traces, str(want))
+    assert got.read_bytes() == want.read_bytes()
+    assert got.read_bytes().count(b"\n") == 1 + 3 * 121 + 4
 
 
 def test_trace_csv_format(tmp_path):
