@@ -18,10 +18,10 @@ import numpy as np
 
 from .channel import ChannelConfig
 from .energy import EnergyConfig
-from .errors import (ExternalDataError, MismatchedSets, NoEstimate,
-                     SampleTooLarge)
+from .errors import (EventRunsFailed, ExternalDataError, MismatchedSets,
+                     NoEstimate, SampleTooLarge)
 from .simcore import Anchor, EventScenario, ProtocolParams, run_simulation
-from .vasculature import (MobilityTrace, UpsampleParams, VesselGraph,
+from .vasculature import (UpsampleParams, VesselGraph,
                           locate_vessel, simulate_mobility, upsample_trace,
                           vessel_centroid)
 
@@ -334,6 +334,7 @@ def _scs(dense, k, rng):
 
 
 _STRATEGY_FN = {"srs": _srs, "ssrs": _ssrs, "crs": _crs, "rgs": _rgs, "scs": _scs}
+STRATEGIES = tuple(_STRATEGY_FN)
 
 
 def sample_locations(dense: list[TargetEvent], strategy: str, k: int,
@@ -361,25 +362,37 @@ def _child_seed(root: int, *path: int) -> int:
     return int(np.random.SeedSequence((root,) + path).generate_state(1)[0])
 
 
-def simulate_event(graph: VesselGraph, plan: SimPlan, event: TargetEvent,
-                   seed: int):
-    """One independent event run; returns records and per-device consumption
-    (no energy rows: the benchmark does not read them)."""
-    traces = simulate_mobility(graph, plan.device_count, plan.duration_s,
-                               seed=_child_seed(seed, event.id, 0))
+def trace_and_run(graph: VesselGraph, plan: SimPlan,
+                  target: tuple[float, float, float] | None, mobility_seed: int,
+                  upsample_root: tuple[int, ...], energy_rows: bool):
+    """Mobility, upsampling and one engine run for the plan's devices.
+
+    Mobility draws from `mobility_seed`; device d's trace is upsampled on
+    the stream _child_seed(*upsample_root, 1, d).  Returns (upsampled
+    traces, SimResult).
+    """
+    traces = simulate_mobility(graph, plan.device_count, plan.duration_s, seed=mobility_seed)
     upsampled = [
         upsample_trace(tr, UpsampleParams(factor=plan.upsample_factor,
                                           sigma_cm=plan.upsample_sigma_cm,
-                                          seed=_child_seed(seed, event.id, 1, tr.device_id)))
+                                          seed=_child_seed(*upsample_root, 1, tr.device_id)))
         for tr in traces
     ]
-    scenario = EventScenario(target=tuple(event.position),
-                             detection_radius_cm=plan.detection_radius_cm,
+    scenario = EventScenario(target=target, detection_radius_cm=plan.detection_radius_cm,
                              sense_rate_hz=plan.sense_rate_hz)
-    return run_simulation(graph, upsampled, plan.anchors, scenario,
-                          plan.energy_cfg, plan.channel_cfg,
-                          duration_s=plan.duration_s, protocol=plan.protocol,
-                          energy_rows=False)
+    return upsampled, run_simulation(graph, upsampled, plan.anchors, scenario,
+                                     plan.energy_cfg, plan.channel_cfg,
+                                     duration_s=plan.duration_s, protocol=plan.protocol,
+                                     energy_rows=energy_rows)
+
+
+def simulate_event(graph: VesselGraph, plan: SimPlan, event: TargetEvent,
+                   seed: int):
+    """One independent event run on the event's own seed streams; returns
+    records and per-device consumption (no energy rows: the benchmark does
+    not read them)."""
+    return trace_and_run(graph, plan, tuple(event.position), _child_seed(seed, event.id, 0),
+                         (seed, event.id), energy_rows=False)[1]
 
 
 _WORKER_STATE: dict = {}
@@ -429,10 +442,15 @@ def _metric_block(estimates: list[RegionEstimate], truths: list[TargetEvent],
                   graph: VesselGraph, correct_only: bool) -> dict:
     pairs = _match(estimates, truths)
     n_total = len(pairs)
-    n_correct = sum(1 for est, tru in pairs if est.estimated_region == tru.region_id)
-    errors_all = [point_error(est, tru, graph) for est, tru in pairs if est.has_estimate]
-    errors_correct = [point_error(est, tru, graph) for est, tru in pairs
-                      if est.has_estimate and est.estimated_region == tru.region_id]
+    n_correct = 0
+    errors_all, errors_correct = [], []
+    for est, tru in pairs:
+        correct = est.estimated_region == tru.region_id
+        n_correct += correct
+        if est.has_estimate:
+            errors_all.append(point_error(est, tru, graph))
+            if correct:
+                errors_correct.append(errors_all[-1])
     reported = errors_correct if correct_only else errors_all
     return {
         "region_accuracy": n_correct / n_total,
@@ -468,6 +486,8 @@ def run_events(graph: VesselGraph, events: list[TargetEvent], plan: SimPlan,
 
     Returns (sim_times, rows) where each row is
     (event_id, {sim_time: RegionEstimate}, consumed_pj_per_device, error | None).
+    A failed run counts as no estimate; EventRunsFailed is raised, naming the
+    count and the first error, when every run failed.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -485,6 +505,9 @@ def run_events(graph: VesselGraph, events: list[TargetEvent], plan: SimPlan,
                                  initargs=(graph, plan, sim_times, seed)) as pool:
             raw = list(pool.map(_run_one, events, chunksize=max(1, len(events) // (4 * workers))))
     raw.sort(key=lambda item: item[0])
+    errors = [err for _, _, _, err in raw if err is not None]
+    if len(errors) == len(raw):
+        raise EventRunsFailed(f"all {len(raw)} event runs failed; the first: {errors[0]}")
     return sim_times, raw
 
 
@@ -529,25 +552,22 @@ def run_benchmark(graph: VesselGraph, events: list[TargetEvent], plan: SimPlan,
 
 
 def convergence_curve(dense_results: list[tuple[TargetEvent, RegionEstimate]],
-                      strategy: str, sizes: list[int], seed: int = 0,
-                      graph: VesselGraph | None = None) -> list[tuple[int, float, float]]:
+                      strategy: str, sizes: list[int], seed: int = 0, *,
+                      graph: VesselGraph) -> list[tuple[int, float, float]]:
     """(k, region accuracy, mean point error) per subsample size.
 
-    Resamples cached per-event results; no re-simulation happens here.
+    Resamples cached per-event results; no re-simulation happens here.  A
+    subset without any estimate has a mean point error of NaN.
     """
-    if graph is None:
-        raise ValueError("graph is required for point errors")
     truths = [t for t, _ in dense_results]
     by_id = {t.id: est for t, est in dense_results}
     rows = []
     for k in sizes:
         subset = sample_locations(truths, strategy, k, seed=_child_seed(seed, k))
-        ests = [by_id[t.id] for t in subset]
-        acc = region_accuracy(ests, subset)
-        errors = [point_error(by_id[t.id], t, graph) for t in subset
-                  if by_id[t.id].has_estimate]
-        mean_err = (sum(errors) / len(errors)) if errors else float("nan")
-        rows.append((k, acc, mean_err))
+        block = _metric_block([by_id[t.id] for t in subset], subset, graph,
+                              correct_only=False)
+        err = block["mean_point_error_cm"]
+        rows.append((k, block["region_accuracy"], float("nan") if err is None else err))
     return rows
 
 

@@ -51,6 +51,12 @@ class ChannelConfig:
     spectral_efficiency: float = 0.5   # bits per Hz, sets packet airtime
     layers: list[Layer] = field(default_factory=default_layers)
 
+    def __post_init__(self):
+        if not all(0 < v < math.inf for v in (self.f_c, self.bandwidth, self.spectral_efficiency)):
+            raise ValueError("f_c, bandwidth and spectral_efficiency must be positive and finite")
+        if any(layer.thickness_cm < 0 or layer.atten_db_per_cm < 0 for layer in self.layers):
+            raise ValueError("layer thickness and attenuation must be >= 0")
+
 
 @dataclass
 class LinkSample:

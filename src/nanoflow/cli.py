@@ -1,7 +1,9 @@
 """Command-line front end: simulate, benchmark, sample, convergence.
 
 Exit codes: 0 success, 1 configuration error (the message names the
-offending key), 2 I/O error, 3 malformed external-estimate data.
+offending key) or every event run of benchmark/convergence failed, 2 I/O
+error, 3 malformed external-estimate data.  When only some event runs
+fail, those commands print run_errors=N of M to stderr and exit 0.
 """
 
 from __future__ import annotations
@@ -11,43 +13,18 @@ import json
 import os
 import sys
 
-from .benchmark import (SimPlan, _child_seed, convergence_curve,
-                        dense_locations, export_events_csv, load_estimates_csv,
-                        run_benchmark, run_events, sample_locations,
-                        score_external)
-from .config import STRATEGIES, RunConfig, load_config
-from .errors import (ConfigError, ConfigMismatch, EmptyTrace,
+from .benchmark import (STRATEGIES, convergence_curve, dense_locations,
+                        export_events_csv, load_estimates_csv, run_benchmark,
+                        run_events, sample_locations, score_external,
+                        trace_and_run)
+from .config import RunConfig, load_config
+from .errors import (ConfigError, ConfigMismatch, EmptyTrace, EventRunsFailed,
                      ExternalDataError, InvalidGraph, MismatchedSets,
                      SampleTooLarge)
-from .simcore import (Anchor, EventScenario, ProtocolParams, export_energy_csv,
-                      export_raw_csv, run_simulation)
-from .vasculature import (UpsampleParams, export_trace_csv, simulate_mobility,
-                          upsample_trace)
+from .simcore import export_energy_csv, export_raw_csv
+from .vasculature import export_trace_csv
 
 EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_EXTERNAL = 0, 1, 2, 3
-
-
-def _plan_from_config(cfg: RunConfig) -> SimPlan:
-    anchors = [Anchor(mac=int(a["mac"]), position=tuple(a["position_cm"]),
-                      beacon_interval_s=float(a.get("beacon_interval_s", 0.1)),
-                      tx_power_dbm=(None if a.get("tx_power_dbm") is None
-                                    else float(a["tx_power_dbm"])))
-               for a in cfg.raw["anchors"]]
-    proto = cfg.raw["protocol"]
-    return SimPlan(
-        device_count=cfg.device_count,
-        duration_s=cfg.duration_s,
-        detection_radius_cm=cfg.detection_radius_cm,
-        sense_rate_hz=cfg.sense_rate_hz,
-        upsample_factor=cfg.upsample_factor,
-        upsample_sigma_cm=cfg.upsample_sigma_cm,
-        anchors=anchors,
-        energy_cfg=cfg.energy_config(),
-        channel_cfg=cfg.channel_config(),
-        protocol=ProtocolParams(beacon_bits=int(proto["beacon_bits"]),
-                                response_bits=int(proto["response_bits"]),
-                                episode_gap_intervals=float(proto["episode_gap_intervals"])),
-    )
 
 
 def _prepare_out(cfg: RunConfig, out_dir: str) -> None:
@@ -60,27 +37,23 @@ def _sampled_events(cfg: RunConfig, graph, strategy: str, k: int):
     return dense, sample_locations(dense, strategy, k, seed=cfg.seed)
 
 
+def _warn_run_errors(failed: int, total: int) -> None:
+    if failed:
+        print(f"run_errors={failed} of {total}", file=sys.stderr)
+
+
 def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
     graph = cfg.graph()
-    plan = _plan_from_config(cfg)
+    plan = cfg.plan()
     _prepare_out(cfg, out_dir)
-    traces = simulate_mobility(graph, cfg.device_count, cfg.duration_s, seed=cfg.seed)
-    upsampled = [upsample_trace(tr, UpsampleParams(factor=cfg.upsample_factor,
-                                                   sigma_cm=cfg.upsample_sigma_cm,
-                                                   seed=_child_seed(cfg.seed, 1, tr.device_id)))
-                 for tr in traces]
     target = cfg.raw["scenario"]["target_cm"]
-    scenario = EventScenario(target=None if target is None else tuple(target),
-                             detection_radius_cm=cfg.detection_radius_cm,
-                             sense_rate_hz=cfg.sense_rate_hz)
-    result = run_simulation(graph, upsampled, plan.anchors, scenario,
-                            plan.energy_cfg, plan.channel_cfg,
-                            duration_s=cfg.duration_s, protocol=plan.protocol)
+    upsampled, result = trace_and_run(graph, plan, None if target is None else tuple(target),
+                                      cfg.seed, (cfg.seed,), energy_rows=True)
     export_raw_csv(result.records, os.path.join(out_dir, "raw_records.csv"))
     export_energy_csv(result.energy_rows, os.path.join(out_dir, "energy.csv"))
     export_trace_csv(upsampled, os.path.join(out_dir, "trace.csv"))
-    print(f"records={len(result.records)} devices={cfg.device_count} "
-          f"duration_s={cfg.duration_s:g}")
+    print(f"records={len(result.records)} devices={plan.device_count} "
+          f"duration_s={plan.duration_s:g}")
     return EXIT_OK
 
 
@@ -93,8 +66,7 @@ def cmd_benchmark(cfg: RunConfig, localizer: str, workers: int, out_dir: str) ->
     fingerprint = cfg.fingerprint()
     correct_only = bool(bench["point_error_correct_only"])
     if localizer == "baseline":
-        plan = _plan_from_config(cfg)
-        report = run_benchmark(graph, events, plan, workers=workers, seed=cfg.seed,
+        report = run_benchmark(graph, events, cfg.plan(), workers=workers, seed=cfg.seed,
                                sim_times_s=bench["sim_times_s"],
                                config_fingerprint=fingerprint,
                                point_error_correct_only=correct_only)
@@ -110,6 +82,7 @@ def cmd_benchmark(cfg: RunConfig, localizer: str, workers: int, out_dir: str) ->
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
+    _warn_run_errors(len(report.run_errors), report.n_total)
     err = report.mean_point_error_cm
     print(f"region_accuracy={report.region_accuracy:.4f} "
           f"mean_point_error_cm={'nan' if err is None else f'{err:.4f}'}")
@@ -129,7 +102,7 @@ def cmd_sample(cfg: RunConfig, strategy: str, k: int, out_dir: str) -> int:
 def cmd_convergence(cfg: RunConfig, strategies: list[str], sizes: list[int],
                     workers: int, out_dir: str) -> int:
     graph = cfg.graph()
-    plan = _plan_from_config(cfg)
+    plan = cfg.plan()
     dense = dense_locations(graph, int(cfg.raw["benchmark"]["dense_size"]))
     for name in strategies:
         if name not in STRATEGIES:
@@ -141,6 +114,7 @@ def cmd_convergence(cfg: RunConfig, strategies: list[str], sizes: list[int],
     final_t = sim_times[-1]
     by_id = {ev.id: ev for ev in dense}
     dense_results = [(by_id[eid], estimates[final_t]) for eid, estimates, _, _ in raw]
+    _warn_run_errors(sum(err is not None for _, _, _, err in raw), len(raw))
     _prepare_out(cfg, out_dir)
     with open(os.path.join(out_dir, "convergence.csv"), "w") as fh:
         fh.write("strategy,k,region_acc,mean_err_cm\n")
@@ -252,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EXTERNAL
     except (ConfigError, ConfigMismatch, InvalidGraph, SampleTooLarge,
-            MismatchedSets, EmptyTrace, ValueError) as exc:
+            MismatchedSets, EmptyTrace, EventRunsFailed, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -1,10 +1,16 @@
 """Run configuration: defaults, JSON overrides, validation, fingerprint.
 
 Every tunable lives in one nested dict with human-scale units (pJ, pC, ms,
-THz, GHz, cm).  User files are deep-merged over the defaults and validated
-key by key so typos fail loudly with the offending key path.  The resolved
-dict is written next to every output and hashed into reports so a run can
-be reproduced byte for byte.
+THz, GHz, cm).  User files are deep-merged over the defaults and checked by
+one schema walk against DEFAULT_CONFIG (_validate), which names the
+offending key: objects may hold only the default's keys; numbers must be
+finite, and integral where the default is an integer; each entry of a list
+of objects (anchors, channel.layers) is checked against the first default
+entry and must carry every key whose default is not null; other lists must
+have the default's length.  validate_consistency adds range and cross-key
+checks and ends by building the run plan, so a config that loads always
+converts.  The resolved dict is written next to every output and hashed
+into reports so a run can be reproduced byte for byte.
 """
 
 from __future__ import annotations
@@ -12,15 +18,15 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-import math
+import sys
 from dataclasses import dataclass
 
+from .benchmark import STRATEGIES, SimPlan
 from .channel import ChannelConfig, Layer
 from .energy import EnergyConfig
 from .errors import ConfigError
+from .simcore import Anchor, ProtocolParams
 from .vasculature import VesselGraph, build_reference_vasculature, load_graph
-
-STRATEGIES = ("srs", "ssrs", "crs", "rgs", "scs")
 
 DEFAULT_CONFIG: dict = {
     "duration_s": 1000.0,
@@ -84,50 +90,51 @@ DEFAULT_CONFIG: dict = {
     },
 }
 
-_ANCHOR_KEYS = ("mac", "position_cm", "beacon_interval_s", "tx_power_dbm")
-_LAYER_KEYS = ("name", "thickness_cm", "atten_db_per_cm")
 _NUMERIC = (int, float)
 
 
-def _validate(user, defaults, path: str) -> None:
-    if isinstance(defaults, dict):
+def _validate(user, default, key: str) -> None:
+    """Check `user` against the shape of `default`, naming `key` on failure.
+
+    A null default accepts anything; validate_consistency checks such a
+    payload with this walk when it is set.
+    """
+    if isinstance(default, dict):
         if not isinstance(user, dict):
-            raise ConfigError(f"config key {path or '<root>'} must be an object")
-        for key, val in user.items():
-            if key not in defaults:
-                raise ConfigError(f"unknown config key: {path + key}")
-            _validate(val, defaults[key], path + key + ".")
-        return
-    key = path.rstrip(".")
-    if isinstance(defaults, bool):
+            raise ConfigError(f"config key {key or '<root>'} must be an object")
+        for name, val in user.items():
+            sub = f"{key}.{name}" if key else str(name)
+            if name not in default:
+                raise ConfigError(f"unknown config key: {sub}")
+            _validate(val, default[name], sub)
+    elif isinstance(default, bool):
         if not isinstance(user, bool):
             raise ConfigError(f"config key {key} must be a boolean")
-    elif isinstance(defaults, _NUMERIC):
+    elif isinstance(default, _NUMERIC):
         if isinstance(user, bool) or not isinstance(user, _NUMERIC):
             raise ConfigError(f"config key {key} must be a number")
-    elif isinstance(defaults, str):
+        if not abs(user) <= sys.float_info.max:   # NaN, infinities, ints past float range
+            raise ConfigError(f"config key {key} must be a finite number, got {user!r}")
+        if isinstance(default, int) and user != int(user):
+            raise ConfigError(f"config key {key} must be an integer, got {user!r}")
+    elif isinstance(default, str):
         if not isinstance(user, str):
             raise ConfigError(f"config key {key} must be a string")
-    elif isinstance(defaults, list):
+    elif isinstance(default, list):
         if not isinstance(user, list):
             raise ConfigError(f"config key {key} must be a list")
-    elif defaults is None:
-        pass  # nullable leaf; consumer validates the payload
-    else:  # pragma: no cover - defaults only contain the shapes above
-        raise ConfigError(f"config key {key} has unsupported type")
-
-
-def _require_finite(user, key: str) -> None:
-    """Reject NaN and infinities (JSON's NaN/Infinity literals, or a float
-    override) anywhere in user, naming the key that holds one."""
-    if isinstance(user, float) and not math.isfinite(user):
-        raise ConfigError(f"config key {key} must be a finite number, got {user!r}")
-    if isinstance(user, dict):
-        for name, val in user.items():
-            _require_finite(val, f"{key}.{name}" if key else str(name))
-    elif isinstance(user, list):
-        for i, val in enumerate(user):
-            _require_finite(val, f"{key}[{i}]")
+        if isinstance(default[0], dict):   # a user list replaces the default wholesale
+            for i, entry in enumerate(user):
+                _validate(entry, default[0], f"{key}[{i}]")
+                for name, val in default[0].items():
+                    if val is not None and name not in entry:
+                        raise ConfigError(f"config key {key}[{i}].{name} is required")
+        else:
+            if len(user) != len(default):
+                raise ConfigError(
+                    f"config key {key} must have {len(default)} entries, got {len(user)}")
+            for i, (val, dflt) in enumerate(zip(user, default)):
+                _validate(val, dflt, f"{key}[{i}]")
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -138,12 +145,6 @@ def _merge(base: dict, override: dict) -> dict:
         else:
             out[key] = copy.deepcopy(val)
     return out
-
-
-def _check_keys(entry: dict, allowed, label: str) -> None:
-    for key in entry:
-        if key not in allowed:
-            raise ConfigError(f"unknown config key: {label}.{key}")
 
 
 @dataclass
@@ -170,28 +171,45 @@ class RunConfig:
 
     def channel_config(self) -> ChannelConfig:
         c = self.raw["channel"]
-        layers = []
-        for i, layer in enumerate(c["layers"]):
-            if not isinstance(layer, dict):
-                raise ConfigError(f"config key channel.layers[{i}] must be an object")
-            _check_keys(layer, _LAYER_KEYS, f"channel.layers[{i}]")
-            for need in _LAYER_KEYS:
-                if need not in layer:
-                    raise ConfigError(f"config key channel.layers[{i}].{need} is required")
-            layers.append(Layer(str(layer["name"]), float(layer["thickness_cm"]),
-                                float(layer["atten_db_per_cm"])))
-        return ChannelConfig(
-            f_c=float(c["f_c_thz"]) * 1e12,
-            bandwidth=float(c["bandwidth_ghz"]) * 1e9,
-            tx_power_dbm=float(c["tx_power_dbm"]),
-            rx_sensitivity_dbm=float(c["rx_sensitivity_dbm"]),
-            sinr_threshold_db=float(c["sinr_threshold_db"]),
-            noise_floor_dbm=float(c["noise_floor_dbm"]),
-            spreading_exponent=float(c["spreading_exponent"]),
-            doppler_penalty_db_per_mhz=float(c["doppler_penalty_db_per_mhz"]),
-            backscatter_gain_db=float(c["backscatter_gain_db"]),
-            spectral_efficiency=float(c["spectral_efficiency_bits_per_hz"]),
-            layers=layers,
+        try:
+            return ChannelConfig(
+                f_c=float(c["f_c_thz"]) * 1e12,
+                bandwidth=float(c["bandwidth_ghz"]) * 1e9,
+                tx_power_dbm=float(c["tx_power_dbm"]),
+                rx_sensitivity_dbm=float(c["rx_sensitivity_dbm"]),
+                sinr_threshold_db=float(c["sinr_threshold_db"]),
+                noise_floor_dbm=float(c["noise_floor_dbm"]),
+                spreading_exponent=float(c["spreading_exponent"]),
+                doppler_penalty_db_per_mhz=float(c["doppler_penalty_db_per_mhz"]),
+                backscatter_gain_db=float(c["backscatter_gain_db"]),
+                spectral_efficiency=float(c["spectral_efficiency_bits_per_hz"]),
+                layers=[Layer(layer["name"], float(layer["thickness_cm"]),
+                              float(layer["atten_db_per_cm"])) for layer in c["layers"]],
+            )
+        except ValueError as exc:
+            raise ConfigError(f"config section channel: {exc}") from exc
+
+    def plan(self) -> SimPlan:
+        """Everything an event run needs, converted from the raw sections."""
+        raw = self.raw
+        scenario, upsample, proto = raw["scenario"], raw["upsample"], raw["protocol"]
+        return SimPlan(
+            device_count=int(raw["device_count"]),
+            duration_s=float(raw["duration_s"]),
+            detection_radius_cm=float(scenario["detection_radius_cm"]),
+            sense_rate_hz=int(scenario["sense_rate_hz"]),
+            upsample_factor=int(upsample["factor"]),
+            upsample_sigma_cm=float(upsample["sigma_cm"]),
+            anchors=[Anchor(mac=int(a["mac"]), position=tuple(a["position_cm"]),
+                            beacon_interval_s=float(a["beacon_interval_s"]),
+                            tx_power_dbm=(None if a.get("tx_power_dbm") is None
+                                          else float(a["tx_power_dbm"])))
+                     for a in raw["anchors"]],
+            energy_cfg=self.energy_config(),
+            channel_cfg=self.channel_config(),
+            protocol=ProtocolParams(beacon_bits=int(proto["beacon_bits"]),
+                                    response_bits=int(proto["response_bits"]),
+                                    episode_gap_intervals=float(proto["episode_gap_intervals"])),
         )
 
     def graph(self) -> VesselGraph:
@@ -204,92 +222,61 @@ class RunConfig:
             raise ConfigError(f"config key vasculature.graph: cannot read {src!r}: {exc}") from exc
 
     @property
-    def duration_s(self) -> float:
-        return float(self.raw["duration_s"])
-
-    @property
-    def device_count(self) -> int:
-        return int(self.raw["device_count"])
-
-    @property
     def seed(self) -> int:
         return int(self.raw["seed"])
 
-    @property
-    def sense_rate_hz(self) -> int:
-        return int(self.raw["scenario"]["sense_rate_hz"])
-
-    @property
-    def detection_radius_cm(self) -> float:
-        return float(self.raw["scenario"]["detection_radius_cm"])
-
-    @property
-    def upsample_factor(self) -> int:
-        return int(self.raw["upsample"]["factor"])
-
-    @property
-    def upsample_sigma_cm(self) -> float:
-        return float(self.raw["upsample"]["sigma_cm"])
-
     def validate_consistency(self) -> None:
-        if self.duration_s <= 0:
+        if self.raw["duration_s"] <= 0:
             raise ConfigError("config key duration_s must be positive")
-        if self.device_count < 0:
+        if self.raw["device_count"] < 0:
             raise ConfigError("config key device_count must be >= 0")
-        rate = self.sense_rate_hz
-        factor = self.upsample_factor
+        if self.raw["seed"] < 0:
+            raise ConfigError("config key seed must be >= 0")
+        scenario, upsample = self.raw["scenario"], self.raw["upsample"]
+        rate, factor = scenario["sense_rate_hz"], upsample["factor"]
         if rate < 1:
             raise ConfigError("config key scenario.sense_rate_hz must be >= 1")
         if factor < 1 or factor % rate != 0:
             raise ConfigError(
                 "config key upsample.factor must be a positive integer "
                 f"multiple of scenario.sense_rate_hz (got {factor} vs {rate})")
-        if self.upsample_sigma_cm < 0:
+        if upsample["sigma_cm"] < 0:
             raise ConfigError("config key upsample.sigma_cm must be >= 0")
-        if self.detection_radius_cm <= 0:
+        if scenario["detection_radius_cm"] <= 0:
             raise ConfigError("config key scenario.detection_radius_cm must be positive")
-        target = self.raw["scenario"]["target_cm"]
-        if target is not None:
-            if (not isinstance(target, list) or len(target) != 3
-                    or any(isinstance(v, bool) or not isinstance(v, _NUMERIC) for v in target)):
-                raise ConfigError("config key scenario.target_cm must be [x, y, z] or null")
+        if scenario["target_cm"] is not None:
+            _validate(scenario["target_cm"], [0.0, 0.0, 0.0], "scenario.target_cm")
         if not self.raw["anchors"]:
             raise ConfigError("config key anchors must list at least one anchor")
         for i, a in enumerate(self.raw["anchors"]):
-            if not isinstance(a, dict):
-                raise ConfigError(f"config key anchors[{i}] must be an object")
-            _check_keys(a, _ANCHOR_KEYS, f"anchors[{i}]")
-            for need in ("mac", "position_cm", "beacon_interval_s"):
-                if need not in a or a[need] is None:
-                    raise ConfigError(f"config key anchors[{i}].{need} is required")
-            if not isinstance(a["position_cm"], list) or len(a["position_cm"]) != 3:
-                raise ConfigError(f"config key anchors[{i}].position_cm must be [x, y, z]")
-            if float(a["beacon_interval_s"]) <= 0:
+            if a["beacon_interval_s"] <= 0:
                 raise ConfigError(f"config key anchors[{i}].beacon_interval_s must be positive")
+            if a.get("tx_power_dbm") is not None:
+                _validate(a["tx_power_dbm"], 0.0, f"anchors[{i}].tx_power_dbm")
         proto = self.raw["protocol"]
         for key in ("beacon_bits", "response_bits"):
-            if int(proto[key]) < 1:
+            if proto[key] < 1:
                 raise ConfigError(f"config key protocol.{key} must be >= 1")
-        if float(proto["episode_gap_intervals"]) <= 0:
+        if proto["episode_gap_intervals"] <= 0:
             raise ConfigError("config key protocol.episode_gap_intervals must be positive")
         bench = self.raw["benchmark"]
         if bench["strategy"] not in STRATEGIES:
             raise ConfigError(
                 f"config key benchmark.strategy must be one of {'/'.join(STRATEGIES)} "
                 f"(got {bench['strategy']!r})")
-        if int(bench["dense_size"]) < 1:
+        if bench["dense_size"] < 1:
             raise ConfigError("config key benchmark.dense_size must be >= 1")
-        if int(bench["sample_k"]) < 1:
+        if bench["sample_k"] < 1:
             raise ConfigError("config key benchmark.sample_k must be >= 1")
         times = bench["sim_times_s"]
         if times is not None:
             if not isinstance(times, list) or not times:
                 raise ConfigError("config key benchmark.sim_times_s must be a non-empty list or null")
-            for t in times:
-                if isinstance(t, bool) or not isinstance(t, _NUMERIC) or t <= 0:
-                    raise ConfigError("config key benchmark.sim_times_s entries must be positive numbers")
-        self.energy_config()
-        self.channel_config()
+            for i, t in enumerate(times):
+                _validate(t, 0.0, f"benchmark.sim_times_s[{i}]")
+                if t <= 0:
+                    raise ConfigError(f"config key benchmark.sim_times_s[{i}] must be positive")
+        self.plan()
 
     def fingerprint(self) -> str:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
@@ -311,11 +298,9 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         _validate(user, DEFAULT_CONFIG, "")
-        _require_finite(user, "")
         resolved = _merge(resolved, user)
     if overrides:
         _validate(overrides, DEFAULT_CONFIG, "")
-        _require_finite(overrides, "")
         resolved = _merge(resolved, overrides)
     cfg = RunConfig(raw=resolved)
     cfg.validate_consistency()

@@ -21,6 +21,10 @@ class ConfigError(NanoflowError):
     """Bad or inconsistent run configuration; message names the offending key."""
 
 
+class EventRunsFailed(NanoflowError):
+    """Every event run of a benchmark failed, so there is nothing to score."""
+
+
 class ConfigMismatch(NanoflowError):
     """Simulation inputs disagree with each other (e.g. trace shorter than run)."""
 

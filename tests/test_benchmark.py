@@ -12,8 +12,8 @@ from nanoflow.benchmark import (MetricsReport, RegionEstimate, SimPlan,
                                 point_error, region_accuracy, reliability,
                                 run_benchmark, run_events, sample_locations,
                                 score_external)
-from nanoflow.errors import (ExternalDataError, MismatchedSets, NoEstimate,
-                             SampleTooLarge)
+from nanoflow.errors import (EventRunsFailed, ExternalDataError,
+                             MismatchedSets, NoEstimate, SampleTooLarge)
 from nanoflow.simcore import RawRecord
 from nanoflow.vasculature import build_reference_vasculature, vessel_centroid
 
@@ -303,6 +303,19 @@ def test_failed_event_run_counts_as_no_estimate(monkeypatch):
     assert rep.n_total == len(EVENTS)
 
 
+def test_all_failed_event_runs_raise(monkeypatch):
+    import nanoflow.benchmark as bm
+
+    def broken(graph, plan, event, seed):
+        raise RuntimeError(f"synthetic failure {event.id}")
+
+    monkeypatch.setattr(bm, "simulate_event", broken)
+    message = (f"all {len(EVENTS)} event runs failed; "
+               f"the first: RuntimeError: synthetic failure {min(ev.id for ev in EVENTS)}$")
+    with pytest.raises(EventRunsFailed, match=message):
+        run_benchmark(GRAPH, EVENTS, PLAN, workers=1, seed=5)
+
+
 def test_sim_times_beyond_duration_rejected():
     with pytest.raises(ValueError):
         run_events(GRAPH, EVENTS, PLAN, workers=1, seed=0, sim_times_s=[999.0])
@@ -336,6 +349,22 @@ def test_convergence_final_point_equals_dense():
     dense_acc = region_accuracy(ests, truths)
     assert rows[-1][0] == 1368
     assert rows[-1][1] == pytest.approx(dense_acc, rel=1e-12)
+
+
+def test_each_point_error_is_computed_once(monkeypatch):
+    import nanoflow.benchmark as bm
+
+    estimates, truths = synthetic_pairs(200, seed=4, miss_rate=0.3)
+    for est, tru in zip(estimates[::3], truths[::3]):   # some correct estimates
+        est.estimated_region = tru.region_id
+    calls = []
+    real = bm.point_error
+    monkeypatch.setattr(bm, "point_error", lambda *a: calls.append(1) or real(*a))
+    block = bm._metric_block(estimates, truths, GRAPH, correct_only=True)
+    assert len(calls) == sum(e.has_estimate for e in estimates)
+    assert block["point_errors_cm"] == [real(e, t, GRAPH) for e, t in zip(estimates, truths)
+                                        if e.estimated_region == t.region_id]
+    assert block["n_correct"] == len(block["point_errors_cm"]) > 0
 
 
 def test_convergence_perfect_estimates():

@@ -1,7 +1,9 @@
 """Config resolution/validation and the command-line front end."""
 
+import copy
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -18,8 +20,8 @@ from nanoflow.errors import ConfigError
 
 def test_defaults_resolve_and_validate():
     cfg = load_config()
-    assert cfg.duration_s == 1000.0
-    assert cfg.device_count == 64
+    assert cfg.plan().duration_s == 1000.0
+    assert cfg.plan().device_count == 64
     assert cfg.seed == 1
     e = cfg.energy_config()
     assert e.e_max == pytest.approx(800e-12)
@@ -48,11 +50,11 @@ def test_override_merging(tmp_path):
     p = tmp_path / "c.json"
     p.write_text(json.dumps({"device_count": 8, "scenario": {"sense_rate_hz": 1}}))
     cfg = load_config(str(p), overrides={"seed": 99})
-    assert cfg.device_count == 8
+    assert cfg.plan().device_count == 8
     assert cfg.seed == 99
-    assert cfg.sense_rate_hz == 1
+    assert cfg.plan().sense_rate_hz == 1
     # untouched sections keep their defaults
-    assert cfg.duration_s == DEFAULT_CONFIG["duration_s"]
+    assert cfg.plan().duration_s == DEFAULT_CONFIG["duration_s"]
 
 
 @pytest.mark.parametrize("text, key", [
@@ -64,6 +66,8 @@ def test_override_merging(tmp_path):
     ('{"benchmark": {"sim_times_s": [10, Infinity]}}', r"benchmark.sim_times_s\[1\]"),
     ('{"channel": {"layers": [{"name": "skin", "thickness_cm": NaN, "atten_db_per_cm": 1}]}}',
      r"channel.layers\[0\].thickness_cm"),
+    ('{"device_count": NaN}', "device_count"),   # an integer key: finite check comes first
+    ('{"energy": {"v_g_volts": 1' + "0" * 400 + '}}', "energy.v_g_volts"),   # past float range
 ])
 def test_non_finite_numbers_are_rejected_by_key(tmp_path, capsys, text, key):
     p = tmp_path / "c.json"
@@ -80,6 +84,81 @@ def test_non_finite_overrides_are_rejected(tmp_path):
     with pytest.raises(ConfigError, match="duration_s must be a finite number"):
         load_config(None, overrides={"duration_s": float("nan")})
     assert main(["simulate", "--duration-s", "inf", "--out", str(tmp_path / "x")]) == 1
+
+
+ANCHOR = DEFAULT_CONFIG["anchors"][0]
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"anchors": [{**ANCHOR, "position_cm": ["a", 0, 0]}]},
+     r"anchors\[0\]\.position_cm\[0\] must be a number"),
+    ({"channel": {"layers": [{"name": "skin", "atten_db_per_cm": 20.0}]}},
+     r"channel\.layers\[0\]\.thickness_cm is required"),
+    ({"device_count": 2.7}, r"device_count must be an integer, got 2\.7"),
+    ({"anchors": [{**ANCHOR, "tx_power_dbm": "x"}]},
+     r"anchors\[0\]\.tx_power_dbm must be a number"),
+])
+def test_bad_values_are_rejected_by_key(tmp_path, capsys, override, message):
+    with pytest.raises(ConfigError, match=message):
+        load_config(None, overrides=override)
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(override))
+    assert main(["simulate", "--config", str(p), "--devices", "2", "--duration-s", "20",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert re.search(message, capsys.readouterr().err)
+
+
+def _parts(path: str) -> list:
+    """Keys and list indices of a dotted path such as anchors[0].mac."""
+    return [int(p) if p.isdigit() else p for p in re.findall(r"\w+", path)]
+
+
+def _with(path: str, value) -> dict:
+    """The default config with `value` at `path`."""
+    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    *parents, last = _parts(path)
+    node = cfg
+    for part in parents:
+        node = node[part]
+    node[last] = value
+    return cfg
+
+
+@pytest.mark.parametrize("key", [
+    "device_count", "seed", "upsample.factor", "scenario.sense_rate_hz",
+    "protocol.beacon_bits", "protocol.response_bits", "anchors[0].mac",
+    "benchmark.dense_size", "benchmark.sample_k"])
+def test_integer_keys_reject_fractions(key):
+    default = DEFAULT_CONFIG
+    for part in _parts(key):
+        default = default[part]
+    with pytest.raises(ConfigError, match=re.escape(f"{key} must be an integer, "
+                                                    f"got {default + 0.5}")):
+        load_config(None, overrides=_with(key, default + 0.5))
+    integral = load_config(None, overrides=_with(key, float(default)))   # e.g. 64.0
+    assert integral.raw == DEFAULT_CONFIG
+    assert integral.plan() == load_config().plan()
+
+
+@pytest.mark.parametrize("channel", [
+    {"bandwidth_ghz": 0}, {"f_c_thz": 0}, {"spectral_efficiency_bits_per_hz": -0.5},
+    {"f_c_thz": 1e300},   # overflows to an infinite carrier in Hz
+    {"layers": [{"name": "skin", "thickness_cm": -0.1, "atten_db_per_cm": 20.0}]},
+    {"layers": [{"name": "skin", "thickness_cm": 0.1, "atten_db_per_cm": -1.0}]},
+])
+def test_channel_ranges_are_checked(tmp_path, capsys, channel):
+    with pytest.raises(ConfigError, match="config section channel: "):
+        load_config(None, overrides={"channel": channel})
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"channel": channel}))
+    assert main(["simulate", "--config", str(p), "--devices", "2", "--duration-s", "20",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert "config section channel: " in capsys.readouterr().err
+
+
+def test_negative_seed_is_named():
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        load_config(None, overrides={"seed": -1})
 
 
 def test_bad_strategy_rejected():
@@ -224,6 +303,44 @@ def test_cli_convergence(tmp_path):
     final_rows = [l for l in lines[1:] if l.split(",")[1] == "94"]
     accs = {l.split(",")[2] for l in final_rows}
     assert len(accs) == 1  # k = dense converges to identical metrics
+
+
+def test_cli_exits_1_when_every_event_run_fails(tmp_path, capsys):
+    # 60.4 s of mobility covers only 60 s, so every event run raises
+    assert main(["benchmark", "--k", "6", "--devices", "2", "--duration-s", "60.4",
+                 "--workers", "1", "--out", str(tmp_path / "bm")]) == 1
+    assert "all 6 event runs failed; the first: ConfigMismatch" in capsys.readouterr().err
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"benchmark": {"dense_size": 94}}))
+    assert main(["convergence", "--config", str(cfgp), "--devices", "2", "--duration-s", "60.4",
+                 "--strategy", "srs", "--k", "20", "--out", str(tmp_path / "conv")]) == 1
+    assert "all 94 event runs failed" in capsys.readouterr().err
+    assert not (tmp_path / "conv" / "convergence.csv").exists()
+
+
+def test_cli_reports_some_failed_event_runs(tmp_path, capsys, monkeypatch):
+    import nanoflow.benchmark as bm
+
+    real, calls = bm.simulate_event, []
+
+    def first_fails(graph, plan, event, seed):
+        calls.append(event.id)
+        if len(calls) == 1:
+            raise RuntimeError("synthetic failure")
+        return real(graph, plan, event, seed)
+
+    monkeypatch.setattr(bm, "simulate_event", first_fails)
+    assert main(["benchmark", "--strategy", "rgs", "--k", "3", "--devices", "2",
+                 "--duration-s", "30", "--workers", "1", "--out", str(tmp_path / "bm")]) == 0
+    assert capsys.readouterr().err == "run_errors=1 of 3\n"
+    assert list(json.loads(read(tmp_path / "bm" / "report.json"))["run_errors"]) == [str(calls[0])]
+    calls.clear()
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"benchmark": {"dense_size": 94}}))
+    assert main(["convergence", "--config", str(cfgp), "--devices", "2", "--duration-s", "30",
+                 "--strategy", "srs", "--k", "20", "--workers", "1",
+                 "--out", str(tmp_path / "conv")]) == 0
+    assert capsys.readouterr().err == "run_errors=1 of 94\n"
 
 
 def test_cli_exit_codes(tmp_path):
