@@ -37,13 +37,6 @@ class TargetEvent:
     region_id: int
     region_type: int
 
-    @classmethod
-    def at(cls, event_id: int, position, graph: VesselGraph) -> "TargetEvent":
-        pos = np.asarray(position, dtype=float)
-        region = locate_vessel(graph, pos)
-        rtype = int(graph.vessel(region).region_type)
-        return cls(id=event_id, position=pos, region_id=region, region_type=rtype)
-
 
 @dataclass
 class RegionEstimate:
@@ -337,16 +330,21 @@ _STRATEGY_FN = {"srs": _srs, "ssrs": _ssrs, "crs": _crs, "rgs": _rgs, "scs": _sc
 STRATEGIES = tuple(_STRATEGY_FN)
 
 
+def check_sample_size(k: int, population: int) -> None:
+    """Raise SampleTooLarge unless 1 <= k <= population."""
+    if k < 1:
+        raise SampleTooLarge("sample size k must be >= 1")
+    if k > population:
+        raise SampleTooLarge(f"sample size {k} exceeds dense population {population}")
+
+
 def sample_locations(dense: list[TargetEvent], strategy: str, k: int,
                      seed: int = 0) -> list[TargetEvent]:
     """Draw k dense-set members with the named strategy; k = |dense| is identity."""
     name = strategy.lower()
     if name not in _STRATEGY_FN:
         raise ValueError(f"unknown sampling strategy {strategy!r}")
-    if k < 1:
-        raise SampleTooLarge("sample size k must be >= 1")
-    if k > len(dense):
-        raise SampleTooLarge(f"sample size {k} exceeds dense population {len(dense)}")
+    check_sample_size(k, len(dense))
     if k == len(dense):
         return list(dense)
     rng = np.random.default_rng(seed)

@@ -13,14 +13,12 @@ import json
 import os
 import sys
 
-from .benchmark import (STRATEGIES, convergence_curve, dense_locations,
-                        export_events_csv, load_estimates_csv, run_benchmark,
-                        run_events, sample_locations, score_external,
-                        trace_and_run)
+from .benchmark import (STRATEGIES, check_sample_size, convergence_curve,
+                        dense_locations, export_events_csv, load_estimates_csv,
+                        run_benchmark, run_events, sample_locations,
+                        score_external, trace_and_run)
 from .config import RunConfig, load_config
-from .errors import (ConfigError, ConfigMismatch, EmptyTrace, EventRunsFailed,
-                     ExternalDataError, InvalidGraph, MismatchedSets,
-                     SampleTooLarge)
+from .errors import ConfigError, ExternalDataError, NanoflowError
 from .simcore import export_energy_csv, export_raw_csv
 from .vasculature import export_trace_csv
 
@@ -110,6 +108,8 @@ def cmd_convergence(cfg: RunConfig, strategies: list[str], sizes: list[int],
                 f"config key benchmark.strategy must be one of {'/'.join(STRATEGIES)}, "
                 f"got {name!r}")
     sizes = sorted(set(int(s) for s in sizes))
+    for k in sizes:   # before the event runs, which are the whole cost
+        check_sample_size(k, len(dense))
     sim_times, raw = run_events(graph, dense, plan, workers=workers, seed=cfg.seed)
     final_t = sim_times[-1]
     by_id = {ev.id: ev for ev in dense}
@@ -219,14 +219,18 @@ def main(argv: list[str] | None = None) -> int:
             if args.k is None:
                 sizes = [max(1, round(dense_size * f)) for f in (0.1, 0.25, 0.5, 0.75, 1.0)]
             else:
-                sizes = [int(s) for s in str(args.k).split(",") if s.strip()]
+                try:
+                    sizes = [int(s) for s in str(args.k).split(",") if s.strip()]
+                except ValueError:
+                    sizes = []
+                if not sizes:
+                    raise ConfigError(f"--k must be comma-separated integers, got {args.k!r}")
             return cmd_convergence(cfg, names, sizes, _resolve_workers(args), args.out)
         raise ConfigError(f"unknown command {args.command!r}")
     except ExternalDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EXTERNAL
-    except (ConfigError, ConfigMismatch, InvalidGraph, SampleTooLarge,
-            MismatchedSets, EmptyTrace, EventRunsFailed, ValueError) as exc:
+    except (NanoflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -228,8 +228,8 @@ class RunConfig:
     def validate_consistency(self) -> None:
         if self.raw["duration_s"] <= 0:
             raise ConfigError("config key duration_s must be positive")
-        if self.raw["device_count"] < 0:
-            raise ConfigError("config key device_count must be >= 0")
+        if self.raw["device_count"] < 1:
+            raise ConfigError("config key device_count must be >= 1")
         if self.raw["seed"] < 0:
             raise ConfigError("config key seed must be >= 0")
         scenario, upsample = self.raw["scenario"], self.raw["upsample"]

@@ -113,15 +113,7 @@ def cycle_index(energy: float, cfg: EnergyConfig) -> int:
 
 def turn_on_latency_cycles(cfg: EnergyConfig) -> int:
     """First whole cycle at which a device charging from empty powers on."""
-    if cfg.e_turn_on <= 0.0:
-        return 0
-    if cfg.e_turn_on >= cfg.e_max:
-        raise EnergyOutOfRange(
-            f"turn-on threshold {cfg.e_turn_on!r} never reached (e_max {cfg.e_max!r})")
-    n = cycle_index(cfg.e_turn_on, cfg)
-    while energy_at_cycle(n, cfg) < cfg.e_turn_on:
-        n += 1
-    return n
+    return cycle_index(cfg.e_turn_on, cfg)
 
 
 _GRID_LIMIT = 1 << 17   # entries per charge grid; 23,767 reach e_max by default

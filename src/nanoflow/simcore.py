@@ -9,9 +9,7 @@ energy depends only on its own events.  A run is therefore three phases:
 1. Geometry.  Each device's visit schedule gives, per anchor, the time
    windows in which it is within packet range; the beacon instants
    k * interval inside a window are decided against sensitivity and the
-   other anchors' overlapping beacons.  A trace without a visit schedule
-   is read as one constant-velocity visit per sample interval, in the heart
-   when the interval's vessel id is the heart.
+   other anchors' overlapping beacons.
 2. Per-device scan.  One pass over the device's own timeline of decoded
    beacons, sense ticks (on the upsampled sample grid) and 1 Hz energy
    samples advances its capacitor along the harvest curve, spends energy,
@@ -106,14 +104,9 @@ def _visit_schedule(trace: MobilityTrace, graph: VesselGraph):
     """
     _, starts, _ = graph.segment_arrays()
     velocities, heart = graph.motion_arrays
-    if trace.visit_times is not None and trace.visit_vessels is not None:
-        rows = graph.rows_of(trace.visit_vessels)
-        return (np.asarray(trace.visit_times, dtype=float), starts[rows], velocities[rows],
-                heart[rows])
-    times = np.asarray(trace.times, dtype=float)
-    pos = np.asarray(trace.positions, dtype=float)
-    return (times[:-1], pos[:-1], (pos[1:] - pos[:-1]) / np.diff(times)[:, None],
-            heart[graph.rows_of(trace.vessel_ids[:-1])])
+    rows = graph.rows_of(trace.visit_vessels)
+    return (np.asarray(trace.visit_times, dtype=float), starts[rows], velocities[rows],
+            heart[rows])
 
 
 def _max_range_cm(tx_dbm: float, ccfg: ch.ChannelConfig) -> float:
@@ -389,10 +382,10 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace],
 
 
 def export_raw_csv(records: list[RawRecord], path: str) -> None:
-    rows = sorted(records, key=lambda r: (r.report_time_s, r.device_mac))
+    """One row per record, in the order given (run_simulation's is (time, mac))."""
     with open(path, "w") as fh:
         fh.write("report_time_s,device_mac,circulation_time_s,event_bit\n")
-        for r in rows:
+        for r in records:
             fh.write(f"{r.report_time_s:.6f},{r.device_mac},"
                      f"{r.circulation_time_s:.6f},{r.event_bit}\n")
 

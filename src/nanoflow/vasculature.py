@@ -10,9 +10,12 @@ Gaussian jitter so downstream sensing can run faster than 1 Hz.
 A graph caches per-vessel tables (ids, end points, lengths, speeds,
 successors, velocities) on first use, so per-call work does not rebuild
 them: the walk records (vessel, arc) per sample and places a device's
-samples in one pass (points_at, bit for bit Vessel.point_at), and
-locate_vessel maps many points at once.  A graph is therefore not edited
-once it is in use.
+samples in one pass (points_at), and locate_vessel maps many points at
+once.  A graph is therefore not edited once it is in use.
+
+Every MobilityTrace carries the exact visit schedule of its walk, and
+geometry that needs more than the samples (anchor contact, heart passages)
+reads that schedule, never the sampled polyline.
 """
 
 from __future__ import annotations
@@ -48,11 +51,6 @@ class Vessel:
     @cached_property
     def length(self) -> float:
         return float(np.linalg.norm(self.end - self.start))
-
-    def point_at(self, arc_cm: float) -> np.ndarray:
-        """Position at distance arc_cm from the start, clamped to the segment."""
-        f = min(max(arc_cm / self.length, 0.0), 1.0)
-        return self.start + f * (self.end - self.start)
 
 
 @dataclass
@@ -101,7 +99,7 @@ class VesselGraph:
 
     def points_at(self, rows: np.ndarray, arcs: np.ndarray) -> np.ndarray:
         """(n, 3) positions: row k is vessel rows[k] (a row of segment_arrays())
-        at arc arcs[k], bit for bit what Vessel.point_at gives, in one pass."""
+        at arc arcs[k] from its start, clamped to the segment, in one pass."""
         lengths, deltas = self._placement
         pos = deltas[rows]   # in place: fewer temporaries, and + and * commute exactly
         pos *= np.clip(arcs / lengths[rows], 0.0, 1.0)[:, None]
@@ -165,9 +163,9 @@ class MobilityTrace:
     # visit_times[k].  Sampling at 1 Hz skips over short vessels entirely
     # (the heart takes 0.2 s to cross), so consumers that need sub-sample
     # geometry (anchor contact, passage detection) read these instead of
-    # the sampled polyline.  None for traces loaded from plain CSV.
-    visit_times: np.ndarray | None = None
-    visit_vessels: np.ndarray | None = None
+    # the sampled polyline.
+    visit_times: np.ndarray
+    visit_vessels: np.ndarray
 
     def __len__(self) -> int:
         return len(self.times)
@@ -413,7 +411,7 @@ def simulate_mobility(graph: VesselGraph, device_count: int, duration_s: float,
     resolved by a uniform draw from the seeded stream.  The walk reads the
     graph's cached per-vessel tables and keeps only (vessel, arc) per sample;
     each device's positions are then placed in one pass by
-    VesselGraph.points_at, bit for bit what Vessel.point_at gives.
+    VesselGraph.points_at.  Each trace carries its visit schedule.
     """
     if not graph._validated:   # once per graph: like its cached arrays, it is not edited in use
         validate_graph(graph)
@@ -466,18 +464,15 @@ def upsample_trace(trace: MobilityTrace, params: UpsampleParams) -> MobilityTrac
 
     Inserted positions follow p_i = p0 + (i/N) * (p1 - p0) + eps, eps drawn
     per axis from N(0, sigma^2).  Original samples are preserved bit-exact
-    and inserted samples inherit the interval's starting vessel id.
+    and inserted samples inherit the interval's starting vessel id; the
+    visit schedule is copied.  Factor 1, or a one-sample trace, gives
+    copies of the input arrays.
     """
     if len(trace) == 0:
         raise EmptyTrace(f"device {trace.device_id} trace has no samples")
     N = int(params.factor)
     if N < 1:
         raise ValueError("upsample factor must be >= 1")
-    if N == 1 or len(trace) == 1:
-        return MobilityTrace(trace.device_id, trace.times.copy(),
-                             trace.positions.copy(), trace.vessel_ids.copy(),
-                             visit_times=_copy_or_none(trace.visit_times),
-                             visit_vessels=_copy_or_none(trace.visit_vessels))
     rng = np.random.default_rng(params.seed)
     p0 = trace.positions[:-1]                      # (m, 3)
     delta = trace.positions[1:] - p0               # (m, 3)
@@ -501,12 +496,7 @@ def upsample_trace(trace: MobilityTrace, params: UpsampleParams) -> MobilityTrac
         times[j::N] = sub_times[:, j - 1]
         vids[j::N] = trace.vessel_ids[:-1]
     return MobilityTrace(trace.device_id, times, positions, vids,
-                         visit_times=_copy_or_none(trace.visit_times),
-                         visit_vessels=_copy_or_none(trace.visit_vessels))
-
-
-def _copy_or_none(arr: np.ndarray | None) -> np.ndarray | None:
-    return None if arr is None else arr.copy()
+                         trace.visit_times.copy(), trace.visit_vessels.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -546,19 +536,9 @@ def vessel_centroid(graph: VesselGraph, region_id: int) -> np.ndarray:
 
 
 def heart_entries(trace: MobilityTrace, graph: VesselGraph) -> np.ndarray:
-    """Times at which the device enters the heart vessel (edge-triggered).
-
-    Uses the exact visit schedule when the trace carries one.  For plain
-    sampled traces the fallback scans sample vessel ids, which undercounts
-    whenever a heart crossing fits between two samples (the default heart
-    takes 0.2 s to cross at 20 cm/s), so exact schedules are preferred.
-    """
-    if trace.visit_times is not None and trace.visit_vessels is not None:
-        return trace.visit_times[trace.visit_vessels == graph.heart_id]
-    in_heart = trace.vessel_ids == graph.heart_id
-    edges = np.flatnonzero(in_heart[1:] & ~in_heart[:-1]) + 1
-    idx = np.concatenate(([0], edges)) if in_heart[0] else edges
-    return trace.times[idx]
+    """Times at which the device enters the heart vessel, read from the
+    trace's visit schedule (a heart crossing can fit between two samples)."""
+    return trace.visit_times[trace.visit_vessels == graph.heart_id]
 
 
 def export_trace_csv(traces: list[MobilityTrace], path: str) -> None:

@@ -15,7 +15,7 @@ from nanoflow.benchmark import (MetricsReport, RegionEstimate, SimPlan,
 from nanoflow.errors import (EventRunsFailed, ExternalDataError,
                              MismatchedSets, NoEstimate, SampleTooLarge)
 from nanoflow.simcore import RawRecord
-from nanoflow.vasculature import build_reference_vasculature, vessel_centroid
+from nanoflow.vasculature import build_reference_vasculature, locate_vessel, vessel_centroid
 
 GRAPH = build_reference_vasculature()
 DENSE = dense_locations(GRAPH, 1368)
@@ -155,12 +155,12 @@ def test_dense_is_deterministic_and_covers_graph():
     assert len(DENSE) == 1368
 
 
-def test_dense_regions_are_what_target_event_at_gives():
-    # dense_locations looks all regions up in one call; TargetEvent.at looks
-    # up one point through the same routine
+def test_dense_regions_are_what_locate_vessel_gives_per_point():
+    # dense_locations looks all regions up in one call; here each point is
+    # looked up on its own through the same routine
     for e in DENSE:
-        at = TargetEvent.at(e.id, e.position, GRAPH)
-        assert (at.region_id, at.region_type) == (e.region_id, e.region_type)
+        region = locate_vessel(GRAPH, e.position)
+        assert (region, int(GRAPH.vessel(region).region_type)) == (e.region_id, e.region_type)
 
 
 def test_dense_spacing_near_one_cm():

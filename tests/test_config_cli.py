@@ -343,6 +343,34 @@ def test_cli_reports_some_failed_event_runs(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "run_errors=1 of 94\n"
 
 
+def test_cli_rejects_zero_devices(tmp_path, capsys):
+    for argv in (["simulate", "--devices", "0", "--duration-s", "10"],
+                 ["benchmark", "--devices", "0", "--k", "3", "--duration-s", "10"]):
+        assert main(argv + ["--out", str(tmp_path / argv[0])]) == 1
+        assert capsys.readouterr().err == "error: config key device_count must be >= 1\n"
+        assert not (tmp_path / argv[0]).exists()
+
+
+def test_cli_convergence_checks_sizes_before_any_event_run(tmp_path, capsys, monkeypatch):
+    import nanoflow.cli as cli
+
+    def no_runs(*args, **kwargs):
+        raise AssertionError("run_events called")
+
+    monkeypatch.setattr(cli, "run_events", no_runs)
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"benchmark": {"dense_size": 94}}))
+    for k, message in (("20,500", "sample size 500 exceeds dense population 94"),
+                       ("0,20", "sample size k must be >= 1"),
+                       ("a", "--k must be comma-separated integers, got 'a'"),
+                       (",", "--k must be comma-separated integers, got ','")):
+        assert main(["convergence", "--config", str(cfgp), "--devices", "2",
+                     "--duration-s", "30", "--strategy", "srs", "--k", k,
+                     "--out", str(tmp_path / "conv")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "conv" / "convergence.csv").exists()
+
+
 def test_cli_exit_codes(tmp_path):
     # unreadable config file: I/O
     assert main(["simulate", "--config", str(tmp_path / "missing.json"),

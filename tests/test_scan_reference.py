@@ -37,16 +37,11 @@ _T_EPS = 1e-9
 
 
 def _reference_schedule(trace, motion):
-    if trace.visit_times is not None and trace.visit_vessels is not None:
-        rows = [motion[int(vid)] for vid in trace.visit_vessels]
-        return (np.asarray(trace.visit_times, dtype=float),
-                np.array([r[0] for r in rows], dtype=float).reshape(-1, 3),
-                np.array([r[1] for r in rows], dtype=float).reshape(-1, 3),
-                [r[2] for r in rows])
-    times = np.asarray(trace.times, dtype=float)
-    pos = np.asarray(trace.positions, dtype=float)
-    return (times[:-1], pos[:-1], (pos[1:] - pos[:-1]) / np.diff(times)[:, None],
-            [motion[int(vid)][2] for vid in trace.vessel_ids[:-1]])
+    rows = [motion[int(vid)] for vid in trace.visit_vessels]
+    return (np.asarray(trace.visit_times, dtype=float),
+            np.array([r[0] for r in rows], dtype=float).reshape(-1, 3),
+            np.array([r[1] for r in rows], dtype=float).reshape(-1, 3),
+            [r[2] for r in rows])
 
 
 def reference_run(graph, traces, anchors, scenario, energy_cfg, channel_cfg, duration_s):
@@ -148,7 +143,8 @@ def cases(draw):
               for tr in traces]
     shift = draw(st.sampled_from([0.0, 0.05, 0.21]))
     if shift:   # sense ticks off the whole seconds: samples are harvest points of their own
-        traces = [MobilityTrace(tr.device_id, tr.times + shift, tr.positions, tr.vessel_ids)
+        traces = [MobilityTrace(tr.device_id, tr.times + shift, tr.positions, tr.vessel_ids,
+                                tr.visit_times + shift, tr.visit_vessels)
                   for tr in traces]
     target = None
     if draw(st.booleans()):   # a point some device passes, so event bits of 1 occur
@@ -202,7 +198,8 @@ def test_samples_stay_harvest_points_without_rows():
     # rounds the cycle phase differently from one step, and here that moves
     # whole cycles, so dropping the samples with the rows would change
     # consumption (135 pJ instead of 138 pJ per device)
-    traces = [MobilityTrace(tr.device_id, tr.times + 0.21, tr.positions, tr.vessel_ids)
+    traces = [MobilityTrace(tr.device_id, tr.times + 0.21, tr.positions, tr.vessel_ids,
+                            tr.visit_times + 0.21, tr.visit_vessels)
               for tr in (upsample_trace(tr, UpsampleParams(factor=3, sigma_cm=0.2, seed=1))
                          for tr in simulate_mobility(GRAPH, 2, 40.0, seed=302))]
     cfg = EnergyConfig(t_cycle=0.11, e_max=100e-12, e_turn_on=5e-12, e_turn_off=2.5e-12,

@@ -41,8 +41,8 @@ SCENARIO = EventScenario(target=None, sense_rate_hz=1)
 
 
 def run(traces, *, anchors=ANCHOR, scenario=SCENARIO, energy=IDEAL_ENERGY,
-        channel=None, duration=20.0, protocol=None, graph=GRAPH):
-    return run_simulation(graph, traces, anchors, scenario, energy,
+        channel=None, duration=20.0, protocol=None):
+    return run_simulation(GRAPH, traces, anchors, scenario, energy,
                           channel or ChannelConfig(), duration_s=duration,
                           protocol=protocol)
 
@@ -113,7 +113,7 @@ def test_concurrent_anchors_jam_beacons():
 def test_sense_sets_event_bit():
     tr = simulate_mobility(GRAPH, 1, 21.0, seed=0)[0]
     up = upsample_trace(tr, UpsampleParams(factor=3, sigma_cm=0.0, seed=0))
-    target = tuple(GRAPH.vessel(1).point_at(15.0))
+    target = tuple(GRAPH.points_at(np.array([1]), np.array([15.0]))[0])
     scen = EventScenario(target=target, detection_radius_cm=1.0, sense_rate_hz=3)
     res = run([up], scenario=scen)
     assert any(r.event_bit == 1 for r in res.records)
@@ -139,27 +139,13 @@ def test_sense_hits_match_the_per_vector_norm_at_the_radius():
 def test_event_bit_clears_after_reset():
     tr = simulate_mobility(GRAPH, 1, 21.0, seed=0)[0]
     up = upsample_trace(tr, UpsampleParams(factor=3, sigma_cm=0.0, seed=0))
-    target = tuple(GRAPH.vessel(1).point_at(15.0))
+    target = tuple(GRAPH.points_at(np.array([1]), np.array([15.0]))[0])
     res = run([up], scenario=EventScenario(target=target, sense_rate_hz=3))
     positives = [r for r in res.records if r.event_bit == 1]
     # the device re-senses the event each loop, so every delivered record
     # after the first sensing carries the bit; the first one does not
     # (delivery happens before the device first reaches the target)
     assert positives and res.records[0].event_bit == 0
-
-
-def test_polyline_fallback_without_visit_schedule():
-    line = Vessel(0, np.array([0.0, -40.0, 0.0]), np.array([0.0, 40.0, 0.0]),
-                  RegionType.ARTERIAL, 20.0, [0], is_heart=True)
-    g = VesselGraph([line], heart_id=0)
-    times = np.arange(0.0, 4.0 + 1e-9, 1.0)
-    pos = np.stack([np.zeros(5), -40.0 + 20.0 * times, np.zeros(5)], axis=1)
-    tr = MobilityTrace(device_id=0, times=times, positions=pos,
-                       vessel_ids=np.zeros(5, dtype=int))
-    res = run([tr], duration=3.9, graph=g,
-              scenario=EventScenario(target=None, sense_rate_hz=1))
-    assert len(res.records) == 1
-    assert res.records[0].report_time_s == pytest.approx(2.0, abs=0.1)
 
 
 def test_energy_timeline_has_one_row_per_second():
@@ -228,7 +214,7 @@ def test_input_validation():
     with pytest.raises(ConfigMismatch):
         run([tr], duration=500.0)  # trace shorter than the run
     short = MobilityTrace(0, np.array([0.0]), np.zeros((1, 3)),
-                          np.zeros(1, dtype=int))
+                          np.zeros(1, dtype=int), np.array([0.0]), np.zeros(1, dtype=int))
     with pytest.raises(ConfigMismatch):
         run([short], duration=1.0)
     with pytest.raises(ConfigMismatch):

@@ -15,6 +15,13 @@ from nanoflow.vasculature import (MobilityTrace, RegionType, UpsampleParams,
 GRAPH = build_reference_vasculature()
 
 
+def _point_at(v, arc_cm):
+    # one vessel, one arc: the scalar placement VesselGraph.points_at must
+    # reproduce bit for bit
+    f = min(max(arc_cm / v.length, 0.0), 1.0)
+    return v.start + f * (v.end - v.start)
+
+
 # ---------------------------------------------------------------------------
 # graph structure
 # ---------------------------------------------------------------------------
@@ -118,12 +125,12 @@ def test_locate_vessel_on_segment_points():
     rng = np.random.default_rng(12)
     for v in GRAPH.vessels:
         arc = float(rng.uniform(0.05, 0.95)) * v.length
-        p = v.point_at(arc)
+        p = _point_at(v, arc)
         found = locate_vessel(GRAPH, p)
         # interior points belong to their own vessel except exactly at
         # junction-grade overlaps, which the arc range above avoids
         assert found == v.id or np.linalg.norm(
-            p - GRAPH.vessel(found).point_at(0)) < 1e-9
+            p - _point_at(GRAPH.vessel(found), 0)) < 1e-9
 
 
 def _reference_locate(graph, p):
@@ -140,7 +147,7 @@ def _reference_locate(graph, p):
 def test_locate_vessel_takes_many_points_in_one_call():
     rng = np.random.default_rng(13)
     ends = np.array([v.end for v in GRAPH.vessels])
-    mids = np.array([v.point_at(0.5 * v.length) for v in GRAPH.vessels])
+    mids = np.array([_point_at(v, 0.5 * v.length) for v in GRAPH.vessels])
     pts = np.concatenate([rng.uniform([-40, -90, -3], [40, 50, 3], size=(700, 3)), ends, mids])
     found = locate_vessel(GRAPH, pts)
     assert found.shape == (len(pts),)
@@ -180,7 +187,7 @@ def test_mobility_deterministic():
 
 
 def _reference_mobility(graph, device_count, duration_s, seed):
-    # the walk as it was: one Vessel.point_at per sample
+    # the walk as it was: one _point_at per sample
     rng = np.random.default_rng(seed)
     n = int(round(duration_s)) + 1
     out = []
@@ -189,7 +196,7 @@ def _reference_mobility(graph, device_count, duration_s, seed):
         vids = np.empty(n, dtype=int)
         v = graph.vessel(graph.heart_id)
         arc = 0.0
-        pos[0], vids[0] = v.point_at(0.0), v.id
+        pos[0], vids[0] = _point_at(v, 0.0), v.id
         for i in range(1, n):
             remaining = 1.0
             while remaining > 0:
@@ -203,7 +210,7 @@ def _reference_mobility(graph, device_count, duration_s, seed):
                     nxt = succ[0] if len(succ) == 1 else succ[int(rng.integers(len(succ)))]
                     v = graph.vessel(nxt)
                     arc = 0.0
-            pos[i], vids[i] = v.point_at(arc), v.id
+            pos[i], vids[i] = _point_at(v, arc), v.id
         out.append((pos, vids))
     return out
 
@@ -255,7 +262,6 @@ def test_mobility_positions_lie_on_graph():
 
 def test_visit_schedule_consistent_with_samples():
     tr = simulate_mobility(GRAPH, 1, 150.0, seed=21)[0]
-    assert tr.visit_times is not None
     assert np.all(np.diff(tr.visit_times) > 0)
     # the sampled vessel id at time t equals the scheduled vessel
     for i in range(0, len(tr.times), 7):
@@ -331,15 +337,24 @@ def test_upsample_deterministic_per_seed():
 
 
 def test_upsample_carries_visit_schedule():
-    tr = simulate_mobility(GRAPH, 1, 50.0, seed=1)[0]
-    up = upsample_trace(tr, UpsampleParams(3, 0.2, seed=9))
-    np.testing.assert_array_equal(up.visit_times, tr.visit_times)
-    np.testing.assert_array_equal(up.visit_vessels, tr.visit_vessels)
+    for factor, duration in [(3, 50.0), (1, 50.0), (3, 0.0), (1, 0.0)]:
+        tr = simulate_mobility(GRAPH, 1, duration, seed=1)[0]
+        up = upsample_trace(tr, UpsampleParams(factor, 0.2, seed=9))
+        np.testing.assert_array_equal(up.visit_times, tr.visit_times)
+        np.testing.assert_array_equal(up.visit_vessels, tr.visit_vessels)
+        assert not np.shares_memory(up.visit_times, tr.visit_times)
+        assert not np.shares_memory(up.visit_vessels, tr.visit_vessels)
+        if factor == 1 or len(tr) == 1:   # nothing to insert: the input comes back, copied
+            for got, given in [(up.times, tr.times), (up.positions, tr.positions),
+                               (up.vessel_ids, tr.vessel_ids)]:
+                assert got.dtype == given.dtype and got.tobytes() == given.tobytes()
+                assert not np.shares_memory(got, given)
 
 
 def test_upsample_rejects_empty_trace():
     empty = MobilityTrace(device_id=0, times=np.array([]),
-                          positions=np.zeros((0, 3)), vessel_ids=np.array([]))
+                          positions=np.zeros((0, 3)), vessel_ids=np.array([]),
+                          visit_times=np.array([]), visit_vessels=np.array([]))
     with pytest.raises(EmptyTrace):
         upsample_trace(empty, UpsampleParams())
 
@@ -359,8 +374,9 @@ def test_trace_csv_bytes_match_the_row_by_row_writer(tmp_path):
               for tr in simulate_mobility(GRAPH, 3, 40.0, seed=2)]
     awkward = np.array([[-0.0, 1e-7, -1e-7], [5e-7, -5e-7, 2.5e-6], [1e9 / 3, -123456.7890125, 0.1],
                         [np.nextafter(0.5e-6, 1), 1.0000005, -2.0000005]])
-    traces.append(MobilityTrace(17, np.array([0.0, 1 / 3, 2 / 3, 1e6 + 1 / 7]), awkward,
-                                np.array([0.0, 93.0, 12.0, 40.0])))   # ids written as ints
+    times = np.array([0.0, 1 / 3, 2 / 3, 1e6 + 1 / 7])
+    traces.append(MobilityTrace(17, times, awkward, np.array([0.0, 93.0, 12.0, 40.0]),   # ids
+                                times, np.array([0, 93, 12, 40])))   # written as ints
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     export_trace_csv(traces, str(got))
     _reference_trace_csv(traces, str(want))
