@@ -259,6 +259,13 @@ def _cell_indices(points: np.ndarray, lo: np.ndarray, pitch: float) -> np.ndarra
     return np.floor((points - lo) / pitch).astype(np.int64)
 
 
+def _distinct_rows(rows: np.ndarray) -> int:
+    """len(np.unique(rows, axis=0)) of a non-empty 2-D array: the changes
+    between its rows once sorted, plus one."""
+    rows = rows[np.lexsort(rows.T)]
+    return 1 + int(np.count_nonzero((rows[1:] != rows[:-1]).any(axis=1)))
+
+
 def _rgs(dense, k, rng):
     points = np.array([ev.position for ev in dense])
     lo = points.min(axis=0) - 1e-9
@@ -266,8 +273,7 @@ def _rgs(dense, k, rng):
     max_pitch = float((hi - lo).max())
 
     def nonempty(pitch: float) -> int:
-        cells = _cell_indices(points, lo, pitch)
-        return len(np.unique(cells, axis=0))
+        return _distinct_rows(_cell_indices(points, lo, pitch))
 
     p_lo, p_hi = 1e-6, max_pitch
     if nonempty(p_hi) >= k:

@@ -215,6 +215,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "convergence":
             names = (list(STRATEGIES) if args.strategy is None
                      else [s.strip() for s in args.strategy.split(",") if s.strip()])
+            if not names:
+                raise ConfigError(f"--strategy must be comma-separated names from "
+                                  f"{'/'.join(STRATEGIES)}, got {args.strategy!r}")
             dense_size = int(cfg.raw["benchmark"]["dense_size"])
             if args.k is None:
                 sizes = [max(1, round(dense_size * f)) for f in (0.1, 0.25, 0.5, 0.75, 1.0)]

@@ -6,9 +6,12 @@ episode answered before reception is decided), whether a beacon is decoded
 depends only on geometry and on the other anchors' timing, and a device's
 energy depends only on its own events.  A run is therefore three phases:
 
-1. Geometry.  Each device's visit schedule gives, per anchor, the time
-   windows in which it is within packet range; the beacon instants
-   k * interval inside a window are decided against sensitivity and the
+1. Geometry, for all devices at once.  The run's concatenated visit
+   schedules give, per anchor, each device's windows within packet range;
+   the beacon instants k * interval inside them are enumerated, and every
+   instant's position, distances and closing speed come from array passes
+   (row dots equal to np.dot and np.linalg.norm bit for bit).  Each beacon
+   is then decided in scalar channel calls against sensitivity and the
    other anchors' overlapping beacons.
 2. Per-device scan.  One pass over the device's own timeline of decoded
    beacons, sense ticks (on the upsampled sample grid) and 1 Hz energy
@@ -49,6 +52,7 @@ from .errors import ConfigMismatch
 from .vasculature import MobilityTrace, VesselGraph
 
 _T_EPS = 1e-9
+_RANGES: dict[tuple, float] = {}   # _max_range_cm, per process
 
 
 @dataclass
@@ -95,23 +99,33 @@ class SimResult:
     duration_s: float
 
 
-def _visit_schedule(trace: MobilityTrace, graph: VesselGraph):
-    """(entry times, start points, velocities, heart flags), one row per visit.
-
-    RF geometry reads the exact visit schedule: the sampled polyline corner-
-    cuts short vessels and would place the device centimeters away from where
-    it really is exactly when it crosses the heart.
-    """
+def _visit_schedule(traces: list[MobilityTrace], graph: VesselGraph, duration_s: float):
+    """The run's visit schedules, one row per visit, concatenated: (each device's
+    first row and one past its last, entry times, exit times, start points,
+    velocities, heart flags).  RF geometry reads these, never the sampled
+    polyline, which corner-cuts short vessels such as the heart."""
     _, starts, _ = graph.segment_arrays()
     velocities, heart = graph.motion_arrays
-    rows = graph.rows_of(trace.visit_vessels)
-    return (np.asarray(trace.visit_times, dtype=float), starts[rows], velocities[rows],
-            heart[rows])
+    first = np.cumsum([0] + [len(trace.visit_times) for trace in traces])
+    vt = np.concatenate([np.asarray(trace.visit_times, dtype=float) for trace in traces])
+    rows = graph.rows_of(np.concatenate([trace.visit_vessels for trace in traces]))
+    ends = np.append(vt[1:], duration_s)
+    ends[first[1:] - 1] = duration_s   # a device's last visit lasts to the end
+    return first, vt, ends, starts[rows], velocities[rows], heart[rows]
 
 
 def _max_range_cm(tx_dbm: float, ccfg: ch.ChannelConfig) -> float:
-    """Largest distance where a packet still clears the sensitivity gate."""
+    """Largest distance where a packet still clears the sensitivity gate,
+    searched once per process for each link budget and path-loss model."""
     budget = tx_dbm - ccfg.rx_sensitivity_dbm
+    key = (budget, ccfg.f_c, ccfg.spreading_exponent,
+           tuple((layer.thickness_cm, layer.atten_db_per_cm) for layer in ccfg.layers))
+    if key not in _RANGES:
+        _RANGES[key] = _range_search(budget, ccfg)
+    return _RANGES[key]
+
+
+def _range_search(budget: float, ccfg: ch.ChannelConfig) -> float:
     if ch.path_loss_db(0.0, ccfg) > budget:
         return 0.0
     lo, hi = 0.0, 1.0
@@ -128,70 +142,59 @@ def _max_range_cm(tx_dbm: float, ccfg: ch.ChannelConfig) -> float:
     return lo
 
 
-def _visit_windows(vt: np.ndarray, vstart: np.ndarray, vvel: np.ndarray,
-                   anchor_pos: np.ndarray, radius_cm: float,
-                   t_end: float) -> list[tuple[float, float]]:
-    """[t_in, t_out] in-range intervals from a visit schedule.
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """float(np.dot(a[i], b[i])) per row, bit for bit: the BLAS dot np.dot and
+    np.linalg.norm take on one vector (einsum and norm(axis=1) sum otherwise)."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
-    Inside one visit the position is vstart + tau * vvel, so the in-range
-    condition is a quadratic in tau; windows from touching visits merge.
-    """
-    ends = np.append(vt[1:], t_end)
+
+def _visit_windows(vdev: np.ndarray, vt: np.ndarray, ends: np.ndarray, vstart: np.ndarray,
+                   vvel: np.ndarray, anchor_pos: np.ndarray, radius_cm: float) -> list[tuple]:
+    """(device, t_in, t_out) in-range intervals: visit k of device vdev[k] runs
+    from vt[k] to ends[k] at vstart + tau * vvel, so being in range is a
+    quadratic in tau.  Windows from touching visits of one device merge."""
     w = vstart - anchor_pos
     aa = np.einsum("ij,ij->i", vvel, vvel)
     bb = 2.0 * np.einsum("ij,ij->i", w, vvel)
     cc = np.einsum("ij,ij->i", w, w) - radius_cm * radius_cm
     disc = bb * bb - 4.0 * aa * cc
     hit = np.nonzero(((aa > 0.0) & (disc >= 0.0)) | ((aa == 0.0) & (cc <= 0.0)))[0]
-    out: list[tuple[float, float]] = []
-    for k in hit:
-        dwell = ends[k] - vt[k]
+    out: list[tuple[int, float, float]] = []
+    for d, start, end, a, b, dd in zip(*(x[hit].tolist() for x in (vdev, vt, ends, aa, bb, disc))):
+        dwell = end - start
         if dwell <= 0:
             continue
-        if aa[k] > 0.0:
-            root = math.sqrt(disc[k])
-            tau0 = max((-bb[k] - root) / (2.0 * aa[k]), 0.0)
-            tau1 = min((-bb[k] + root) / (2.0 * aa[k]), dwell)
+        if a > 0.0:
+            root = math.sqrt(dd)
+            tau0 = max((-b - root) / (2.0 * a), 0.0)
+            tau1 = min((-b + root) / (2.0 * a), dwell)
             if tau0 >= tau1:
                 continue
         else:
             tau0, tau1 = 0.0, dwell
-        t0, t1 = vt[k] + tau0, vt[k] + tau1
-        if out and t0 <= out[-1][1] + _T_EPS:
-            out[-1] = (out[-1][0], max(out[-1][1], t1))
+        t0, t1 = start + tau0, start + tau1
+        if out and out[-1][0] == d and t0 <= out[-1][2] + _T_EPS:
+            out[-1] = (d, out[-1][1], max(out[-1][2], t1))
         else:
-            out.append((t0, t1))
+            out.append((d, t0, t1))
     return out
 
 
-def _beacon_interferers(anchors: list[Anchor], active_idx: int, t: float,
-                        p: np.ndarray, ccfg: ch.ChannelConfig,
-                        beacon_air: float) -> list[float]:
-    """Receive powers at the device from other anchors beaconing at time t."""
-    powers = []
-    for j, other in enumerate(anchors):
-        if j == active_idx:
-            continue
-        k = round(t / other.beacon_interval_s)
-        if abs(k * other.beacon_interval_s - t) > beacon_air:
-            continue
-        tx = other.tx_power_dbm if other.tx_power_dbm is not None else ccfg.tx_power_dbm
-        dist = float(np.linalg.norm(p - np.asarray(other.position, dtype=float)))
-        powers.append(tx - ch.path_loss_db(dist, ccfg))
-    return powers
-
-
-def _decoded_beacons(schedule, anchors: list[Anchor], anchor_pos: list[np.ndarray],
-                     anchor_tx: list[float], ranges: list[float],
-                     ccfg: ch.ChannelConfig, beacon_air: float, duration_s: float):
-    """(t, anchor index, position, closing speed, rx dBm, in heart) per beacon
-    the device decodes, in (t, anchor index) order."""
-    vt, vstart, vvel, vheart = schedule
-    out = []
+def _decoded_beacons(schedule, anchors: list[Anchor], anchor_pos: np.ndarray,
+                     anchor_tx: list[float], ccfg: ch.ChannelConfig, beacon_air: float,
+                     duration_s: float):
+    """Per device of the schedule, (t, anchor index, position, closing speed,
+    rx dBm, in heart) of each beacon it decodes, in (t, anchor index) order."""
+    first, vt, ends, vstart, vvel, vheart = schedule
+    vdev = np.repeat(np.arange(len(first) - 1), np.diff(first))
+    cands = []   # beacon instants k * interval in each window; k carries over a device's windows
     for ai, anchor in enumerate(anchors):
         interval = anchor.beacon_interval_s
-        k = 0
-        for t0, t1 in _visit_windows(vt, vstart, vvel, anchor_pos[ai], ranges[ai], duration_s):
+        device = -1
+        for d, t0, t1 in _visit_windows(vdev, vt, ends, vstart, vvel, anchor_pos[ai],
+                                        _max_range_cm(anchor_tx[ai], ccfg)):
+            if d != device:
+                device, k = d, 0
             k = max(k, math.ceil((t0 - _T_EPS) / interval) - 1)
             while True:
                 t = k * interval
@@ -200,41 +203,56 @@ def _decoded_beacons(schedule, anchors: list[Anchor], anchor_pos: list[np.ndarra
                 k += 1
                 if t0 > t + _T_EPS:
                     continue
-                v = max(0, int(np.searchsorted(vt, t, side="right")) - 1)
-                p = vstart[v] + (t - vt[v]) * vvel[v]
-                offset = p - anchor_pos[ai]
-                dist = float(np.linalg.norm(offset))
-                closing = -float(np.dot(vvel[v], offset) / dist) if dist > 0 else -0.0
-                link = ch.link_sample(dist, closing, anchor_tx[ai], ccfg)
-                if link.rx_power_dbm < ccfg.rx_sensitivity_dbm:
-                    continue
-                interferers = _beacon_interferers(anchors, ai, t, p, ccfg, beacon_air)
-                sinr = ch.sinr_db(link.rx_power_dbm, interferers, ccfg.noise_floor_dbm)
-                if ch.reception_decision(link.rx_power_dbm, sinr, ccfg) is ch.Reception.DELIVERED:
-                    out.append((t, ai, p, closing, link.rx_power_dbm, bool(vheart[v])))
-    out.sort(key=itemgetter(0, 1))
+                cands.extend((d, t, ai))
+
+    # kinematics of every candidate, in (device, t, anchor) order
+    cands = np.array(cands, dtype=float).reshape(-1, 3)
+    cands = cands[np.lexsort(cands.T[::-1])]
+    dev, t, ai_of = cands[:, 0].astype(np.intp), cands[:, 1].copy(), cands[:, 2].astype(np.intp)
+    v = np.empty(len(t), dtype=np.intp)
+    bounds = np.searchsorted(dev, np.arange(len(first)))
+    for d in np.flatnonzero(np.diff(bounds)).tolist():
+        lo, hi = bounds[d], bounds[d + 1]
+        v[lo:hi] = first[d] + np.maximum(
+            np.searchsorted(vt[first[d]:first[d + 1]], t[lo:hi], side="right") - 1, 0)
+    out = [[] for _ in range(len(first) - 1)]
+    for lo in range(0, len(t), 1024):   # a block of candidates at a time bounds the Python floats
+        bd, bt, ba, bv = (x[lo:lo + 1024] for x in (dev, t, ai_of, v))
+        p = vstart[bv] + (bt - vt[bv])[:, None] * vvel[bv]
+        offset = p - anchor_pos[ba]
+        dist = np.sqrt(_row_dots(offset, offset))
+        closing = -np.divide(_row_dots(vvel[bv], offset), dist, out=np.zeros_like(dist),
+                             where=dist > 0)
+        near = []   # per anchor: distance where it also beacons at the instant, else -1
+        for j, anchor in enumerate(anchors):
+            iv, gap = anchor.beacon_interval_s, p - anchor_pos[j]
+            also = (np.abs(np.round(bt / iv) * iv - bt) <= beacon_air) & (ba != j)
+            near.append(np.where(also, np.sqrt(_row_dots(gap, gap)), -1.0).tolist())
+        for d, ai, ti, pi, di, ci, heart, *dj in zip(
+                bd.tolist(), ba.tolist(), bt.tolist(), p, dist.tolist(), closing.tolist(),
+                vheart[bv].tolist(), *near):
+            link = ch.link_sample(di, ci, anchor_tx[ai], ccfg)
+            if link.rx_power_dbm < ccfg.rx_sensitivity_dbm:
+                continue
+            interferers = [anchor_tx[j] - ch.path_loss_db(x, ccfg) for j, x in enumerate(dj)
+                           if x >= 0.0]
+            sinr = ch.sinr_db(link.rx_power_dbm, interferers, ccfg.noise_floor_dbm)
+            if ch.reception_decision(link.rx_power_dbm, sinr, ccfg) is ch.Reception.DELIVERED:
+                out[d].append((ti, ai, pi, ci, link.rx_power_dbm, heart))
     return out
 
 
 def _sense_hits(points: np.ndarray, target: np.ndarray | None,
                 radius_cm: float) -> np.ndarray:
     """float(np.linalg.norm(p - target)) < radius_cm for each row p of points;
-    all False without a target.
-
-    The row-wise norm may differ from the per-vector one (a BLAS dot) in the
-    last bits, so rows within a hair of the radius are decided one by one.
-    """
+    all False without a target."""
     if target is None:
         return np.zeros(len(points), dtype=bool)
     offsets = points - target
-    dist = np.linalg.norm(offsets, axis=1)
-    hits = dist < radius_cm
-    for i in np.nonzero(np.abs(dist - radius_cm) <= 1e-9 * radius_cm)[0]:
-        hits[i] = float(np.linalg.norm(offsets[i])) < radius_cm
-    return hits
+    return np.sqrt(_row_dots(offsets, offsets)) < radius_cm
 
 
-def _decide_responses(responses: list[tuple], anchor_pos: list[np.ndarray],
+def _decide_responses(responses: list[tuple], anchor_pos: np.ndarray,
                       ccfg: ch.ChannelConfig, macs: list[int]) -> list[RawRecord]:
     """Records of the responses that survive their collision batch.
 
@@ -302,17 +320,17 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace],
     cost_sense = energy_cfg.cost_sense
     t_cycle, e_max, e_turn_on = energy_cfg.t_cycle, energy_cfg.e_max, energy_cfg.e_turn_on
     grid = charge_grid(energy_cfg)
-    anchor_pos = [np.asarray(a.position, dtype=float) for a in anchors]
+    anchor_pos = np.array([a.position for a in anchors], dtype=float)
     anchor_tx = [a.tx_power_dbm if a.tx_power_dbm is not None else channel_cfg.tx_power_dbm
                  for a in anchors]
-    ranges = [_max_range_cm(tx, channel_cfg) for tx in anchor_tx]
     sample_t = np.arange(math.floor(t_last) + 1, dtype=float)
     sample_times = sample_t.tolist()   # one float per second, shared by every device's rows
 
+    decoded = _decoded_beacons(_visit_schedule(traces, graph, duration_s), anchors, anchor_pos,
+                               anchor_tx, channel_cfg, beacon_air, duration_s) if traces else []
     device_rows, responses, consumed_pj = [], [], {}
     for di, (trace, stride) in enumerate(zip(traces, strides)):
-        beacons = _decoded_beacons(_visit_schedule(trace, graph), anchors, anchor_pos,
-                                   anchor_tx, ranges, channel_cfg, beacon_air, duration_s)
+        beacons, decoded[di] = decoded[di], None   # dropped once scanned
         times = np.asarray(trace.times, dtype=float)
         ticks = np.arange(0, len(times), stride)
         ticks = ticks[times[ticks] <= t_last]

@@ -213,6 +213,17 @@ def test_rgs_is_seed_invariant():
     assert a == b
 
 
+def test_rgs_cell_count_equals_np_unique_at_every_pitch():
+    from nanoflow.benchmark import _cell_indices, _distinct_rows
+    points = np.array([ev.position for ev in DENSE])
+    lo = points.min(axis=0) - 1e-9
+    extent = float((points.max(axis=0) + 1e-9 - lo).max())
+    for pitch in np.geomspace(1e-6, extent, 400):
+        cells = _cell_indices(points, lo, float(pitch))
+        assert _distinct_rows(cells) == len(np.unique(cells, axis=0))
+    assert _distinct_rows(np.zeros((1, 3), dtype=np.int64)) == 1
+
+
 def test_ssrs_largest_remainder_apportionment():
     # synthetic population with a 60/30/10 region-type split
     pop = []

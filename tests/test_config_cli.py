@@ -371,6 +371,25 @@ def test_cli_convergence_checks_sizes_before_any_event_run(tmp_path, capsys, mon
         assert not (tmp_path / "conv" / "convergence.csv").exists()
 
 
+def test_cli_convergence_rejects_an_empty_strategy_list(tmp_path, capsys, monkeypatch):
+    import nanoflow.cli as cli
+
+    def no_runs(*args, **kwargs):
+        raise AssertionError("run_events called")
+
+    monkeypatch.setattr(cli, "run_events", no_runs)
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"benchmark": {"dense_size": 94}}))
+    for strategy in (",", "", " , "):
+        assert main(["convergence", "--config", str(cfgp), "--devices", "2",
+                     "--duration-s", "30", "--strategy", strategy, "--k", "20",
+                     "--out", str(tmp_path / "conv")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --strategy must be comma-separated names from srs/ssrs/crs/rgs/scs, "
+            f"got {strategy!r}\n")
+        assert not (tmp_path / "conv").exists()
+
+
 def test_cli_exit_codes(tmp_path):
     # unreadable config file: I/O
     assert main(["simulate", "--config", str(tmp_path / "missing.json"),

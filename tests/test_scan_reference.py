@@ -1,13 +1,15 @@
 """run_simulation against a test-local copy of the per-tick scan it replaced.
 
-The reference below builds each device's timeline as a sorted list of
-(t, kind, item) tuples, reads the visit schedule through a per-vessel dict,
-and steps the capacitor with advance_harvest and try_consume at every entry.
-The engine merges the timeline with one stable argsort, reads the schedule
-from the graph's cached arrays and steps the capacitor on locals; records,
-energy rows and consumption must come out bit for bit the same, including
-when sensing and receiving are refused and when the charge grid hits its
-size limit.
+The reference below decodes each device's beacons on its own, one beacon at
+a time with per-vector np.linalg.norm and np.dot, builds each device's
+timeline as a sorted list of (t, kind, item) tuples, reads the visit
+schedule through a per-vessel dict, and steps the capacitor with
+advance_harvest and try_consume at every entry.  The engine decodes the
+beacons of every device of a run in array passes, merges the timeline with
+one stable argsort, reads the schedule from the graph's cached arrays and
+steps the capacitor on locals; records, energy rows and consumption must
+come out bit for bit the same, including when sensing and receiving are
+refused and when the charge grid hits its size limit.
 """
 
 import math
@@ -25,7 +27,7 @@ from nanoflow import energy  # noqa: E402
 from nanoflow.energy import EnergyConfig, EnergyState, advance_harvest, try_consume  # noqa: E402
 from nanoflow.simcore import (Anchor, EventScenario, ProtocolParams, SimResult,  # noqa: E402
                               _decide_responses, _decoded_beacons, _max_range_cm,
-                              _sense_hits, run_simulation)
+                              _row_dots, _sense_hits, _visit_schedule, run_simulation)
 from nanoflow.vasculature import (MobilityTrace, UpsampleParams,  # noqa: E402
                                   build_reference_vasculature, simulate_mobility,
                                   upsample_trace)
@@ -36,12 +38,96 @@ _BEACON, _SENSE, _SAMPLE = 0, 1, 2
 _T_EPS = 1e-9
 
 
-def _reference_schedule(trace, motion):
+def _reference_schedule(trace, graph):
+    motion = {}
+    for v in graph.vessels:
+        direction = (v.end - v.start) / v.length if v.length > 0 else v.start * 0.0
+        motion[v.id] = (v.start, direction * v.speed_cm_s, v.is_heart)
     rows = [motion[int(vid)] for vid in trace.visit_vessels]
     return (np.asarray(trace.visit_times, dtype=float),
             np.array([r[0] for r in rows], dtype=float).reshape(-1, 3),
             np.array([r[1] for r in rows], dtype=float).reshape(-1, 3),
             [r[2] for r in rows])
+
+
+def _reference_windows(vt, vstart, vvel, anchor_pos, radius_cm, t_end):
+    """[t_in, t_out] in-range intervals of one device's visit schedule."""
+    ends = np.append(vt[1:], t_end)
+    w = vstart - anchor_pos
+    aa = np.einsum("ij,ij->i", vvel, vvel)
+    bb = 2.0 * np.einsum("ij,ij->i", w, vvel)
+    cc = np.einsum("ij,ij->i", w, w) - radius_cm * radius_cm
+    disc = bb * bb - 4.0 * aa * cc
+    hit = np.nonzero(((aa > 0.0) & (disc >= 0.0)) | ((aa == 0.0) & (cc <= 0.0)))[0]
+    out = []
+    for k in hit:
+        dwell = ends[k] - vt[k]
+        if dwell <= 0:
+            continue
+        if aa[k] > 0.0:
+            root = math.sqrt(disc[k])
+            tau0 = max((-bb[k] - root) / (2.0 * aa[k]), 0.0)
+            tau1 = min((-bb[k] + root) / (2.0 * aa[k]), dwell)
+            if tau0 >= tau1:
+                continue
+        else:
+            tau0, tau1 = 0.0, dwell
+        t0, t1 = vt[k] + tau0, vt[k] + tau1
+        if out and t0 <= out[-1][1] + _T_EPS:
+            out[-1] = (out[-1][0], max(out[-1][1], t1))
+        else:
+            out.append((t0, t1))
+    return out
+
+
+def _reference_interferers(anchors, active_idx, t, p, ccfg, beacon_air):
+    """Receive powers at the device from other anchors beaconing at time t."""
+    powers = []
+    for j, other in enumerate(anchors):
+        if j == active_idx:
+            continue
+        k = round(t / other.beacon_interval_s)
+        if abs(k * other.beacon_interval_s - t) > beacon_air:
+            continue
+        tx = other.tx_power_dbm if other.tx_power_dbm is not None else ccfg.tx_power_dbm
+        dist = float(np.linalg.norm(p - np.asarray(other.position, dtype=float)))
+        powers.append(tx - ch.path_loss_db(dist, ccfg))
+    return powers
+
+
+def _reference_beacons(schedule, anchors, anchor_pos, anchor_tx, ranges, ccfg, beacon_air,
+                       duration_s):
+    """(t, anchor index, position, closing speed, rx dBm, in heart) per beacon
+    one device decodes, in (t, anchor index) order."""
+    vt, vstart, vvel, vheart = schedule
+    out = []
+    for ai, anchor in enumerate(anchors):
+        interval = anchor.beacon_interval_s
+        k = 0
+        for t0, t1 in _reference_windows(vt, vstart, vvel, anchor_pos[ai], ranges[ai],
+                                         duration_s):
+            k = max(k, math.ceil((t0 - _T_EPS) / interval) - 1)
+            while True:
+                t = k * interval
+                if t > duration_s + _T_EPS or t1 < t - _T_EPS:
+                    break
+                k += 1
+                if t0 > t + _T_EPS:
+                    continue
+                v = max(0, int(np.searchsorted(vt, t, side="right")) - 1)
+                p = vstart[v] + (t - vt[v]) * vvel[v]
+                offset = p - anchor_pos[ai]
+                dist = float(np.linalg.norm(offset))
+                closing = -float(np.dot(vvel[v], offset) / dist) if dist > 0 else -0.0
+                link = ch.link_sample(dist, closing, anchor_tx[ai], ccfg)
+                if link.rx_power_dbm < ccfg.rx_sensitivity_dbm:
+                    continue
+                interferers = _reference_interferers(anchors, ai, t, p, ccfg, beacon_air)
+                sinr = ch.sinr_db(link.rx_power_dbm, interferers, ccfg.noise_floor_dbm)
+                if ch.reception_decision(link.rx_power_dbm, sinr, ccfg) is ch.Reception.DELIVERED:
+                    out.append((t, ai, p, closing, link.rx_power_dbm, bool(vheart[v])))
+    out.sort(key=itemgetter(0, 1))
+    return out
 
 
 def reference_run(graph, traces, anchors, scenario, energy_cfg, channel_cfg, duration_s):
@@ -56,17 +142,13 @@ def reference_run(graph, traces, anchors, scenario, energy_cfg, channel_cfg, dur
     anchor_tx = [a.tx_power_dbm if a.tx_power_dbm is not None else channel_cfg.tx_power_dbm
                  for a in anchors]
     ranges = [_max_range_cm(tx, channel_cfg) for tx in anchor_tx]
-    motion = {}
-    for v in graph.vessels:
-        direction = (v.end - v.start) / v.length if v.length > 0 else v.start * 0.0
-        motion[v.id] = (v.start, direction * v.speed_cm_s, v.is_heart)
     samples = [(float(m), _SAMPLE, None) for m in range(math.floor(t_last) + 1)]
 
     device_rows, responses, consumed_pj = [], [], {}
     for di, trace in enumerate(traces):
         stride = int(round((1.0 / scenario.sense_rate_hz) / (trace.times[1] - trace.times[0])))
-        beacons = _decoded_beacons(_reference_schedule(trace, motion), anchors, anchor_pos,
-                                   anchor_tx, ranges, channel_cfg, beacon_air, duration_s)
+        beacons = _reference_beacons(_reference_schedule(trace, graph), anchors, anchor_pos,
+                                     anchor_tx, ranges, channel_cfg, beacon_air, duration_s)
         times = np.asarray(trace.times, dtype=float)
         ticks = np.arange(0, len(times), stride)
         ticks = ticks[times[ticks] <= t_last]
@@ -220,3 +302,40 @@ def test_the_scan_grows_the_charge_grid_only_as_far_as_it_walks():
                    ch.ChannelConfig(), 20.0, energy_rows=False)
     grid = energy.charge_grid(cfg)
     assert 0 < len(grid) <= 20.0 / cfg.t_cycle + 2 < 20000
+
+
+def test_row_dots_are_the_per_vector_dot_and_norm_bit_for_bit():
+    rng = np.random.default_rng(8)
+    a = rng.normal(size=(20000, 3)) * rng.choice([1e-6, 1e-3, 1.0, 10.0, 1e3], size=(20000, 1))
+    b = rng.normal(size=(20000, 3))
+    a[:20] = 0.0   # zero offsets: a device exactly at an anchor
+    a[20:40, 1:] = 0.0
+    dots, norms = _row_dots(a, b), np.sqrt(_row_dots(a, a))
+    assert [d.hex() for d in dots.tolist()] == [float(np.dot(x, y)).hex() for x, y in zip(a, b)]
+    assert [n.hex() for n in norms.tolist()] == [float(np.linalg.norm(x)).hex() for x in a]
+    assert _row_dots(a[:0], b[:0]).shape == (0,)
+
+
+def _beacon_bits(beacons):
+    return [(t.hex(), ai, p.tobytes(), closing.hex(), rx.hex(), heart)
+            for t, ai, p, closing, rx, heart in beacons]
+
+
+@pytest.mark.parametrize("seed", [4, 11])
+def test_decoded_beacons_of_a_run_equal_the_per_device_reference(seed):
+    # four contending anchors and a dozen devices: every device's beacons,
+    # decoded in one pass over the run, equal its own scalar decode
+    anchors = [Anchor(0, (0.8, 0.0, 0.0), 0.02), Anchor(1, (-0.8, 0.0, 0.0), 0.02),
+               Anchor(2, (0.0, 0.8, 0.0), 0.025), Anchor(3, (0.0, -0.8, 0.0), 0.03)]
+    channel, duration = ch.ChannelConfig(), 120.0
+    beacon_air = ch.airtime_s(ProtocolParams().beacon_bits, channel)
+    anchor_pos = [np.asarray(a.position, dtype=float) for a in anchors]
+    anchor_tx = [channel.tx_power_dbm] * len(anchors)
+    ranges = [_max_range_cm(tx, channel) for tx in anchor_tx]
+    traces = simulate_mobility(GRAPH, 12, duration, seed=seed)
+    got = _decoded_beacons(_visit_schedule(traces, GRAPH, duration), anchors,
+                           np.array(anchor_pos), anchor_tx, channel, beacon_air, duration)
+    want = [_reference_beacons(_reference_schedule(tr, GRAPH), anchors, anchor_pos, anchor_tx,
+                               ranges, channel, beacon_air, duration) for tr in traces]
+    assert [_beacon_bits(b) for b in got] == [_beacon_bits(b) for b in want]
+    assert sum(map(len, want)) > 100
