@@ -10,7 +10,9 @@ a dense per-vessel location population.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -115,32 +117,25 @@ def reliability(estimates: list[RegionEstimate], truths: list[TargetEvent]) -> f
 # ---------------------------------------------------------------------------
 
 
-def _loop_representatives(graph: VesselGraph) -> tuple[list[float], list[int]]:
+@functools.lru_cache(maxsize=8)
+def _loop_representatives(graph: VesselGraph) -> tuple[tuple[float, ...], tuple[int, ...]]:
     """Expected period and representative vessel for every heart loop.
 
     The representative is the vessel the loop spends longest in among the
     vessels unique to that loop (falling back to longest-dwell overall),
     which is where a loop-time match localizes an event.
     """
-    cached = getattr(graph, "_loop_reps", None)
-    if cached is not None:
-        return cached
-    loops = graph.cycles_through_heart()
-    times = [graph.loop_time(c) for c in loops]
-    membership: dict[int, int] = {}
-    for cycle in loops:
-        for vid in cycle:
-            membership[vid] = membership.get(vid, 0) + 1
+    loops = graph.cycles_through_heart
+    times = tuple(graph.loop_time(c) for c in loops)
+    membership = Counter(vid for cycle in loops for vid in cycle)
     reps = []
     for cycle in loops:
         unique = [vid for vid in cycle if membership[vid] == 1]
         pool = unique if unique else list(cycle)
-        dwell = {vid: graph.vessel(vid).length / graph.vessel(vid).speed_cm_s
-                 for vid in pool}
+        dwell = {vid: graph.loop_time((vid,)) for vid in pool}
         best = max(dwell.values())
         reps.append(min(vid for vid, d in dwell.items() if d == best))
-    graph._loop_reps = (times, reps)
-    return times, reps
+    return times, tuple(reps)   # immutable: every caller shares the cached result
 
 
 def baseline_localize(records, graph: VesselGraph, seed: int = 0,

@@ -220,6 +220,9 @@ class RunConfig:
             return load_graph(src)
         except OSError as exc:
             raise ConfigError(f"config key vasculature.graph: cannot read {src!r}: {exc}") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(
+                f"config key vasculature.graph: {src!r} is not valid JSON: {exc}") from exc
 
     @property
     def seed(self) -> int:
@@ -276,6 +279,9 @@ class RunConfig:
                 _validate(t, 0.0, f"benchmark.sim_times_s[{i}]")
                 if t <= 0:
                     raise ConfigError(f"config key benchmark.sim_times_s[{i}] must be positive")
+                if t > self.raw["duration_s"]:
+                    raise ConfigError(f"config key benchmark.sim_times_s[{i}] must not exceed "
+                                      f"duration_s ({t!r} > {self.raw['duration_s']!r})")
         self.plan()
 
     def fingerprint(self) -> str:

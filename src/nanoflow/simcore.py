@@ -104,7 +104,7 @@ def _visit_schedule(traces: list[MobilityTrace], graph: VesselGraph, duration_s:
     first row and one past its last, entry times, exit times, start points,
     velocities, heart flags).  RF geometry reads these, never the sampled
     polyline, which corner-cuts short vessels such as the heart."""
-    _, starts, _ = graph.segment_arrays()
+    _, starts, _ = graph.segment_arrays
     velocities, heart = graph.motion_arrays
     first = np.cumsum([0] + [len(trace.visit_times) for trace in traces])
     vt = np.concatenate([np.asarray(trace.visit_times, dtype=float) for trace in traces])

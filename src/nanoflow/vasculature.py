@@ -7,11 +7,12 @@ among successors at bifurcations, and are sampled at 1 Hz.  A separate
 upsampling step inserts linearly interpolated positions with optional
 Gaussian jitter so downstream sensing can run faster than 1 Hz.
 
-A graph caches per-vessel tables (ids, end points, lengths, speeds,
-successors, velocities) on first use, so per-call work does not rebuild
-them: the walk records (vessel, arc) per sample and places a device's
-samples in one pass (points_at), and locate_vessel maps many points at
-once.  A graph is therefore not edited once it is in use.
+A graph is validated when it is built, so an invalid one never exists.  Its
+per-vessel tables (ids, end points, lengths, speeds, successors, velocities,
+heart cycles) are cached properties filled on first use: the walk records
+(vessel, arc) per sample and places a device's samples in one pass
+(points_at), and locate_vessel maps many points at once.  A graph is
+therefore not edited once it is built.
 
 Every MobilityTrace carries the exact visit schedule of its walk, and
 geometry that needs more than the samples (anchor contact, heart passages)
@@ -21,8 +22,8 @@ reads that schedule, never the sampled polyline.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, partial
 from enum import IntEnum
 
 import numpy as np
@@ -30,6 +31,7 @@ import numpy as np
 from .errors import EmptyTrace, InvalidGraph
 
 Z_LIMIT = 2.0  # cm, anatomical depth band
+_CYCLE_LIMIT = 10000   # heart cycles cycles_through_heart may list
 
 
 class RegionType(IntEnum):
@@ -53,39 +55,37 @@ class Vessel:
         return float(np.linalg.norm(self.end - self.start))
 
 
-@dataclass
+@dataclass(eq=False)
 class VesselGraph:
+    """Vessels and the heart's id, checked by validate_graph when built."""
     vessels: list[Vessel]
     heart_id: int
-    _by_id: dict = field(default_factory=dict, repr=False)
-    _seg_cache: tuple | None = field(default=None, repr=False)
-    _cycle_cache: list | None = field(default=None, repr=False)
-    _validated: bool = field(default=False, repr=False)   # set by validate_graph
 
     def __post_init__(self):
-        self._by_id = {v.id: v for v in self.vessels}
+        validate_graph(self)
+
+    @cached_property
+    def _by_id(self) -> dict[int, Vessel]:
+        return {v.id: v for v in self.vessels}
 
     def vessel(self, vessel_id: int) -> Vessel:
         return self._by_id[vessel_id]
 
-    def segment_arrays(self):
-        """(ids, starts, ends) as arrays, one row per vessel in list order,
-        cached for vectorised queries."""
-        if self._seg_cache is None:
-            ids = np.array([v.id for v in self.vessels])
-            starts = np.array([v.start for v in self.vessels], dtype=float)
-            ends = np.array([v.end for v in self.vessels], dtype=float)
-            self._seg_cache = (ids, starts, ends)
-        return self._seg_cache
+    @cached_property
+    def segment_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(ids, starts, ends) as arrays, one row per vessel in list order."""
+        return (np.array([v.id for v in self.vessels]),
+                np.array([v.start for v in self.vessels], dtype=float),
+                np.array([v.end for v in self.vessels], dtype=float))
 
     @cached_property
     def _id_order(self) -> np.ndarray:
-        return np.argsort(self.segment_arrays()[0], kind="stable")
+        return np.argsort(self.segment_arrays[0], kind="stable")
 
     def rows_of(self, vessel_ids) -> np.ndarray:
-        """Row of each vessel id in segment_arrays(); KeyError for an id the
+        """Row of each vessel id in segment_arrays; KeyError for an id the
         graph does not have."""
-        ids = self.segment_arrays()[0]
+        ids = self.segment_arrays[0]
         at = np.searchsorted(ids, vessel_ids, sorter=self._id_order)
         rows = self._id_order[np.minimum(at, len(ids) - 1)]
         if not np.array_equal(ids[rows], vessel_ids):
@@ -94,44 +94,43 @@ class VesselGraph:
 
     @cached_property
     def _placement(self) -> tuple[np.ndarray, np.ndarray]:
-        _, starts, ends = self.segment_arrays()
+        _, starts, ends = self.segment_arrays
         return np.array([v.length for v in self.vessels]), ends - starts
 
     def points_at(self, rows: np.ndarray, arcs: np.ndarray) -> np.ndarray:
-        """(n, 3) positions: row k is vessel rows[k] (a row of segment_arrays())
+        """(n, 3) positions: row k is vessel rows[k] (a row of segment_arrays)
         at arc arcs[k] from its start, clamped to the segment, in one pass."""
         lengths, deltas = self._placement
         pos = deltas[rows]   # in place: fewer temporaries, and + and * commute exactly
         pos *= np.clip(arcs / lengths[rows], 0.0, 1.0)[:, None]
-        pos += self.segment_arrays()[1][rows]
+        pos += self.segment_arrays[1][rows]
         return pos
 
     @cached_property
     def _walk_table(self) -> tuple[list, list, list, int]:
-        # (length, speed, successor rows) per row of segment_arrays(), and the heart's row
+        # (length, speed, successor rows) per row of segment_arrays, and the heart's row
         row = {v.id: i for i, v in enumerate(self.vessels)}
         return ([v.length for v in self.vessels], [v.speed_cm_s for v in self.vessels],
                 [[row[s] for s in v.successors] for v in self.vessels], row[self.heart_id])
 
     @cached_property
     def motion_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(velocity in cm/s, is_heart) per row of segment_arrays(); a
+        """(velocity in cm/s, is_heart) per row of segment_arrays; a
         zero-length vessel has zero velocity."""
-        _, starts, _ = self.segment_arrays()
+        _, starts, _ = self.segment_arrays
         lengths, deltas = self._placement
         direction = np.divide(deltas, lengths[:, None], out=starts * 0.0,
                               where=lengths[:, None] > 0)
         speeds = np.array([v.speed_cm_s for v in self.vessels], dtype=float)
         return direction * speeds[:, None], np.array([bool(v.is_heart) for v in self.vessels])
 
-    def cycles_through_heart(self, limit: int = 10000) -> list[tuple[int, ...]]:
-        """All simple cycles that pass through the heart vessel.
+    @cached_property
+    def cycles_through_heart(self) -> list[tuple[int, ...]]:
+        """All simple cycles that pass through the heart vessel, sorted.
 
         The reference graph is hub-and-branch so this stays small; a DFS cap
         guards against pathological inputs.
         """
-        if self._cycle_cache is not None:
-            return self._cycle_cache
         cycles: list[tuple[int, ...]] = []
         heart = self.heart_id
         stack = [(heart, (heart,))]
@@ -140,12 +139,11 @@ class VesselGraph:
             for nxt in sorted(self._by_id[node].successors, reverse=True):
                 if nxt == heart:
                     cycles.append(path)
-                    if len(cycles) > limit:
-                        raise InvalidGraph(f"more than {limit} heart cycles")
+                    if len(cycles) > _CYCLE_LIMIT:
+                        raise InvalidGraph(f"more than {_CYCLE_LIMIT} heart cycles")
                 elif nxt not in path:
                     stack.append((nxt, path + (nxt,)))
         cycles.sort()
-        self._cycle_cache = cycles
         return cycles
 
     def loop_time(self, cycle: tuple[int, ...]) -> float:
@@ -198,12 +196,11 @@ def validate_graph(graph: VesselGraph) -> None:
     vessels = graph.vessels
     if not vessels:
         raise InvalidGraph("graph has no vessels")
-    ids = [v.id for v in vessels]
-    if len(set(ids)) != len(ids):
+    id_set = {v.id for v in vessels}
+    if len(id_set) != len(vessels):
         raise InvalidGraph("duplicate vessel ids")
-    id_set = set(ids)
     hearts = [v.id for v in vessels if v.is_heart]
-    if hearts != [graph.heart_id] or graph.heart_id not in id_set:
+    if hearts != [graph.heart_id]:
         raise InvalidGraph("exactly one vessel must be flagged is_heart and match heart_id")
     for v in vessels:
         if not v.successors:
@@ -212,6 +209,8 @@ def validate_graph(graph: VesselGraph) -> None:
             if s not in id_set:
                 raise InvalidGraph(f"vessel {v.id} lists unknown successor {s}")
         for p in (v.start, v.end):
+            if np.shape(p) != (3,) or not np.isfinite(p).all():
+                raise InvalidGraph(f"vessel {v.id} endpoint {p} is not three finite numbers")
             if abs(float(p[2])) > Z_LIMIT:
                 raise InvalidGraph(f"vessel {v.id} endpoint depth outside [-2, 2] cm")
         if v.length <= 0:
@@ -221,8 +220,7 @@ def validate_graph(graph: VesselGraph) -> None:
                 f"vessel {v.id} speed {v.speed_cm_s} invalid for region_type {int(v.region_type)}")
 
     # every vessel must sit on some closed route through the heart
-    fwd = {v.id: v.successors for v in vessels}
-    reach_from_heart = _reachable(fwd, graph.heart_id)
+    reach_from_heart = _reachable({v.id: v.successors for v in vessels}, graph.heart_id)
     back = {v.id: [] for v in vessels}
     for v in vessels:
         for s in v.successors:
@@ -231,7 +229,6 @@ def validate_graph(graph: VesselGraph) -> None:
     stranded = id_set - (reach_from_heart & reach_to_heart)
     if stranded:
         raise InvalidGraph(f"vessels not on any heart loop: {sorted(stranded)}")
-    graph._validated = True
 
 
 def _reachable(adj: dict, root: int) -> set:
@@ -246,30 +243,33 @@ def _reachable(adj: dict, root: int) -> set:
     return seen
 
 
+# key of a vessel entry in a graph file -> its conversion to the Vessel field
+_FILE_KEYS = {"id": int, "start": partial(np.asarray, dtype=float),
+              "end": partial(np.asarray, dtype=float), "region_type": lambda t: RegionType(int(t)),
+              "speed_cm_s": float, "successors": lambda ids: [int(s) for s in ids]}
+
+
 def load_graph(path: str) -> VesselGraph:
-    """Load and validate a vessel graph from its JSON file format."""
+    """Load a vessel graph from its JSON file format; InvalidGraph names the
+    entry (vessels[i].key) that is missing or does not convert."""
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict) or not isinstance(raw.get("vessels"), list):
+        raise InvalidGraph(f"graph file {path} must hold an object with a list 'vessels'")
     vessels = []
-    heart_id = None
-    for entry in raw["vessels"]:
-        v = Vessel(
-            id=int(entry["id"]),
-            start=np.asarray(entry["start"], dtype=float),
-            end=np.asarray(entry["end"], dtype=float),
-            region_type=RegionType(int(entry["region_type"])),
-            speed_cm_s=float(entry["speed_cm_s"]),
-            successors=[int(s) for s in entry["successors"]],
-            is_heart=bool(entry.get("is_heart", False)),
-        )
-        vessels.append(v)
-        if v.is_heart:
-            heart_id = v.id
-    if heart_id is None:
-        raise InvalidGraph("no vessel flagged is_heart")
-    graph = VesselGraph(vessels=vessels, heart_id=heart_id)
-    validate_graph(graph)
-    return graph
+    for i, entry in enumerate(raw["vessels"]):
+        if not isinstance(entry, dict):
+            raise InvalidGraph(f"graph file entry vessels[{i}] must be an object")
+        fields = {"is_heart": bool(entry.get("is_heart", False))}
+        for key, convert in _FILE_KEYS.items():
+            try:
+                fields[key] = convert(entry[key])
+            except KeyError:
+                raise InvalidGraph(f"graph file entry vessels[{i}].{key} is required") from None
+            except (TypeError, ValueError) as exc:
+                raise InvalidGraph(f"graph file entry vessels[{i}].{key}: {exc}") from exc
+        vessels.append(Vessel(**fields))
+    return VesselGraph(vessels, heart_id=next((v.id for v in vessels if v.is_heart), None))
 
 
 def save_graph(graph: VesselGraph, path: str) -> None:
@@ -391,9 +391,8 @@ def build_reference_vasculature() -> VesselGraph:
         vessels[prev].successors.append(cava[hub])
 
     graph = VesselGraph(vessels=vessels, heart_id=heart)
-    validate_graph(graph)
     assert len(vessels) == 94, f"reference graph has {len(vessels)} vessels"
-    longest = max(graph.loop_time(c) for c in graph.cycles_through_heart())
+    longest = max(graph.loop_time(c) for c in graph.cycles_through_heart)
     assert longest < 88.0, f"longest reference loop {longest:.1f} s"
     return graph
 
@@ -413,18 +412,16 @@ def simulate_mobility(graph: VesselGraph, device_count: int, duration_s: float,
     each device's positions are then placed in one pass by
     VesselGraph.points_at.  Each trace carries its visit schedule.
     """
-    if not graph._validated:   # once per graph: like its cached arrays, it is not edited in use
-        validate_graph(graph)
     rng = np.random.default_rng(seed)
     n = int(round(duration_s)) + 1
     if n < 1:
         raise ValueError(f"duration_s {duration_s!r} leaves no sample")
     times = np.arange(n, dtype=float)
-    ids = graph.segment_arrays()[0]
+    ids = graph.segment_arrays[0]
     lengths, speeds, successors, heart = graph._walk_table
     traces = []
     for dev in range(device_count):
-        r = heart   # the vessel the device is in, as a row of segment_arrays()
+        r = heart   # the vessel the device is in, as a row of segment_arrays
         arc = 0.0
         t_cursor = 0.0
         visit_t = [0.0]
@@ -514,7 +511,7 @@ def locate_vessel(graph: VesselGraph, position):
     """
     p = np.asarray(position, dtype=float)
     points = p.reshape(-1, 3)
-    ids, starts, ends = graph.segment_arrays()
+    ids, starts, ends = graph.segment_arrays
     d = ends - starts
     seg_len2 = np.einsum("ij,ij->i", d, d)
     tie_ids = np.broadcast_to(ids, (min(len(points), _LOCATE_CHUNK), len(ids)))

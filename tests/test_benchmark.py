@@ -85,7 +85,7 @@ def test_mismatched_sets_raise():
 
 
 def test_baseline_matches_loop_time():
-    loops = GRAPH.cycles_through_heart()
+    loops = GRAPH.cycles_through_heart
     times = [GRAPH.loop_time(c) for c in loops]
     for li in (0, 5, 11):
         recs = [RawRecord(9.0, 0, times[li], 1), RawRecord(19.0, 1, times[li], 1)]
@@ -104,7 +104,7 @@ def test_baseline_no_positive_records():
 
 
 def test_baseline_majority_vote():
-    loops = GRAPH.cycles_through_heart()
+    loops = GRAPH.cycles_through_heart
     times = [GRAPH.loop_time(c) for c in loops]
     recs = [RawRecord(1.0, 0, times[2], 1),
             RawRecord(2.0, 1, times[2], 1),
@@ -114,7 +114,7 @@ def test_baseline_majority_vote():
 
 
 def test_baseline_deterministic_per_seed():
-    loops = GRAPH.cycles_through_heart()
+    loops = GRAPH.cycles_through_heart
     times = sorted(GRAPH.loop_time(c) for c in loops)
     mid = (times[3] + times[4]) / 2.0  # exact tie between two loops
     recs = [RawRecord(1.0, 0, mid, 1)]
@@ -130,7 +130,7 @@ def test_baseline_scale_invariant_argmin():
     # offset to circulation and all loop times only if distances shift
     # together, so instead verify nearest-match: a circulation slightly off
     # a loop time still maps to that loop
-    loops = GRAPH.cycles_through_heart()
+    loops = GRAPH.cycles_through_heart
     times = [GRAPH.loop_time(c) for c in loops]
     li = 6
     gaps = sorted(abs(t - times[li]) for t in times if t != times[li])

@@ -11,6 +11,7 @@ import pytest
 from nanoflow.cli import main
 from nanoflow.config import DEFAULT_CONFIG, RunConfig, load_config
 from nanoflow.errors import ConfigError
+from nanoflow.vasculature import build_reference_vasculature, save_graph
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +413,66 @@ def test_cli_exit_codes(tmp_path):
     # bogus localizer spec
     assert main(["benchmark", "--k", "3", "--localizer", "quantum",
                  "--out", str(tmp_path / "x")]) == 1
+
+
+def _graph_file(tmp_path, edit) -> str:
+    path = tmp_path / "graph.json"
+    save_graph(build_reference_vasculature(), str(path))
+    raw = json.loads(path.read_text())
+    edit(raw)
+    path.write_text(json.dumps(raw))   # a NaN goes out as JSON's NaN literal
+    return str(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: raw["vessels"][5]["start"].__setitem__(0, float("nan")),
+     r"error: vessel 5 endpoint \[nan .* is not three finite numbers"),
+    (lambda raw: raw["vessels"][3].pop("speed_cm_s"),
+     r"error: graph file entry vessels\[3\]\.speed_cm_s is required"),
+    (lambda raw: raw["vessels"][3].update(region_type=7),
+     r"error: graph file entry vessels\[3\]\.region_type: 7 is not a valid RegionType"),
+], ids=["nan-coordinate", "missing-key", "bad-region-type"])
+def test_cli_names_the_bad_entry_of_a_graph_file(tmp_path, capsys, edit, message):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"vasculature": {"graph": _graph_file(tmp_path, edit)}}))
+    assert main(["simulate", "--config", str(cfgp), "--devices", "4", "--duration-s", "60",
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(message + "\n", err), err   # one line, no traceback
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_rejects_a_graph_file_that_is_not_json(tmp_path, capsys):
+    graph = tmp_path / "graph.json"
+    graph.write_text('{"vessels": [')
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"vasculature": {"graph": str(graph)}}))
+    with pytest.raises(ConfigError, match="config key vasculature.graph: .* is not valid JSON"):
+        load_config(str(cfgp)).graph()
+    assert main(["simulate", "--config", str(cfgp), "--devices", "4", "--duration-s", "60",
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: config key vasculature\.graph: .* is not valid JSON: .*\n", err), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_rejects_sim_times_beyond_the_duration_at_load(tmp_path, capsys, monkeypatch):
+    import nanoflow.cli as cli
+
+    def no_runs(*args, **kwargs):
+        raise AssertionError("run_benchmark called")
+
+    monkeypatch.setattr(cli, "run_benchmark", no_runs)
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"benchmark": {"sim_times_s": [30, 90]}}))
+    with pytest.raises(ConfigError, match=r"benchmark\.sim_times_s\[1\] must not exceed"):
+        load_config(str(cfgp), overrides={"duration_s": 60.0})
+    assert load_config(str(cfgp), overrides={"duration_s": 90.0}).raw["duration_s"] == 90.0
+    assert main(["benchmark", "--config", str(cfgp), "--k", "3", "--devices", "2",
+                 "--duration-s", "60", "--out", str(tmp_path / "bm")]) == 1
+    assert capsys.readouterr().err == (
+        "error: config key benchmark.sim_times_s[1] must not exceed duration_s (90 > 60.0)\n")
+    assert not (tmp_path / "bm").exists()
 
 
 def test_cli_workers_env(tmp_path, monkeypatch, capsys):

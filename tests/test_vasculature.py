@@ -1,5 +1,8 @@
 """Vessel graph, mobility walks and trace upsampling."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -65,7 +68,7 @@ def test_speeds_by_region_type():
 
 
 def test_loop_time_envelope():
-    loops = GRAPH.cycles_through_heart()
+    loops = GRAPH.cycles_through_heart
     assert len(loops) >= 2
     times = [GRAPH.loop_time(c) for c in loops]
     assert min(times) > 5.0
@@ -77,12 +80,19 @@ def test_validate_graph_rejects_broken_inputs():
                20.0, [0], is_heart=True)
     lone = VesselGraph([v], heart_id=0)
     validate_graph(lone)  # self-loop through the heart is legal
-    with pytest.raises(InvalidGraph):
-        validate_graph(VesselGraph([v], heart_id=5))
+    # each graph below is rejected when it is built, with no validate_graph call
+    with pytest.raises(InvalidGraph, match="is_heart"):
+        VesselGraph([v], heart_id=5)
     w = Vessel(0, np.zeros(3), np.zeros(3), RegionType.ARTERIAL, 20.0, [0],
                is_heart=True)
-    with pytest.raises(InvalidGraph):
-        validate_graph(VesselGraph([w], heart_id=0))  # zero length
+    with pytest.raises(InvalidGraph, match="zero length"):
+        VesselGraph([w], heart_id=0)
+    for bad in (np.nan, np.inf, -np.inf):
+        u = Vessel(0, np.zeros(3), np.array([1.0, bad, 0]), RegionType.ARTERIAL, 20.0, [0],
+                   is_heart=True)
+        with pytest.raises(InvalidGraph, match="vessel 0 endpoint .* not three finite numbers"):
+            VesselGraph([u], heart_id=0)
+    assert [f.name for f in dataclasses.fields(VesselGraph)] == ["vessels", "heart_id"]
 
 
 def test_graph_io_roundtrip(tmp_path):
@@ -95,6 +105,31 @@ def test_graph_io_roundtrip(tmp_path):
         assert a.id == b.id and a.successors == b.successors
         assert a.speed_cm_s == pytest.approx(b.speed_cm_s, rel=1e-12)
         np.testing.assert_allclose(a.start, b.start, atol=1e-12)
+
+
+def _edited_graph_file(tmp_path, edit):
+    path = tmp_path / "graph.json"
+    save_graph(GRAPH, str(path))
+    raw = json.loads(path.read_text())
+    edit(raw["vessels"])
+    path.write_text(json.dumps(raw))   # NaN and inf as JSON's NaN / Infinity literals
+    return str(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda vs: vs[3].pop("speed_cm_s"), r"vessels\[3\]\.speed_cm_s is required"),
+    (lambda vs: vs[3].update(region_type=7), r"vessels\[3\]\.region_type: 7 is not a valid"),
+    (lambda vs: vs[4].update(successors=["x"]), r"vessels\[4\]\.successors: invalid literal"),
+    (lambda vs: vs.__setitem__(2, [0, 1]), r"vessels\[2\] must be an object"),
+    (lambda vs: vs[5]["start"].__setitem__(0, float("nan")), "vessel 5 endpoint .* not three finite"),
+    (lambda vs: vs[5]["end"].__setitem__(1, float("inf")), "vessel 5 endpoint .* not three finite"),
+    (lambda vs: vs[5]["end"].pop(), "vessel 5 endpoint .* not three finite"),
+    (lambda vs: vs[0].update(is_heart=False), "exactly one vessel must be flagged is_heart"),
+], ids=["missing-key", "bad-region-type", "bad-successor", "entry-not-object", "nan-start",
+        "inf-end", "two-coordinates", "no-heart"])
+def test_load_graph_names_the_bad_entry(tmp_path, edit, message):
+    with pytest.raises(InvalidGraph, match=message):
+        load_graph(_edited_graph_file(tmp_path, edit))
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +170,7 @@ def test_locate_vessel_on_segment_points():
 
 def _reference_locate(graph, p):
     # one point at a time, as locate_vessel did before it took many
-    ids, starts, ends = graph.segment_arrays()
+    ids, starts, ends = graph.segment_arrays
     d = ends - starts
     seg_len2 = np.einsum("ij,ij->i", d, d)
     t = np.clip(np.einsum("ij,ij->i", p[None, :] - starts, d) / seg_len2, 0.0, 1.0)
@@ -251,7 +286,7 @@ def test_mobility_step_length_bounded():
 
 def test_mobility_positions_lie_on_graph():
     tr = simulate_mobility(GRAPH, 1, 200.0, seed=3)[0]
-    ids, starts, ends = GRAPH.segment_arrays()
+    ids, starts, ends = GRAPH.segment_arrays
     for p in tr.positions[::10]:
         vid = locate_vessel(GRAPH, p)
         v = GRAPH.vessel(vid)
