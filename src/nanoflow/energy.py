@@ -52,6 +52,9 @@ class EnergyConfig:
     cost_sense: float = 1e-12      # J per sensing task
 
     def __post_init__(self):
+        bad = [name for name, value in vars(self).items() if not math.isfinite(value)]
+        if bad:
+            raise ValueError(f"{', '.join(bad)} must be finite")
         if self.v_g <= 0 or self.delta_q <= 0 or self.t_cycle <= 0 or self.e_max <= 0:
             raise ValueError("v_g, delta_q, t_cycle and e_max must be positive")
         if not (0 <= self.e_turn_off < self.e_turn_on <= self.e_max):

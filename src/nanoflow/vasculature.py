@@ -215,7 +215,9 @@ def validate_graph(graph: VesselGraph) -> None:
                 raise InvalidGraph(f"vessel {v.id} endpoint depth outside [-2, 2] cm")
         if v.length <= 0:
             raise InvalidGraph(f"vessel {v.id} has zero length")
-        if not _TYPE_SPEEDS[RegionType(v.region_type)](float(v.speed_cm_s)):
+        if v.region_type not in _TYPE_SPEEDS:
+            raise InvalidGraph(f"vessel {v.id} has unknown region_type {v.region_type!r}")
+        if not _TYPE_SPEEDS[v.region_type](float(v.speed_cm_s)):
             raise InvalidGraph(
                 f"vessel {v.id} speed {v.speed_cm_s} invalid for region_type {int(v.region_type)}")
 
@@ -243,10 +245,19 @@ def _reachable(adj: dict, root: int) -> set:
     return seen
 
 
+def _integer(value) -> int:
+    """int(value), refusing what int() would truncate or convert (3.7, "3", true)."""
+    n = int(value)
+    if n != value or isinstance(value, bool):
+        raise ValueError(f"{value!r} is not an integer")
+    return n
+
+
 # key of a vessel entry in a graph file -> its conversion to the Vessel field
-_FILE_KEYS = {"id": int, "start": partial(np.asarray, dtype=float),
-              "end": partial(np.asarray, dtype=float), "region_type": lambda t: RegionType(int(t)),
-              "speed_cm_s": float, "successors": lambda ids: [int(s) for s in ids]}
+_FILE_KEYS = {"id": _integer, "start": partial(np.asarray, dtype=float),
+              "end": partial(np.asarray, dtype=float),
+              "region_type": lambda t: RegionType(_integer(t)),
+              "speed_cm_s": float, "successors": lambda ids: [_integer(s) for s in ids]}
 
 
 def load_graph(path: str) -> VesselGraph:
@@ -260,13 +271,16 @@ def load_graph(path: str) -> VesselGraph:
     for i, entry in enumerate(raw["vessels"]):
         if not isinstance(entry, dict):
             raise InvalidGraph(f"graph file entry vessels[{i}] must be an object")
-        fields = {"is_heart": bool(entry.get("is_heart", False))}
+        fields = {"is_heart": entry.get("is_heart", False)}
+        if not isinstance(fields["is_heart"], bool):
+            raise InvalidGraph(f"graph file entry vessels[{i}].is_heart: "
+                               f"{fields['is_heart']!r} is not a boolean")
         for key, convert in _FILE_KEYS.items():
             try:
                 fields[key] = convert(entry[key])
             except KeyError:
                 raise InvalidGraph(f"graph file entry vessels[{i}].{key} is required") from None
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise InvalidGraph(f"graph file entry vessels[{i}].{key}: {exc}") from exc
         vessels.append(Vessel(**fields))
     return VesselGraph(vessels, heart_id=next((v.id for v in vessels if v.is_heart), None))

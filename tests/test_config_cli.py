@@ -294,16 +294,19 @@ def test_cli_convergence(tmp_path):
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps({"benchmark": {"dense_size": 94},
                                 "device_count": 2, "duration_s": 30.0}))
-    rc = main(["convergence", "--config", str(cfgp), "--strategy", "srs,rgs",
-               "--k", "20,94,94", "--out", str(out)])
-    assert rc == 0
-    lines = read(out / "convergence.csv").splitlines()
-    assert lines[0] == "strategy,k,region_acc,mean_err_cm"
-    # two strategies x two deduplicated sizes
-    assert len(lines) == 1 + 4
-    final_rows = [l for l in lines[1:] if l.split(",")[1] == "94"]
-    accs = {l.split(",")[2] for l in final_rows}
-    assert len(accs) == 1  # k = dense converges to identical metrics
+    for strategies in ("srs,rgs", "srs,srs,rgs"):
+        rc = main(["convergence", "--config", str(cfgp), "--strategy", strategies,
+                   "--k", "20,94,94", "--out", str(out)])
+        assert rc == 0
+        lines = read(out / "convergence.csv").splitlines()
+        assert lines[0] == "strategy,k,region_acc,mean_err_cm"
+        # two deduplicated strategies x two deduplicated sizes
+        assert len(lines) == 1 + 4
+        assert [l.split(",")[:2] for l in lines[1:]] == [
+            ["srs", "20"], ["srs", "94"], ["rgs", "20"], ["rgs", "94"]]
+        final_rows = [l for l in lines[1:] if l.split(",")[1] == "94"]
+        accs = {l.split(",")[2] for l in final_rows}
+        assert len(accs) == 1  # k = dense converges to identical metrics
 
 
 def test_cli_exits_1_when_every_event_run_fails(tmp_path, capsys):
@@ -381,7 +384,7 @@ def test_cli_convergence_rejects_an_empty_strategy_list(tmp_path, capsys, monkey
     monkeypatch.setattr(cli, "run_events", no_runs)
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps({"benchmark": {"dense_size": 94}}))
-    for strategy in (",", "", " , "):
+    for strategy in (",", "", " , ", "foo", "srs,foo"):
         assert main(["convergence", "--config", str(cfgp), "--devices", "2",
                      "--duration-s", "30", "--strategy", strategy, "--k", "20",
                      "--out", str(tmp_path / "conv")]) == 1
@@ -391,7 +394,7 @@ def test_cli_convergence_rejects_an_empty_strategy_list(tmp_path, capsys, monkey
         assert not (tmp_path / "conv").exists()
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     # unreadable config file: I/O
     assert main(["simulate", "--config", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "x")]) == 2
@@ -411,8 +414,11 @@ def test_cli_exit_codes(tmp_path):
     assert main(["benchmark", "--k", "3", "--localizer", f"external:{bad}",
                  "--out", str(tmp_path / "x")]) == 3
     # bogus localizer spec
+    capsys.readouterr()
     assert main(["benchmark", "--k", "3", "--localizer", "quantum",
                  "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == (
+        "error: --localizer must be 'baseline' or 'external:PATH', got 'quantum'\n")
 
 
 def _graph_file(tmp_path, edit) -> str:
@@ -431,7 +437,11 @@ def _graph_file(tmp_path, edit) -> str:
      r"error: graph file entry vessels\[3\]\.speed_cm_s is required"),
     (lambda raw: raw["vessels"][3].update(region_type=7),
      r"error: graph file entry vessels\[3\]\.region_type: 7 is not a valid RegionType"),
-], ids=["nan-coordinate", "missing-key", "bad-region-type"])
+    (lambda raw: raw["vessels"][3].update(id=3.7),
+     r"error: graph file entry vessels\[3\]\.id: 3\.7 is not an integer"),
+    (lambda raw: raw["vessels"][5].update(is_heart="no"),
+     r"error: graph file entry vessels\[5\]\.is_heart: 'no' is not a boolean"),
+], ids=["nan-coordinate", "missing-key", "bad-region-type", "fractional-id", "string-is-heart"])
 def test_cli_names_the_bad_entry_of_a_graph_file(tmp_path, capsys, edit, message):
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps({"vasculature": {"graph": _graph_file(tmp_path, edit)}}))

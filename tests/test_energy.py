@@ -98,6 +98,15 @@ def test_turn_on_latency_edge_cases():
     assert turn_on_latency_cycles(EnergyConfig(e_turn_on=1e-18)) == 1
 
 
+@pytest.mark.parametrize("field", ["v_g", "delta_q", "t_cycle", "e_max", "e_turn_on",
+                                   "e_turn_off", "cost_tx_pulse", "cost_rx_pulse",
+                                   "cost_sense"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_fields_are_rejected(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        EnergyConfig(**{field: value})
+
+
 def test_harvest_only_at_whole_cycles():
     s = EnergyState()
     advance_harvest(s, CFG.t_cycle * 0.99, CFG)

@@ -92,6 +92,9 @@ def test_validate_graph_rejects_broken_inputs():
                    is_heart=True)
         with pytest.raises(InvalidGraph, match="vessel 0 endpoint .* not three finite numbers"):
             VesselGraph([u], heart_id=0)
+    t = Vessel(0, np.zeros(3), np.array([1.0, 0, 0]), 7, 20.0, [0], is_heart=True)
+    with pytest.raises(InvalidGraph, match="vessel 0 has unknown region_type 7"):
+        VesselGraph([t], heart_id=0)
     assert [f.name for f in dataclasses.fields(VesselGraph)] == ["vessels", "heart_id"]
 
 
@@ -125,8 +128,16 @@ def _edited_graph_file(tmp_path, edit):
     (lambda vs: vs[5]["end"].__setitem__(1, float("inf")), "vessel 5 endpoint .* not three finite"),
     (lambda vs: vs[5]["end"].pop(), "vessel 5 endpoint .* not three finite"),
     (lambda vs: vs[0].update(is_heart=False), "exactly one vessel must be flagged is_heart"),
+    (lambda vs: vs[3].update(id=3.7), r"vessels\[3\]\.id: 3\.7 is not an integer"),
+    (lambda vs: vs[3].update(id=float("inf")), r"vessels\[3\]\.id: cannot convert"),
+    (lambda vs: vs[4].update(successors=[2.5]), r"vessels\[4\]\.successors: 2\.5 is not"),
+    (lambda vs: vs[4].update(region_type=1.5), r"vessels\[4\]\.region_type: 1\.5 is not"),
+    (lambda vs: vs[4].update(region_type=True), r"vessels\[4\]\.region_type: True is not"),
+    (lambda vs: vs[5].update(is_heart="no"), r"vessels\[5\]\.is_heart: 'no' is not a boolean"),
 ], ids=["missing-key", "bad-region-type", "bad-successor", "entry-not-object", "nan-start",
-        "inf-end", "two-coordinates", "no-heart"])
+        "inf-end", "two-coordinates", "no-heart", "fractional-id", "infinite-id",
+        "fractional-successor", "fractional-region-type", "boolean-region-type",
+        "string-is-heart"])
 def test_load_graph_names_the_bad_entry(tmp_path, edit, message):
     with pytest.raises(InvalidGraph, match=message):
         load_graph(_edited_graph_file(tmp_path, edit))
