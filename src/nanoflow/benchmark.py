@@ -341,15 +341,15 @@ def check_sample_size(k: int, population: int) -> None:
 
 def sample_locations(dense: list[TargetEvent], strategy: str, k: int,
                      seed: int = 0) -> list[TargetEvent]:
-    """Draw k dense-set members with the named strategy; k = |dense| is identity."""
-    name = strategy.lower()
-    if name not in _STRATEGY_FN:
+    """Draw k dense-set members with the named strategy (one of STRATEGIES,
+    lowercase, as the config and the CLI take it); k = |dense| is identity."""
+    if strategy not in _STRATEGY_FN:
         raise ValueError(f"unknown sampling strategy {strategy!r}")
     check_sample_size(k, len(dense))
     if k == len(dense):
         return list(dense)
     rng = np.random.default_rng(seed)
-    return _STRATEGY_FN[name](dense, k, rng)
+    return _STRATEGY_FN[strategy](dense, k, rng)
 
 
 # ---------------------------------------------------------------------------

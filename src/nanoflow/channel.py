@@ -5,6 +5,10 @@ per-layer absorption; the propagation distance is consumed layer by layer in
 listed order, so short links only pay for the material they actually cross.
 Reception is decided sensitivity-first, then SINR against the sum of
 overlapping interferers plus the noise floor.
+
+These scalar functions are the reference.  The engine decides beacons in
+array passes (simcore._decoded_beacons) and re-decides in these functions
+every candidate whose array verdict an ulp could flip.
 """
 
 from __future__ import annotations

@@ -198,6 +198,9 @@ def _overrides_from(args) -> dict:
     if args.devices is not None:
         over["device_count"] = args.devices
     if getattr(args, "strategy", None) is not None:
+        if args.strategy not in STRATEGIES:
+            raise ConfigError(f"--strategy must be one of {'/'.join(STRATEGIES)}, "
+                              f"got {args.strategy!r}")
         over.setdefault("benchmark", {})["strategy"] = args.strategy
     if getattr(args, "k", None) is not None:
         over.setdefault("benchmark", {})["sample_k"] = args.k

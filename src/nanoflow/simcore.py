@@ -11,8 +11,10 @@ energy depends only on its own events.  A run is therefore three phases:
    the beacon instants k * interval inside them are enumerated, and every
    instant's position, distances and closing speed come from array passes
    (row dots equal to np.dot and np.linalg.norm bit for bit).  Each beacon
-   is then decided in scalar channel calls against sensitivity and the
-   other anchors' overlapping beacons.
+   is then decided in array passes against sensitivity and the other
+   anchors' overlapping beacons; a verdict within _MARGIN_DB of a threshold
+   is re-decided in scalar channel calls, and a decoded beacon carries the
+   scalar rx dBm, so verdicts and values are the scalar functions' own.
 2. Per-device scan.  One pass over the device's own timeline of decoded
    beacons, sense ticks (on the upsampled sample grid) and 1 Hz energy
    samples advances its capacitor along the harvest curve, spends energy,
@@ -27,9 +29,10 @@ energy depends only on its own events.  A run is therefore three phases:
    stable argsort: at equal timestamps beacons come first, by anchor index,
    then the sense tick, then the energy sample.
 3. Collisions.  Responses arriving within _T_EPS of the earliest pending
-   arrival form one batch.  Each is decided against the others in the
-   batch, summed in (arrival time, anchor, device) order; a decoded one
-   becomes a record stamped with the batch's earliest arrival.
+   arrival form one batch.  Each is decided in scalar channel calls against
+   the others in the batch, summed in (arrival time, anchor, device) order,
+   with every distance from one row-dot pass; a decoded one becomes a
+   record stamped with the batch's earliest arrival.
 
 Energy rows come out in (time, device) order and records in (time, mac)
 order, so a run is deterministic regardless of how the caller schedules runs.
@@ -52,6 +55,9 @@ from .errors import ConfigMismatch
 from .vasculature import MobilityTrace, VesselGraph
 
 _T_EPS = 1e-9
+# the array pass's path loss and SINR differ from the scalar channel calls' by
+# a few ulps (under 1e-13 dB): verdicts this close to a threshold are re-decided
+_MARGIN_DB = 1e-9
 _RANGES: dict[tuple, float] = {}   # _max_range_cm, per process
 
 
@@ -148,6 +154,33 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def _path_loss(dist: np.ndarray, ccfg: ch.ChannelConfig) -> np.ndarray:
+    """ch.path_loss_db of each distance, to within a few ulps: numpy's log10
+    is not math's, and the layers are one piecewise-linear interpolation."""
+    depth, absorbed = [0.0], [0.0]   # the layers, crossed in listed order
+    for layer in ccfg.layers:
+        if layer.thickness_cm <= 0:   # ch.path_loss_db stops at a layer nothing crosses
+            break
+        depth.append(depth[-1] + layer.thickness_cm)
+        absorbed.append(absorbed[-1] + layer.thickness_cm * layer.atten_db_per_cm)
+    x = dist * (4.0 * math.pi * ccfg.f_c / 100.0 / ch.SPEED_OF_LIGHT)
+    spreading = np.log10(x + (x == 0.0))   # no spreading term at distance 0
+    return (np.maximum(10.0 * ccfg.spreading_exponent * spreading, 0.0)
+            + np.interp(dist, depth, absorbed))
+
+
+def _heard(dist_cm: float, closing: float, tx_dbm: float, interferers: list[tuple],
+           ccfg: ch.ChannelConfig) -> bool:
+    """Whether the scalar channel calls deliver a packet; interferers are
+    (tx dBm, distance) pairs."""
+    rx = ch.link_sample(dist_cm, closing, tx_dbm, ccfg).rx_power_dbm
+    if rx < ccfg.rx_sensitivity_dbm:
+        return False
+    sinr = ch.sinr_db(rx, [tx - ch.path_loss_db(x, ccfg) for tx, x in interferers],
+                      ccfg.noise_floor_dbm)
+    return ch.reception_decision(rx, sinr, ccfg) is ch.Reception.DELIVERED
+
+
 def _visit_windows(vdev: np.ndarray, vt: np.ndarray, ends: np.ndarray, vstart: np.ndarray,
                    vvel: np.ndarray, anchor_pos: np.ndarray, radius_cm: float) -> list[tuple]:
     """(device, t_in, t_out) in-range intervals: visit k of device vdev[k] runs
@@ -211,11 +244,14 @@ def _decoded_beacons(schedule, anchors: list[Anchor], anchor_pos: np.ndarray,
     dev, t, ai_of = cands[:, 0].astype(np.intp), cands[:, 1].copy(), cands[:, 2].astype(np.intp)
     v = np.empty(len(t), dtype=np.intp)
     bounds = np.searchsorted(dev, np.arange(len(first)))
-    for d in np.flatnonzero(np.diff(bounds)).tolist():
+    for d in np.diff(bounds).nonzero()[0].tolist():
         lo, hi = bounds[d], bounds[d + 1]
         v[lo:hi] = first[d] + np.maximum(
             np.searchsorted(vt[first[d]:first[d + 1]], t[lo:hi], side="right") - 1, 0)
     out = [[] for _ in range(len(first) - 1)]
+    tx_of = np.array(anchor_tx, dtype=float)
+    noise_mw = 10.0 ** (ccfg.noise_floor_dbm / 10.0)
+    doppler_db_per_cm_s = ccfg.doppler_penalty_db_per_mhz * ch.doppler_shift_hz(1.0, ccfg) / 1e6
     for lo in range(0, len(t), 1024):   # a block of candidates at a time bounds the Python floats
         bd, bt, ba, bv = (x[lo:lo + 1024] for x in (dev, t, ai_of, v))
         p = vstart[bv] + (bt - vt[bv])[:, None] * vvel[bv]
@@ -223,22 +259,37 @@ def _decoded_beacons(schedule, anchors: list[Anchor], anchor_pos: np.ndarray,
         dist = np.sqrt(_row_dots(offset, offset))
         closing = -np.divide(_row_dots(vvel[bv], offset), dist, out=np.zeros_like(dist),
                              where=dist > 0)
-        near = []   # per anchor: distance where it also beacons at the instant, else -1
-        for j, anchor in enumerate(anchors):
-            iv, gap = anchor.beacon_interval_s, p - anchor_pos[j]
-            also = (np.abs(np.round(bt / iv) * iv - bt) <= beacon_air) & (ba != j)
-            near.append(np.where(also, np.sqrt(_row_dots(gap, gap)), -1.0).tolist())
-        for d, ai, ti, pi, di, ci, heart, *dj in zip(
-                bd.tolist(), ba.tolist(), bt.tolist(), p, dist.tolist(), closing.tolist(),
-                vheart[bv].tolist(), *near):
-            link = ch.link_sample(di, ci, anchor_tx[ai], ccfg)
-            if link.rx_power_dbm < ccfg.rx_sensitivity_dbm:
-                continue
-            interferers = [anchor_tx[j] - ch.path_loss_db(x, ccfg) for j, x in enumerate(dj)
-                           if x >= 0.0]
-            sinr = ch.sinr_db(link.rx_power_dbm, interferers, ccfg.noise_floor_dbm)
-            if ch.reception_decision(link.rx_power_dbm, sinr, ccfg) is ch.Reception.DELIVERED:
-                out[d].append((ti, ai, pi, ci, link.rx_power_dbm, heart))
+        rx = tx_of[ba] - _path_loss(dist, ccfg) - np.abs(closing) * doppler_db_per_cm_s
+        interference, near = 0.0, None   # near: distance to each anchor also beaconing, else -1
+        if len(anchors) > 1:
+            near = np.full((len(bt), len(anchors)), -1.0)
+            interference = np.zeros(len(bt))   # summed in anchor order, as ch.sinr_db does
+            for j, anchor in enumerate(anchors):
+                iv = anchor.beacon_interval_s
+                also = ((np.abs(np.round(bt / iv) * iv - bt) <= beacon_air)
+                        & (ba != j)).nonzero()[0]
+                gap = p[also] - anchor_pos[j]
+                near[also, j] = dj = np.sqrt(_row_dots(gap, gap))
+                interference[also] += 10.0 ** ((anchor_tx[j] - _path_loss(dj, ccfg)) / 10.0)
+        denom = noise_mw + interference
+        quiet = denom == 0.0   # ch.sinr_db's 200 dB cap: left to the scalar calls
+        sinr = np.minimum(rx - 10.0 * np.log10(denom + quiet), 200.0)
+        # delivered when both margins are >= 0; an error below _MARGIN_DB in
+        # rx or SINR can flip that only where the smaller one is within it
+        slack = np.minimum(rx - ccfg.rx_sensitivity_dbm, sinr - ccfg.sinr_threshold_db)
+        delivered = slack >= 0.0
+        unsure = (~((np.abs(slack) > _MARGIN_DB) & np.isfinite(sinr)) | quiet).nonzero()[0]
+        for i in unsure.tolist():
+            interferers = [] if near is None else [(anchor_tx[j], x) for j, x in
+                                                   enumerate(near[i].tolist()) if x >= 0.0]
+            delivered[i] = _heard(float(dist[i]), float(closing[i]), anchor_tx[ba[i]],
+                                  interferers, ccfg)
+        # the rx dBm carried into the scan is the scalar one
+        devs, ais, ts, dists, closings, hearts = (
+            x.tolist() for x in (bd, ba, bt, dist, closing, vheart[bv]))
+        for i in delivered.nonzero()[0].tolist():
+            rx_dbm = ch.link_sample(dists[i], closings[i], anchor_tx[ais[i]], ccfg).rx_power_dbm
+            out[devs[i]].append((ts[i], ais[i], p[i], closings[i], rx_dbm, hearts[i]))
     return out
 
 
@@ -260,24 +311,27 @@ def _decide_responses(responses: list[tuple], anchor_pos: np.ndarray,
     tx dBm, closing speed, circulation time, event bit) in (arrival,
     anchor, device) order.
     """
-    records = []
-    start = 0
-    while start < len(responses):
-        t = responses[start][0]
-        stop = start + 1
-        while stop < len(responses) and responses[stop][0] - t <= _T_EPS:
+    arrivals, bounds = [r[0] for r in responses], [0]   # batch b is bounds[b]:bounds[b + 1]
+    while bounds[-1] < len(responses):
+        t, stop = arrivals[bounds[-1]], bounds[-1] + 1
+        while stop < len(responses) and arrivals[stop] - t <= _T_EPS:
             stop += 1
-        batch = responses[start:stop]
-        for _arr, ai, di, p, tx_dbm, closing, circulation, bit in batch:
-            apos = anchor_pos[ai]
-            link = ch.link_sample(float(np.linalg.norm(p - apos)), closing, tx_dbm, ccfg)
-            interferers = [otx - ch.path_loss_db(float(np.linalg.norm(op - apos)), ccfg)
-                           for _oarr, oai, odi, op, otx, *_ in batch
+        bounds.append(stop)
+    # distance of every batch-mate (itself included) to each response's anchor
+    pairs = np.array([(i, j) for lo, hi in zip(bounds, bounds[1:])
+                      for i in range(lo, hi) for j in range(lo, hi)], dtype=np.intp).reshape(-1, 2)
+    at = np.asarray(anchor_pos, dtype=float)[[r[1] for r in responses]]
+    gap = np.array([r[3] for r in responses]).reshape(-1, 3)[pairs[:, 1]] - at[pairs[:, 0]]
+    dist = np.sqrt(_row_dots(gap, gap)).tolist()
+    records, k = [], 0
+    for lo, hi in zip(bounds, bounds[1:]):
+        batch = responses[lo:hi]
+        for i, (_arr, ai, di, _p, tx_dbm, closing, circulation, bit) in enumerate(batch):
+            row, k = dist[k:k + len(batch)], k + len(batch)
+            interferers = [(otx, x) for (_oarr, oai, odi, _op, otx, *_), x in zip(batch, row)
                            if oai != ai or odi != di]
-            sinr = ch.sinr_db(link.rx_power_dbm, interferers, ccfg.noise_floor_dbm)
-            if ch.reception_decision(link.rx_power_dbm, sinr, ccfg) is ch.Reception.DELIVERED:
-                records.append(RawRecord(t, macs[di], circulation, bit))
-        start = stop
+            if _heard(row[i], closing, tx_dbm, interferers, ccfg):
+                records.append(RawRecord(arrivals[lo], macs[di], circulation, bit))
     return records
 
 

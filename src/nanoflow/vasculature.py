@@ -546,12 +546,6 @@ def vessel_centroid(graph: VesselGraph, region_id: int) -> np.ndarray:
     return (v.start + v.end) / 2.0
 
 
-def heart_entries(trace: MobilityTrace, graph: VesselGraph) -> np.ndarray:
-    """Times at which the device enters the heart vessel, read from the
-    trace's visit schedule (a heart crossing can fit between two samples)."""
-    return trace.visit_times[trace.visit_vessels == graph.heart_id]
-
-
 def export_trace_csv(traces: list[MobilityTrace], path: str) -> None:
     """One row per sample: time_s,device_id,x_cm,y_cm,z_cm,vessel_id."""
     with open(path, "w") as fh:

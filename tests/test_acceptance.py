@@ -27,8 +27,8 @@ from nanoflow.energy import (EnergyConfig, capacitance, cycle_index,
 from nanoflow.errors import EnergyOutOfRange
 from nanoflow.simcore import Anchor, EventScenario, RawRecord, run_simulation
 from nanoflow.vasculature import (UpsampleParams, build_reference_vasculature,
-                                  heart_entries, simulate_mobility,
-                                  upsample_trace, vessel_centroid)
+                                  simulate_mobility, upsample_trace,
+                                  vessel_centroid)
 
 GRAPH = build_reference_vasculature()
 DENSE = dense_locations(GRAPH, 1368)
@@ -90,7 +90,8 @@ def test_criterion_3_turn_on_latency():
 def test_criterion_4_circulation_envelope():
     t0 = time.perf_counter()
     traces = simulate_mobility(GRAPH, 64, 1000.0, seed=1)
-    gaps = np.concatenate([np.diff(heart_entries(tr, GRAPH)) for tr in traces])
+    gaps = np.concatenate([np.diff(tr.visit_times[tr.visit_vessels == GRAPH.heart_id])
+                           for tr in traces])
     res = run_simulation(
         GRAPH, traces, [Anchor(mac=0, position=(0.8, 0.0, 0.0))],
         EventScenario(target=None, sense_rate_hz=1),

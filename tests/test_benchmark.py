@@ -197,8 +197,9 @@ def test_sampling_size_bounds():
         sample_locations(DENSE, "srs", 0, seed=0)
     with pytest.raises(SampleTooLarge):
         sample_locations(DENSE, "srs", len(DENSE) + 1, seed=0)
-    with pytest.raises(ValueError):
-        sample_locations(DENSE, "nope", 5, seed=0)
+    for name in ("nope", "SRS"):   # lowercase names only, as the config and the CLI take them
+        with pytest.raises(ValueError):
+            sample_locations(DENSE, name, 5, seed=0)
 
 
 def test_srs_varies_with_seed():

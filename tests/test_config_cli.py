@@ -394,6 +394,18 @@ def test_cli_convergence_rejects_an_empty_strategy_list(tmp_path, capsys, monkey
         assert not (tmp_path / "conv").exists()
 
 
+@pytest.mark.parametrize("command", ["sample", "benchmark"])
+def test_cli_names_the_strategy_flag(tmp_path, capsys, command):
+    # names are lowercase, as in a config file and the library; the error
+    # names the flag, not the config key it would have set
+    for strategy in ("SRS", "lhc"):
+        assert main([command, "--strategy", strategy, "--k", "5",
+                     "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --strategy must be one of srs/ssrs/crs/rgs/scs, got {strategy!r}\n")
+        assert not (tmp_path / "x").exists()
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     # unreadable config file: I/O
     assert main(["simulate", "--config", str(tmp_path / "missing.json"),

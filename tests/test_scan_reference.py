@@ -9,7 +9,10 @@ beacons of every device of a run in array passes, merges the timeline with
 one stable argsort, reads the schedule from the graph's cached arrays and
 steps the capacitor on locals; records, energy rows and consumption must
 come out bit for bit the same, including when sensing and receiving are
-refused and when the charge grid hits its size limit.
+refused and when the charge grid hits its size limit.  The engine decides
+beacons in arrays and re-decides near a threshold in scalar channel calls,
+so the last tests put beacons exactly on the sensitivity gate and on the
+SINR threshold.
 """
 
 import math
@@ -339,3 +342,81 @@ def test_decoded_beacons_of_a_run_equal_the_per_device_reference(seed):
                                ranges, channel, beacon_air, duration) for tr in traces]
     assert [_beacon_bits(b) for b in got] == [_beacon_bits(b) for b in want]
     assert sum(map(len, want)) > 100
+
+
+def _resting(points, duration):
+    """Engine and per-device reference schedules of devices resting at `points`."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    n = len(pts)
+    engine = (np.arange(n + 1), np.zeros(n), np.full(n, duration), pts, np.zeros((n, 3)),
+              np.zeros(n, dtype=bool))
+    return engine, [(np.zeros(1), pts[i:i + 1], np.zeros((1, 3)), [False]) for i in range(n)]
+
+
+def _decode_both(engine_schedule, reference_schedules, anchors, channel, duration):
+    beacon_air = ch.airtime_s(ProtocolParams().beacon_bits, channel)
+    anchor_pos = np.array([a.position for a in anchors], dtype=float)
+    anchor_tx = [channel.tx_power_dbm if a.tx_power_dbm is None else a.tx_power_dbm
+                 for a in anchors]
+    ranges = [_max_range_cm(tx, channel) for tx in anchor_tx]
+    got = _decoded_beacons(engine_schedule, anchors, anchor_pos, anchor_tx, channel,
+                           beacon_air, duration)
+    want = [_reference_beacons(s, anchors, list(anchor_pos), anchor_tx, ranges, channel,
+                               beacon_air, duration) for s in reference_schedules]
+    return [_beacon_bits(b) for b in got], [_beacon_bits(b) for b in want]
+
+
+def test_beacons_on_the_sensitivity_gate_decode_like_the_reference():
+    # single-anchor runs, each with a device resting at exactly _max_range_cm,
+    # where rx lands on rx_sensitivity_dbm to the last ulp or two: numpy's
+    # log10 alone would decide some of them the other way
+    on_gate = 0
+    for k in range(400):
+        channel = ch.ChannelConfig(rx_sensitivity_dbm=-110.0 + k * 0.0137)
+        radius = _max_range_cm(channel.tx_power_dbm, channel)
+        got, want = _decode_both(*_resting([(radius, 0.0, 0.0), (0.0, -radius, 0.0)], 0.2),
+                                 [Anchor(0, (0.0, 0.0, 0.0), 0.1)], channel, 0.2)
+        assert got == want, k
+        rx = ch.link_sample(radius, 0.0, channel.tx_power_dbm, channel).rx_power_dbm
+        on_gate += abs(rx - channel.rx_sensitivity_dbm) < 1e-12 and len(want[0]) == 3
+    assert on_gate > 300
+
+
+def test_beacons_on_the_sinr_threshold_decode_like_the_reference():
+    # a second anchor beaconing at the same instants, its power tuned so that
+    # the first anchor's beacons land on sinr_threshold_db within 1e-12 dB
+    channel, on_threshold = ch.ChannelConfig(), 0
+    for k in range(300):
+        radius = 0.2 + k * 0.003
+        rx = ch.link_sample(radius, 0.0, channel.tx_power_dbm, channel).rx_power_dbm
+
+        def sinr(tx):
+            return ch.sinr_db(rx, [tx - ch.path_loss_db(radius + 0.3, channel)],
+                              channel.noise_floor_dbm)
+
+        lo, hi = channel.tx_power_dbm - 30.0, channel.tx_power_dbm + 30.0
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (mid, hi) if sinr(mid) >= channel.sinr_threshold_db else (lo, mid)
+        assert abs(sinr(lo) - channel.sinr_threshold_db) < 1e-12
+        anchors = [Anchor(0, (0.0, 0.0, 0.0), 0.1), Anchor(1, (0.0, 0.0, -0.3), 0.1, lo)]
+        got, want = _decode_both(*_resting([(0.0, 0.0, radius)], 0.2), anchors, channel, 0.2)
+        assert got == want, k
+        on_threshold += [b[1] for b in want[0]].count(0) == 3
+    assert on_threshold == 300
+
+
+@pytest.mark.parametrize("n_anchors", [1, 4])
+@pytest.mark.parametrize("channel, devices, duration", [
+    (ch.ChannelConfig(doppler_penalty_db_per_mhz=2000.0), 8, 60.0),
+    (ch.ChannelConfig(layers=[ch.Layer("vessel_wall", 0.1, 40.0), ch.Layer("gap", 0.0, 10.0),
+                              ch.Layer("tissue", 2.0, 30.0)]), 4, 30.0),
+], ids=["doppler", "zero_thickness_layer"])
+def test_moving_devices_decode_like_the_reference(channel, devices, duration, n_anchors):
+    anchors = [Anchor(0, (0.8, 0.0, 0.0), 0.02), Anchor(1, (-0.8, 0.0, 0.0), 0.02),
+               Anchor(2, (0.0, 0.8, 0.0), 0.025), Anchor(3, (0.0, -0.8, 0.0), 0.03)][:n_anchors]
+    traces = simulate_mobility(GRAPH, devices, duration, seed=9)
+    got, want = _decode_both(_visit_schedule(traces, GRAPH, duration),
+                             [_reference_schedule(tr, GRAPH) for tr in traces],
+                             anchors, channel, duration)
+    assert got == want
+    assert sum(map(len, want)) > 50

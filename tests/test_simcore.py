@@ -16,7 +16,7 @@ from nanoflow.simcore import (Anchor, EventScenario, ProtocolParams, _sense_hits
                               export_energy_csv, export_raw_csv,
                               run_simulation)
 from nanoflow.vasculature import (MobilityTrace, RegionType, UpsampleParams,
-                                  Vessel, VesselGraph, heart_entries,
+                                  Vessel, VesselGraph,
                                   simulate_mobility, upsample_trace)
 
 IDEAL_ENERGY = EnergyConfig(e_turn_on=1e-18, cost_tx_pulse=0.0,
@@ -50,7 +50,7 @@ def run(traces, *, anchors=ANCHOR, scenario=SCENARIO, energy=IDEAL_ENERGY,
 def test_one_record_per_heart_passage_with_ideal_energy():
     tr = simulate_mobility(GRAPH, 1, 21.0, seed=0)[0]
     res = run([tr])
-    entries = heart_entries(tr, GRAPH)
+    entries = tr.visit_times[tr.visit_vessels == GRAPH.heart_id]
     usable = entries[entries < 20.0 - 0.2]
     assert len(res.records) == len(usable)
     # circulation times equal the gaps between consecutive heart entries
@@ -71,7 +71,7 @@ def test_snapshot_taken_before_reset():
 def test_off_passage_does_not_reset():
     tr = simulate_mobility(GRAPH, 1, 21.0, seed=0)[0]
     res = run([tr], energy=EnergyConfig())  # default 10 pJ turn-on: ~1.52 s dark
-    entries = heart_entries(tr, GRAPH)
+    entries = tr.visit_times[tr.visit_vessels == GRAPH.heart_id]
     loop_s = float(np.diff(entries).mean())
     assert len(res.records) >= 2
     # the first passage (~0.1 s) happens while the device is dark; if that
