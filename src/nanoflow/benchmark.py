@@ -25,7 +25,7 @@ from .errors import (EventRunsFailed, ExternalDataError, MismatchedSets,
 from .simcore import Anchor, EventScenario, ProtocolParams, run_simulation
 from .vasculature import (UpsampleParams, VesselGraph,
                           locate_vessel, simulate_mobility, upsample_trace,
-                          vessel_centroid)
+                          vessel_centroid, write_csv)
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -85,14 +85,19 @@ def _match(estimates: list[RegionEstimate], truths: list[TargetEvent]):
     return [(by_id[t.id], t) for t in truths]
 
 
+def _counts(pairs) -> tuple[int, int, int]:
+    """(correct, with an estimate, total) over matched (estimate, truth) pairs."""
+    return (sum(1 for est, tru in pairs if est.estimated_region == tru.region_id),
+            sum(1 for est, _ in pairs if est.has_estimate), len(pairs))
+
+
 def region_accuracy(estimates: list[RegionEstimate], truths: list[TargetEvent]) -> float:
     """Fraction of events whose estimated region matches the true one.
 
     Events with no estimate stay in the denominator and count as wrong.
     """
-    pairs = _match(estimates, truths)
-    correct = sum(1 for est, tru in pairs if est.estimated_region == tru.region_id)
-    return correct / len(pairs)
+    correct, _, total = _counts(_match(estimates, truths))
+    return correct / total
 
 
 def point_error(estimate: RegionEstimate, truth: TargetEvent,
@@ -108,8 +113,8 @@ def point_error(estimate: RegionEstimate, truth: TargetEvent,
 
 def reliability(estimates: list[RegionEstimate], truths: list[TargetEvent]) -> float:
     """Fraction of events for which the localizer produced any estimate."""
-    pairs = _match(estimates, truths)
-    return sum(1 for est, _ in pairs if est.has_estimate) / len(pairs)
+    _, estimated, total = _counts(_match(estimates, truths))
+    return estimated / total
 
 
 # ---------------------------------------------------------------------------
@@ -440,23 +445,19 @@ class MetricsReport:
 def _metric_block(estimates: list[RegionEstimate], truths: list[TargetEvent],
                   graph: VesselGraph, correct_only: bool) -> dict:
     pairs = _match(estimates, truths)
-    n_total = len(pairs)
-    n_correct = 0
+    n_correct, n_estimated, n_total = _counts(pairs)
     errors_all, errors_correct = [], []
     for est, tru in pairs:
-        correct = est.estimated_region == tru.region_id
-        n_correct += correct
         if est.has_estimate:
             errors_all.append(point_error(est, tru, graph))
-            if correct:
+            if est.estimated_region == tru.region_id:
                 errors_correct.append(errors_all[-1])
-    reported = errors_correct if correct_only else errors_all
     return {
         "region_accuracy": n_correct / n_total,
         "n_correct": n_correct,
         "n_total": n_total,
-        "reliability": sum(1 for est, _ in pairs if est.has_estimate) / n_total,
-        "point_errors_cm": reported,
+        "reliability": n_estimated / n_total,
+        "point_errors_cm": errors_correct if correct_only else errors_all,
         "mean_point_error_cm": (sum(errors_all) / len(errors_all)) if errors_all else None,
         "mean_point_error_correct_cm": (sum(errors_correct) / len(errors_correct))
                                        if errors_correct else None,
@@ -576,11 +577,9 @@ def convergence_curve(dense_results: list[tuple[TargetEvent, RegionEstimate]],
 
 
 def export_events_csv(events: list[TargetEvent], path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write("event_id,x_cm,y_cm,z_cm,region_id,region_type\n")
-        for ev in events:
-            x, y, z = ev.position
-            fh.write(f"{ev.id},{x:.6f},{y:.6f},{z:.6f},{ev.region_id},{ev.region_type}\n")
+    write_csv(path, "event_id,x_cm,y_cm,z_cm,region_id,region_type",
+              (f"{ev.id},{x:.6f},{y:.6f},{z:.6f},{ev.region_id},{ev.region_type}\n"
+               for ev in events for x, y, z in [ev.position]))
 
 
 def load_estimates_csv(path: str) -> list[RegionEstimate]:

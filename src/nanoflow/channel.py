@@ -6,9 +6,9 @@ listed order, so short links only pay for the material they actually cross.
 Reception is decided sensitivity-first, then SINR against the sum of
 overlapping interferers plus the noise floor.
 
-These scalar functions are the reference.  The engine decides beacons in
-array passes (simcore._decoded_beacons) and re-decides in these functions
-every candidate whose array verdict an ulp could flip.
+These scalar functions are the reference.  The engine decides beacons and
+backscatter responses in array passes (simcore._delivered) and re-decides
+in these functions every packet whose array verdict an ulp could flip.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from .benchmark import (STRATEGIES, check_sample_size, convergence_curve,
 from .config import RunConfig, load_config
 from .errors import ConfigError, ExternalDataError, NanoflowError
 from .simcore import export_energy_csv, export_raw_csv
-from .vasculature import export_trace_csv
+from .vasculature import export_trace_csv, write_csv
 
 EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_EXTERNAL = 0, 1, 2, 3
 
@@ -125,12 +125,10 @@ def cmd_convergence(cfg: RunConfig, args) -> int:
     dense_results = [(by_id[eid], estimates[final_t]) for eid, estimates, _, _ in raw]
     _warn_run_errors(sum(err is not None for _, _, _, err in raw), len(raw))
     _prepare_out(cfg, args.out)
-    with open(os.path.join(args.out, "convergence.csv"), "w") as fh:
-        fh.write("strategy,k,region_acc,mean_err_cm\n")
-        for name in strategies:
-            for k, acc, err in convergence_curve(dense_results, name, sizes,
-                                                 seed=cfg.seed, graph=graph):
-                fh.write(f"{name},{k},{acc:.6f},{err:.6f}\n")
+    write_csv(os.path.join(args.out, "convergence.csv"), "strategy,k,region_acc,mean_err_cm",
+              (f"{name},{k},{acc:.6f},{err:.6f}\n" for name in strategies
+               for k, acc, err in convergence_curve(dense_results, name, sizes,
+                                                    seed=cfg.seed, graph=graph)))
     print(f"convergence over {len(strategies)} strategies x {len(sizes)} sizes "
           f"({len(dense)} cached event runs)")
     return EXIT_OK

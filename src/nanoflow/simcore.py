@@ -11,10 +11,8 @@ energy depends only on its own events.  A run is therefore three phases:
    the beacon instants k * interval inside them are enumerated, and every
    instant's position, distances and closing speed come from array passes
    (row dots equal to np.dot and np.linalg.norm bit for bit).  Each beacon
-   is then decided in array passes against sensitivity and the other
-   anchors' overlapping beacons; a verdict within _MARGIN_DB of a threshold
-   is re-decided in scalar channel calls, and a decoded beacon carries the
-   scalar rx dBm, so verdicts and values are the scalar functions' own.
+   is decided against sensitivity and the other anchors' overlapping
+   beacons, and a decoded beacon carries the scalar rx dBm.
 2. Per-device scan.  One pass over the device's own timeline of decoded
    beacons, sense ticks (on the upsampled sample grid) and 1 Hz energy
    samples advances its capacitor along the harvest curve, spends energy,
@@ -29,16 +27,18 @@ energy depends only on its own events.  A run is therefore three phases:
    stable argsort: at equal timestamps beacons come first, by anchor index,
    then the sense tick, then the energy sample.
 3. Collisions.  Responses arriving within _T_EPS of the earliest pending
-   arrival form one batch.  Each is decided in scalar channel calls against
-   the others in the batch, summed in (arrival time, anchor, device) order,
-   with every distance from one row-dot pass; a decoded one becomes a
-   record stamped with the batch's earliest arrival.
+   arrival form one batch.  Each is decided against the others in the
+   batch, summed in (arrival time, anchor, device) order; a decoded one
+   becomes a record stamped with the batch's earliest arrival.
 
-Energy rows come out in (time, device) order and records in (time, mac)
-order, so a run is deterministic regardless of how the caller schedules runs.
-A caller that does not read the energy rows can skip building them
-(energy_rows=False); the samples still advance the capacitor, so records and
-consumption do not change.
+Beacons and responses are decided by one routine, _delivered, in array
+passes; every verdict within _MARGIN_DB of a threshold is re-decided in
+scalar channel calls, so verdicts are the scalar functions' own.  Energy
+rows come out in (time, device) order and records in (time, mac) order, so
+a run is deterministic regardless of how the caller schedules runs.  A
+caller that does not read the energy rows can skip building them
+(energy_rows=False); the samples still advance the capacitor, so records
+and consumption do not change.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ import numpy as np
 from . import channel as ch
 from .energy import EnergyConfig, EnergyState, charge_grid, energy_after, try_consume
 from .errors import ConfigMismatch
-from .vasculature import MobilityTrace, VesselGraph
+from .vasculature import MobilityTrace, VesselGraph, write_csv
 
 _T_EPS = 1e-9
 # the array pass's path loss and SINR differ from the scalar channel calls' by
@@ -169,16 +169,33 @@ def _path_loss(dist: np.ndarray, ccfg: ch.ChannelConfig) -> np.ndarray:
             + np.interp(dist, depth, absorbed))
 
 
-def _heard(dist_cm: float, closing: float, tx_dbm: float, interferers: list[tuple],
-           ccfg: ch.ChannelConfig) -> bool:
-    """Whether the scalar channel calls deliver a packet; interferers are
-    (tx dBm, distance) pairs."""
-    rx = ch.link_sample(dist_cm, closing, tx_dbm, ccfg).rx_power_dbm
-    if rx < ccfg.rx_sensitivity_dbm:
-        return False
-    sinr = ch.sinr_db(rx, [tx - ch.path_loss_db(x, ccfg) for tx, x in interferers],
-                      ccfg.noise_floor_dbm)
-    return ch.reception_decision(rx, sinr, ccfg) is ch.Reception.DELIVERED
+def _delivered(dist: np.ndarray, closing: np.ndarray, tx: np.ndarray, itx: np.ndarray,
+               idist: np.ndarray, ccfg: ch.ChannelConfig) -> np.ndarray:
+    """Whether each packet is delivered.  Packet i is sent at tx[i] dBm over
+    dist[i] cm, closing at closing[i] cm/s, and meets interferers sent at
+    itx[i, j] dBm over idist[i, j] cm (NaN: none), summed in column order as
+    ch.sinr_db sums its list.  Decided in arrays; a verdict that an error
+    below _MARGIN_DB could flip is re-decided in the scalar channel calls."""
+    doppler_db_per_cm_s = ccfg.doppler_penalty_db_per_mhz * ch.doppler_shift_hz(1.0, ccfg) / 1e6
+    rx = tx - _path_loss(dist, ccfg) - np.abs(closing) * doppler_db_per_cm_s
+    interference = np.zeros(len(dist))
+    for jtx, jdist in zip(itx.T, idist.T):
+        live = ~np.isnan(jdist)
+        interference[live] += 10.0 ** ((jtx[live] - _path_loss(jdist[live], ccfg)) / 10.0)
+    denom = 10.0 ** (ccfg.noise_floor_dbm / 10.0) + interference
+    quiet = denom == 0.0   # ch.sinr_db's 200 dB cap: left to the scalar calls
+    sinr = np.minimum(rx - 10.0 * np.log10(denom + quiet), 200.0)
+    # delivered when both margins are >= 0; an error below _MARGIN_DB in
+    # rx or SINR can flip that only where the smaller one is within it
+    slack = np.minimum(rx - ccfg.rx_sensitivity_dbm, sinr - ccfg.sinr_threshold_db)
+    delivered = slack >= 0.0
+    for i in (~((np.abs(slack) > _MARGIN_DB) & np.isfinite(sinr)) | quiet).nonzero()[0].tolist():
+        rx_i = ch.link_sample(float(dist[i]), float(closing[i]), float(tx[i]), ccfg).rx_power_dbm
+        i_dbm = [t - ch.path_loss_db(x, ccfg)   # each interferer's power at the receiver
+                 for t, x in zip(itx[i].tolist(), idist[i].tolist()) if not math.isnan(x)]
+        delivered[i] = not rx_i < ccfg.rx_sensitivity_dbm and ch.reception_decision(
+            rx_i, ch.sinr_db(rx_i, i_dbm, ccfg.noise_floor_dbm), ccfg) is ch.Reception.DELIVERED
+    return delivered
 
 
 def _visit_windows(vdev: np.ndarray, vt: np.ndarray, ends: np.ndarray, vstart: np.ndarray,
@@ -250,8 +267,6 @@ def _decoded_beacons(schedule, anchors: list[Anchor], anchor_pos: np.ndarray,
             np.searchsorted(vt[first[d]:first[d + 1]], t[lo:hi], side="right") - 1, 0)
     out = [[] for _ in range(len(first) - 1)]
     tx_of = np.array(anchor_tx, dtype=float)
-    noise_mw = 10.0 ** (ccfg.noise_floor_dbm / 10.0)
-    doppler_db_per_cm_s = ccfg.doppler_penalty_db_per_mhz * ch.doppler_shift_hz(1.0, ccfg) / 1e6
     for lo in range(0, len(t), 1024):   # a block of candidates at a time bounds the Python floats
         bd, bt, ba, bv = (x[lo:lo + 1024] for x in (dev, t, ai_of, v))
         p = vstart[bv] + (bt - vt[bv])[:, None] * vvel[bv]
@@ -259,31 +274,15 @@ def _decoded_beacons(schedule, anchors: list[Anchor], anchor_pos: np.ndarray,
         dist = np.sqrt(_row_dots(offset, offset))
         closing = -np.divide(_row_dots(vvel[bv], offset), dist, out=np.zeros_like(dist),
                              where=dist > 0)
-        rx = tx_of[ba] - _path_loss(dist, ccfg) - np.abs(closing) * doppler_db_per_cm_s
-        interference, near = 0.0, None   # near: distance to each anchor also beaconing, else -1
-        if len(anchors) > 1:
-            near = np.full((len(bt), len(anchors)), -1.0)
-            interference = np.zeros(len(bt))   # summed in anchor order, as ch.sinr_db does
-            for j, anchor in enumerate(anchors):
-                iv = anchor.beacon_interval_s
-                also = ((np.abs(np.round(bt / iv) * iv - bt) <= beacon_air)
-                        & (ba != j)).nonzero()[0]
-                gap = p[also] - anchor_pos[j]
-                near[also, j] = dj = np.sqrt(_row_dots(gap, gap))
-                interference[also] += 10.0 ** ((anchor_tx[j] - _path_loss(dj, ccfg)) / 10.0)
-        denom = noise_mw + interference
-        quiet = denom == 0.0   # ch.sinr_db's 200 dB cap: left to the scalar calls
-        sinr = np.minimum(rx - 10.0 * np.log10(denom + quiet), 200.0)
-        # delivered when both margins are >= 0; an error below _MARGIN_DB in
-        # rx or SINR can flip that only where the smaller one is within it
-        slack = np.minimum(rx - ccfg.rx_sensitivity_dbm, sinr - ccfg.sinr_threshold_db)
-        delivered = slack >= 0.0
-        unsure = (~((np.abs(slack) > _MARGIN_DB) & np.isfinite(sinr)) | quiet).nonzero()[0]
-        for i in unsure.tolist():
-            interferers = [] if near is None else [(anchor_tx[j], x) for j, x in
-                                                   enumerate(near[i].tolist()) if x >= 0.0]
-            delivered[i] = _heard(float(dist[i]), float(closing[i]), anchor_tx[ba[i]],
-                                  interferers, ccfg)
+        # distance to each other anchor that beacons at bt (NaN: not); a lone anchor has none
+        near = np.full((len(bt), len(anchors) if len(anchors) > 1 else 0), np.nan)
+        for j, anchor in enumerate(anchors[:near.shape[1]]):
+            iv = anchor.beacon_interval_s
+            also = ((np.abs(np.round(bt / iv) * iv - bt) <= beacon_air) & (ba != j)).nonzero()[0]
+            gap = p[also] - anchor_pos[j]
+            near[also, j] = np.sqrt(_row_dots(gap, gap))
+        delivered = _delivered(dist, closing, tx_of[ba], np.broadcast_to(tx_of, near.shape),
+                               near, ccfg)
         # the rx dBm carried into the scan is the scalar one
         devs, ais, ts, dists, closings, hearts = (
             x.tolist() for x in (bd, ba, bt, dist, closing, vheart[bv]))
@@ -309,30 +308,35 @@ def _decide_responses(responses: list[tuple], anchor_pos: np.ndarray,
 
     `responses` holds (arrival, anchor index, device index, position,
     tx dBm, closing speed, circulation time, event bit) in (arrival,
-    anchor, device) order.
+    anchor, device) order.  A batch-mate interferes unless it answers the
+    same anchor from the same device.
     """
-    arrivals, bounds = [r[0] for r in responses], [0]   # batch b is bounds[b]:bounds[b + 1]
+    if not responses:
+        return []
+    arrivals, anchor_of, device_of, pos, tx, closing, circulation, bit = zip(*responses)
+    bounds = [0]   # batch b is bounds[b]:bounds[b + 1]
     while bounds[-1] < len(responses):
         t, stop = arrivals[bounds[-1]], bounds[-1] + 1
         while stop < len(responses) and arrivals[stop] - t <= _T_EPS:
             stop += 1
         bounds.append(stop)
-    # distance of every batch-mate (itself included) to each response's anchor
-    pairs = np.array([(i, j) for lo, hi in zip(bounds, bounds[1:])
-                      for i in range(lo, hi) for j in range(lo, hi)], dtype=np.intp).reshape(-1, 2)
-    at = np.asarray(anchor_pos, dtype=float)[[r[1] for r in responses]]
-    gap = np.array([r[3] for r in responses]).reshape(-1, 3)[pairs[:, 1]] - at[pairs[:, 0]]
-    dist = np.sqrt(_row_dots(gap, gap)).tolist()
-    records, k = [], 0
-    for lo, hi in zip(bounds, bounds[1:]):
-        batch = responses[lo:hi]
-        for i, (_arr, ai, di, _p, tx_dbm, closing, circulation, bit) in enumerate(batch):
-            row, k = dist[k:k + len(batch)], k + len(batch)
-            interferers = [(otx, x) for (_oarr, oai, odi, _op, otx, *_), x in zip(batch, row)
-                           if oai != ai or odi != di]
-            if _heard(row[i], closing, tx_dbm, interferers, ccfg):
-                records.append(RawRecord(arrivals[lo], macs[di], circulation, bit))
-    return records
+    ai, di, tx, own = np.array(anchor_of), np.array(device_of), np.array(tx), np.arange(len(tx))
+    size = np.diff(bounds)
+    first = np.repeat(bounds[:-1], size)
+    c = np.arange(size.max() - 1)   # column c of a row: the c-th other member of its batch
+    mate = first[:, None] + c + (c >= (own - first)[:, None])
+    live = mate < (first + size.repeat(size))[:, None]
+    mate = np.minimum(mate, own[-1])   # any response, where there is no c-th other member
+    live &= (ai[mate] != ai[:, None]) | (di[mate] != di[:, None])
+    # distance to each response's anchor from itself, then from each interferer
+    gap = (np.array(pos).reshape(-1, 3)[np.concatenate((own, mate[live]))]
+           - anchor_pos[ai[np.concatenate((own, live.nonzero()[0]))]])
+    dist = np.sqrt(_row_dots(gap, gap))
+    idist = np.full(mate.shape, np.nan)
+    idist[live] = dist[len(own):]
+    delivered = _delivered(dist[:len(own)], np.array(closing), tx, tx[mate], idist, ccfg)
+    return [RawRecord(arrivals[first[i]], macs[device_of[i]], circulation[i], bit[i])
+            for i in delivered.nonzero()[0].tolist()]
 
 
 def run_simulation(graph: VesselGraph, traces: list[MobilityTrace],
@@ -455,15 +459,11 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace],
 
 def export_raw_csv(records: list[RawRecord], path: str) -> None:
     """One row per record, in the order given (run_simulation's is (time, mac))."""
-    with open(path, "w") as fh:
-        fh.write("report_time_s,device_mac,circulation_time_s,event_bit\n")
-        for r in records:
-            fh.write(f"{r.report_time_s:.6f},{r.device_mac},"
-                     f"{r.circulation_time_s:.6f},{r.event_bit}\n")
+    write_csv(path, "report_time_s,device_mac,circulation_time_s,event_bit",
+              (f"{r.report_time_s:.6f},{r.device_mac},{r.circulation_time_s:.6f},{r.event_bit}\n"
+               for r in records))
 
 
 def export_energy_csv(rows: list[tuple[float, int, float, int]], path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write("time_s,device_mac,energy_pj,powered\n")
-        for t, mac, pj, powered in rows:
-            fh.write(f"{t:.6f},{mac},{pj:.6f},{powered}\n")
+    write_csv(path, "time_s,device_mac,energy_pj,powered",
+              (f"{t:.6f},{mac},{pj:.6f},{powered}\n" for t, mac, pj, powered in rows))

@@ -392,15 +392,12 @@ def build_reference_vasculature() -> VesselGraph:
         a_hub, v_hub = _HUBS[hub]
         points = [a_hub] + [(w[0], w[1], w[2]) for w in waypoints] + [v_hub]
         phases = [w[3] for w in waypoints] + ["v"]
-        prev = None
+        prev = aorta[hub]
         for (p0, p1, phase) in zip(points[:-1], points[1:], phases):
             rtype = _PHASE_TYPE[phase]
             speed = {RegionType.ARTERIAL: 10.0, RegionType.TRANSITION: 1.0}.get(rtype) or vein_speed()
             vid = add(p0, p1, rtype, speed)
-            if prev is None:
-                vessels[aorta[hub]].successors.append(vid)
-            else:
-                vessels[prev].successors.append(vid)
+            vessels[prev].successors.append(vid)
             prev = vid
         vessels[prev].successors.append(cava[hub])
 
@@ -546,15 +543,18 @@ def vessel_centroid(graph: VesselGraph, region_id: int) -> np.ndarray:
     return (v.start + v.end) / 2.0
 
 
+def write_csv(path: str, header: str, lines) -> None:
+    """The header row, then each formatted line (newline included) as given."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(lines)
+
+
 def export_trace_csv(traces: list[MobilityTrace], path: str) -> None:
     """One row per sample: time_s,device_id,x_cm,y_cm,z_cm,vessel_id."""
-    with open(path, "w") as fh:
-        fh.write("time_s,device_id,x_cm,y_cm,z_cm,vessel_id\n")
-        for tr in traces:
-            dev = tr.device_id
-            for lo in range(0, len(tr.times), 1024):   # Python floats for a block of rows at a time
-                block = slice(lo, lo + 1024)
-                fh.writelines(f"{t:.6f},{dev},{x:.6f},{y:.6f},{z:.6f},{vid}\n"
-                              for t, (x, y, z), vid in zip(tr.times[block].tolist(),
-                                                          tr.positions[block].tolist(),
-                                                          tr.vessel_ids[block].astype(int).tolist()))
+    write_csv(path, "time_s,device_id,x_cm,y_cm,z_cm,vessel_id",
+              (f"{t:.6f},{tr.device_id},{x:.6f},{y:.6f},{z:.6f},{vid}\n"
+               for tr in traces for lo in range(0, len(tr.times), 1024)   # 1024 rows at a time
+               for t, (x, y, z), vid in zip(tr.times[lo:lo + 1024].tolist(),
+                                            tr.positions[lo:lo + 1024].tolist(),
+                                            tr.vessel_ids[lo:lo + 1024].astype(int).tolist())))

@@ -3,17 +3,18 @@
 The reference below decodes each device's beacons on its own, one beacon at
 a time with per-vector np.linalg.norm and np.dot, builds each device's
 timeline as a sorted list of (t, kind, item) tuples, reads the visit
-schedule through a per-vessel dict, and steps the capacitor with
-advance_harvest and try_consume at every entry.  The engine decodes the
-beacons of every device of a run in array passes, merges the timeline with
-one stable argsort, reads the schedule from the graph's cached arrays and
-steps the capacitor on locals; records, energy rows and consumption must
-come out bit for bit the same, including when sensing and receiving are
-refused and when the charge grid hits its size limit.  The engine decides
-beacons in arrays and re-decides near a threshold in scalar channel calls,
-so the last tests put beacons exactly on the sensitivity gate and on the
-SINR threshold.
-"""
+schedule through a per-vessel dict, steps the capacitor with
+advance_harvest and try_consume at every entry, and decides each response
+of a collision batch in its own chain of scalar channel calls.  The engine
+decodes the beacons of every device of a run in array passes, merges the
+timeline with one stable argsort, reads the schedule from the graph's
+cached arrays, steps the capacitor on locals and decides every response in
+array passes; records, energy rows and consumption must come out bit for
+bit the same, including when sensing and receiving are refused and when
+the charge grid hits its size limit.  The engine decides beacons and
+responses in arrays and re-decides near a threshold in scalar channel
+calls, so the last tests put beacons and responses exactly on the
+sensitivity gate and on the SINR threshold."""
 
 import math
 from operator import itemgetter
@@ -28,9 +29,10 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from nanoflow import channel as ch  # noqa: E402
 from nanoflow import energy  # noqa: E402
 from nanoflow.energy import EnergyConfig, EnergyState, advance_harvest, try_consume  # noqa: E402
-from nanoflow.simcore import (Anchor, EventScenario, ProtocolParams, SimResult,  # noqa: E402
-                              _decide_responses, _decoded_beacons, _max_range_cm,
-                              _row_dots, _sense_hits, _visit_schedule, run_simulation)
+from nanoflow.simcore import (Anchor, EventScenario, ProtocolParams, RawRecord,  # noqa: E402
+                              SimResult, _decide_responses, _decoded_beacons,
+                              _max_range_cm, _row_dots, _sense_hits, _visit_schedule,
+                              run_simulation)
 from nanoflow.vasculature import (MobilityTrace, UpsampleParams,  # noqa: E402
                                   build_reference_vasculature, simulate_mobility,
                                   upsample_trace)
@@ -133,6 +135,50 @@ def _reference_beacons(schedule, anchors, anchor_pos, anchor_tx, ranges, ccfg, b
     return out
 
 
+def _heard(dist_cm: float, closing: float, tx_dbm: float, interferers: list[tuple],
+           ccfg: ch.ChannelConfig) -> bool:
+    """Whether the scalar channel calls deliver a packet; interferers are
+    (tx dBm, distance) pairs."""
+    rx = ch.link_sample(dist_cm, closing, tx_dbm, ccfg).rx_power_dbm
+    if rx < ccfg.rx_sensitivity_dbm:
+        return False
+    sinr = ch.sinr_db(rx, [tx - ch.path_loss_db(x, ccfg) for tx, x in interferers],
+                      ccfg.noise_floor_dbm)
+    return ch.reception_decision(rx, sinr, ccfg) is ch.Reception.DELIVERED
+
+
+def _reference_responses(responses: list[tuple], anchor_pos: np.ndarray,
+                         ccfg: ch.ChannelConfig, macs: list[int]) -> list[RawRecord]:
+    """Records of the responses that survive their collision batch.
+
+    `responses` holds (arrival, anchor index, device index, position,
+    tx dBm, closing speed, circulation time, event bit) in (arrival,
+    anchor, device) order.
+    """
+    arrivals, bounds = [r[0] for r in responses], [0]   # batch b is bounds[b]:bounds[b + 1]
+    while bounds[-1] < len(responses):
+        t, stop = arrivals[bounds[-1]], bounds[-1] + 1
+        while stop < len(responses) and arrivals[stop] - t <= _T_EPS:
+            stop += 1
+        bounds.append(stop)
+    # distance of every batch-mate (itself included) to each response's anchor
+    pairs = np.array([(i, j) for lo, hi in zip(bounds, bounds[1:])
+                      for i in range(lo, hi) for j in range(lo, hi)], dtype=np.intp).reshape(-1, 2)
+    at = np.asarray(anchor_pos, dtype=float)[[r[1] for r in responses]]
+    gap = np.array([r[3] for r in responses]).reshape(-1, 3)[pairs[:, 1]] - at[pairs[:, 0]]
+    dist = np.sqrt(_row_dots(gap, gap)).tolist()
+    records, k = [], 0
+    for lo, hi in zip(bounds, bounds[1:]):
+        batch = responses[lo:hi]
+        for i, (_arr, ai, di, _p, tx_dbm, closing, circulation, bit) in enumerate(batch):
+            row, k = dist[k:k + len(batch)], k + len(batch)
+            interferers = [(otx, x) for (_oarr, oai, odi, _op, otx, *_), x in zip(batch, row)
+                           if oai != ai or odi != di]
+            if _heard(row[i], closing, tx_dbm, interferers, ccfg):
+                records.append(RawRecord(arrivals[lo], macs[di], circulation, bit))
+    return records
+
+
 def reference_run(graph, traces, anchors, scenario, energy_cfg, channel_cfg, duration_s):
     proto = ProtocolParams()
     target = None if scenario.target is None else np.asarray(scenario.target, dtype=float)
@@ -200,8 +246,8 @@ def reference_run(graph, traces, anchors, scenario, energy_cfg, channel_cfg, dur
         device_rows.append(rows)
         consumed_pj[trace.device_id] = consumed * 1e12
     responses.sort(key=itemgetter(0, 1, 2))
-    records = _decide_responses(responses, anchor_pos, channel_cfg,
-                                [trace.device_id for trace in traces])
+    records = _reference_responses(responses, anchor_pos, channel_cfg,
+                                   [trace.device_id for trace in traces])
     records.sort(key=lambda r: (r.report_time_s, r.device_mac))
     return SimResult(records, [row for group in zip(*device_rows) for row in group],
                      consumed_pj, duration_s)
@@ -420,3 +466,89 @@ def test_moving_devices_decode_like_the_reference(channel, devices, duration, n_
                              anchors, channel, duration)
     assert got == want
     assert sum(map(len, want)) > 50
+
+
+MACS = [10, 11, 12, 13]
+
+
+def _response(t, ai, di, p, tx, closing=0.0, circulation=1.5, bit=1):
+    return (t, ai, di, np.asarray(p, dtype=float), tx, closing, circulation, bit)
+
+
+def _responses_both(responses, anchor_pos, channel):
+    """Records of the engine's collision pass and of the scalar reference, as bits."""
+    anchor_pos = np.asarray(anchor_pos, dtype=float).reshape(-1, 3)
+    return [[(r.report_time_s.hex(), r.device_mac, r.circulation_time_s.hex(), r.event_bit)
+             for r in decide(responses, anchor_pos, channel, MACS)]
+            for decide in (_decide_responses, _reference_responses)]
+
+
+def test_responses_on_the_sinr_threshold_decide_like_the_reference():
+    # two devices answer one anchor at the same arrival; the second one's tx
+    # is tuned so that the first one's SINR lands on sinr_threshold_db within
+    # 1e-12 dB
+    channel, on_threshold = ch.ChannelConfig(), 0
+    for k in range(300):
+        radius, other = 0.2 + k * 0.003, 0.5 + k * 0.0021
+        tx = -5.0 + k * 0.01
+        rx = ch.link_sample(radius, 0.0, tx, channel).rx_power_dbm
+
+        def sinr(itx):
+            return ch.sinr_db(rx, [itx - ch.path_loss_db(other, channel)],
+                              channel.noise_floor_dbm)
+
+        lo, hi = tx - 30.0, tx + 30.0
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (mid, hi) if sinr(mid) >= channel.sinr_threshold_db else (lo, mid)
+        assert abs(sinr(lo) - channel.sinr_threshold_db) < 1e-12
+        responses = [_response(2.0, 0, 0, (0.0, 0.0, radius), tx),
+                     _response(2.0, 0, 1, (0.0, -other, 0.0), lo)]
+        got, want = _responses_both(responses, [(0.0, 0.0, 0.0)], channel)
+        assert got == want, k
+        on_threshold += [r[1] for r in want] == [10]
+    assert on_threshold == 300
+
+
+def test_responses_on_the_sensitivity_gate_decide_like_the_reference():
+    # each response's tx is one of the two adjacent floats between which its
+    # rx crosses rx_sensitivity_dbm: the first is heard, the second is not
+    channel = ch.ChannelConfig(doppler_penalty_db_per_mhz=50.0)
+    for k in range(200):
+        radius, closing = 0.3 + k * 0.00437, (k % 5 - 2) * 1.3
+        gate = channel.rx_sensitivity_dbm
+
+        def rx(tx):
+            return ch.link_sample(radius, closing, tx, channel).rx_power_dbm
+
+        lo, hi = gate, gate + 200.0
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (lo, mid) if rx(mid) >= gate else (mid, hi)
+        assert rx(lo) < gate <= rx(hi) < gate + 1e-12
+        p = (radius, 0.0, 0.0) if k % 2 else (0.0, 0.0, -radius)
+        responses = [_response(1.0, 0, 0, p, hi, closing), _response(3.0, 0, 0, p, lo, closing)]
+        got, want = _responses_both(responses, [(0.0, 0.0, 0.0)], channel)
+        assert got == want, k
+        assert [r[0] for r in want] == [(1.0).hex()]
+
+
+def test_response_batches_decide_like_the_reference():
+    channel = ch.ChannelConfig()
+    anchors = [(0.0, 0.0, 0.0), (0.0, 0.0, 1.2)]
+    assert _responses_both([], anchors, channel) == [[], []]
+    alone = [_response(4.0, 1, 2, (0.1, 0.2, 0.9), -10.0, 0.4, 7.25, 0)]
+    got, want = _responses_both(alone, anchors, channel)
+    assert got == want == [((4.0).hex(), 12, (7.25).hex(), 0)]
+    # random batches over two anchors: devices answering both anchors, the
+    # same (anchor, device) twice, and arrivals chained within _T_EPS
+    rng, kinds = np.random.default_rng(12), set()
+    for _ in range(300):
+        responses = []
+        for t in np.cumsum(rng.choice([0.0, 0.4e-9, 0.6e-9, 1e-3], size=rng.integers(1, 9))):
+            responses.append(_response(1.0 + float(t), int(rng.integers(2)), int(rng.integers(4)),
+                                       rng.uniform(-0.5, 0.5, 3) + (0.0, 0.0, 0.6),
+                                       float(rng.uniform(-60.0, 0.0))))
+        responses.sort(key=itemgetter(0, 1, 2))
+        got, want = _responses_both(responses, anchors, channel)
+        assert got == want
+        kinds.add((len(want) == 0, len(want) == len(responses)))
+    assert kinds == {(True, False), (False, False), (False, True)}
