@@ -600,7 +600,7 @@ def load_estimates_csv(path: str) -> list[RegionEstimate]:
     if header != expected:
         raise ExternalDataError(
             f"estimates file {path} has header {header}, expected {expected}")
-    out = []
+    out, first_line = [], {}
     for ln_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -619,6 +619,9 @@ def load_estimates_csv(path: str) -> list[RegionEstimate]:
                 point = None
         except ValueError as exc:
             raise ExternalDataError(f"{path}:{ln_no}: malformed row ({exc})") from exc
+        if first_line.setdefault(event_id, ln_no) != ln_no:
+            raise ExternalDataError(f"{path}:{ln_no}: event {event_id} already estimated "
+                                    f"on line {first_line[event_id]}")
         out.append(RegionEstimate(event_id=event_id, estimated_region=region, point=point))
     return out
 
@@ -632,6 +635,11 @@ def score_external(estimates: list[RegionEstimate], truths: list[TargetEvent],
     """
     by_id = {e.event_id: e for e in estimates}
     filled = [by_id.get(t.id, RegionEstimate(t.id, None, None)) for t in truths]
+    known = {None} | {v.id for v in graph.vessels}   # None: no estimate
+    for est in filled:
+        if est.point is None and est.estimated_region not in known:
+            raise ExternalDataError(f"event {est.event_id}: region {est.estimated_region} "
+                                    f"is not in the graph and no coordinates are given")
     return _build_report(filled, truths, graph, point_error_correct_only,
                          by_sim_time_s={}, energy_summary={},
                          config_fingerprint=config_fingerprint, run_errors={})

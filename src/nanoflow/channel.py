@@ -7,8 +7,9 @@ Reception is decided sensitivity-first, then SINR against the sum of
 overlapping interferers plus the noise floor.
 
 These scalar functions are the reference.  The engine decides beacons and
-backscatter responses in array passes (simcore._delivered) and re-decides
-in these functions every packet whose array verdict an ulp could flip.
+backscatter responses in array passes (simcore._delivered), re-decides in
+these functions every packet whose array verdict an ulp could flip, and
+takes link_sample's rx only for the beacons a device answers.
 """
 
 from __future__ import annotations

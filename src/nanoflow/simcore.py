@@ -12,15 +12,16 @@ energy depends only on its own events.  A run is therefore three phases:
    instant's position, distances and closing speed come from array passes
    (row dots equal to np.dot and np.linalg.norm bit for bit).  Each beacon
    is decided against sensitivity and the other anchors' overlapping
-   beacons, and a decoded beacon carries the scalar rx dBm.
+   beacons; a decoded one carries its distance, not a scalar rx dBm.
 2. Per-device scan.  One pass over the device's own timeline of decoded
    beacons, sense ticks (on the upsampled sample grid) and 1 Hz energy
    samples advances its capacitor along the harvest curve, spends energy,
    keeps the circulation clock and event bit, and collects the responses it
-   sends.  The capacitor steps exactly as energy.advance_harvest does, with
-   the cycle phase in a local and the charge grid fetched once per run;
-   every spend goes through energy.try_consume.  Whether a sense tick sees
-   the target is decided beforehand for all of the device's ticks in one
+   sends, each with the scalar ch.link_sample rx of the beacon it answers.
+   The capacitor steps exactly as energy.advance_harvest does, with the
+   cycle phase in a local and the charge grid fetched once per run; every
+   spend goes through energy.try_consume.  Whether a sense tick sees the
+   target is decided beforehand for all of the device's ticks in one
    distance pass (the sense-hit mask); the scan reads one bool per tick and
    sets the bit when that tick's sensing is paid for.  The timeline is the
    three time arrays concatenated in tie order and put in time order by one
@@ -32,13 +33,13 @@ energy depends only on its own events.  A run is therefore three phases:
    becomes a record stamped with the batch's earliest arrival.
 
 Beacons and responses are decided by one routine, _delivered, in array
-passes; every verdict within _MARGIN_DB of a threshold is re-decided in
-scalar channel calls, so verdicts are the scalar functions' own.  Energy
-rows come out in (time, device) order and records in (time, mac) order, so
-a run is deterministic regardless of how the caller schedules runs.  A
-caller that does not read the energy rows can skip building them
-(energy_rows=False); the samples still advance the capacitor, so records
-and consumption do not change.
+passes over one list of (packet, interferer) pairs; every verdict within
+_MARGIN_DB of a threshold is re-decided in scalar channel calls, so verdicts
+are the scalar functions' own.  Energy rows come out in (time, device) order
+and records in (time, mac) order, so a run is deterministic regardless of
+how the caller schedules runs.  A caller that does not read the energy rows
+can skip building them (energy_rows=False); the samples still advance the
+capacitor, so records and consumption do not change.
 """
 
 from __future__ import annotations
@@ -169,19 +170,17 @@ def _path_loss(dist: np.ndarray, ccfg: ch.ChannelConfig) -> np.ndarray:
             + np.interp(dist, depth, absorbed))
 
 
-def _delivered(dist: np.ndarray, closing: np.ndarray, tx: np.ndarray, itx: np.ndarray,
-               idist: np.ndarray, ccfg: ch.ChannelConfig) -> np.ndarray:
+def _delivered(dist: np.ndarray, closing: np.ndarray, tx: np.ndarray, row: np.ndarray,
+               itx: np.ndarray, idist: np.ndarray, ccfg: ch.ChannelConfig) -> np.ndarray:
     """Whether each packet is delivered.  Packet i is sent at tx[i] dBm over
-    dist[i] cm, closing at closing[i] cm/s, and meets interferers sent at
-    itx[i, j] dBm over idist[i, j] cm (NaN: none), summed in column order as
-    ch.sinr_db sums its list.  Decided in arrays; a verdict that an error
-    below _MARGIN_DB could flip is re-decided in the scalar channel calls."""
+    dist[i] cm, closing at closing[i] cm/s; pair j, sent at itx[j] dBm over
+    idist[j] cm, interferes with packet row[j] (ascending), in the order
+    ch.sinr_db sums a packet's list.  Decided in arrays; a verdict that an
+    error below _MARGIN_DB could flip is re-decided in scalar channel calls."""
     doppler_db_per_cm_s = ccfg.doppler_penalty_db_per_mhz * ch.doppler_shift_hz(1.0, ccfg) / 1e6
-    rx = tx - _path_loss(dist, ccfg) - np.abs(closing) * doppler_db_per_cm_s
-    interference = np.zeros(len(dist))
-    for jtx, jdist in zip(itx.T, idist.T):
-        live = ~np.isnan(jdist)
-        interference[live] += 10.0 ** ((jtx[live] - _path_loss(jdist[live], ccfg)) / 10.0)
+    loss = _path_loss(np.concatenate((dist, idist)), ccfg)
+    rx = tx - loss[:len(dist)] - np.abs(closing) * doppler_db_per_cm_s
+    interference = np.bincount(row, 10.0 ** ((itx - loss[len(dist):]) / 10.0), len(dist))
     denom = 10.0 ** (ccfg.noise_floor_dbm / 10.0) + interference
     quiet = denom == 0.0   # ch.sinr_db's 200 dB cap: left to the scalar calls
     sinr = np.minimum(rx - 10.0 * np.log10(denom + quiet), 200.0)
@@ -191,25 +190,25 @@ def _delivered(dist: np.ndarray, closing: np.ndarray, tx: np.ndarray, itx: np.nd
     delivered = slack >= 0.0
     for i in (~((np.abs(slack) > _MARGIN_DB) & np.isfinite(sinr)) | quiet).nonzero()[0].tolist():
         rx_i = ch.link_sample(float(dist[i]), float(closing[i]), float(tx[i]), ccfg).rx_power_dbm
+        lo, hi = np.searchsorted(row, (i, i + 1)).tolist()
         i_dbm = [t - ch.path_loss_db(x, ccfg)   # each interferer's power at the receiver
-                 for t, x in zip(itx[i].tolist(), idist[i].tolist()) if not math.isnan(x)]
+                 for t, x in zip(itx[lo:hi].tolist(), idist[lo:hi].tolist())]
         delivered[i] = not rx_i < ccfg.rx_sensitivity_dbm and ch.reception_decision(
             rx_i, ch.sinr_db(rx_i, i_dbm, ccfg.noise_floor_dbm), ccfg) is ch.Reception.DELIVERED
     return delivered
 
 
 def _visit_windows(vdev: np.ndarray, vt: np.ndarray, ends: np.ndarray, vstart: np.ndarray,
-                   vvel: np.ndarray, anchor_pos: np.ndarray, radius_cm: float) -> list[tuple]:
-    """(device, t_in, t_out) in-range intervals: visit k of device vdev[k] runs
-    from vt[k] to ends[k] at vstart + tau * vvel, so being in range is a
-    quadratic in tau.  Windows from touching visits of one device merge."""
+                   vvel: np.ndarray, anchor_pos: np.ndarray, radius_cm: float):
+    """(device, t_in, t_out) in-range intervals, one per visit: visit k of
+    device vdev[k] runs from vt[k] to ends[k] at vstart + tau * vvel, so
+    being in range is a quadratic in tau."""
     w = vstart - anchor_pos
     aa = np.einsum("ij,ij->i", vvel, vvel)
     bb = 2.0 * np.einsum("ij,ij->i", w, vvel)
     cc = np.einsum("ij,ij->i", w, w) - radius_cm * radius_cm
     disc = bb * bb - 4.0 * aa * cc
     hit = np.nonzero(((aa > 0.0) & (disc >= 0.0)) | ((aa == 0.0) & (cc <= 0.0)))[0]
-    out: list[tuple[int, float, float]] = []
     for d, start, end, a, b, dd in zip(*(x[hit].tolist() for x in (vdev, vt, ends, aa, bb, disc))):
         dwell = end - start
         if dwell <= 0:
@@ -222,24 +221,19 @@ def _visit_windows(vdev: np.ndarray, vt: np.ndarray, ends: np.ndarray, vstart: n
                 continue
         else:
             tau0, tau1 = 0.0, dwell
-        t0, t1 = start + tau0, start + tau1
-        if out and out[-1][0] == d and t0 <= out[-1][2] + _T_EPS:
-            out[-1] = (d, out[-1][1], max(out[-1][2], t1))
-        else:
-            out.append((d, t0, t1))
-    return out
+        yield d, start + tau0, start + tau1
 
 
 def _decoded_beacons(schedule, anchors: list[Anchor], anchor_pos: np.ndarray,
                      anchor_tx: list[float], ccfg: ch.ChannelConfig, beacon_air: float,
                      duration_s: float):
     """Per device of the schedule, (t, anchor index, position, closing speed,
-    rx dBm, in heart) of each beacon it decodes, in (t, anchor index) order."""
+    distance, in heart) of each beacon it decodes, in (t, anchor index) order."""
     first, vt, ends, vstart, vvel, vheart = schedule
     vdev = np.repeat(np.arange(len(first) - 1), np.diff(first))
+    intervals = np.array([a.beacon_interval_s for a in anchors])
     cands = []   # beacon instants k * interval in each window; k carries over a device's windows
-    for ai, anchor in enumerate(anchors):
-        interval = anchor.beacon_interval_s
+    for ai, interval in enumerate(intervals.tolist()):
         device = -1
         for d, t0, t1 in _visit_windows(vdev, vt, ends, vstart, vvel, anchor_pos[ai],
                                         _max_range_cm(anchor_tx[ai], ccfg)):
@@ -274,21 +268,16 @@ def _decoded_beacons(schedule, anchors: list[Anchor], anchor_pos: np.ndarray,
         dist = np.sqrt(_row_dots(offset, offset))
         closing = -np.divide(_row_dots(vvel[bv], offset), dist, out=np.zeros_like(dist),
                              where=dist > 0)
-        # distance to each other anchor that beacons at bt (NaN: not); a lone anchor has none
-        near = np.full((len(bt), len(anchors) if len(anchors) > 1 else 0), np.nan)
-        for j, anchor in enumerate(anchors[:near.shape[1]]):
-            iv = anchor.beacon_interval_s
-            also = ((np.abs(np.round(bt / iv) * iv - bt) <= beacon_air) & (ba != j)).nonzero()[0]
-            gap = p[also] - anchor_pos[j]
-            near[also, j] = np.sqrt(_row_dots(gap, gap))
-        delivered = _delivered(dist, closing, tx_of[ba], np.broadcast_to(tx_of, near.shape),
-                               near, ccfg)
-        # the rx dBm carried into the scan is the scalar one
+        # (candidate, other anchor beaconing at its instant) pairs, in anchor order
+        row, j = ((np.abs(np.round(bt[:, None] / intervals) * intervals - bt[:, None]) <= beacon_air)
+                  & (ba[:, None] != np.arange(len(anchors)))).nonzero()
+        gap = p[row] - anchor_pos[j]
+        delivered = _delivered(dist, closing, tx_of[ba], row, tx_of[j],
+                               np.sqrt(_row_dots(gap, gap)), ccfg)
         devs, ais, ts, dists, closings, hearts = (
             x.tolist() for x in (bd, ba, bt, dist, closing, vheart[bv]))
         for i in delivered.nonzero()[0].tolist():
-            rx_dbm = ch.link_sample(dists[i], closings[i], anchor_tx[ais[i]], ccfg).rx_power_dbm
-            out[devs[i]].append((ts[i], ais[i], p[i], closings[i], rx_dbm, hearts[i]))
+            out[devs[i]].append((ts[i], ais[i], p[i], closings[i], dists[i], hearts[i]))
     return out
 
 
@@ -323,18 +312,18 @@ def _decide_responses(responses: list[tuple], anchor_pos: np.ndarray,
     ai, di, tx, own = np.array(anchor_of), np.array(device_of), np.array(tx), np.arange(len(tx))
     size = np.diff(bounds)
     first = np.repeat(bounds[:-1], size)
-    c = np.arange(size.max() - 1)   # column c of a row: the c-th other member of its batch
-    mate = first[:, None] + c + (c >= (own - first)[:, None])
-    live = mate < (first + size.repeat(size))[:, None]
-    mate = np.minimum(mate, own[-1])   # any response, where there is no c-th other member
-    live &= (ai[mate] != ai[:, None]) | (di[mate] != di[:, None])
+    # (response, batch-mate) pairs in batch order, the response itself included
+    width = size.repeat(size)
+    row = own.repeat(width)
+    mate = first[row] + np.arange(len(row)) - (np.cumsum(width) - width)[row]
+    keep = (ai[mate] != ai[row]) | (di[mate] != di[row])
+    row, mate = row[keep], mate[keep]
     # distance to each response's anchor from itself, then from each interferer
-    gap = (np.array(pos).reshape(-1, 3)[np.concatenate((own, mate[live]))]
-           - anchor_pos[ai[np.concatenate((own, live.nonzero()[0]))]])
+    gap = (np.array(pos).reshape(-1, 3)[np.concatenate((own, mate))]
+           - anchor_pos[ai[np.concatenate((own, row))]])
     dist = np.sqrt(_row_dots(gap, gap))
-    idist = np.full(mate.shape, np.nan)
-    idist[live] = dist[len(own):]
-    delivered = _delivered(dist[:len(own)], np.array(closing), tx, tx[mate], idist, ccfg)
+    delivered = _delivered(dist[:len(own)], np.array(closing), tx, row, tx[mate],
+                           dist[len(own):], ccfg)
     return [RawRecord(arrivals[first[i]], macs[device_of[i]], circulation[i], bit[i])
             for i in delivered.nonzero()[0].tolist()]
 
@@ -426,7 +415,7 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace],
                     if hits[k - n_beacons]:
                         event_bit = 1
                 continue
-            _, ai, p, closing, rx_dbm, in_heart = beacons[k]
+            _, ai, p, closing, dist, in_heart = beacons[k]
             if not state.powered or try_consume(state, rx_cost, energy_cfg) is None:
                 continue
             consumed += rx_cost
@@ -442,7 +431,8 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace],
             consumed += tx_cost
             responded = True
             t_rx = t + beacon_air + response_air
-            if t_rx <= t_last:
+            if t_rx <= t_last:   # the response's tx comes from the scalar beacon rx
+                rx_dbm = ch.link_sample(dist, closing, anchor_tx[ai], channel_cfg).rx_power_dbm
                 responses.append((t_rx, ai, di, p, rx_dbm + channel_cfg.backscatter_gain_db,
                                   closing, circulation, bit))
         device_rows.append(rows)

@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from nanoflow.benchmark import SimPlan
 from nanoflow.cli import main
 from nanoflow.config import DEFAULT_CONFIG, RunConfig, load_config
 from nanoflow.errors import ConfigError
@@ -31,6 +32,12 @@ def test_defaults_resolve_and_validate():
     assert c.f_c == pytest.approx(1e12)
     assert c.bandwidth == pytest.approx(10e9)
     assert [l.name for l in c.layers] == ["vessel_wall", "tissue", "skin"]
+
+
+def test_default_config_is_the_dataclass_defaults():
+    # DEFAULT_CONFIG and the defaults of SimPlan and of the EnergyConfig,
+    # ChannelConfig, ProtocolParams and Anchor it holds name the same run
+    assert load_config().plan() == SimPlan()
 
 
 def test_unknown_key_is_named(tmp_path):
@@ -287,6 +294,23 @@ def test_cli_benchmark_external(tmp_path):
     rep = json.loads(read(out2 / "report.json"))
     assert rep["region_accuracy"] == 1.0  # we echoed the truth back
     assert rep["n_total"] == 3
+
+
+@pytest.mark.parametrize("rows, error", [
+    # a region the graph lacks, with no coordinates to score instead
+    ("422,9999,,,\n", "event 422: region 9999 is not in the graph and no coordinates are given"),
+    # a repeated event id: neither row may silently win
+    ("422,25,,,\n582,37,,,\n422,37,,,\n", "{path}:4: event 422 already estimated on line 2"),
+], ids=["unknown-region", "repeated-id"])
+def test_cli_rejects_external_rows_it_cannot_score(tmp_path, capsys, rows, error):
+    # `sample --k 3` draws events 422, 582 and 1052 (regions 25, 37, 81)
+    est_path = tmp_path / "est.csv"
+    est_path.write_text("event_id,estimated_region,x_cm,y_cm,z_cm\n" + rows)
+    capsys.readouterr()
+    assert main(["benchmark", "--k", "3", "--localizer", f"external:{est_path}",
+                 "--out", str(tmp_path / "bm")]) == 3
+    assert capsys.readouterr().err == f"error: {error.format(path=est_path)}\n"
+    assert not (tmp_path / "bm").exists()
 
 
 def test_cli_convergence(tmp_path):

@@ -14,7 +14,8 @@ bit the same, including when sensing and receiving are refused and when
 the charge grid hits its size limit.  The engine decides beacons and
 responses in arrays and re-decides near a threshold in scalar channel
 calls, so the last tests put beacons and responses exactly on the
-sensitivity gate and on the SINR threshold."""
+sensitivity gate and on the SINR threshold, against one interferer and
+against three (where the order in which interference is summed shows)."""
 
 import math
 from operator import itemgetter
@@ -370,6 +371,13 @@ def _beacon_bits(beacons):
             for t, ai, p, closing, rx, heart in beacons]
 
 
+def _engine_rx(beacons, anchor_tx, channel):
+    """The engine's beacons carry their distance; the scan turns it into the
+    scalar rx dBm, as the reference carries it."""
+    return [(t, ai, p, closing, ch.link_sample(dist, closing, anchor_tx[ai], channel).rx_power_dbm,
+             heart) for t, ai, p, closing, dist, heart in beacons]
+
+
 @pytest.mark.parametrize("seed", [4, 11])
 def test_decoded_beacons_of_a_run_equal_the_per_device_reference(seed):
     # four contending anchors and a dozen devices: every device's beacons,
@@ -386,7 +394,8 @@ def test_decoded_beacons_of_a_run_equal_the_per_device_reference(seed):
                            np.array(anchor_pos), anchor_tx, channel, beacon_air, duration)
     want = [_reference_beacons(_reference_schedule(tr, GRAPH), anchors, anchor_pos, anchor_tx,
                                ranges, channel, beacon_air, duration) for tr in traces]
-    assert [_beacon_bits(b) for b in got] == [_beacon_bits(b) for b in want]
+    assert ([_beacon_bits(_engine_rx(b, anchor_tx, channel)) for b in got]
+            == [_beacon_bits(b) for b in want])
     assert sum(map(len, want)) > 100
 
 
@@ -409,7 +418,8 @@ def _decode_both(engine_schedule, reference_schedules, anchors, channel, duratio
                            beacon_air, duration)
     want = [_reference_beacons(s, anchors, list(anchor_pos), anchor_tx, ranges, channel,
                                beacon_air, duration) for s in reference_schedules]
-    return [_beacon_bits(b) for b in got], [_beacon_bits(b) for b in want]
+    return ([_beacon_bits(_engine_rx(b, anchor_tx, channel)) for b in got],
+            [_beacon_bits(b) for b in want])
 
 
 def test_beacons_on_the_sensitivity_gate_decode_like_the_reference():
@@ -552,3 +562,77 @@ def test_response_batches_decide_like_the_reference():
         assert got == want
         kinds.add((len(want) == 0, len(want) == len(responses)))
     assert kinds == {(True, False), (False, False), (False, True)}
+
+
+def _three_interferers(rx, distances, channel, k):
+    """Tx powers of three interferers at `distances` whose summed power puts a
+    packet received at rx dBm on sinr_threshold_db: the first two fixed at
+    about 47% and 24% of the interference, the third bisected to the two
+    adjacent floats between which ch.sinr_db crosses the threshold.  Also
+    whether summing them in reverse order decides either float the other way."""
+    losses = [ch.path_loss_db(x, channel) for x in distances]
+    share = rx - channel.sinr_threshold_db - 10.0 * math.log10(3.0)   # a third, in dBm
+    fixed = [share + 1.5 + 0.0173 * (k % 7) + losses[0],
+             share - 1.5 - 0.0131 * (k % 5) + losses[1]]
+
+    def sinr(tx, order=1):
+        powers = [t - x for t, x in zip(fixed + [tx], losses)][::order]
+        return ch.sinr_db(rx, powers, channel.noise_floor_dbm)
+
+    lo, hi = share + losses[2] - 20.0, share + losses[2] + 20.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if sinr(mid) >= channel.sinr_threshold_db else (lo, mid)
+    assert sinr(lo) >= channel.sinr_threshold_db > sinr(hi)
+    reversed_differs = any((sinr(tx) >= channel.sinr_threshold_db)
+                           != (sinr(tx, -1) >= channel.sinr_threshold_db) for tx in (lo, hi))
+    return fixed, (lo, hi), reversed_differs
+
+
+def test_beacons_with_three_interferers_on_the_sinr_threshold_decode_like_the_reference():
+    # four anchors beaconing at the same instants: the first one's beacons
+    # meet three interferers whose sum lands SINR on the threshold.  Float
+    # addition is not associative, so only three or more interferers can
+    # show a summation order other than ch.sinr_db's (anchor order)
+    channel, order_matters = ch.ChannelConfig(), 0
+    for k in range(400):
+        radius = 0.2 + k * 0.00225
+        device = np.array([0.0, 0.0, radius])
+        sites = [device + offset for offset in
+                 ((radius + 0.25, 0.0, 0.0), (0.0, radius + 0.31, 0.0), (0.0, -radius - 0.4, 0.0))]
+        distances = [float(np.linalg.norm(device - site)) for site in sites]
+        rx = ch.link_sample(radius, 0.0, channel.tx_power_dbm, channel).rx_power_dbm
+        fixed, adjacent, reversed_differs = _three_interferers(rx, distances, channel, k)
+        order_matters += reversed_differs
+        heard = []   # anchor 0's beacons decoded at each of the two floats
+        for last in adjacent:
+            anchors = [Anchor(0, (0.0, 0.0, 0.0), 0.1)] + [
+                Anchor(i + 1, tuple(site.tolist()), 0.1, tx)
+                for i, (site, tx) in enumerate(zip(sites, fixed + [last]))]
+            got, want = _decode_both(*_resting([device], 0.2), anchors, channel, 0.2)
+            assert got == want, k
+            heard.append([b[1] for b in want[0]].count(0))
+        assert heard == [3, 0], k
+    assert order_matters >= 5
+
+
+def test_response_batches_of_four_on_the_sinr_threshold_decide_like_the_reference():
+    # four devices answer one anchor at the same arrival; the first one's
+    # SINR against the other three (summed in batch order) lands on the
+    # threshold, at the two adjacent tx floats of the fourth
+    channel, order_matters = ch.ChannelConfig(), 0
+    for k in range(400):
+        radius, tx = 0.2 + k * 0.00225, -5.0 + k * 0.0075
+        spots = [(0.0, 0.0, radius), (0.0, -radius - 0.3, 0.0), (radius + 0.35, 0.0, 0.0),
+                 (0.0, radius + 0.42, 0.0)]
+        distances = [float(np.linalg.norm(spot)) for spot in spots[1:]]
+        rx = ch.link_sample(radius, 0.0, tx, channel).rx_power_dbm
+        fixed, (lo, hi), reversed_differs = _three_interferers(rx, distances, channel, k)
+        order_matters += reversed_differs
+        responses = [_response(t, 0, d, spot, x)
+                     for t, last in ((1.0, lo), (3.0, hi))
+                     for d, (spot, x) in enumerate(zip(spots, [tx] + fixed + [last]))]
+        got, want = _responses_both(responses, [(0.0, 0.0, 0.0)], channel)
+        assert got == want, k
+        assert ((1.0).hex(), MACS[0]) in [r[:2] for r in want]
+        assert ((3.0).hex(), MACS[0]) not in [r[:2] for r in want]
+    assert order_matters >= 5
