@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .benchmark import (MetricsReport, RegionEstimate, SimPlan, TargetEvent,
+from .benchmark import (MetricsReport, RegionEstimate, TargetEvent,
                         baseline_localize, convergence_curve, dense_locations,
                         point_error, region_accuracy, reliability,
                         run_benchmark, run_events, sample_locations)
@@ -11,20 +11,19 @@ from .config import RunConfig, load_config
 from .energy import (EnergyConfig, EnergyState, capacitance, cycle_index,
                      energy_at_cycle, turn_on_latency_cycles)
 from .errors import NanoflowError
-from .simcore import (Anchor, EventScenario, ProtocolParams, RawRecord,
-                      SimResult, run_simulation)
-from .vasculature import (MobilityTrace, UpsampleParams, Vessel, VesselGraph,
-                          build_reference_vasculature, load_graph,
-                          locate_vessel, save_graph, simulate_mobility,
-                          upsample_trace)
+from .simcore import (Anchor, ProtocolParams, RawRecord, SimPlan, SimResult,
+                      run_simulation)
+from .vasculature import (MobilityTrace, Vessel, VesselGraph,
+                          build_reference_vasculature, load_graph, locate_vessel,
+                          save_graph, simulate_mobility, upsample_trace)
 
 __all__ = [
     "__version__",
-    "Anchor", "ChannelConfig", "EnergyConfig", "EnergyState", "EventScenario",
-    "Layer", "MetricsReport", "MobilityTrace", "NanoflowError",
-    "ProtocolParams", "RawRecord", "Reception", "RegionEstimate", "RunConfig",
-    "SimPlan", "SimResult", "TargetEvent", "UpsampleParams", "Vessel",
-    "VesselGraph", "baseline_localize", "build_reference_vasculature",
+    "Anchor", "ChannelConfig", "EnergyConfig", "EnergyState", "Layer",
+    "MetricsReport", "MobilityTrace", "NanoflowError", "ProtocolParams",
+    "RawRecord", "Reception", "RegionEstimate", "RunConfig", "SimPlan",
+    "SimResult", "TargetEvent", "Vessel", "VesselGraph",
+    "baseline_localize", "build_reference_vasculature",
     "capacitance", "convergence_curve", "cycle_index", "dense_locations",
     "energy_at_cycle", "link_sample", "load_config", "load_graph",
     "locate_vessel", "path_loss_db", "point_error", "region_accuracy",

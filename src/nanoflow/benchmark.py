@@ -14,17 +14,14 @@ import functools
 import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .channel import ChannelConfig
-from .energy import EnergyConfig
 from .errors import (EventRunsFailed, ExternalDataError, MismatchedSets,
                      NoEstimate, SampleTooLarge)
-from .simcore import Anchor, EventScenario, ProtocolParams, run_simulation
-from .vasculature import (UpsampleParams, VesselGraph,
-                          locate_vessel, simulate_mobility, upsample_trace,
+from .simcore import SimPlan, run_simulation
+from .vasculature import (VesselGraph, locate_vessel, simulate_mobility, upsample_trace,
                           vessel_centroid, write_csv)
 
 # ---------------------------------------------------------------------------
@@ -49,21 +46,6 @@ class RegionEstimate:
     @property
     def has_estimate(self) -> bool:
         return self.estimated_region is not None or self.point is not None
-
-
-@dataclass
-class SimPlan:
-    """Everything one simulated event run needs besides the graph and target."""
-    device_count: int = 64
-    duration_s: float = 1000.0
-    detection_radius_cm: float = 1.0
-    sense_rate_hz: int = 3
-    upsample_factor: int = 3
-    upsample_sigma_cm: float = 0.2
-    anchors: list[Anchor] = field(default_factory=lambda: [Anchor(0, (0.8, 0.0, 0.0))])
-    energy_cfg: EnergyConfig = field(default_factory=EnergyConfig)
-    channel_cfg: ChannelConfig = field(default_factory=ChannelConfig)
-    protocol: ProtocolParams = field(default_factory=ProtocolParams)
 
 
 # ---------------------------------------------------------------------------
@@ -376,18 +358,9 @@ def trace_and_run(graph: VesselGraph, plan: SimPlan,
     traces, SimResult).
     """
     traces = simulate_mobility(graph, plan.device_count, plan.duration_s, seed=mobility_seed)
-    upsampled = [
-        upsample_trace(tr, UpsampleParams(factor=plan.upsample_factor,
-                                          sigma_cm=plan.upsample_sigma_cm,
-                                          seed=_child_seed(*upsample_root, 1, tr.device_id)))
-        for tr in traces
-    ]
-    scenario = EventScenario(target=target, detection_radius_cm=plan.detection_radius_cm,
-                             sense_rate_hz=plan.sense_rate_hz)
-    return upsampled, run_simulation(graph, upsampled, plan.anchors, scenario,
-                                     plan.energy_cfg, plan.channel_cfg,
-                                     duration_s=plan.duration_s, protocol=plan.protocol,
-                                     energy_rows=energy_rows)
+    upsampled = [upsample_trace(tr, plan.upsample_factor, plan.upsample_sigma_cm,
+                                _child_seed(*upsample_root, 1, tr.device_id)) for tr in traces]
+    return upsampled, run_simulation(graph, upsampled, plan, target, energy_rows)
 
 
 def simulate_event(graph: VesselGraph, plan: SimPlan, event: TargetEvent,
@@ -613,6 +586,8 @@ def load_estimates_csv(path: str) -> list[RegionEstimate]:
             coords = [p.strip() for p in parts[2:5]]
             if all(coords):
                 point = np.array([float(c) for c in coords])
+                if not np.isfinite(point).all():
+                    raise ValueError("non-finite coordinates")
             elif any(coords):
                 raise ValueError("partial coordinates")
             else:
@@ -631,9 +606,14 @@ def score_external(estimates: list[RegionEstimate], truths: list[TargetEvent],
                    point_error_correct_only: bool = False) -> MetricsReport:
     """Score third-party estimates against sampled truths (no simulation).
 
-    Events the external file does not mention count as having no estimate.
+    Events the external file does not mention count as having no estimate;
+    an estimate for an event outside the sample is an error.
     """
     by_id = {e.event_id: e for e in estimates}
+    extra = sorted(set(by_id) - {t.id for t in truths})
+    if extra:
+        raise ExternalDataError(f"{len(extra)} estimated event ids are not in the sample "
+                                f"(first: {extra[:5]})")
     filled = [by_id.get(t.id, RegionEstimate(t.id, None, None)) for t in truths]
     known = {None} | {v.id for v in graph.vessels}   # None: no estimate
     for est in filled:

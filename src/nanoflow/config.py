@@ -21,11 +21,11 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .benchmark import STRATEGIES, SimPlan
+from .benchmark import STRATEGIES
 from .channel import ChannelConfig, Layer
 from .energy import EnergyConfig
 from .errors import ConfigError
-from .simcore import Anchor, ProtocolParams
+from .simcore import Anchor, ProtocolParams, SimPlan
 from .vasculature import VesselGraph, build_reference_vasculature, load_graph
 
 DEFAULT_CONFIG: dict = {

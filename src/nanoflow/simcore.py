@@ -1,5 +1,10 @@
 """Simulation engine: beaconing, sensing, backscatter responses, records.
 
+A run is a SimPlan, the one description of a scenario, plus the event's
+target: run_simulation(graph, traces, plan, target) reads the plan's
+anchors, energy, channel, protocol, duration, sense rate and detection
+radius.  Its device count and upsampling shape the traces the caller passes.
+
 Devices interact in one place only: responses that overlap at an anchor.
 Nothing flows back from there (a device has spent its energy and marked the
 episode answered before reception is decided), whether a beacon is decoded
@@ -45,7 +50,7 @@ capacitor, so records and consumption do not change.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 
 import numpy as np
@@ -75,19 +80,27 @@ class Anchor:
 
 
 @dataclass
-class EventScenario:
-    target: tuple[float, float, float] | None = None
-    detection_radius_cm: float = 1.0
-    sense_rate_hz: int = 3
-
-
-@dataclass
 class ProtocolParams:
     beacon_bits: int = 16
     response_bits: int = 48
     # beacon silence (in units of the anchor interval) that closes a contact
     # episode; a device answers the first beacon it hears per episode
     episode_gap_intervals: float = 1.5
+
+
+@dataclass
+class SimPlan:
+    """Everything one simulated event run needs besides the graph and target."""
+    device_count: int = 64
+    duration_s: float = 1000.0
+    detection_radius_cm: float = 1.0
+    sense_rate_hz: int = 3
+    upsample_factor: int = 3
+    upsample_sigma_cm: float = 0.2
+    anchors: list[Anchor] = field(default_factory=lambda: [Anchor(0, (0.8, 0.0, 0.0))])
+    energy_cfg: EnergyConfig = field(default_factory=EnergyConfig)
+    channel_cfg: ch.ChannelConfig = field(default_factory=ch.ChannelConfig)
+    protocol: ProtocolParams = field(default_factory=ProtocolParams)
 
 
 @dataclass
@@ -328,15 +341,14 @@ def _decide_responses(responses: list[tuple], anchor_pos: np.ndarray,
             for i in delivered.nonzero()[0].tolist()]
 
 
-def run_simulation(graph: VesselGraph, traces: list[MobilityTrace],
-                   anchors: list[Anchor], scenario: EventScenario,
-                   energy_cfg: EnergyConfig, channel_cfg: ch.ChannelConfig,
-                   duration_s: float,
-                   protocol: ProtocolParams | None = None,
+def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPlan,
+                   target: tuple[float, float, float] | None = None,
                    energy_rows: bool = True) -> SimResult:
-    """Run one deterministic simulation and collect raw records (and the
+    """Run one deterministic simulation of the traces under the plan, with
+    an event at target (None: no event), and collect raw records (and the
     1 Hz energy rows unless energy_rows is False)."""
-    proto = protocol or ProtocolParams()
+    anchors, duration_s, proto = plan.anchors, plan.duration_s, plan.protocol
+    energy_cfg, channel_cfg = plan.energy_cfg, plan.channel_cfg
     if not anchors:
         raise ConfigMismatch("at least one anchor is required")
     if duration_s <= 0:
@@ -351,14 +363,14 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace],
                 f"< simulation duration {duration_s:.3f} s")
         # sense ticks ride the upsampled sample grid
         dt = trace.times[1] - trace.times[0]
-        stride = (1.0 / scenario.sense_rate_hz) / dt
+        stride = (1.0 / plan.sense_rate_hz) / dt
         if abs(stride - round(stride)) > 1e-6 or round(stride) < 1:
             raise ConfigMismatch(
                 f"device {trace.device_id}: trace period {dt:.6f} s does not divide the "
-                f"sense period {1.0 / scenario.sense_rate_hz:.6f} s")
+                f"sense period {1.0 / plan.sense_rate_hz:.6f} s")
         strides.append(int(round(stride)))
 
-    target = None if scenario.target is None else np.asarray(scenario.target, dtype=float)
+    target = None if target is None else np.asarray(target, dtype=float)
     t_last = duration_s + _T_EPS
     beacon_air = ch.airtime_s(proto.beacon_bits, channel_cfg)
     response_air = ch.airtime_s(proto.response_bits, channel_cfg)
@@ -382,7 +394,7 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace],
         ticks = np.arange(0, len(times), stride)
         ticks = ticks[times[ticks] <= t_last]
         hits = _sense_hits(np.asarray(trace.positions, dtype=float)[ticks], target,
-                           scenario.detection_radius_cm).tolist()
+                           plan.detection_radius_cm).tolist()
         # beacons, sense ticks, samples: concatenated in tie order, so a stable
         # sort on time alone keeps that order at equal times (and beacons in
         # their (t, anchor) order)

@@ -22,6 +22,7 @@ reads that schedule, never the sampled polyline.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 from enum import IntEnum
@@ -171,13 +172,6 @@ class MobilityTrace:
     @property
     def duration_s(self) -> float:
         return float(self.times[-1]) if len(self.times) else 0.0
-
-
-@dataclass
-class UpsampleParams:
-    factor: int = 3       # inserted samples per original interval boundary
-    sigma_cm: float = 0.2  # jitter std per axis on inserted points
-    seed: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -467,27 +461,32 @@ def simulate_mobility(graph: VesselGraph, device_count: int, duration_s: float,
     return traces
 
 
-def upsample_trace(trace: MobilityTrace, params: UpsampleParams) -> MobilityTrace:
-    """Insert factor-1 interpolated samples per interval, with optional jitter.
+def upsample_trace(trace: MobilityTrace, factor: int, sigma_cm: float,
+                   seed: int) -> MobilityTrace:
+    """Split each interval into `factor` steps, jittering the inserted samples.
 
-    Inserted positions follow p_i = p0 + (i/N) * (p1 - p0) + eps, eps drawn
-    per axis from N(0, sigma^2).  Original samples are preserved bit-exact
+    Inserted positions follow p_i = p0 + (i/N) * (p1 - p0) + eps, N =
+    factor, eps drawn per axis from N(0, sigma_cm^2) on the stream of
+    `seed` (none for sigma_cm 0).  Original samples are preserved bit-exact
     and inserted samples inherit the interval's starting vessel id; the
     visit schedule is copied.  Factor 1, or a one-sample trace, gives
-    copies of the input arrays.
+    copies of the input arrays.  A factor that is not an integer >= 1, or a
+    sigma_cm that is negative or not finite, raises ValueError.
     """
     if len(trace) == 0:
         raise EmptyTrace(f"device {trace.device_id} trace has no samples")
-    N = int(params.factor)
-    if N < 1:
-        raise ValueError("upsample factor must be >= 1")
-    rng = np.random.default_rng(params.seed)
+    if not (factor >= 1 and float(factor).is_integer()):
+        raise ValueError(f"upsample factor must be an integer >= 1 (got {factor!r})")
+    if not (sigma_cm >= 0 and math.isfinite(sigma_cm)):
+        raise ValueError(f"upsample sigma_cm must be finite and >= 0 (got {sigma_cm!r})")
+    N = int(factor)
+    rng = np.random.default_rng(seed)
     p0 = trace.positions[:-1]                      # (m, 3)
     delta = trace.positions[1:] - p0               # (m, 3)
     fracs = (np.arange(1, N) / N)[None, :, None]   # (1, N-1, 1)
     inserted = p0[:, None, :] + fracs * delta[:, None, :]
-    if params.sigma_cm > 0:
-        inserted = inserted + rng.normal(0.0, params.sigma_cm, size=inserted.shape)
+    if sigma_cm > 0:
+        inserted = inserted + rng.normal(0.0, sigma_cm, size=inserted.shape)
 
     m = len(p0)
     total = m * N + 1

@@ -25,10 +25,9 @@ from nanoflow.channel import ChannelConfig
 from nanoflow.energy import (EnergyConfig, capacitance, cycle_index,
                              energy_at_cycle, turn_on_latency_cycles)
 from nanoflow.errors import EnergyOutOfRange
-from nanoflow.simcore import Anchor, EventScenario, RawRecord, run_simulation
-from nanoflow.vasculature import (UpsampleParams, build_reference_vasculature,
-                                  simulate_mobility, upsample_trace,
-                                  vessel_centroid)
+from nanoflow.simcore import Anchor, RawRecord, run_simulation
+from nanoflow.vasculature import (build_reference_vasculature, simulate_mobility,
+                                  upsample_trace, vessel_centroid)
 
 GRAPH = build_reference_vasculature()
 DENSE = dense_locations(GRAPH, 1368)
@@ -92,10 +91,8 @@ def test_criterion_4_circulation_envelope():
     traces = simulate_mobility(GRAPH, 64, 1000.0, seed=1)
     gaps = np.concatenate([np.diff(tr.visit_times[tr.visit_vessels == GRAPH.heart_id])
                            for tr in traces])
-    res = run_simulation(
-        GRAPH, traces, [Anchor(mac=0, position=(0.8, 0.0, 0.0))],
-        EventScenario(target=None, sense_rate_hz=1),
-        EnergyConfig(), ChannelConfig(), duration_s=1000.0)
+    res = run_simulation(GRAPH, traces, SimPlan(
+        duration_s=1000.0, sense_rate_hz=1, anchors=[Anchor(mac=0, position=(0.8, 0.0, 0.0))]))
     elapsed = time.perf_counter() - t0
     compounded = [r for r in res.records if r.circulation_time_s > 90.0]
     ok = (gaps.max() <= 90.0 and len(compounded) >= 1 and elapsed < 60.0)
@@ -109,14 +106,14 @@ def test_criterion_4_circulation_envelope():
 
 def test_criterion_5_upsampling():
     tr = simulate_mobility(GRAPH, 1, 50000.0, seed=2)[0]
-    exact = upsample_trace(tr, UpsampleParams(factor=3, sigma_cm=0.0, seed=0))
+    exact = upsample_trace(tr, 3, 0.0, 0)
     idx = np.arange(len(tr.times) - 1)
     worst = 0.0
     for j in range(3):
         expect = tr.positions[:-1] + (j / 3.0) * (tr.positions[1:] - tr.positions[:-1])
         got = exact.positions[j::3][: len(idx)]
         worst = max(worst, float(np.abs(got - expect).max()))
-    noisy = upsample_trace(tr, UpsampleParams(factor=3, sigma_cm=0.1, seed=3))
+    noisy = upsample_trace(tr, 3, 0.1, 3)
     devs = []
     for j in (1, 2):
         expect = tr.positions[:-1] + (j / 3.0) * (tr.positions[1:] - tr.positions[:-1])

@@ -40,6 +40,11 @@ def test_default_config_is_the_dataclass_defaults():
     assert load_config().plan() == SimPlan()
 
 
+def test_every_exported_name_resolves():
+    import nanoflow
+    assert [name for name in nanoflow.__all__ if not hasattr(nanoflow, name)] == []
+
+
 def test_unknown_key_is_named(tmp_path):
     p = tmp_path / "c.json"
     p.write_text(json.dumps({"energy": {"e_mox_pj": 5}}))
@@ -301,7 +306,11 @@ def test_cli_benchmark_external(tmp_path):
     ("422,9999,,,\n", "event 422: region 9999 is not in the graph and no coordinates are given"),
     # a repeated event id: neither row may silently win
     ("422,25,,,\n582,37,,,\n422,37,,,\n", "{path}:4: event 422 already estimated on line 2"),
-], ids=["unknown-region", "repeated-id"])
+    # coordinates no distance can be taken to
+    ("422,25,nan,0,0\n582,37,inf,1,1\n", "{path}:2: malformed row (non-finite coordinates)"),
+    # a file made for another sample: no row may be dropped unscored
+    ("1,25,,,\n2,37,,,\n3,81,,,\n", "3 estimated event ids are not in the sample (first: [1, 2, 3])"),
+], ids=["unknown-region", "repeated-id", "non-finite-point", "ids-outside-sample"])
 def test_cli_rejects_external_rows_it_cannot_score(tmp_path, capsys, rows, error):
     # `sample --k 3` draws events 422, 582 and 1052 (regions 25, 37, 81)
     est_path = tmp_path / "est.csv"

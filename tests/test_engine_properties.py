@@ -6,6 +6,8 @@ the other devices, and neither do its records once collisions are switched
 off.  The remaining properties are invariants of every run.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from nanoflow.channel import ChannelConfig, airtime_s  # noqa: E402
 from nanoflow.energy import EnergyConfig  # noqa: E402
-from nanoflow.simcore import Anchor, EventScenario, ProtocolParams, run_simulation  # noqa: E402
-from nanoflow.vasculature import (UpsampleParams, build_reference_vasculature,  # noqa: E402
-                                  simulate_mobility, upsample_trace)
+from nanoflow.simcore import Anchor, SimPlan, run_simulation  # noqa: E402
+from nanoflow.vasculature import (build_reference_vasculature, simulate_mobility,  # noqa: E402
+                                  upsample_trace)
 
 GRAPH = build_reference_vasculature()
 ENERGY = EnergyConfig()
@@ -36,16 +38,14 @@ def cases(draw):
     duration = float(draw(st.integers(5, 60)))
     traces = simulate_mobility(GRAPH, draw(st.integers(2, 6)), duration,
                                seed=draw(st.integers(0, 2**16)))
-    upsampled = [upsample_trace(tr, UpsampleParams(factor=3, sigma_cm=0.2, seed=tr.device_id))
-                 for tr in traces]
-    scenario = EventScenario(target=draw(st.sampled_from(TARGETS)), sense_rate_hz=3)
-    return anchors, upsampled, scenario, duration
+    upsampled = [upsample_trace(tr, 3, 0.2, tr.device_id) for tr in traces]
+    plan = SimPlan(duration_s=duration, sense_rate_hz=3, anchors=anchors, energy_cfg=ENERGY)
+    return plan, upsampled, draw(st.sampled_from(TARGETS))
 
 
 def _run(case, traces, channel):
-    anchors, _, scenario, duration = case
-    return run_simulation(GRAPH, traces, anchors, scenario, ENERGY, channel,
-                          duration_s=duration)
+    plan, _, target = case
+    return run_simulation(GRAPH, traces, replace(plan, channel_cfg=channel), target)
 
 
 def _records_of(result, mac):
@@ -83,29 +83,27 @@ def test_run_invariants(case):
 @settings(max_examples=15, deadline=None)
 @given(cases(), st.data())
 def test_event_bits_come_from_sense_ticks_near_the_target(case, data):
-    anchors, traces, scenario, duration = case
-    if scenario.target is not None:   # a target some device passes, so bits of 1 occur
+    plan, traces, target = case
+    if target is not None:   # a target some device passes, so bits of 1 occur
         trace = data.draw(st.sampled_from(traces))
         i = data.draw(st.integers(0, len(trace.times) - 1))
-        scenario = EventScenario(target=tuple(trace.positions[i]), sense_rate_hz=3,
-                                 detection_radius_cm=data.draw(st.sampled_from([0.5, 1.0, 3.0])))
-    channel = ChannelConfig()
-    result = run_simulation(GRAPH, traces, anchors, scenario, ENERGY, channel,
-                            duration_s=duration)
-    if scenario.target is None:
+        target = tuple(trace.positions[i])
+        plan = replace(plan, detection_radius_cm=data.draw(st.sampled_from([0.5, 1.0, 3.0])))
+    channel = plan.channel_cfg
+    result = run_simulation(GRAPH, traces, plan, target)
+    if target is None:
         assert all(r.event_bit == 0 for r in result.records)
         return
-    proto = ProtocolParams()
+    proto = plan.protocol
     lag = airtime_s(proto.beacon_bits, channel) + airtime_s(proto.response_bits, channel)
     by_mac = {tr.device_id: tr for tr in traces}
     for r in result.records:
         if not r.event_bit:
             continue
         trace = by_mac[r.device_mac]
-        stride = round(1.0 / scenario.sense_rate_hz / (trace.times[1] - trace.times[0]))
+        stride = round(1.0 / plan.sense_rate_hz / (trace.times[1] - trace.times[0]))
         ticks, points = trace.times[::stride], trace.positions[::stride]
-        near = np.linalg.norm(points - np.asarray(scenario.target), axis=1) \
-            < scenario.detection_radius_cm
+        near = np.linalg.norm(points - np.asarray(target), axis=1) < plan.detection_radius_cm
         t_b = r.report_time_s - lag   # the beacon this record answers
         inside = (ticks >= t_b - r.circulation_time_s - 1e-9) & (ticks <= t_b + 1e-9)
         assert (near & inside).any(), r

@@ -30,13 +30,12 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from nanoflow import channel as ch  # noqa: E402
 from nanoflow import energy  # noqa: E402
 from nanoflow.energy import EnergyConfig, EnergyState, advance_harvest, try_consume  # noqa: E402
-from nanoflow.simcore import (Anchor, EventScenario, ProtocolParams, RawRecord,  # noqa: E402
+from nanoflow.simcore import (Anchor, ProtocolParams, RawRecord, SimPlan,  # noqa: E402
                               SimResult, _decide_responses, _decoded_beacons,
                               _max_range_cm, _row_dots, _sense_hits, _visit_schedule,
                               run_simulation)
-from nanoflow.vasculature import (MobilityTrace, UpsampleParams,  # noqa: E402
-                                  build_reference_vasculature, simulate_mobility,
-                                  upsample_trace)
+from nanoflow.vasculature import (MobilityTrace, build_reference_vasculature,  # noqa: E402
+                                  simulate_mobility, upsample_trace)
 
 GRAPH = build_reference_vasculature()
 POSITIONS = [(0.8, 0.0, 0.0), (-0.8, 0.0, 0.0), (0.0, 0.8, 0.0), (0.5, 0.5, 1.0)]
@@ -180,9 +179,10 @@ def _reference_responses(responses: list[tuple], anchor_pos: np.ndarray,
     return records
 
 
-def reference_run(graph, traces, anchors, scenario, energy_cfg, channel_cfg, duration_s):
-    proto = ProtocolParams()
-    target = None if scenario.target is None else np.asarray(scenario.target, dtype=float)
+def reference_run(graph, traces, plan, target=None):
+    anchors, duration_s, proto = plan.anchors, plan.duration_s, plan.protocol
+    energy_cfg, channel_cfg = plan.energy_cfg, plan.channel_cfg
+    target = None if target is None else np.asarray(target, dtype=float)
     t_last = duration_s + _T_EPS
     beacon_air = ch.airtime_s(proto.beacon_bits, channel_cfg)
     response_air = ch.airtime_s(proto.response_bits, channel_cfg)
@@ -196,14 +196,14 @@ def reference_run(graph, traces, anchors, scenario, energy_cfg, channel_cfg, dur
 
     device_rows, responses, consumed_pj = [], [], {}
     for di, trace in enumerate(traces):
-        stride = int(round((1.0 / scenario.sense_rate_hz) / (trace.times[1] - trace.times[0])))
+        stride = int(round((1.0 / plan.sense_rate_hz) / (trace.times[1] - trace.times[0])))
         beacons = _reference_beacons(_reference_schedule(trace, graph), anchors, anchor_pos,
                                      anchor_tx, ranges, channel_cfg, beacon_air, duration_s)
         times = np.asarray(trace.times, dtype=float)
         ticks = np.arange(0, len(times), stride)
         ticks = ticks[times[ticks] <= t_last]
         hits = _sense_hits(np.asarray(trace.positions, dtype=float)[ticks], target,
-                           scenario.detection_radius_cm)
+                           plan.detection_radius_cm)
         timeline = ([(b[0], _BEACON, b) for b in beacons]
                     + [(t, _SENSE, hit) for t, hit in zip(times[ticks].tolist(), hits.tolist())]
                     + samples)
@@ -271,8 +271,7 @@ def cases(draw):
     traces = simulate_mobility(GRAPH, draw(st.integers(1, 4)), math.ceil(duration),
                                seed=draw(st.integers(0, 2**16)))
     rate = draw(st.sampled_from([1, 3]))
-    traces = [upsample_trace(tr, UpsampleParams(factor=3, sigma_cm=0.2, seed=tr.device_id))
-              for tr in traces]
+    traces = [upsample_trace(tr, 3, 0.2, tr.device_id) for tr in traces]
     shift = draw(st.sampled_from([0.0, 0.05, 0.21]))
     if shift:   # sense ticks off the whole seconds: samples are harvest points of their own
         traces = [MobilityTrace(tr.device_id, tr.times + shift, tr.positions, tr.vessel_ids,
@@ -282,8 +281,7 @@ def cases(draw):
     if draw(st.booleans()):   # a point some device passes, so event bits of 1 occur
         tr = draw(st.sampled_from(traces))
         target = tuple(tr.positions[draw(st.integers(0, len(tr.times) - 1))])
-    scenario = EventScenario(target=target, sense_rate_hz=rate,
-                             detection_radius_cm=draw(st.sampled_from([1.0, 3.0])))
+    radius = draw(st.sampled_from([1.0, 3.0]))
     e_max = draw(st.sampled_from([100e-12, 300e-12, 800e-12]))
     on = e_max * draw(st.sampled_from([0.02, 0.1, 0.5]))
     cfg = EnergyConfig(v_g=draw(st.floats(0.3, 0.6)), e_max=e_max, e_turn_on=on,
@@ -292,19 +290,19 @@ def cases(draw):
                        cost_tx_pulse=draw(st.sampled_from([0.0, 0.5e-12, 1e-12])),
                        cost_rx_pulse=draw(st.sampled_from([0.0, 0.2e-12, 1e-12])),
                        cost_sense=draw(st.sampled_from([0.0, 1e-12, 0.3 * on, 2.0 * on])))
-    return anchors, traces, scenario, cfg, duration
+    plan = SimPlan(duration_s=duration, detection_radius_cm=radius, sense_rate_hz=rate,
+                   anchors=anchors, energy_cfg=cfg)
+    return plan, traces, target
 
 
 @settings(max_examples=40, deadline=None)
 @given(cases(), st.booleans(), st.sampled_from([None, 30, 400]))
 def test_run_simulation_matches_the_per_tick_reference(case, energy_rows, grid_limit):
-    anchors, traces, scenario, cfg, duration = case
-    channel = ch.ChannelConfig()
+    plan, traces, target = case
     limit = energy._GRID_LIMIT if grid_limit is None else grid_limit
     with mock.patch.object(energy, "_GRID_LIMIT", limit):
-        want = _bits(reference_run(GRAPH, traces, anchors, scenario, cfg, channel, duration))
-        got = _bits(run_simulation(GRAPH, traces, anchors, scenario, cfg, channel,
-                                   duration_s=duration, energy_rows=energy_rows))
+        want = _bits(reference_run(GRAPH, traces, plan, target))
+        got = _bits(run_simulation(GRAPH, traces, plan, target, energy_rows=energy_rows))
     assert got[0] == want[0]
     assert got[2] == want[2]
     assert got[1] == (want[1] if energy_rows else [])
@@ -313,16 +311,16 @@ def test_run_simulation_matches_the_per_tick_reference(case, energy_rows, grid_l
 def test_reference_cases_reach_refusals_and_power_off():
     # the kind of case the property draws does switch devices off and refuse spends
     anchors = [Anchor(0, POSITIONS[0], 0.025), Anchor(1, POSITIONS[1], 0.05)]
-    traces = [upsample_trace(tr, UpsampleParams(factor=3, sigma_cm=0.2, seed=tr.device_id))
+    traces = [upsample_trace(tr, 3, 0.2, tr.device_id)
               for tr in simulate_mobility(GRAPH, 3, 90.0, seed=5)]
     cfg = EnergyConfig(e_max=100e-12, e_turn_on=50e-12, e_turn_off=25e-12,
                        cost_rx_pulse=1e-12, cost_sense=15e-12)
-    scenario = EventScenario(target=tuple(traces[0].positions[40]), sense_rate_hz=3)
-    result = run_simulation(GRAPH, traces, anchors, scenario, cfg, ch.ChannelConfig(), 90.0)
+    plan = SimPlan(duration_s=90.0, sense_rate_hz=3, anchors=anchors, energy_cfg=cfg)
+    target = tuple(traces[0].positions[40])
+    result = run_simulation(GRAPH, traces, plan, target)
     powered = [row[3] for row in result.energy_rows if row[1] == 0]
     assert 1 in powered and any(a == 1 and b == 0 for a, b in zip(powered, powered[1:]))
-    assert _bits(result) == _bits(reference_run(GRAPH, traces, anchors, scenario, cfg,
-                                                ch.ChannelConfig(), 90.0))
+    assert _bits(result) == _bits(reference_run(GRAPH, traces, plan, target))
 
 
 def test_samples_stay_harvest_points_without_rows():
@@ -332,12 +330,12 @@ def test_samples_stay_harvest_points_without_rows():
     # consumption (135 pJ instead of 138 pJ per device)
     traces = [MobilityTrace(tr.device_id, tr.times + 0.21, tr.positions, tr.vessel_ids,
                             tr.visit_times + 0.21, tr.visit_vessels)
-              for tr in (upsample_trace(tr, UpsampleParams(factor=3, sigma_cm=0.2, seed=1))
+              for tr in (upsample_trace(tr, 3, 0.2, 1)
                          for tr in simulate_mobility(GRAPH, 2, 40.0, seed=302))]
     cfg = EnergyConfig(t_cycle=0.11, e_max=100e-12, e_turn_on=5e-12, e_turn_off=2.5e-12,
                        cost_sense=3e-12)
-    args = (GRAPH, traces, [Anchor(0, POSITIONS[0], 0.03)], EventScenario(sense_rate_hz=3), cfg,
-            ch.ChannelConfig(), 39.0)
+    args = (GRAPH, traces, SimPlan(duration_s=39.0, sense_rate_hz=3,
+                                   anchors=[Anchor(0, POSITIONS[0], 0.03)], energy_cfg=cfg))
     with_rows, without = run_simulation(*args), run_simulation(*args, energy_rows=False)
     assert without.energy_rows == [] and len(with_rows.energy_rows) == 2 * 40
     assert _bits(without)[::2] == _bits(with_rows)[::2] == _bits(reference_run(*args))[::2]
@@ -346,10 +344,9 @@ def test_samples_stay_harvest_points_without_rows():
 
 def test_the_scan_grows_the_charge_grid_only_as_far_as_it_walks():
     cfg = EnergyConfig(v_g=0.44)   # a curve no other test grows
-    traces = [upsample_trace(tr, UpsampleParams(factor=3, sigma_cm=0.2, seed=0))
-              for tr in simulate_mobility(GRAPH, 2, 20.0, seed=3)]
-    run_simulation(GRAPH, traces, [Anchor(0, POSITIONS[0])], EventScenario(), cfg,
-                   ch.ChannelConfig(), 20.0, energy_rows=False)
+    traces = [upsample_trace(tr, 3, 0.2, 0) for tr in simulate_mobility(GRAPH, 2, 20.0, seed=3)]
+    run_simulation(GRAPH, traces, SimPlan(duration_s=20.0, anchors=[Anchor(0, POSITIONS[0])],
+                                          energy_cfg=cfg), energy_rows=False)
     grid = energy.charge_grid(cfg)
     assert 0 < len(grid) <= 20.0 / cfg.t_cycle + 2 < 20000
 

@@ -12,11 +12,9 @@ import pytest
 from nanoflow.channel import ChannelConfig
 from nanoflow.energy import EnergyConfig
 from nanoflow.errors import ConfigMismatch
-from nanoflow.simcore import (Anchor, EventScenario, ProtocolParams, _sense_hits,
-                              export_energy_csv, export_raw_csv,
-                              run_simulation)
-from nanoflow.vasculature import (MobilityTrace, RegionType, UpsampleParams,
-                                  Vessel, VesselGraph,
+from nanoflow.simcore import (Anchor, SimPlan, _sense_hits, export_energy_csv,
+                              export_raw_csv, run_simulation)
+from nanoflow.vasculature import (MobilityTrace, RegionType, Vessel, VesselGraph,
                                   simulate_mobility, upsample_trace)
 
 IDEAL_ENERGY = EnergyConfig(e_turn_on=1e-18, cost_tx_pulse=0.0,
@@ -37,14 +35,13 @@ def loop_graph() -> VesselGraph:
 
 GRAPH = loop_graph()
 ANCHOR = [Anchor(mac=0, position=(0.0, 0.0, 0.0))]
-SCENARIO = EventScenario(target=None, sense_rate_hz=1)
 
 
-def run(traces, *, anchors=ANCHOR, scenario=SCENARIO, energy=IDEAL_ENERGY,
-        channel=None, duration=20.0, protocol=None):
-    return run_simulation(GRAPH, traces, anchors, scenario, energy,
-                          channel or ChannelConfig(), duration_s=duration,
-                          protocol=protocol)
+def run(traces, *, anchors=ANCHOR, target=None, sense_rate_hz=1, energy=IDEAL_ENERGY,
+        channel=None, duration=20.0):
+    plan = SimPlan(duration_s=duration, sense_rate_hz=sense_rate_hz, anchors=anchors,
+                   energy_cfg=energy, channel_cfg=channel or ChannelConfig())
+    return run_simulation(GRAPH, traces, plan, target)
 
 
 def test_one_record_per_heart_passage_with_ideal_energy():
@@ -112,13 +109,12 @@ def test_concurrent_anchors_jam_beacons():
 
 def test_sense_sets_event_bit():
     tr = simulate_mobility(GRAPH, 1, 21.0, seed=0)[0]
-    up = upsample_trace(tr, UpsampleParams(factor=3, sigma_cm=0.0, seed=0))
+    up = upsample_trace(tr, 3, 0.0, 0)
     target = tuple(GRAPH.points_at(np.array([1]), np.array([15.0]))[0])
-    scen = EventScenario(target=target, detection_radius_cm=1.0, sense_rate_hz=3)
-    res = run([up], scenario=scen)
+    res = run([up], target=target, sense_rate_hz=3)
     assert any(r.event_bit == 1 for r in res.records)
     # without a target every bit stays 0
-    res0 = run([up], scenario=EventScenario(target=None, sense_rate_hz=3))
+    res0 = run([up], target=None, sense_rate_hz=3)
     assert all(r.event_bit == 0 for r in res0.records)
 
 
@@ -138,9 +134,9 @@ def test_sense_hits_match_the_per_vector_norm_at_the_radius():
 
 def test_event_bit_clears_after_reset():
     tr = simulate_mobility(GRAPH, 1, 21.0, seed=0)[0]
-    up = upsample_trace(tr, UpsampleParams(factor=3, sigma_cm=0.0, seed=0))
+    up = upsample_trace(tr, 3, 0.0, 0)
     target = tuple(GRAPH.points_at(np.array([1]), np.array([15.0]))[0])
-    res = run([up], scenario=EventScenario(target=target, sense_rate_hz=3))
+    res = run([up], target=target, sense_rate_hz=3)
     positives = [r for r in res.records if r.event_bit == 1]
     # the device re-senses the event each loop, so every delivered record
     # after the first sensing carries the bit; the first one does not
@@ -219,4 +215,4 @@ def test_input_validation():
         run([short], duration=1.0)
     with pytest.raises(ConfigMismatch):
         # 1 Hz trace cannot honor a 3 Hz sensing grid
-        run([tr], scenario=EventScenario(target=None, sense_rate_hz=3))
+        run([tr], sense_rate_hz=3)

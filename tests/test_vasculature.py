@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nanoflow.errors import EmptyTrace, InvalidGraph
-from nanoflow.vasculature import (MobilityTrace, RegionType, UpsampleParams,
+from nanoflow.vasculature import (MobilityTrace, RegionType,
                                   Vessel, VesselGraph, Z_LIMIT,
                                   build_reference_vasculature,
                                   export_trace_csv, load_graph,
@@ -336,7 +336,7 @@ def test_heart_entries_uses_schedule():
 
 def test_upsample_zero_sigma_is_exact_interpolation():
     tr = simulate_mobility(GRAPH, 1, 90.0, seed=4)[0]
-    up = upsample_trace(tr, UpsampleParams(factor=3, sigma_cm=0.0, seed=0))
+    up = upsample_trace(tr, 3, 0.0, 0)
     assert len(up.times) == (len(tr.times) - 1) * 3 + 1
     worst = 0.0
     for i in range(len(tr.times) - 1):
@@ -350,7 +350,7 @@ def test_upsample_zero_sigma_is_exact_interpolation():
 
 def test_upsample_preserves_originals_bit_exact():
     tr = simulate_mobility(GRAPH, 1, 60.0, seed=8)[0]
-    up = upsample_trace(tr, UpsampleParams(factor=3, sigma_cm=0.5, seed=77))
+    up = upsample_trace(tr, 3, 0.5, 77)
     np.testing.assert_array_equal(up.positions[::3], tr.positions)
     np.testing.assert_array_equal(up.times[::3], tr.times)
     np.testing.assert_array_equal(up.vessel_ids[::3], tr.vessel_ids)
@@ -360,7 +360,7 @@ def test_upsample_jitter_statistics():
     # per-axis std of the inserted-point deviations approaches sigma
     tr = simulate_mobility(GRAPH, 1, 2000.0, seed=13)[0]
     sigma = 0.1
-    up = upsample_trace(tr, UpsampleParams(factor=3, sigma_cm=sigma, seed=5))
+    up = upsample_trace(tr, 3, sigma, 5)
     devs = []
     for i in range(len(tr.times) - 1):
         p0, p1 = tr.positions[i], tr.positions[i + 1]
@@ -375,17 +375,17 @@ def test_upsample_jitter_statistics():
 
 def test_upsample_deterministic_per_seed():
     tr = simulate_mobility(GRAPH, 1, 50.0, seed=1)[0]
-    u1 = upsample_trace(tr, UpsampleParams(3, 0.2, seed=9))
-    u2 = upsample_trace(tr, UpsampleParams(3, 0.2, seed=9))
+    u1 = upsample_trace(tr, 3, 0.2, 9)
+    u2 = upsample_trace(tr, 3, 0.2, 9)
     np.testing.assert_array_equal(u1.positions, u2.positions)
-    u3 = upsample_trace(tr, UpsampleParams(3, 0.2, seed=10))
+    u3 = upsample_trace(tr, 3, 0.2, 10)
     assert not np.array_equal(u1.positions, u3.positions)
 
 
 def test_upsample_carries_visit_schedule():
     for factor, duration in [(3, 50.0), (1, 50.0), (3, 0.0), (1, 0.0)]:
         tr = simulate_mobility(GRAPH, 1, duration, seed=1)[0]
-        up = upsample_trace(tr, UpsampleParams(factor, 0.2, seed=9))
+        up = upsample_trace(tr, factor, 0.2, 9)
         np.testing.assert_array_equal(up.visit_times, tr.visit_times)
         np.testing.assert_array_equal(up.visit_vessels, tr.visit_vessels)
         assert not np.shares_memory(up.visit_times, tr.visit_times)
@@ -402,7 +402,14 @@ def test_upsample_rejects_empty_trace():
                           positions=np.zeros((0, 3)), vessel_ids=np.array([]),
                           visit_times=np.array([]), visit_vessels=np.array([]))
     with pytest.raises(EmptyTrace):
-        upsample_trace(empty, UpsampleParams())
+        upsample_trace(empty, 3, 0.2, 0)
+    # and arguments it cannot honour, rather than truncating the factor or
+    # skipping the jitter
+    tr = simulate_mobility(GRAPH, 1, 10.0, seed=1)[0]
+    for factor, sigma, named in [(0, 0.2, "factor"), (2.5, 0.2, "factor"),
+                                 (3, -0.1, "sigma_cm"), (3, float("nan"), "sigma_cm")]:
+        with pytest.raises(ValueError, match=f"upsample {named} must be"):
+            upsample_trace(tr, factor, sigma, 0)
 
 
 def _reference_trace_csv(traces, path):
@@ -416,7 +423,7 @@ def _reference_trace_csv(traces, path):
 
 
 def test_trace_csv_bytes_match_the_row_by_row_writer(tmp_path):
-    traces = [upsample_trace(tr, UpsampleParams(factor=3, sigma_cm=0.2, seed=tr.device_id))
+    traces = [upsample_trace(tr, 3, 0.2, tr.device_id)
               for tr in simulate_mobility(GRAPH, 3, 40.0, seed=2)]
     awkward = np.array([[-0.0, 1e-7, -1e-7], [5e-7, -5e-7, 2.5e-6], [1e9 / 3, -123456.7890125, 0.1],
                         [np.nextafter(0.5e-6, 1), 1.0000005, -2.0000005]])
