@@ -550,9 +550,10 @@ def convergence_curve(dense_results: list[tuple[TargetEvent, RegionEstimate]],
 
 
 def export_events_csv(events: list[TargetEvent], path: str) -> None:
+    pos = np.array([ev.position for ev in events], dtype=float).reshape(-1, 3)
     write_csv(path, "event_id,x_cm,y_cm,z_cm,region_id,region_type",
-              (f"{ev.id},{x:.6f},{y:.6f},{z:.6f},{ev.region_id},{ev.region_type}\n"
-               for ev in events for x, y, z in [ev.position]))
+              [([ev.id for ev in events], *pos.T, [ev.region_id for ev in events],
+                [ev.region_type for ev in events])])
 
 
 def load_estimates_csv(path: str) -> list[RegionEstimate]:

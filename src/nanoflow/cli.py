@@ -126,9 +126,9 @@ def cmd_convergence(cfg: RunConfig, args) -> int:
     _warn_run_errors(sum(err is not None for _, _, _, err in raw), len(raw))
     _prepare_out(cfg, args.out)
     write_csv(os.path.join(args.out, "convergence.csv"), "strategy,k,region_acc,mean_err_cm",
-              (f"{name},{k},{acc:.6f},{err:.6f}\n" for name in strategies
-               for k, acc, err in convergence_curve(dense_results, name, sizes,
-                                                    seed=cfg.seed, graph=graph)))
+              (([name] * len(ks), ks, acc, err) for name in strategies   # acc, err are floats
+               for ks, acc, err in [zip(*convergence_curve(dense_results, name, sizes,
+                                                           seed=cfg.seed, graph=graph))]))
     print(f"convergence over {len(strategies)} strategies x {len(sizes)} sizes "
           f"({len(dense)} cached event runs)")
     return EXIT_OK

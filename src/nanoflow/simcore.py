@@ -58,7 +58,7 @@ import numpy as np
 from . import channel as ch
 from .energy import EnergyConfig, EnergyState, charge_grid, energy_after, try_consume
 from .errors import ConfigMismatch
-from .vasculature import MobilityTrace, VesselGraph, write_csv
+from .vasculature import CSV_ROWS, MobilityTrace, VesselGraph, write_csv
 
 _T_EPS = 1e-9
 # the array pass's path loss and SINR differ from the scalar channel calls' by
@@ -351,8 +351,9 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
     energy_cfg, channel_cfg = plan.energy_cfg, plan.channel_cfg
     if not anchors:
         raise ConfigMismatch("at least one anchor is required")
-    if duration_s <= 0:
-        raise ConfigMismatch("duration_s must be positive")
+    for name in ("duration_s", "sense_rate_hz", "detection_radius_cm"):
+        if not getattr(plan, name) > 0:   # NaN too
+            raise ConfigMismatch(f"{name} must be positive")
     strides = []
     for trace in traces:
         if len(trace.times) < 2:
@@ -459,13 +460,16 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
                      consumed_pj=consumed_pj, duration_s=duration_s)
 
 
+_ROW = np.dtype([("time", float), ("mac", np.int64), ("value", float), ("flag", np.int64)])
+
+
 def export_raw_csv(records: list[RawRecord], path: str) -> None:
     """One row per record, in the order given (run_simulation's is (time, mac))."""
     write_csv(path, "report_time_s,device_mac,circulation_time_s,event_bit",
-              (f"{r.report_time_s:.6f},{r.device_mac},{r.circulation_time_s:.6f},{r.event_bit}\n"
-               for r in records))
+              [np.fromiter(((r.report_time_s, r.device_mac, r.circulation_time_s, r.event_bit)
+                            for r in records), _ROW)])
 
 
 def export_energy_csv(rows: list[tuple[float, int, float, int]], path: str) -> None:
     write_csv(path, "time_s,device_mac,energy_pj,powered",
-              (f"{t:.6f},{mac},{pj:.6f},{powered}\n" for t, mac, pj, powered in rows))
+              (np.fromiter(rows[lo:lo + CSV_ROWS], _ROW) for lo in range(0, len(rows), CSV_ROWS)))

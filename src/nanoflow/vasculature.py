@@ -542,18 +542,65 @@ def vessel_centroid(graph: VesselGraph, region_id: int) -> np.ndarray:
     return (v.start + v.end) / 2.0
 
 
-def write_csv(path: str, header: str, lines) -> None:
-    """The header row, then each formatted line (newline included) as given."""
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        fh.writelines(lines)
+CSV_ROWS = 4096   # rows formatted per pass: bounds the byte matrices
+
+
+def _digit_cells(m: np.ndarray, neg: np.ndarray, least: int) -> np.ndarray:
+    """One 0-padded ASCII column per value: '-' where neg, then the decimal
+    digits of m, at least `least` of them, with no other leading zeros."""
+    digits = np.empty((max(least, len(str(m.max()))), len(m)), np.uint8)
+    for row in digits[::-1]:
+        m, row[:] = np.divmod(m, 10)
+    digits += 48
+    lead = digits[:len(digits) - least]
+    lead[np.logical_and.accumulate(lead == 48)] = 0
+    return np.vstack([neg * np.uint8(45), digits])
+
+
+def _float_cells(x: np.ndarray) -> np.ndarray:
+    """f"{v:.6f}" of each v, via m = rint(fl(|v|*1e6)) in int64.  Half-integers
+    below 2**52 are doubles and rounding is monotonic, so the product can land on
+    a tie but never cross one: m is correctly rounded unless the product is a
+    half-integer, not finite or at least 2**52; those cells take the f-string."""
+    y = np.minimum(np.abs(x), 1e10) * 1e6   # inf and huge values clamp past 2**52
+    m = np.rint(y)
+    odd = ~((np.abs(y - m) < 0.5) & (y < 2.0 ** 52))
+    cells = np.insert(_digit_cells(np.where(odd, 0, m).astype(np.int64), np.signbit(x), 7),
+                      -6, 46, axis=0)   # the '.' before the last six digits
+    if odd.any():
+        text = _cells(np.array([f"{v:.6f}" for v in x[odd].tolist()]))
+        cells = np.pad(cells, ((0, max(0, len(text) - len(cells))), (0, 0)))
+        cells[:, odd] = np.pad(text, ((0, len(cells) - len(text)), (0, 0)))
+    return cells
+
+
+def _cells(col: np.ndarray) -> np.ndarray:
+    if col.dtype.kind == "f":
+        return _float_cells(np.asarray(col, dtype=float))
+    if col.dtype.kind in "iu":
+        return _digit_cells(np.abs(col.astype(np.int64)), col < 0, 1)
+    return np.array(col, dtype="S").view(np.uint8).reshape(len(col), -1).T
+
+
+def write_csv(path: str, header: str, blocks) -> None:
+    """The header row, then each block's rows.  A block is a structured array or
+    a sequence of equal-length columns: a float column is written as f"{v:.6f}",
+    an integer one as f"{v}" (|v| < 2**63), any other as str(v).  Each pass puts
+    CSV_ROWS rows in a 0-padded ASCII matrix and writes its nonzero bytes."""
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for block in blocks:
+            columns = [block[n] for n in block.dtype.names] if hasattr(block, "dtype") else block
+            for lo in range(0, len(columns[0]), CSV_ROWS):
+                cells = [_cells(np.asarray(c)[lo:lo + CSV_ROWS]) for c in columns]
+                sep = np.full((1, cells[0].shape[1]), 44, np.uint8)
+                mat = np.vstack([a for c in cells for a in (c, sep)]).T
+                mat[:, -1] = 10   # the last separator ends the line
+                fh.write(mat[mat != 0].tobytes())
 
 
 def export_trace_csv(traces: list[MobilityTrace], path: str) -> None:
     """One row per sample: time_s,device_id,x_cm,y_cm,z_cm,vessel_id."""
     write_csv(path, "time_s,device_id,x_cm,y_cm,z_cm,vessel_id",
-              (f"{t:.6f},{tr.device_id},{x:.6f},{y:.6f},{z:.6f},{vid}\n"
-               for tr in traces for lo in range(0, len(tr.times), 1024)   # 1024 rows at a time
-               for t, (x, y, z), vid in zip(tr.times[lo:lo + 1024].tolist(),
-                                            tr.positions[lo:lo + 1024].tolist(),
-                                            tr.vessel_ids[lo:lo + 1024].astype(int).tolist())))
+              ((tr.times, np.full(len(tr.times), tr.device_id), *tr.positions.T,
+                tr.vessel_ids.astype(np.int64)) for tr in traces))

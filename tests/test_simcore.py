@@ -6,6 +6,8 @@ ideal energy the delivery pattern is then an exact function of the walk
 schedule and makes a clean oracle.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -216,3 +218,11 @@ def test_input_validation():
     with pytest.raises(ConfigMismatch):
         # 1 Hz trace cannot honor a 3 Hz sensing grid
         run([tr], sense_rate_hz=3)
+    # a plan built in code is checked too: no ZeroDivisionError, no bare
+    # ValueError from math.floor, no detection radius that never fires
+    for field, value in [("sense_rate_hz", 0), ("duration_s", float("nan")),
+                         ("detection_radius_cm", float("nan")), ("detection_radius_cm", -1.0)]:
+        plan = replace(SimPlan(duration_s=9.0, sense_rate_hz=1, anchors=ANCHOR,
+                               energy_cfg=IDEAL_ENERGY), **{field: value})
+        with pytest.raises(ConfigMismatch, match=f"^{field} must be positive$"):
+            run_simulation(GRAPH, [tr], plan, (0.0, 0.0, 0.0))
