@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .errors import require
+
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
 
@@ -32,6 +34,10 @@ class Layer:
     name: str
     thickness_cm: float
     atten_db_per_cm: float
+
+    def __post_init__(self):
+        for name in ("thickness_cm", "atten_db_per_cm"):
+            require(getattr(self, name) >= 0, name, "must be >= 0")
 
 
 def default_layers() -> list[Layer]:
@@ -57,10 +63,8 @@ class ChannelConfig:
     layers: list[Layer] = field(default_factory=default_layers)
 
     def __post_init__(self):
-        if not all(0 < v < math.inf for v in (self.f_c, self.bandwidth, self.spectral_efficiency)):
-            raise ValueError("f_c, bandwidth and spectral_efficiency must be positive and finite")
-        if any(layer.thickness_cm < 0 or layer.atten_db_per_cm < 0 for layer in self.layers):
-            raise ValueError("layer thickness and attenuation must be >= 0")
+        for name in ("f_c", "bandwidth", "spectral_efficiency"):
+            require(0 < getattr(self, name) < math.inf, name, "must be positive and finite")
 
 
 @dataclass

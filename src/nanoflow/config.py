@@ -7,10 +7,12 @@ offending key: objects may hold only the default's keys; numbers must be
 finite, and integral where the default is an integer; each entry of a list
 of objects (anchors, channel.layers) is checked against the first default
 entry and must carry every key whose default is not null; other lists must
-have the default's length.  validate_consistency adds range and cross-key
-checks and ends by building the run plan, so a config that loads always
-converts.  The resolved dict is written next to every output and hashed
-into reports so a run can be reproduced byte for byte.
+have the default's length.  Each range check lives in the run-plan dataclass
+that owns the field, and plan() names the field's config key in its error.
+validate_consistency checks the keys no dataclass owns and ends by building
+the run plan, so a config that loads always converts.  The resolved dict is
+written next to every output and hashed into reports so a run can be
+reproduced byte for byte.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from .benchmark import STRATEGIES
 from .channel import ChannelConfig, Layer
 from .energy import EnergyConfig
-from .errors import ConfigError
+from .errors import ConfigError, ConfigMismatch
 from .simcore import Anchor, ProtocolParams, SimPlan
 from .vasculature import VesselGraph, build_reference_vasculature, load_graph
 
@@ -147,69 +149,77 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
+# config key of each run-plan field whose key is not the field's own name
+_KEYS = {"v_g": "energy.v_g_volts", "delta_q": "energy.delta_q_pc", "t_cycle": "energy.t_cycle_ms",
+         "e_max": "energy.e_max_pj", "e_turn_on": "energy.turn_on_pj",
+         "e_turn_off": "energy.turn_off_pj", "cost_tx_pulse": "energy.cost_tx_pulse_pj",
+         "cost_rx_pulse": "energy.cost_rx_pulse_pj", "cost_sense": "energy.cost_sense_pj",
+         "f_c": "channel.f_c_thz", "bandwidth": "channel.bandwidth_ghz",
+         "spectral_efficiency": "channel.spectral_efficiency_bits_per_hz",
+         "detection_radius_cm": "scenario.detection_radius_cm",
+         "sense_rate_hz": "scenario.sense_rate_hz", "upsample_factor": "upsample.factor",
+         "upsample_sigma_cm": "upsample.sigma_cm"}
+
+
+def _built(cls, prefix: str = "", **fields):
+    """cls(**fields), a range error raised as ConfigError naming the key: prefix
+    + field where keys are field names (protocol., anchors[i].), else _KEYS's."""
+    try:
+        return cls(**fields)
+    except ConfigMismatch as exc:
+        name, _, reason = str(exc).partition(" ")
+        key = prefix + name if prefix else _KEYS.get(name, name)
+        raise ConfigError(f"config key {key} {reason}") from exc
+
+
 @dataclass
 class RunConfig:
     raw: dict
 
-    # ---- typed section views -------------------------------------------
-    def energy_config(self) -> EnergyConfig:
-        e = self.raw["energy"]
-        try:
-            return EnergyConfig(
-                v_g=float(e["v_g_volts"]),
-                delta_q=float(e["delta_q_pc"]) * 1e-12,
-                t_cycle=float(e["t_cycle_ms"]) * 1e-3,
-                e_max=float(e["e_max_pj"]) * 1e-12,
-                e_turn_on=float(e["turn_on_pj"]) * 1e-12,
-                e_turn_off=float(e["turn_off_pj"]) * 1e-12,
-                cost_tx_pulse=float(e["cost_tx_pulse_pj"]) * 1e-12,
-                cost_rx_pulse=float(e["cost_rx_pulse_pj"]) * 1e-12,
-                cost_sense=float(e["cost_sense_pj"]) * 1e-12,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"config section energy: {exc}") from exc
-
-    def channel_config(self) -> ChannelConfig:
-        c = self.raw["channel"]
-        try:
-            return ChannelConfig(
-                f_c=float(c["f_c_thz"]) * 1e12,
-                bandwidth=float(c["bandwidth_ghz"]) * 1e9,
-                tx_power_dbm=float(c["tx_power_dbm"]),
-                rx_sensitivity_dbm=float(c["rx_sensitivity_dbm"]),
-                sinr_threshold_db=float(c["sinr_threshold_db"]),
-                noise_floor_dbm=float(c["noise_floor_dbm"]),
-                spreading_exponent=float(c["spreading_exponent"]),
-                doppler_penalty_db_per_mhz=float(c["doppler_penalty_db_per_mhz"]),
-                backscatter_gain_db=float(c["backscatter_gain_db"]),
-                spectral_efficiency=float(c["spectral_efficiency_bits_per_hz"]),
-                layers=[Layer(layer["name"], float(layer["thickness_cm"]),
-                              float(layer["atten_db_per_cm"])) for layer in c["layers"]],
-            )
-        except ValueError as exc:
-            raise ConfigError(f"config section channel: {exc}") from exc
-
     def plan(self) -> SimPlan:
         """Everything an event run needs, converted from the raw sections."""
         raw = self.raw
-        scenario, upsample, proto = raw["scenario"], raw["upsample"], raw["protocol"]
-        return SimPlan(
+        e, c, proto = raw["energy"], raw["channel"], raw["protocol"]
+        return _built(
+            SimPlan,
             device_count=int(raw["device_count"]),
             duration_s=float(raw["duration_s"]),
-            detection_radius_cm=float(scenario["detection_radius_cm"]),
-            sense_rate_hz=int(scenario["sense_rate_hz"]),
-            upsample_factor=int(upsample["factor"]),
-            upsample_sigma_cm=float(upsample["sigma_cm"]),
-            anchors=[Anchor(mac=int(a["mac"]), position=tuple(a["position_cm"]),
+            detection_radius_cm=float(raw["scenario"]["detection_radius_cm"]),
+            sense_rate_hz=int(raw["scenario"]["sense_rate_hz"]),
+            upsample_factor=int(raw["upsample"]["factor"]),
+            upsample_sigma_cm=float(raw["upsample"]["sigma_cm"]),
+            anchors=[_built(Anchor, f"anchors[{i}].", mac=int(a["mac"]),
+                            position=tuple(a["position_cm"]),
                             beacon_interval_s=float(a["beacon_interval_s"]),
                             tx_power_dbm=(None if a.get("tx_power_dbm") is None
                                           else float(a["tx_power_dbm"])))
-                     for a in raw["anchors"]],
-            energy_cfg=self.energy_config(),
-            channel_cfg=self.channel_config(),
-            protocol=ProtocolParams(beacon_bits=int(proto["beacon_bits"]),
-                                    response_bits=int(proto["response_bits"]),
-                                    episode_gap_intervals=float(proto["episode_gap_intervals"])),
+                     for i, a in enumerate(raw["anchors"])],
+            energy_cfg=_built(EnergyConfig, v_g=float(e["v_g_volts"]),
+                              delta_q=float(e["delta_q_pc"]) * 1e-12,
+                              t_cycle=float(e["t_cycle_ms"]) * 1e-3,
+                              e_max=float(e["e_max_pj"]) * 1e-12,
+                              e_turn_on=float(e["turn_on_pj"]) * 1e-12,
+                              e_turn_off=float(e["turn_off_pj"]) * 1e-12,
+                              cost_tx_pulse=float(e["cost_tx_pulse_pj"]) * 1e-12,
+                              cost_rx_pulse=float(e["cost_rx_pulse_pj"]) * 1e-12,
+                              cost_sense=float(e["cost_sense_pj"]) * 1e-12),
+            channel_cfg=_built(ChannelConfig, f_c=float(c["f_c_thz"]) * 1e12,
+                               bandwidth=float(c["bandwidth_ghz"]) * 1e9,
+                               tx_power_dbm=float(c["tx_power_dbm"]),
+                               rx_sensitivity_dbm=float(c["rx_sensitivity_dbm"]),
+                               sinr_threshold_db=float(c["sinr_threshold_db"]),
+                               noise_floor_dbm=float(c["noise_floor_dbm"]),
+                               spreading_exponent=float(c["spreading_exponent"]),
+                               doppler_penalty_db_per_mhz=float(c["doppler_penalty_db_per_mhz"]),
+                               backscatter_gain_db=float(c["backscatter_gain_db"]),
+                               spectral_efficiency=float(c["spectral_efficiency_bits_per_hz"]),
+                               layers=[_built(Layer, f"channel.layers[{i}].", name=layer["name"],
+                                              thickness_cm=float(layer["thickness_cm"]),
+                                              atten_db_per_cm=float(layer["atten_db_per_cm"]))
+                                       for i, layer in enumerate(c["layers"])]),
+            protocol=_built(ProtocolParams, "protocol.", beacon_bits=int(proto["beacon_bits"]),
+                            response_bits=int(proto["response_bits"]),
+                            episode_gap_intervals=float(proto["episode_gap_intervals"])),
         )
 
     def graph(self) -> VesselGraph:
@@ -229,48 +239,23 @@ class RunConfig:
         return int(self.raw["seed"])
 
     def validate_consistency(self) -> None:
-        if self.raw["duration_s"] <= 0:
-            raise ConfigError("config key duration_s must be positive")
-        if self.raw["device_count"] < 1:
-            raise ConfigError("config key device_count must be >= 1")
+        """Check the keys no run-plan dataclass owns, then build the plan."""
         if self.raw["seed"] < 0:
             raise ConfigError("config key seed must be >= 0")
-        scenario, upsample = self.raw["scenario"], self.raw["upsample"]
-        rate, factor = scenario["sense_rate_hz"], upsample["factor"]
-        if rate < 1:
-            raise ConfigError("config key scenario.sense_rate_hz must be >= 1")
-        if factor < 1 or factor % rate != 0:
-            raise ConfigError(
-                "config key upsample.factor must be a positive integer "
-                f"multiple of scenario.sense_rate_hz (got {factor} vs {rate})")
-        if upsample["sigma_cm"] < 0:
-            raise ConfigError("config key upsample.sigma_cm must be >= 0")
-        if scenario["detection_radius_cm"] <= 0:
-            raise ConfigError("config key scenario.detection_radius_cm must be positive")
-        if scenario["target_cm"] is not None:
-            _validate(scenario["target_cm"], [0.0, 0.0, 0.0], "scenario.target_cm")
-        if not self.raw["anchors"]:
-            raise ConfigError("config key anchors must list at least one anchor")
+        target = self.raw["scenario"]["target_cm"]
+        if target is not None:
+            _validate(target, [0.0, 0.0, 0.0], "scenario.target_cm")
         for i, a in enumerate(self.raw["anchors"]):
-            if a["beacon_interval_s"] <= 0:
-                raise ConfigError(f"config key anchors[{i}].beacon_interval_s must be positive")
             if a.get("tx_power_dbm") is not None:
                 _validate(a["tx_power_dbm"], 0.0, f"anchors[{i}].tx_power_dbm")
-        proto = self.raw["protocol"]
-        for key in ("beacon_bits", "response_bits"):
-            if proto[key] < 1:
-                raise ConfigError(f"config key protocol.{key} must be >= 1")
-        if proto["episode_gap_intervals"] <= 0:
-            raise ConfigError("config key protocol.episode_gap_intervals must be positive")
         bench = self.raw["benchmark"]
         if bench["strategy"] not in STRATEGIES:
             raise ConfigError(
                 f"config key benchmark.strategy must be one of {'/'.join(STRATEGIES)} "
                 f"(got {bench['strategy']!r})")
-        if bench["dense_size"] < 1:
-            raise ConfigError("config key benchmark.dense_size must be >= 1")
-        if bench["sample_k"] < 1:
-            raise ConfigError("config key benchmark.sample_k must be >= 1")
+        for key in ("dense_size", "sample_k"):
+            if bench[key] < 1:
+                raise ConfigError(f"config key benchmark.{key} must be >= 1")
         times = bench["sim_times_s"]
         if times is not None:
             if not isinstance(times, list) or not times:

@@ -36,7 +36,7 @@ import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .errors import EnergyOutOfRange
+from .errors import EnergyOutOfRange, require
 
 
 @dataclass
@@ -52,15 +52,14 @@ class EnergyConfig:
     cost_sense: float = 1e-12      # J per sensing task
 
     def __post_init__(self):
-        bad = [name for name, value in vars(self).items() if not math.isfinite(value)]
-        if bad:
-            raise ValueError(f"{', '.join(bad)} must be finite")
-        if self.v_g <= 0 or self.delta_q <= 0 or self.t_cycle <= 0 or self.e_max <= 0:
-            raise ValueError("v_g, delta_q, t_cycle and e_max must be positive")
-        if not (0 <= self.e_turn_off < self.e_turn_on <= self.e_max):
-            raise ValueError("need 0 <= e_turn_off < e_turn_on <= e_max")
-        if min(self.cost_tx_pulse, self.cost_rx_pulse, self.cost_sense) < 0:
-            raise ValueError("pulse/sense costs must be >= 0")
+        for name, value in vars(self).items():
+            require(math.isfinite(value), name, "must be finite")
+        for name in ("v_g", "delta_q", "t_cycle", "e_max"):
+            require(getattr(self, name) > 0, name, "must be positive")
+        for name in ("e_turn_off", "cost_tx_pulse", "cost_rx_pulse", "cost_sense"):
+            require(getattr(self, name) >= 0, name, "must be >= 0")
+        require(self.e_turn_off < self.e_turn_on <= self.e_max, "e_turn_on",
+                "must lie above e_turn_off and at most e_max")
 
 
 @dataclass

@@ -25,8 +25,14 @@ class EventRunsFailed(NanoflowError):
     """Every event run of a benchmark failed, so there is nothing to score."""
 
 
-class ConfigMismatch(NanoflowError):
-    """Simulation inputs disagree with each other (e.g. trace shorter than run)."""
+class ConfigMismatch(NanoflowError, ValueError):
+    """Simulation inputs out of range or disagreeing (e.g. trace shorter than run)."""
+
+
+def require(ok: bool, field: str, reason: str) -> None:
+    """A run-plan field's range check: raise ConfigMismatch("<field> <reason>") unless ok."""
+    if not ok:
+        raise ConfigMismatch(f"{field} {reason}")
 
 
 class MismatchedSets(NanoflowError):

@@ -4,6 +4,8 @@ A run is a SimPlan, the one description of a scenario, plus the event's
 target: run_simulation(graph, traces, plan, target) reads the plan's
 anchors, energy, channel, protocol, duration, sense rate and detection
 radius.  Its device count and upsampling shape the traces the caller passes.
+The plan and its parts check their own ranges when built; run_simulation
+checks only that the traces fit the plan.
 
 Devices interact in one place only: responses that overlap at an anchor.
 Nothing flows back from there (a device has spent its energy and marked the
@@ -57,7 +59,7 @@ import numpy as np
 
 from . import channel as ch
 from .energy import EnergyConfig, EnergyState, charge_grid, energy_after, try_consume
-from .errors import ConfigMismatch
+from .errors import ConfigMismatch, require
 from .vasculature import CSV_ROWS, MobilityTrace, VesselGraph, write_csv
 
 _T_EPS = 1e-9
@@ -75,8 +77,7 @@ class Anchor:
     tx_power_dbm: float | None = None   # None = channel default
 
     def __post_init__(self):
-        if self.beacon_interval_s <= 0:
-            raise ConfigMismatch("anchor beacon_interval_s must be positive")
+        require(self.beacon_interval_s > 0, "beacon_interval_s", "must be positive")
 
 
 @dataclass
@@ -86,6 +87,11 @@ class ProtocolParams:
     # beacon silence (in units of the anchor interval) that closes a contact
     # episode; a device answers the first beacon it hears per episode
     episode_gap_intervals: float = 1.5
+
+    def __post_init__(self):
+        for name in ("beacon_bits", "response_bits"):
+            require(getattr(self, name) >= 1, name, "must be >= 1")
+        require(self.episode_gap_intervals > 0, "episode_gap_intervals", "must be positive")
 
 
 @dataclass
@@ -102,6 +108,16 @@ class SimPlan:
     channel_cfg: ch.ChannelConfig = field(default_factory=ch.ChannelConfig)
     protocol: ProtocolParams = field(default_factory=ProtocolParams)
 
+    def __post_init__(self):
+        require(self.device_count >= 1, "device_count", "must be >= 1")
+        for name in ("duration_s", "detection_radius_cm", "sense_rate_hz"):
+            require(getattr(self, name) > 0, name, "must be positive")   # NaN fails too
+        require(self.upsample_factor >= 1 and self.upsample_factor % self.sense_rate_hz == 0,
+                "upsample_factor", "must be a positive integer multiple of the sense rate "
+                f"(got {self.upsample_factor} vs {self.sense_rate_hz})")
+        require(self.upsample_sigma_cm >= 0, "upsample_sigma_cm", "must be >= 0")
+        require(len(self.anchors) > 0, "anchors", "must list at least one anchor")
+
 
 @dataclass
 class RawRecord:
@@ -116,7 +132,6 @@ class SimResult:
     records: list[RawRecord]
     energy_rows: list[tuple[float, int, float, int]]   # time_s, mac, pJ, powered
     consumed_pj: dict[int, float]
-    duration_s: float
 
 
 def _visit_schedule(traces: list[MobilityTrace], graph: VesselGraph, duration_s: float):
@@ -349,11 +364,6 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
     1 Hz energy rows unless energy_rows is False)."""
     anchors, duration_s, proto = plan.anchors, plan.duration_s, plan.protocol
     energy_cfg, channel_cfg = plan.energy_cfg, plan.channel_cfg
-    if not anchors:
-        raise ConfigMismatch("at least one anchor is required")
-    for name in ("duration_s", "sense_rate_hz", "detection_radius_cm"):
-        if not getattr(plan, name) > 0:   # NaN too
-            raise ConfigMismatch(f"{name} must be positive")
     strides = []
     for trace in traces:
         if len(trace.times) < 2:
@@ -457,7 +467,7 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
     records.sort(key=lambda r: (r.report_time_s, r.device_mac))
     return SimResult(records=records,
                      energy_rows=[row for group in zip(*device_rows) for row in group],
-                     consumed_pj=consumed_pj, duration_s=duration_s)
+                     consumed_pj=consumed_pj)
 
 
 _ROW = np.dtype([("time", float), ("mac", np.int64), ("value", float), ("flag", np.int64)])

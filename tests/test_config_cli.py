@@ -4,13 +4,14 @@ import copy
 import json
 import os
 import re
+import traceback
 
 import numpy as np
 import pytest
 
 from nanoflow.benchmark import SimPlan
 from nanoflow.cli import main
-from nanoflow.config import DEFAULT_CONFIG, RunConfig, load_config
+from nanoflow.config import _KEYS, DEFAULT_CONFIG, RunConfig, load_config
 from nanoflow.errors import ConfigError
 from nanoflow.vasculature import build_reference_vasculature, save_graph
 
@@ -25,10 +26,10 @@ def test_defaults_resolve_and_validate():
     assert cfg.plan().duration_s == 1000.0
     assert cfg.plan().device_count == 64
     assert cfg.seed == 1
-    e = cfg.energy_config()
+    e = cfg.plan().energy_cfg
     assert e.e_max == pytest.approx(800e-12)
     assert e.v_g == 0.42
-    c = cfg.channel_config()
+    c = cfg.plan().channel_cfg
     assert c.f_c == pytest.approx(1e12)
     assert c.bandwidth == pytest.approx(10e9)
     assert [l.name for l in c.layers] == ["vessel_wall", "tissue", "skin"]
@@ -153,20 +154,64 @@ def test_integer_keys_reject_fractions(key):
     assert integral.plan() == load_config().plan()
 
 
-@pytest.mark.parametrize("channel", [
-    {"bandwidth_ghz": 0}, {"f_c_thz": 0}, {"spectral_efficiency_bits_per_hz": -0.5},
-    {"f_c_thz": 1e300},   # overflows to an infinite carrier in Hz
-    {"layers": [{"name": "skin", "thickness_cm": -0.1, "atten_db_per_cm": 20.0}]},
-    {"layers": [{"name": "skin", "thickness_cm": 0.1, "atten_db_per_cm": -1.0}]},
+@pytest.mark.parametrize("channel, key", [
+    ({"bandwidth_ghz": 0}, "channel.bandwidth_ghz"), ({"f_c_thz": 0}, "channel.f_c_thz"),
+    ({"spectral_efficiency_bits_per_hz": -0.5}, "channel.spectral_efficiency_bits_per_hz"),
+    ({"f_c_thz": 1e300}, "channel.f_c_thz"),   # overflows to an infinite carrier in Hz
+    ({"layers": [{"name": "skin", "thickness_cm": -0.1, "atten_db_per_cm": 20.0}]},
+     "channel.layers[0].thickness_cm"),
+    ({"layers": [{"name": "skin", "thickness_cm": 0.1, "atten_db_per_cm": -1.0}]},
+     "channel.layers[0].atten_db_per_cm"),
 ])
-def test_channel_ranges_are_checked(tmp_path, capsys, channel):
-    with pytest.raises(ConfigError, match="config section channel: "):
+def test_channel_ranges_are_checked(tmp_path, capsys, channel, key):
+    with pytest.raises(ConfigError, match=f"^config key {re.escape(key)} must be "):
         load_config(None, overrides={"channel": channel})
     p = tmp_path / "c.json"
     p.write_text(json.dumps({"channel": channel}))
     assert main(["simulate", "--config", str(p), "--devices", "2", "--duration-s", "20",
                  "--out", str(tmp_path / "out")]) == 1
-    assert "config section channel: " in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: config key {key} must be ")
+
+
+LAYER = DEFAULT_CONFIG["channel"]["layers"][0]
+
+
+@pytest.mark.parametrize("owner, override, message", [
+    ("EnergyConfig", {"energy": {"v_g_volts": 0}}, "energy.v_g_volts must be positive"),
+    ("EnergyConfig", {"energy": {"turn_on_pj": 900.0}},
+     "energy.turn_on_pj must lie above e_turn_off and at most e_max"),
+    ("EnergyConfig", {"energy": {"cost_sense_pj": -1.0}}, "energy.cost_sense_pj must be >= 0"),
+    ("ChannelConfig", {"channel": {"bandwidth_ghz": -1.0}},
+     "channel.bandwidth_ghz must be positive and finite"),
+    ("Layer", {"channel": {"layers": [LAYER, {**LAYER, "thickness_cm": -1.0}]}},
+     "channel.layers[1].thickness_cm must be >= 0"),
+    ("Anchor", {"anchors": [ANCHOR, {**ANCHOR, "beacon_interval_s": 0}]},
+     "anchors[1].beacon_interval_s must be positive"),
+    ("ProtocolParams", {"protocol": {"response_bits": 0}}, "protocol.response_bits must be >= 1"),
+    ("SimPlan", {"scenario": {"detection_radius_cm": 0}},
+     "scenario.detection_radius_cm must be positive"),
+    ("SimPlan", {"upsample": {"sigma_cm": -0.1}}, "upsample.sigma_cm must be >= 0"),
+])
+def test_range_errors_name_the_config_key(tmp_path, capsys, owner, override, message):
+    # the dataclass that owns the field raises; the loader names the config key
+    with pytest.raises(ConfigError, match=f"^config key {re.escape(message)}$") as info:
+        load_config(None, overrides=override)
+    frames = traceback.walk_tb(info.value.__cause__.__traceback__)
+    assert owner in {type(frame.f_locals.get("self")).__name__ for frame, _ in frames}
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(override))
+    assert main(["simulate", "--config", str(p), "--devices", "2", "--duration-s", "20",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: config key {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_mapped_config_keys_exist():
+    for field, key in _KEYS.items():
+        node = DEFAULT_CONFIG
+        for part in key.split("."):
+            assert isinstance(node, dict) and part in node, (field, key)
+            node = node[part]
 
 
 def test_negative_seed_is_named():

@@ -1,8 +1,9 @@
 """Fuzzing load_config: random values at random key paths of a full config.
 
-A config either fails with ConfigError, naming a key, or loads and converts
-to a run plan.  No other exception may escape: a value that slipped past
-the loader would fail later, in every event run or as a traceback.
+A config either fails with ConfigError, whose message names a config key,
+or loads and converts to a run plan.  No other exception may escape: a
+value that slipped past the loader would fail later, in every event run or
+as a traceback.
 """
 
 import copy
@@ -80,6 +81,7 @@ def configs(draw):
 def test_load_config_raises_only_config_error(cfg):
     try:
         loaded = load_config(None, overrides=cfg)
-    except ConfigError:
+    except ConfigError as exc:
+        assert "config key" in str(exc)
         return
     assert isinstance(loaded.plan(), SimPlan)

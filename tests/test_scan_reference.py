@@ -251,7 +251,7 @@ def reference_run(graph, traces, plan, target=None):
                                    [trace.device_id for trace in traces])
     records.sort(key=lambda r: (r.report_time_s, r.device_mac))
     return SimResult(records, [row for group in zip(*device_rows) for row in group],
-                     consumed_pj, duration_s)
+                     consumed_pj)
 
 
 def _bits(result: SimResult):
