@@ -162,7 +162,7 @@ def test_integer_keys_reject_fractions(key):
      "channel.layers[0].thickness_cm"),
     ({"layers": [{"name": "skin", "thickness_cm": 0.1, "atten_db_per_cm": -1.0}]},
      "channel.layers[0].atten_db_per_cm"),
-])
+], ids=[f"channel{i}" for i in range(6)])
 def test_channel_ranges_are_checked(tmp_path, capsys, channel, key):
     with pytest.raises(ConfigError, match=f"^config key {re.escape(key)} must be "):
         load_config(None, overrides={"channel": channel})
