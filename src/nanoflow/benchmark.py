@@ -380,20 +380,20 @@ def _worker_init(graph, plan, sim_times, seed):
 
 
 def _run_one(event: TargetEvent):
+    """([RegionEstimate per sim time], consumed pJ per device, error | None)."""
     graph, plan, sim_times, seed = _WORKER_STATE["args"]
     try:
         result = simulate_event(graph, plan, event, seed)
-        estimates = {}
+        estimates = []
         for ti, t_cap in enumerate(sim_times):
             prefix = [r for r in result.records if r.report_time_s <= t_cap + 1e-9]
-            estimates[t_cap] = baseline_localize(
+            estimates.append(baseline_localize(
                 prefix, graph, seed=_child_seed(seed, event.id, 3, ti),
-                event_id=event.id)
-        consumed = list(result.consumed_pj.values())
-        return (event.id, estimates, consumed, None)
+                event_id=event.id))
+        return estimates, list(result.consumed_pj.values()), None
     except Exception as exc:  # failed run counts as no estimate for the event
-        empty = {t: RegionEstimate(event.id, None, None) for t in sim_times}
-        return (event.id, empty, [], f"{type(exc).__name__}: {exc}")
+        empty = [RegionEstimate(event.id, None, None) for _ in sim_times]
+        return empty, [], f"{type(exc).__name__}: {exc}"
 
 
 @dataclass
@@ -455,33 +455,37 @@ def _build_report(final: list[RegionEstimate], truths: list[TargetEvent],
 def run_events(graph: VesselGraph, events: list[TargetEvent], plan: SimPlan,
                workers: int = 1, seed: int = 0,
                sim_times_s: list[float] | None = None):
-    """Per-event raw results, sorted by event id (worker-count invariant).
+    """Run every event and localize it at each simulation time.
 
-    Returns (sim_times, rows) where each row is
-    (event_id, {sim_time: RegionEstimate}, consumed_pj_per_device, error | None).
-    A failed run counts as no estimate; EventRunsFailed is raised, naming the
-    count and the first error, when every run failed.
+    Returns (estimates, consumed, errors): {sim_time: [RegionEstimate per
+    event, in event-id order]} with sim times ascending, the consumed pJ of
+    every device of every run, and {str(event_id): error} of the failed
+    runs, which count as no estimate.  None of it depends on the worker
+    count.  EventRunsFailed is raised, naming the count and the first error,
+    when every run failed.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if not events:
         raise MismatchedSets("no target events to benchmark")
-    sim_times = sorted(set(float(t) for t in (sim_times_s or [plan.duration_s])))
-    if sim_times[-1] > plan.duration_s + 1e-9:
-        raise ValueError("sim_times_s cannot exceed the simulation duration")
-
+    times = [float(t) for t in sim_times_s or [plan.duration_s]]
+    bad = [t for t in times if not 0.0 < t <= plan.duration_s + 1e-9]   # NaN fails both
+    if bad:
+        raise ValueError(f"sim_times_s must lie in (0, {plan.duration_s:g}] s, got {bad[0]!r}")
+    sim_times = sorted(set(times))
+    events = sorted(events, key=lambda e: e.id)
     if workers == 1:
         _worker_init(graph, plan, sim_times, seed)
-        raw = [_run_one(ev) for ev in events]
+        runs = [_run_one(ev) for ev in events]
     else:
         with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
                                  initargs=(graph, plan, sim_times, seed)) as pool:
-            raw = list(pool.map(_run_one, events, chunksize=max(1, len(events) // (4 * workers))))
-    raw.sort(key=lambda item: item[0])
-    errors = [err for _, _, _, err in raw if err is not None]
-    if len(errors) == len(raw):
-        raise EventRunsFailed(f"all {len(raw)} event runs failed; the first: {errors[0]}")
-    return sim_times, raw
+            runs = list(pool.map(_run_one, events, chunksize=max(1, len(events) // (4 * workers))))
+    errors = {str(ev.id): err for ev, (_, _, err) in zip(events, runs) if err is not None}
+    if len(errors) == len(runs):
+        raise EventRunsFailed(f"all {len(runs)} event runs failed; the first: {runs[0][2]}")
+    return ({t: [estimates[i] for estimates, _, _ in runs] for i, t in enumerate(sim_times)},
+            [pj for _, consumed, _ in runs for pj in consumed], errors)
 
 
 def run_benchmark(graph: VesselGraph, events: list[TargetEvent], plan: SimPlan,
@@ -495,26 +499,15 @@ def run_benchmark(graph: VesselGraph, events: list[TargetEvent], plan: SimPlan,
     worker count or scheduling.  Per-simulation-time metrics come from
     prefix-truncated record sets of the same runs.
     """
-    sim_times, raw = run_events(graph, events, plan, workers, seed, sim_times_s)
-
+    per_time, consumed, run_errors = run_events(graph, events, plan, workers, seed, sim_times_s)
     truths = sorted(events, key=lambda e: e.id)
-    per_time: dict[float, list[RegionEstimate]] = {t: [] for t in sim_times}
-    consumed_all: list[float] = []
-    run_errors: dict[str, str] = {}
-    for event_id, estimates, consumed, err in raw:
-        for t in sim_times:
-            per_time[t].append(estimates[t])
-        consumed_all.extend(consumed)
-        if err is not None:
-            run_errors[str(event_id)] = err
-
-    by_time = {f"{t:g}": _metric_block(per_time[t], truths, graph, point_error_correct_only)
-               for t in sim_times}
+    by_time = {f"{t:g}": _metric_block(estimates, truths, graph, point_error_correct_only)
+               for t, estimates in per_time.items()}
     energy = {
-        "mean_consumed_pj": (sum(consumed_all) / len(consumed_all)) if consumed_all else None,
-        "max_consumed_pj": max(consumed_all) if consumed_all else None,
+        "mean_consumed_pj": (sum(consumed) / len(consumed)) if consumed else None,
+        "max_consumed_pj": max(consumed) if consumed else None,
     }
-    return _build_report(per_time[sim_times[-1]], truths, graph, point_error_correct_only,
+    return _build_report(per_time[max(per_time)], truths, graph, point_error_correct_only,
                          by_sim_time_s=by_time, energy_summary=energy,
                          config_fingerprint=config_fingerprint, run_errors=run_errors)
 

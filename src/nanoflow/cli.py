@@ -57,14 +57,13 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 
 
 def cmd_benchmark(cfg: RunConfig, args) -> int:
-    workers = _resolve_workers(args)
     graph = cfg.graph()
     events = _sampled_events(cfg, graph)
     bench = cfg.raw["benchmark"]
     fingerprint = cfg.fingerprint()
     correct_only = bool(bench["point_error_correct_only"])
     if args.localizer == "baseline":
-        report = run_benchmark(graph, events, cfg.plan(), workers=workers, seed=cfg.seed,
+        report = run_benchmark(graph, events, cfg.plan(), workers=args.workers, seed=cfg.seed,
                                sim_times_s=bench["sim_times_s"],
                                config_fingerprint=fingerprint,
                                point_error_correct_only=correct_only)
@@ -103,7 +102,6 @@ def cmd_convergence(cfg: RunConfig, args) -> int:
     if not strategies or not set(strategies) <= set(STRATEGIES):
         raise ConfigError(f"--strategy must be comma-separated names from "
                           f"{'/'.join(STRATEGIES)}, got {args.strategies!r}")
-    workers = _resolve_workers(args)
     graph = cfg.graph()
     plan = cfg.plan()
     dense = dense_locations(graph, int(cfg.raw["benchmark"]["dense_size"]))
@@ -119,11 +117,10 @@ def cmd_convergence(cfg: RunConfig, args) -> int:
     sizes = sorted(set(sizes))
     for k in sizes:   # before the event runs, which are the whole cost
         check_sample_size(k, len(dense))
-    sim_times, raw = run_events(graph, dense, plan, workers=workers, seed=cfg.seed)
-    final_t = sim_times[-1]
-    by_id = {ev.id: ev for ev in dense}
-    dense_results = [(by_id[eid], estimates[final_t]) for eid, estimates, _, _ in raw]
-    _warn_run_errors(sum(err is not None for _, _, _, err in raw), len(raw))
+    per_time, _, errors = run_events(graph, dense, plan, workers=args.workers, seed=cfg.seed)
+    (final,) = per_time.values()   # the one sim time: the plan's duration
+    dense_results = list(zip(dense, final))   # dense_locations numbers events in order
+    _warn_run_errors(len(errors), len(dense))
     _prepare_out(cfg, args.out)
     write_csv(os.path.join(args.out, "convergence.csv"), "strategy,k,region_acc,mean_err_cm",
               (([name] * len(ks), ks, acc, err) for name in strategies   # acc, err are floats
@@ -154,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
     command("simulate", cmd_simulate, "generate raw records, energy and trace CSVs")
 
     p_bench = command("benchmark", cmd_benchmark, "score a localizer over sampled events")
-    p_bench.add_argument("--workers", type=int, help="parallel event runs")
+    p_bench.add_argument("--workers", type=int, default=1, help="parallel event runs")
     p_bench.add_argument("--localizer", default="baseline",
                          help="'baseline' or 'external:PATH' (estimates CSV)")
 
@@ -163,28 +160,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, help="sample size override")
 
     p_conv = command("convergence", cmd_convergence, "accuracy/error vs sample size")
-    p_conv.add_argument("--workers", type=int, help="parallel event runs")
+    p_conv.add_argument("--workers", type=int, default=1, help="parallel event runs")
     p_conv.add_argument("--strategy", dest="strategies",
                         help="comma-separated strategies (default: all five)")
     p_conv.add_argument("--k", dest="sizes", help="comma-separated sample sizes "
                                                   "(default: 10%%..100%% of dense in five steps)")
     return parser
-
-
-def _resolve_workers(args) -> int:
-    workers, source = args.workers, "--workers"
-    if workers is None:
-        env = os.environ.get("NANOFLOW_WORKERS")
-        if not env:
-            return 1
-        source = "NANOFLOW_WORKERS"
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ConfigError(f"NANOFLOW_WORKERS must be an integer, got {env!r}") from None
-    if workers < 1:
-        raise ConfigError(f"{source} must be >= 1, got {workers}")
-    return workers
 
 
 def _overrides_from(args) -> dict:
@@ -208,6 +189,8 @@ def _overrides_from(args) -> dict:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "workers", 1) < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         return args.run(load_config(args.config, _overrides_from(args)), args)
     except ExternalDataError as exc:
         print(f"error: {exc}", file=sys.stderr)

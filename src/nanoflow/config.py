@@ -281,18 +281,17 @@ class RunConfig:
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
     """Defaults, then JSON file (if any), then programmatic overrides."""
-    resolved = copy.deepcopy(DEFAULT_CONFIG)
+    layers = [overrides or {}]
     if path is not None:
         try:
             with open(path) as fh:
-                user = json.load(fh)
+                layers.insert(0, json.load(fh))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-        _validate(user, DEFAULT_CONFIG, "")
-        resolved = _merge(resolved, user)
-    if overrides:
-        _validate(overrides, DEFAULT_CONFIG, "")
-        resolved = _merge(resolved, overrides)
+    resolved = DEFAULT_CONFIG   # never mutated: _merge returns a deep copy
+    for layer in layers:
+        _validate(layer, DEFAULT_CONFIG, "")
+        resolved = _merge(resolved, layer)
     cfg = RunConfig(raw=resolved)
     cfg.validate_consistency()
     return cfg

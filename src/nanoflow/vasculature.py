@@ -517,10 +517,14 @@ def locate_vessel(graph: VesselGraph, position):
     """Id of the segment nearest to position; exact ties go to the lowest id.
 
     position is one point, giving an int, or an (n, 3) array, giving an
-    array of n ids; both take the same vectorised path.
+    array of n ids; both take the same vectorised path.  A non-finite
+    coordinate raises ValueError.
     """
     p = np.asarray(position, dtype=float)
     points = p.reshape(-1, 3)
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"position must be finite, got {points[~finite][0]}")
     ids, starts, ends = graph.segment_arrays
     d = ends - starts
     seg_len2 = np.einsum("ij,ij->i", d, d)

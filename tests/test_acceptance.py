@@ -184,9 +184,8 @@ def test_criterion_7_reliability_monotonicity():
 @pytest.fixture(scope="module")
 def dense_results():
     plan = SimPlan(device_count=4, duration_s=450.0)
-    sim_times, raw = run_events(GRAPH, DENSE, plan, workers=1, seed=20)
-    by_id = {ev.id: ev for ev in DENSE}
-    return [(by_id[eid], est[sim_times[-1]]) for eid, est, _, _ in raw]
+    (final,) = run_events(GRAPH, DENSE, plan, workers=1, seed=20)[0].values()
+    return list(zip(DENSE, final))   # DENSE is in event-id order, as run_events returns
 
 
 def test_criterion_8_sampling_convergence(dense_results):

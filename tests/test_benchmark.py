@@ -328,9 +328,32 @@ def test_all_failed_event_runs_raise(monkeypatch):
         run_benchmark(GRAPH, EVENTS, PLAN, workers=1, seed=5)
 
 
+def test_run_events_returns_estimates_in_event_id_order():
+    shuffled = EVENTS[::-1]
+    per_time, consumed, errors = run_events(GRAPH, shuffled, PLAN, workers=1, seed=5,
+                                            sim_times_s=[120.0, 30.0, 30.0])
+    assert list(per_time) == [30.0, 120.0]
+    for estimates in per_time.values():
+        assert [e.event_id for e in estimates] == sorted(ev.id for ev in EVENTS)
+    assert len(consumed) == len(EVENTS) * PLAN.device_count
+    assert errors == {}
+    rep = run_benchmark(GRAPH, EVENTS, PLAN, workers=1, seed=5, sim_times_s=[30.0, 120.0])
+    truths = sorted(EVENTS, key=lambda ev: ev.id)
+    for t, estimates in per_time.items():
+        block = rep.by_sim_time_s[f"{t:g}"]
+        assert block["region_accuracy"] == region_accuracy(estimates, truths)
+        assert block["reliability"] == reliability(estimates, truths)
+    assert rep.energy_summary["max_consumed_pj"] == max(consumed)
+
+
 def test_sim_times_beyond_duration_rejected():
     with pytest.raises(ValueError):
         run_events(GRAPH, EVENTS, PLAN, workers=1, seed=0, sim_times_s=[999.0])
+    for bad in (float("nan"), -5.0, 0.0):
+        with pytest.raises(ValueError, match="sim_times_s"):
+            run_events(GRAPH, EVENTS, PLAN, workers=1, seed=0, sim_times_s=[bad])
+        with pytest.raises(ValueError, match="sim_times_s"):
+            run_benchmark(GRAPH, EVENTS, PLAN, workers=1, seed=0, sim_times_s=[60.0, bad])
     with pytest.raises(MismatchedSets):
         run_events(GRAPH, [], PLAN, workers=1, seed=0)
 

@@ -575,16 +575,27 @@ def test_cli_rejects_sim_times_beyond_the_duration_at_load(tmp_path, capsys, mon
     assert not (tmp_path / "bm").exists()
 
 
-def test_cli_workers_env(tmp_path, monkeypatch, capsys):
-    out = tmp_path / "bm"
-    monkeypatch.setenv("NANOFLOW_WORKERS", "2")
-    rc = main(["benchmark", "--strategy", "rgs", "--k", "3", "--devices", "4",
-               "--duration-s", "60", "--seed", "3", "--out", str(out)])
-    assert rc == 0
-    capsys.readouterr()
-    for bad, message in (("0", "NANOFLOW_WORKERS must be >= 1, got 0"),
-                         ("abc", "NANOFLOW_WORKERS must be an integer, got 'abc'")):
-        monkeypatch.setenv("NANOFLOW_WORKERS", bad)
-        assert main(["benchmark", "--strategy", "rgs", "--k", "3",
-                     "--out", str(tmp_path / "y")]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_cli_rejects_workers_below_one(tmp_path, capsys, monkeypatch, workers):
+    import nanoflow.cli as cli
+
+    def no_runs(*args, **kwargs):
+        raise AssertionError("event runs started")
+
+    monkeypatch.setattr(cli, "run_benchmark", no_runs)
+    monkeypatch.setattr(cli, "run_events", no_runs)
+    for command in ("benchmark", "convergence"):
+        out = tmp_path / command
+        assert main([command, "--workers", workers, "--k", "3", "--devices", "2",
+                     "--duration-s", "30", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: --workers must be >= 1, got {workers}\n"
+        assert not out.exists()
+
+
+def test_readme_config_listing_is_the_default_config():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        blocks = re.findall(r"^```json\n(.*?)^```$", fh.read(), re.S | re.M)
+    assert len(blocks) == 1
+    # dumped, so that 3 and 3.0 differ as they do in a resolved_config.json
+    assert (json.dumps(json.loads(blocks[0]), sort_keys=True)
+            == json.dumps(DEFAULT_CONFIG, sort_keys=True))

@@ -212,6 +212,14 @@ def test_locate_vessel_ties_go_to_the_lowest_id_not_the_first_row():
     assert locate_vessel(graph, [[-1.0, 0, 0], [0, 1.0, 0]]).tolist() == [9, 4]
 
 
+def test_locate_vessel_rejects_non_finite_points():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="position must be finite"):
+            locate_vessel(GRAPH, [bad, 0.0, 0.0])
+        with pytest.raises(ValueError, match="position must be finite"):
+            locate_vessel(GRAPH, np.array([[0.0, 0.0, 0.0], [0.0, bad, 0.0]]))
+
+
 def test_vessel_centroid():
     v = GRAPH.vessel(GRAPH.heart_id)
     np.testing.assert_allclose(vessel_centroid(GRAPH, v.id), (v.start + v.end) / 2)
