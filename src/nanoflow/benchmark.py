@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (EventRunsFailed, ExternalDataError, MismatchedSets,
                      NoEstimate, SampleTooLarge)
-from .simcore import SimPlan, run_simulation
+from .simcore import SimPlan, _row_dots, run_simulation
 from .vasculature import (VesselGraph, locate_vessel, simulate_mobility, upsample_trace,
                           vessel_centroid, write_csv)
 
@@ -228,12 +228,8 @@ def _crs(dense, k, rng):
     cluster_ids = sorted(clusters)
     order = rng.permutation(len(cluster_ids))
     chosen: list[int] = []
-    for ci in order:
-        members = sorted(clusters[cluster_ids[ci]])
-        need = k - len(chosen)
-        if need <= 0:
-            break
-        chosen.extend(members[:need] if len(members) > need else members)
+    for ci in order:   # members are in index order; the cluster that reaches k is cut
+        chosen.extend(clusters[cluster_ids[ci]][:k - len(chosen)])
     return [dense[i] for i in sorted(chosen)]
 
 
@@ -269,17 +265,11 @@ def _rgs(dense, k, rng):
                 p_hi = mid
         pitch = p_lo
     cells = _cell_indices(points, lo, pitch)
-    buckets: dict[tuple, list[int]] = {}
-    for i, c in enumerate(map(tuple, cells)):
-        buckets.setdefault(c, []).append(i)
-    chosen = []
-    for c in sorted(buckets)[:k]:
-        members = buckets[c]
-        centre = lo + (np.asarray(c) + 0.5) * pitch
-        dist = [float(np.linalg.norm(points[i] - centre)) for i in members]
-        best = min(dist)
-        chosen.append(min(m for m, d in zip(members, dist) if d == best))
-    return [dense[i] for i in sorted(chosen)]
+    gap = points - (lo + (cells + 0.5) * pitch)   # from each point's cell centre
+    dist = np.sqrt(_row_dots(gap, gap))   # bit for bit np.linalg.norm of each row
+    order = np.lexsort((np.arange(len(points)), dist, *cells.T[::-1]))   # cell, distance, index
+    picks = order[np.r_[True, np.diff(cells[order], axis=0).any(axis=1)]]   # each cell's first row
+    return [dense[i] for i in np.sort(picks[:k])]
 
 
 def _scs_blocks(lo: np.ndarray, hi: np.ndarray, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -328,15 +318,17 @@ def check_sample_size(k: int, population: int) -> None:
 
 def sample_locations(dense: list[TargetEvent], strategy: str, k: int,
                      seed: int = 0) -> list[TargetEvent]:
-    """Draw k dense-set members with the named strategy (one of STRATEGIES,
-    lowercase, as the config and the CLI take it); k = |dense| is identity."""
+    """Exactly k dense-set members, drawn with the named strategy (one of STRATEGIES,
+    lowercase); k = |dense| is identity.  SampleTooLarge if k is out of range or unfilled."""
     if strategy not in _STRATEGY_FN:
         raise ValueError(f"unknown sampling strategy {strategy!r}")
     check_sample_size(k, len(dense))
     if k == len(dense):
         return list(dense)
-    rng = np.random.default_rng(seed)
-    return _STRATEGY_FN[strategy](dense, k, rng)
+    drawn = _STRATEGY_FN[strategy](dense, k, np.random.default_rng(seed))
+    if len(drawn) < k:
+        raise SampleTooLarge(f"{strategy} drew {len(drawn)} events, fewer than sample size {k}")
+    return drawn
 
 
 # ---------------------------------------------------------------------------
@@ -372,16 +364,8 @@ def simulate_event(graph: VesselGraph, plan: SimPlan, event: TargetEvent,
                          (seed, event.id), energy_rows=False)[1]
 
 
-_WORKER_STATE: dict = {}
-
-
-def _worker_init(graph, plan, sim_times, seed):
-    _WORKER_STATE["args"] = (graph, plan, sim_times, seed)
-
-
-def _run_one(event: TargetEvent):
+def _run_one(graph: VesselGraph, plan: SimPlan, sim_times: list, seed: int, event: TargetEvent):
     """([RegionEstimate per sim time], consumed pJ per device, error | None)."""
-    graph, plan, sim_times, seed = _WORKER_STATE["args"]
     try:
         result = simulate_event(graph, plan, event, seed)
         estimates = []
@@ -474,13 +458,12 @@ def run_events(graph: VesselGraph, events: list[TargetEvent], plan: SimPlan,
         raise ValueError(f"sim_times_s must lie in (0, {plan.duration_s:g}] s, got {bad[0]!r}")
     sim_times = sorted(set(times))
     events = sorted(events, key=lambda e: e.id)
+    run_one = functools.partial(_run_one, graph, plan, sim_times, seed)
     if workers == 1:
-        _worker_init(graph, plan, sim_times, seed)
-        runs = [_run_one(ev) for ev in events]
+        runs = [run_one(ev) for ev in events]
     else:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
-                                 initargs=(graph, plan, sim_times, seed)) as pool:
-            runs = list(pool.map(_run_one, events, chunksize=max(1, len(events) // (4 * workers))))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            runs = list(pool.map(run_one, events, chunksize=max(1, len(events) // (4 * workers))))
     errors = {str(ev.id): err for ev, (_, _, err) in zip(events, runs) if err is not None}
     if len(errors) == len(runs):
         raise EventRunsFailed(f"all {len(runs)} event runs failed; the first: {runs[0][2]}")

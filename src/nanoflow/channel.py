@@ -118,9 +118,7 @@ def link_sample(distance_cm: float, radial_speed_cm_s: float, tx_dbm: float,
 
 
 def _dbm_to_mw(dbm: float) -> float:
-    if dbm == float("-inf"):
-        return 0.0
-    return 10.0 ** (dbm / 10.0)
+    return 10.0 ** (dbm / 10.0)   # -inf dBm gives 0.0 mW
 
 
 def sinr_db(signal_dbm: float, interferer_dbms, noise_dbm: float) -> float:

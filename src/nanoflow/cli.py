@@ -18,7 +18,7 @@ from .benchmark import (STRATEGIES, check_sample_size, convergence_curve,
                         run_benchmark, run_events, sample_locations,
                         score_external, trace_and_run)
 from .config import RunConfig, load_config
-from .errors import ConfigError, ExternalDataError, NanoflowError
+from .errors import ConfigError, ExternalDataError, NanoflowError, SampleTooLarge
 from .simcore import export_energy_csv, export_raw_csv
 from .vasculature import export_trace_csv, write_csv
 
@@ -30,10 +30,20 @@ def _prepare_out(cfg: RunConfig, out_dir: str) -> None:
     cfg.dump(os.path.join(out_dir, "resolved_config.json"))
 
 
+def _sized(source: str, draw, *args, **kwargs):
+    """draw(*args, **kwargs); a SampleTooLarge it raises names the key or flag source."""
+    try:
+        return draw(*args, **kwargs)
+    except SampleTooLarge as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
+
+
 def _sampled_events(cfg: RunConfig, graph):
     bench = cfg.raw["benchmark"]
-    dense = dense_locations(graph, int(bench["dense_size"]))
-    return sample_locations(dense, str(bench["strategy"]), int(bench["sample_k"]), seed=cfg.seed)
+    dense = _sized("config key benchmark.dense_size", dense_locations, graph,
+                   int(bench["dense_size"]))
+    return _sized("config key benchmark.sample_k", sample_locations, dense,
+                  str(bench["strategy"]), int(bench["sample_k"]), seed=cfg.seed)
 
 
 def _warn_run_errors(failed: int, total: int) -> None:
@@ -104,7 +114,8 @@ def cmd_convergence(cfg: RunConfig, args) -> int:
                           f"{'/'.join(STRATEGIES)}, got {args.strategies!r}")
     graph = cfg.graph()
     plan = cfg.plan()
-    dense = dense_locations(graph, int(cfg.raw["benchmark"]["dense_size"]))
+    dense = _sized("config key benchmark.dense_size", dense_locations, graph,
+                   int(cfg.raw["benchmark"]["dense_size"]))
     if args.sizes is None:
         sizes = [max(1, round(len(dense) * f)) for f in (0.1, 0.25, 0.5, 0.75, 1.0)]
     else:
@@ -116,16 +127,17 @@ def cmd_convergence(cfg: RunConfig, args) -> int:
             raise ConfigError(f"--k must be comma-separated integers, got {args.sizes!r}")
     sizes = sorted(set(sizes))
     for k in sizes:   # before the event runs, which are the whole cost
-        check_sample_size(k, len(dense))
+        _sized("--k", check_sample_size, k, len(dense))
     per_time, _, errors = run_events(graph, dense, plan, workers=args.workers, seed=cfg.seed)
     (final,) = per_time.values()   # the one sim time: the plan's duration
     dense_results = list(zip(dense, final))   # dense_locations numbers events in order
+    curves = [(name, _sized("--k", convergence_curve, dense_results, name, sizes,
+                            seed=cfg.seed, graph=graph)) for name in strategies]
     _warn_run_errors(len(errors), len(dense))
     _prepare_out(cfg, args.out)
     write_csv(os.path.join(args.out, "convergence.csv"), "strategy,k,region_acc,mean_err_cm",
-              (([name] * len(ks), ks, acc, err) for name in strategies   # acc, err are floats
-               for ks, acc, err in [zip(*convergence_curve(dense_results, name, sizes,
-                                                           seed=cfg.seed, graph=graph))]))
+              (([name] * len(ks), ks, acc, err) for name, curve in curves   # acc, err are floats
+               for ks, acc, err in [zip(*curve)]))
     print(f"convergence over {len(strategies)} strategies x {len(sizes)} sizes "
           f"({len(dense)} cached event runs)")
     return EXIT_OK

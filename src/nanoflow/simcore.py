@@ -236,20 +236,14 @@ def _visit_windows(vdev: np.ndarray, vt: np.ndarray, ends: np.ndarray, vstart: n
     bb = 2.0 * np.einsum("ij,ij->i", w, vvel)
     cc = np.einsum("ij,ij->i", w, w) - radius_cm * radius_cm
     disc = bb * bb - 4.0 * aa * cc
-    hit = np.nonzero(((aa > 0.0) & (disc >= 0.0)) | ((aa == 0.0) & (cc <= 0.0)))[0]
-    for d, start, end, a, b, dd in zip(*(x[hit].tolist() for x in (vdev, vt, ends, aa, bb, disc))):
-        dwell = end - start
-        if dwell <= 0:
-            continue
-        if a > 0.0:
-            root = math.sqrt(dd)
-            tau0 = max((-b - root) / (2.0 * a), 0.0)
-            tau1 = min((-b + root) / (2.0 * a), dwell)
-            if tau0 >= tau1:
-                continue
-        else:
-            tau0, tau1 = 0.0, dwell
-        yield d, start + tau0, start + tau1
+    dwell = ends - vt
+    moving = aa > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):   # rows at rest or never in range
+        root = np.sqrt(disc)
+        tau0 = np.where(moving, np.maximum((-bb - root) / (2.0 * aa), 0.0), 0.0)
+        tau1 = np.where(moving, np.minimum((-bb + root) / (2.0 * aa), dwell), dwell)
+    hit = ((moving & (disc >= 0.0)) | ((aa == 0.0) & (cc <= 0.0))) & (dwell > 0) & (tau0 < tau1)
+    return zip(*(x[hit].tolist() for x in (vdev, vt + tau0, vt + tau1)))
 
 
 def _decoded_beacons(schedule, anchors: list[Anchor], anchor_pos: np.ndarray,

@@ -487,22 +487,14 @@ def upsample_trace(trace: MobilityTrace, factor: int, sigma_cm: float,
     inserted = p0[:, None, :] + fracs * delta[:, None, :]
     if sigma_cm > 0:
         inserted = inserted + rng.normal(0.0, sigma_cm, size=inserted.shape)
+    sub_times = trace.times[:-1, None] + fracs[..., 0] * np.diff(trace.times)[:, None]
 
-    m = len(p0)
-    total = m * N + 1
-    positions = np.empty((total, 3))
-    positions[::N] = trace.positions
-    times = np.empty(total)
-    times[::N] = trace.times
-    vids = np.empty(total, dtype=int)
-    vids[::N] = trace.vessel_ids
-    dt = trace.times[1:] - trace.times[:-1]
-    sub_times = trace.times[:-1, None] + (np.arange(1, N) / N)[None, :] * dt[:, None]
-    for j in range(1, N):
-        positions[j::N] = inserted[:, j - 1, :]
-        times[j::N] = sub_times[:, j - 1]
-        vids[j::N] = trace.vessel_ids[:-1]
-    return MobilityTrace(trace.device_id, times, positions, vids,
+    def interleave(samples, inserted):   # each interval's first sample, then its inserted ones
+        rows = np.concatenate((samples[:-1, None], inserted), axis=1)
+        return np.concatenate((rows.reshape(-1, *samples.shape[1:]), samples[-1:]))
+    return MobilityTrace(trace.device_id, interleave(trace.times, sub_times),
+                         interleave(trace.positions, inserted),
+                         np.append(np.repeat(trace.vessel_ids[:-1], N), trace.vessel_ids[-1:]),
                          trace.visit_times.copy(), trace.visit_vessels.copy())
 
 
@@ -516,11 +508,13 @@ _LOCATE_CHUNK = 32   # positions per pass: bounds the (chunk, vessels, 3) tempor
 def locate_vessel(graph: VesselGraph, position):
     """Id of the segment nearest to position; exact ties go to the lowest id.
 
-    position is one point, giving an int, or an (n, 3) array, giving an
-    array of n ids; both take the same vectorised path.  A non-finite
-    coordinate raises ValueError.
+    position is one point, shape (3,), giving an int, or an (n, 3) array,
+    giving an array of n ids; both take the same vectorised path.  Any
+    other shape, or a non-finite coordinate, raises ValueError.
     """
     p = np.asarray(position, dtype=float)
+    if p.ndim not in (1, 2) or p.shape[-1:] != (3,):
+        raise ValueError(f"position must have shape (3,) or (n, 3), got {p.shape}")
     points = p.reshape(-1, 3)
     finite = np.isfinite(points).all(axis=1)
     if not finite.all():

@@ -225,6 +225,69 @@ def test_rgs_cell_count_equals_np_unique_at_every_pitch():
     assert _distinct_rows(np.zeros((1, 3), dtype=np.int64)) == 1
 
 
+def _bucket_rgs(dense, k, rng):
+    """rgs as it picked before the one-sort rewrite: a dict of cells, each
+    cell's member nearest its centre by np.linalg.norm, ties to the lowest
+    index, the first k cells in sorted order."""
+    from nanoflow.benchmark import _cell_indices, _distinct_rows
+    points = np.array([ev.position for ev in dense])
+    lo = points.min(axis=0) - 1e-9
+    hi = points.max(axis=0) + 1e-9
+    p_lo, p_hi = 1e-6, float((hi - lo).max())
+    if _distinct_rows(_cell_indices(points, lo, p_hi)) >= k:
+        pitch = p_hi
+    else:
+        for _ in range(80):
+            mid = 0.5 * (p_lo + p_hi)
+            if _distinct_rows(_cell_indices(points, lo, mid)) >= k:
+                p_lo = mid
+            else:
+                p_hi = mid
+        pitch = p_lo
+    buckets: dict = {}
+    for i, c in enumerate(map(tuple, _cell_indices(points, lo, pitch))):
+        buckets.setdefault(c, []).append(i)
+    chosen = []
+    for c in sorted(buckets)[:k]:
+        members = buckets[c]
+        centre = lo + (np.asarray(c) + 0.5) * pitch
+        dist = [float(np.linalg.norm(points[i] - centre)) for i in members]
+        best = min(dist)
+        chosen.append(min(m for m, d in zip(members, dist) if d == best))
+    return [dense[i] for i in sorted(chosen)]
+
+
+def test_rgs_picks_what_the_bucket_version_picked():
+    from nanoflow.benchmark import _rgs
+    sizes = [1, 2, 94, 342, 684, 1367] + np.random.default_rng(18).integers(
+        1, len(DENSE), 12).tolist()
+    for k in sizes:
+        got = [e.id for e in _rgs(DENSE, k, None)]
+        assert got == [e.id for e in _bucket_rgs(DENSE, k, None)], k
+        assert len(got) == k
+    # a point given twice is one distance from its cell's centre twice: the
+    # tie goes to the lower index, as before
+    twice = DENSE[::3] + [TargetEvent(len(DENSE) + e.id, e.position.copy(), e.region_id,
+                                      e.region_type) for e in DENSE[::3]]
+    for k in (1, 7, 100, 456):
+        got = [e.id for e in _rgs(twice, k, None)]
+        assert got == [e.id for e in _bucket_rgs(twice, k, None)], k
+        assert max(got) < len(DENSE), k
+
+
+def test_rgs_raises_rather_than_draw_fewer_than_k():
+    # six of ten events share one position: rgs finds five distinct cells at
+    # any pitch, so it cannot draw eight; the other strategies can
+    spots = [(0.0, 0.0, 0.0)] * 6 + [(1.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 3.0),
+                                     (4.0, 4.0, 0.0)]
+    dense = [TargetEvent(i, np.array(p), 0, i % 3) for i, p in enumerate(spots)]
+    with pytest.raises(SampleTooLarge, match=r"^rgs drew 5 events, fewer than sample size 8$"):
+        sample_locations(dense, "rgs", 8, seed=0)
+    assert len(sample_locations(dense, "rgs", 5, seed=0)) == 5
+    for strategy in ("srs", "ssrs", "crs", "scs"):
+        assert len(sample_locations(dense, strategy, 8, seed=0)) == 8, strategy
+
+
 def test_ssrs_largest_remainder_apportionment():
     # synthetic population with a 60/30/10 region-type split
     pop = []

@@ -442,8 +442,8 @@ def test_cli_convergence_checks_sizes_before_any_event_run(tmp_path, capsys, mon
     monkeypatch.setattr(cli, "run_events", no_runs)
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps({"benchmark": {"dense_size": 94}}))
-    for k, message in (("20,500", "sample size 500 exceeds dense population 94"),
-                       ("0,20", "sample size k must be >= 1"),
+    for k, message in (("20,500", "--k: sample size 500 exceeds dense population 94"),
+                       ("0,20", "--k: sample size k must be >= 1"),
                        ("a", "--k must be comma-separated integers, got 'a'"),
                        (",", "--k must be comma-separated integers, got ','")):
         assert main(["convergence", "--config", str(cfgp), "--devices", "2",
@@ -451,6 +451,53 @@ def test_cli_convergence_checks_sizes_before_any_event_run(tmp_path, capsys, mon
                      "--out", str(tmp_path / "conv")]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "conv" / "convergence.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["sample", "benchmark", "convergence"])
+def test_cli_size_errors_name_the_key_or_flag(tmp_path, capsys, monkeypatch, command):
+    # benchmark and sample take the size from benchmark.sample_k (which --k
+    # sets); convergence takes its sizes from --k alone
+    import nanoflow.cli as cli
+
+    def no_runs(*args, **kwargs):
+        raise AssertionError("event runs started")
+
+    monkeypatch.setattr(cli, "run_benchmark", no_runs)
+    monkeypatch.setattr(cli, "run_events", no_runs)
+    k_source = "--k" if command == "convergence" else "config key benchmark.sample_k"
+    for dense_size, k, message in [
+            (200, "300", f"{k_source}: sample size 300 exceeds dense population 200"),
+            (1368, "2000", f"{k_source}: sample size 2000 exceeds dense population 1368"),
+            (5, "3", "config key benchmark.dense_size: dense size 5 is below one point per "
+                     "vessel (94)")]:
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"benchmark": {"dense_size": dense_size}}))
+        out = tmp_path / command
+        assert main([command, "--config", str(cfgp), "--k", k, "--devices", "2",
+                     "--duration-s", "30", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
+def test_cli_names_the_size_rgs_cannot_fill(tmp_path, capsys, monkeypatch):
+    # six of ten dense events at one position leave rgs five distinct cells;
+    # convergence learns it after the event runs, but before any output
+    import nanoflow.cli as cli
+    from nanoflow.benchmark import RegionEstimate, TargetEvent
+
+    spots = [(0.0, 0.0, 0.0)] * 6 + [(1.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 3.0),
+                                     (4.0, 4.0, 0.0)]
+    dense = [TargetEvent(i, np.array(p), 0, 0) for i, p in enumerate(spots)]
+    monkeypatch.setattr(cli, "dense_locations", lambda graph, size: dense)
+    monkeypatch.setattr(cli, "run_events", lambda graph, events, plan, **kw: (
+        {30.0: [RegionEstimate(e.id, None) for e in events]}, [], {}))
+    for command, source in [("sample", "config key benchmark.sample_k"), ("convergence", "--k")]:
+        out = tmp_path / command
+        assert main([command, "--strategy", "rgs", "--k", "8", "--devices", "2",
+                     "--duration-s", "30", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {source}: rgs drew 5 events, fewer than sample size 8\n")
+        assert not out.exists()
 
 
 def test_cli_convergence_rejects_an_empty_strategy_list(tmp_path, capsys, monkeypatch):

@@ -33,6 +33,7 @@ from nanoflow.energy import EnergyConfig, EnergyState, advance_harvest, try_cons
 from nanoflow.simcore import (Anchor, ProtocolParams, RawRecord, SimPlan,  # noqa: E402
                               SimResult, _decide_responses, _decoded_beacons,
                               _max_range_cm, _row_dots, _sense_hits, _visit_schedule,
+                              _visit_windows,
                               run_simulation)
 from nanoflow.vasculature import (MobilityTrace, build_reference_vasculature,  # noqa: E402
                                   simulate_mobility, upsample_trace)
@@ -361,6 +362,59 @@ def test_row_dots_are_the_per_vector_dot_and_norm_bit_for_bit():
     assert [d.hex() for d in dots.tolist()] == [float(np.dot(x, y)).hex() for x, y in zip(a, b)]
     assert [n.hex() for n in norms.tolist()] == [float(np.linalg.norm(x)).hex() for x in a]
     assert _row_dots(a[:0], b[:0]).shape == (0,)
+
+
+def _scalar_windows(vdev, vt, ends, vstart, vvel, anchor_pos, radius_cm):
+    """_visit_windows as one loop over the visits, a math.sqrt per visit."""
+    w = vstart - anchor_pos
+    aa = np.einsum("ij,ij->i", vvel, vvel)
+    bb = 2.0 * np.einsum("ij,ij->i", w, vvel)
+    cc = np.einsum("ij,ij->i", w, w) - radius_cm * radius_cm
+    disc = bb * bb - 4.0 * aa * cc
+    hit = np.nonzero(((aa > 0.0) & (disc >= 0.0)) | ((aa == 0.0) & (cc <= 0.0)))[0]
+    for d, start, end, a, b, dd in zip(*(x[hit].tolist() for x in (vdev, vt, ends, aa, bb, disc))):
+        dwell = end - start
+        if dwell <= 0:
+            continue
+        if a > 0.0:
+            root = math.sqrt(dd)
+            tau0 = max((-b - root) / (2.0 * a), 0.0)
+            tau1 = min((-b + root) / (2.0 * a), dwell)
+            if tau0 >= tau1:
+                continue
+        else:
+            tau0, tau1 = 0.0, dwell
+        yield d, start + tau0, start + tau1
+
+
+def test_visit_windows_at_rest_and_on_a_tangent_equal_the_scalar_loop():
+    # (start, velocity, dwell) against an anchor at the origin with a 2 cm range
+    placed = [((0.5, 0.0, 0.0), (0.0, 0.0, 0.0), 5.0),    # at rest inside: aa == 0
+              ((2.0, 0.0, 0.0), (0.0, 0.0, 0.0), 5.0),    # at rest on the sphere: cc == 0
+              ((3.0, 0.0, 0.0), (0.0, 0.0, 0.0), 5.0),    # at rest outside
+              ((-3.0, 2.0, 0.0), (1.0, 0.0, 0.0), 9.0),   # a tangent pass: disc == 0
+              ((-3.0, 1.0, 0.0), (1.0, 0.0, 0.0), 9.0),   # a chord, crossed whole
+              ((-3.0, 1.0, 0.0), (1.0, 0.0, 0.0), 3.0),   # cut by the end of the visit
+              ((-3.0, 1.0, 0.0), (1.0, 0.0, 0.0), 1.0),   # over before the chord
+              ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 1.0),    # in range when the visit starts
+              ((0.5, 0.0, 0.0), (0.0, 0.0, 0.0), 0.0)]    # no dwell
+    rng = np.random.default_rng(18)
+    n = 4000
+    vstart = np.concatenate(([p for p, _, _ in placed], rng.normal(0.0, 2.5, (n, 3))))
+    vvel = np.concatenate(([v for _, v, _ in placed],
+                           rng.normal(0.0, 3.0, (n, 3)) * (rng.random((n, 1)) > 0.1)))
+    dwell = np.concatenate(([d for _, _, d in placed], rng.uniform(-0.5, 4.0, n)))
+    vt = np.concatenate((np.zeros(len(placed)), rng.uniform(0.0, 100.0, n)))
+    args = (np.arange(len(vt)) // 5, vt, vt + dwell, vstart, vvel, np.zeros(3), 2.0)
+    got = list(_visit_windows(*args))
+    assert ([(d, t0.hex(), t1.hex()) for d, t0, t1 in got]
+            == [(d, t0.hex(), t1.hex()) for d, t0, t1 in _scalar_windows(*args)])
+    chord = (3.0 - math.sqrt(3.0), 3.0 + math.sqrt(3.0))
+    assert got[:5] == [(0, 0.0, 5.0), (0, 0.0, 5.0), (0, *chord), (1, chord[0], 3.0),
+                       (1, 0.0, 1.0)]
+    aa, bb = np.einsum("ij,ij->i", vvel, vvel), 2.0 * np.einsum("ij,ij->i", vstart, vvel)
+    disc = bb * bb - 4.0 * aa * (np.einsum("ij,ij->i", vstart, vstart) - 4.0)
+    assert disc[3] == 0.0 and (aa == 0.0).sum() > 300 and len(got) > 500
 
 
 def _beacon_bits(beacons):

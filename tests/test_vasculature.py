@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -220,6 +221,17 @@ def test_locate_vessel_rejects_non_finite_points():
             locate_vessel(GRAPH, np.array([[0.0, 0.0, 0.0], [0.0, bad, 0.0]]))
 
 
+def test_locate_vessel_takes_only_one_point_or_rows_of_three():
+    for position, shape in [([[0, 14, 1, 0, -14, 1]], (1, 6)), (np.zeros((2, 2, 3)), (2, 2, 3)),
+                            ([], (0,)), ([0.0, 14.0], (2,)), (0.0, ()),
+                            (np.zeros((3, 0)), (3, 0))]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"position must have shape (3,) or (n, 3), got {shape}")):
+            locate_vessel(GRAPH, position)
+    assert locate_vessel(GRAPH, [0.0, 14.0, 1.0]) == locate_vessel(GRAPH, [[0.0, 14.0, 1.0]])[0]
+    assert locate_vessel(GRAPH, np.zeros((0, 3))).shape == (0,)
+
+
 def test_vessel_centroid():
     v = GRAPH.vessel(GRAPH.heart_id)
     np.testing.assert_allclose(vessel_centroid(GRAPH, v.id), (v.start + v.end) / 2)
@@ -403,6 +415,46 @@ def test_upsample_carries_visit_schedule():
                                (up.vessel_ids, tr.vessel_ids)]:
                 assert got.dtype == given.dtype and got.tobytes() == given.tobytes()
                 assert not np.shares_memory(got, given)
+
+
+def _strided_upsample(trace, factor, sigma_cm, seed):
+    """upsample_trace as it filled its output before the interleave rewrite:
+    preallocated arrays, one strided write per offset in the interval."""
+    N = int(factor)
+    rng = np.random.default_rng(seed)
+    p0 = trace.positions[:-1]
+    delta = trace.positions[1:] - p0
+    fracs = (np.arange(1, N) / N)[None, :, None]
+    inserted = p0[:, None, :] + fracs * delta[:, None, :]
+    if sigma_cm > 0:
+        inserted = inserted + rng.normal(0.0, sigma_cm, size=inserted.shape)
+    total = len(p0) * N + 1
+    positions = np.empty((total, 3))
+    positions[::N] = trace.positions
+    times = np.empty(total)
+    times[::N] = trace.times
+    vids = np.empty(total, dtype=int)
+    vids[::N] = trace.vessel_ids
+    dt = trace.times[1:] - trace.times[:-1]
+    sub_times = trace.times[:-1, None] + (np.arange(1, N) / N)[None, :] * dt[:, None]
+    for j in range(1, N):
+        positions[j::N] = inserted[:, j - 1, :]
+        times[j::N] = sub_times[:, j - 1]
+        vids[j::N] = trace.vessel_ids[:-1]
+    return times, positions, vids
+
+
+@pytest.mark.parametrize("duration", [0.0, 1.0, 30.0])   # 1, 2 and 31 samples
+def test_upsample_matches_the_strided_loop_bit_for_bit(duration):
+    tr = simulate_mobility(GRAPH, 1, duration, seed=6)[0]
+    assert len(tr) == int(duration) + 1
+    for factor in range(1, 6):
+        for sigma in (0.0, 0.2):
+            up = upsample_trace(tr, factor, sigma, 11)
+            for got, want in zip((up.times, up.positions, up.vessel_ids),
+                                 _strided_upsample(tr, factor, sigma, 11)):
+                assert got.dtype == want.dtype and got.shape == want.shape, (factor, sigma)
+                assert got.tobytes() == want.tobytes(), (factor, sigma)
 
 
 def test_upsample_rejects_empty_trace():
