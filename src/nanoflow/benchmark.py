@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import (EventRunsFailed, ExternalDataError, MismatchedSets,
-                     NoEstimate, SampleTooLarge)
+                     NoEstimate, SampleTooLarge, require)
 from .simcore import SimPlan, _row_dots, run_simulation
 from .vasculature import (VesselGraph, locate_vessel, simulate_mobility, upsample_trace,
                           vessel_centroid, write_csv)
@@ -457,6 +457,8 @@ def run_events(graph: VesselGraph, events: list[TargetEvent], plan: SimPlan,
     if bad:
         raise ValueError(f"sim_times_s must lie in (0, {plan.duration_s:g}] s, got {bad[0]!r}")
     sim_times = sorted(set(times))
+    for a, b in zip(sim_times, sim_times[1:]):   # run_benchmark keys its report by f"{t:g}"
+        require(f"{a:g}" != f"{b:g}", "sim_times_s", f"{a!r} and {b!r} share the report label {a:g}")
     events = sorted(events, key=lambda e: e.id)
     run_one = functools.partial(_run_one, graph, plan, sim_times, seed)
     if workers == 1:
@@ -536,13 +538,11 @@ def load_estimates_csv(path: str) -> list[RegionEstimate]:
     """Estimates produced by an external localizer: event_id,estimated_region,x,y,z.
 
     An empty estimated_region means "no estimate"; empty coordinates with a
-    region present mean centroid substitution at scoring time.
+    region present mean centroid substitution at scoring time.  A file that
+    cannot be read raises OSError; malformed content, ExternalDataError.
     """
-    try:
-        with open(path) as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
-    except OSError as exc:
-        raise ExternalDataError(f"cannot read estimates file {path}: {exc}") from exc
+    with open(path) as fh:
+        lines = [ln.rstrip("\n") for ln in fh]
     if not lines:
         raise ExternalDataError(f"estimates file {path} is empty")
     header = lines[0].split(",")

@@ -7,9 +7,9 @@ Reception is decided sensitivity-first, then SINR against the sum of
 overlapping interferers plus the noise floor.
 
 These scalar functions are the reference.  The engine decides beacons and
-backscatter responses in array passes (simcore._delivered), re-decides in
-these functions every packet whose array verdict an ulp could flip, and
-takes link_sample's rx only for the beacons a device answers.
+backscatter responses in array passes (simcore._delivered) that repeat their
+float operations in their order, calling dbm_to_mw and the Doppler and rx
+helpers as they are, so its rx and verdicts are theirs bit for bit.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ def link_sample(distance_cm: float, radial_speed_cm_s: float, tx_dbm: float,
     return LinkSample(distance_cm, pl, rx, shift)
 
 
-def _dbm_to_mw(dbm: float) -> float:
+def dbm_to_mw(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0)   # -inf dBm gives 0.0 mW
 
 
@@ -127,10 +127,13 @@ def sinr_db(signal_dbm: float, interferer_dbms, noise_dbm: float) -> float:
     A fully quiet denominator (no interferers, -inf noise sentinel) returns
     the +200 dB cap rather than infinity.
     """
-    denom = _dbm_to_mw(noise_dbm) + sum(_dbm_to_mw(i) for i in interferer_dbms)
+    interference = 0.0
+    for i in interferer_dbms:   # left to right: sum() compensates on Python 3.12+
+        interference += dbm_to_mw(i)
+    denom = dbm_to_mw(noise_dbm) + interference
     if denom == 0.0:
         return 200.0
-    return min(10.0 * math.log10(_dbm_to_mw(signal_dbm) / denom), 200.0)
+    return min(10.0 * math.log10(dbm_to_mw(signal_dbm) / denom), 200.0)
 
 
 def reception_decision(rx_dbm: float, sinr: float, cfg: ChannelConfig) -> Reception:

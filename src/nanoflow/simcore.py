@@ -19,12 +19,12 @@ energy depends only on its own events.  A run is therefore three phases:
    instant's position, distances and closing speed come from array passes
    (row dots equal to np.dot and np.linalg.norm bit for bit).  Each beacon
    is decided against sensitivity and the other anchors' overlapping
-   beacons; a decoded one carries its distance, not a scalar rx dBm.
+   beacons; a decoded one carries its rx dBm.
 2. Per-device scan.  One pass over the device's own timeline of decoded
    beacons, sense ticks (on the upsampled sample grid) and 1 Hz energy
    samples advances its capacitor along the harvest curve, spends energy,
    keeps the circulation clock and event bit, and collects the responses it
-   sends, each with the scalar ch.link_sample rx of the beacon it answers.
+   sends, each at the rx of the beacon it answers plus the backscatter gain.
    The capacitor steps exactly as energy.advance_harvest does, with the
    cycle phase in a local and the charge grid fetched once per run; every
    spend goes through energy.try_consume.  Whether a sense tick sees the
@@ -40,9 +40,10 @@ energy depends only on its own events.  A run is therefore three phases:
    becomes a record stamped with the batch's earliest arrival.
 
 Beacons and responses are decided by one routine, _delivered, in array
-passes over one list of (packet, interferer) pairs; every verdict within
-_MARGIN_DB of a threshold is re-decided in scalar channel calls, so verdicts
-are the scalar functions' own.  Energy rows come out in (time, device) order
+passes over one list of (packet, interferer) pairs.  Each value repeats the
+scalar channel functions' float operations in their order (math's log10 and
+float **, not numpy's, interference added left to right), so rx and verdicts
+are theirs bit for bit.  Energy rows come out in (time, device) order
 and records in (time, mac) order, so a run is deterministic regardless of
 how the caller schedules runs.  A caller that does not read the energy rows
 can skip building them (energy_rows=False); the samples still advance the
@@ -63,9 +64,6 @@ from .errors import ConfigMismatch, require
 from .vasculature import CSV_ROWS, MobilityTrace, VesselGraph, write_csv
 
 _T_EPS = 1e-9
-# the array pass's path loss and SINR differ from the scalar channel calls' by
-# a few ulps (under 1e-13 dB): verdicts this close to a threshold are re-decided
-_MARGIN_DB = 1e-9
 _RANGES: dict[tuple, float] = {}   # _max_range_cm, per process
 
 
@@ -183,47 +181,46 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def _scalar_map(f, x: np.ndarray) -> np.ndarray:
+    """f of each value, on Python floats (math.log10 and float ** are not numpy's)."""
+    return np.fromiter(map(f, x.tolist()), float, len(x))
+
+
 def _path_loss(dist: np.ndarray, ccfg: ch.ChannelConfig) -> np.ndarray:
-    """ch.path_loss_db of each distance, to within a few ulps: numpy's log10
-    is not math's, and the layers are one piecewise-linear interpolation."""
-    depth, absorbed = [0.0], [0.0]   # the layers, crossed in listed order
+    """ch.path_loss_db of each distance, bit for bit: its float operations in
+    its order, each distance stopping at the first layer it does not enter."""
+    inside = dist > 0   # at distance 0 there is no spreading term and no layer
+    x = 4.0 * math.pi * ccfg.f_c * (dist[inside] / 100.0) / ch.SPEED_OF_LIGHT
+    spreading = 10.0 * ccfg.spreading_exponent * _scalar_map(math.log10, x)
+    loss = np.zeros(len(dist))
+    loss[inside] = np.where(spreading < 0.0, 0.0, spreading)   # max(spreading, 0.0), -0.0 kept
+    remaining = dist
     for layer in ccfg.layers:
-        if layer.thickness_cm <= 0:   # ch.path_loss_db stops at a layer nothing crosses
-            break
-        depth.append(depth[-1] + layer.thickness_cm)
-        absorbed.append(absorbed[-1] + layer.thickness_cm * layer.atten_db_per_cm)
-    x = dist * (4.0 * math.pi * ccfg.f_c / 100.0 / ch.SPEED_OF_LIGHT)
-    spreading = np.log10(x + (x == 0.0))   # no spreading term at distance 0
-    return (np.maximum(10.0 * ccfg.spreading_exponent * spreading, 0.0)
-            + np.interp(dist, depth, absorbed))
+        crossed = np.minimum(layer.thickness_cm, remaining)
+        inside &= crossed > 0
+        np.add(loss, crossed * layer.atten_db_per_cm, out=loss, where=inside)
+        remaining = remaining - crossed   # read again only where still inside
+    return loss
 
 
 def _delivered(dist: np.ndarray, closing: np.ndarray, tx: np.ndarray, row: np.ndarray,
-               itx: np.ndarray, idist: np.ndarray, ccfg: ch.ChannelConfig) -> np.ndarray:
-    """Whether each packet is delivered.  Packet i is sent at tx[i] dBm over
-    dist[i] cm, closing at closing[i] cm/s; pair j, sent at itx[j] dBm over
-    idist[j] cm, interferes with packet row[j] (ascending), in the order
-    ch.sinr_db sums a packet's list.  Decided in arrays; a verdict that an
-    error below _MARGIN_DB could flip is re-decided in scalar channel calls."""
-    doppler_db_per_cm_s = ccfg.doppler_penalty_db_per_mhz * ch.doppler_shift_hz(1.0, ccfg) / 1e6
+               itx: np.ndarray, idist: np.ndarray, ccfg: ch.ChannelConfig):
+    """(indices of the delivered packets, ascending; rx dBm of every packet).
+    Packet i is sent at tx[i] dBm over dist[i] cm, closing at closing[i]
+    cm/s; pair j, sent at itx[j] dBm over idist[j] cm, interferes with packet
+    row[j] (ascending).  Each value repeats the float operations of
+    ch.link_sample, ch.sinr_db and ch.reception_decision in their order."""
     loss = _path_loss(np.concatenate((dist, idist)), ccfg)
-    rx = tx - loss[:len(dist)] - np.abs(closing) * doppler_db_per_cm_s
-    interference = np.bincount(row, 10.0 ** ((itx - loss[len(dist):]) / 10.0), len(dist))
-    denom = 10.0 ** (ccfg.noise_floor_dbm / 10.0) + interference
-    quiet = denom == 0.0   # ch.sinr_db's 200 dB cap: left to the scalar calls
-    sinr = np.minimum(rx - 10.0 * np.log10(denom + quiet), 200.0)
-    # delivered when both margins are >= 0; an error below _MARGIN_DB in
-    # rx or SINR can flip that only where the smaller one is within it
-    slack = np.minimum(rx - ccfg.rx_sensitivity_dbm, sinr - ccfg.sinr_threshold_db)
-    delivered = slack >= 0.0
-    for i in (~((np.abs(slack) > _MARGIN_DB) & np.isfinite(sinr)) | quiet).nonzero()[0].tolist():
-        rx_i = ch.link_sample(float(dist[i]), float(closing[i]), float(tx[i]), ccfg).rx_power_dbm
-        lo, hi = np.searchsorted(row, (i, i + 1)).tolist()
-        i_dbm = [t - ch.path_loss_db(x, ccfg)   # each interferer's power at the receiver
-                 for t, x in zip(itx[lo:hi].tolist(), idist[lo:hi].tolist())]
-        delivered[i] = not rx_i < ccfg.rx_sensitivity_dbm and ch.reception_decision(
-            rx_i, ch.sinr_db(rx_i, i_dbm, ccfg.noise_floor_dbm), ccfg) is ch.Reception.DELIVERED
-    return delivered
+    rx = ch.received_power_dbm(tx, loss[:len(dist)],
+                               ch.doppler_penalty_db(ch.doppler_shift_hz(closing, ccfg), ccfg))
+    audible = (rx >= ccfg.rx_sensitivity_dbm).nonzero()[0]   # SINR matters only for these
+    # added left to right per packet, in pair order, as ch.sinr_db adds them
+    interference = np.bincount(row, _scalar_map(ch.dbm_to_mw, itx - loss[len(dist):]), len(dist))
+    denom = ch.dbm_to_mw(ccfg.noise_floor_dbm) + interference[audible]
+    ratio = np.divide(_scalar_map(ch.dbm_to_mw, rx[audible]), denom,
+                      out=np.full(len(denom), np.inf), where=denom != 0.0)   # inf: the 200 dB cap
+    sinr = np.minimum(10.0 * _scalar_map(math.log10, ratio), 200.0)
+    return audible[sinr >= ccfg.sinr_threshold_db], rx
 
 
 def _visit_windows(vdev: np.ndarray, vt: np.ndarray, ends: np.ndarray, vstart: np.ndarray,
@@ -250,7 +247,7 @@ def _decoded_beacons(schedule, anchors: list[Anchor], anchor_pos: np.ndarray,
                      anchor_tx: list[float], ccfg: ch.ChannelConfig, beacon_air: float,
                      duration_s: float):
     """Per device of the schedule, (t, anchor index, position, closing speed,
-    distance, in heart) of each beacon it decodes, in (t, anchor index) order."""
+    rx dBm, in heart) of each beacon it decodes, in (t, anchor index) order."""
     first, vt, ends, vstart, vvel, vheart = schedule
     vdev = np.repeat(np.arange(len(first) - 1), np.diff(first))
     intervals = np.array([a.beacon_interval_s for a in anchors])
@@ -294,12 +291,12 @@ def _decoded_beacons(schedule, anchors: list[Anchor], anchor_pos: np.ndarray,
         row, j = ((np.abs(np.round(bt[:, None] / intervals) * intervals - bt[:, None]) <= beacon_air)
                   & (ba[:, None] != np.arange(len(anchors)))).nonzero()
         gap = p[row] - anchor_pos[j]
-        delivered = _delivered(dist, closing, tx_of[ba], row, tx_of[j],
-                               np.sqrt(_row_dots(gap, gap)), ccfg)
-        devs, ais, ts, dists, closings, hearts = (
-            x.tolist() for x in (bd, ba, bt, dist, closing, vheart[bv]))
-        for i in delivered.nonzero()[0].tolist():
-            out[devs[i]].append((ts[i], ais[i], p[i], closings[i], dists[i], hearts[i]))
+        delivered, rx = _delivered(dist, closing, tx_of[ba], row, tx_of[j],
+                                   np.sqrt(_row_dots(gap, gap)), ccfg)
+        devs, ais, ts, rxs, closings, hearts = (
+            x.tolist() for x in (bd, ba, bt, rx, closing, vheart[bv]))
+        for i in delivered.tolist():
+            out[devs[i]].append((ts[i], ais[i], p[i], closings[i], rxs[i], hearts[i]))
     return out
 
 
@@ -344,10 +341,10 @@ def _decide_responses(responses: list[tuple], anchor_pos: np.ndarray,
     gap = (np.array(pos).reshape(-1, 3)[np.concatenate((own, mate))]
            - anchor_pos[ai[np.concatenate((own, row))]])
     dist = np.sqrt(_row_dots(gap, gap))
-    delivered = _delivered(dist[:len(own)], np.array(closing), tx, row, tx[mate],
-                           dist[len(own):], ccfg)
+    delivered, _ = _delivered(dist[:len(own)], np.array(closing), tx, row, tx[mate],
+                              dist[len(own):], ccfg)
     return [RawRecord(arrivals[first[i]], macs[device_of[i]], circulation[i], bit[i])
-            for i in delivered.nonzero()[0].tolist()]
+            for i in delivered.tolist()]
 
 
 def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPlan,
@@ -432,7 +429,7 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
                     if hits[k - n_beacons]:
                         event_bit = 1
                 continue
-            _, ai, p, closing, dist, in_heart = beacons[k]
+            _, ai, p, closing, rx_dbm, in_heart = beacons[k]
             if not state.powered or try_consume(state, rx_cost, energy_cfg) is None:
                 continue
             consumed += rx_cost
@@ -448,8 +445,7 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
             consumed += tx_cost
             responded = True
             t_rx = t + beacon_air + response_air
-            if t_rx <= t_last:   # the response's tx comes from the scalar beacon rx
-                rx_dbm = ch.link_sample(dist, closing, anchor_tx[ai], channel_cfg).rx_power_dbm
+            if t_rx <= t_last:
                 responses.append((t_rx, ai, di, p, rx_dbm + channel_cfg.backscatter_gain_db,
                                   closing, circulation, bit))
         device_rows.append(rows)

@@ -421,6 +421,20 @@ def test_sim_times_beyond_duration_rejected():
         run_events(GRAPH, [], PLAN, workers=1, seed=0)
 
 
+def test_sim_times_sharing_a_report_label_rejected(monkeypatch):
+    # the report keys its blocks by f"{t:g}": two times that print alike
+    # would leave one block, so neither runs
+    import nanoflow.benchmark as bm
+
+    def no_runs(*args, **kwargs):
+        raise AssertionError("event runs started")
+
+    monkeypatch.setattr(bm, "_run_one", no_runs)
+    with pytest.raises(ValueError, match=r"^sim_times_s 10\.0000001 and 10\.0000002 share "
+                                         r"the report label 10$"):
+        run_benchmark(GRAPH, EVENTS, PLAN, sim_times_s=[10.0000001, 10.0000002, 20.0])
+
+
 # ---------------------------------------------------------------------------
 # convergence and external scoring
 # ---------------------------------------------------------------------------

@@ -88,6 +88,13 @@ def test_sinr_cap():
     assert sinr_db(-20.0, [], -1000.0) == 200.0
 
 
+def test_sinr_sums_interferers_left_to_right():
+    # 1 mW then two 1e-16 mW: each small term rounds away against 1.0 when
+    # added in turn, as the engine's array pass adds them; a compensated sum
+    # (sum() on Python 3.12+) keeps them and gives about -9.6e-16 dB
+    assert sinr_db(0.0, [0.0, -160.0, -160.0], -math.inf) == 0.0
+
+
 def test_reception_decision_order():
     # sensitivity check comes first, SINR second
     assert reception_decision(-120.0, 50.0, CFG) is Reception.DISCARD_SENSITIVITY

@@ -550,6 +550,9 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad.write_text("event_id\n0\n")
     assert main(["benchmark", "--k", "3", "--localizer", f"external:{bad}",
                  "--out", str(tmp_path / "x")]) == 3
+    # an estimates file that cannot be read: I/O, like an unreadable config
+    assert main(["benchmark", "--k", "3", "--localizer", f"external:{tmp_path / 'none.csv'}",
+                 "--out", str(tmp_path / "x")]) == 2
     # bogus localizer spec
     capsys.readouterr()
     assert main(["benchmark", "--k", "3", "--localizer", "quantum",

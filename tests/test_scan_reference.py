@@ -12,10 +12,10 @@ cached arrays, steps the capacitor on locals and decides every response in
 array passes; records, energy rows and consumption must come out bit for
 bit the same, including when sensing and receiving are refused and when
 the charge grid hits its size limit.  The engine decides beacons and
-responses in arrays and re-decides near a threshold in scalar channel
-calls, so the last tests put beacons and responses exactly on the
-sensitivity gate and on the SINR threshold, against one interferer and
-against three (where the order in which interference is summed shows)."""
+responses in arrays that repeat the scalar channel calls' float operations,
+so the last tests put beacons and responses exactly on the sensitivity gate
+and on the SINR threshold, against one interferer and against three (where
+the order in which interference is summed shows)."""
 
 import math
 from operator import itemgetter
@@ -422,13 +422,6 @@ def _beacon_bits(beacons):
             for t, ai, p, closing, rx, heart in beacons]
 
 
-def _engine_rx(beacons, anchor_tx, channel):
-    """The engine's beacons carry their distance; the scan turns it into the
-    scalar rx dBm, as the reference carries it."""
-    return [(t, ai, p, closing, ch.link_sample(dist, closing, anchor_tx[ai], channel).rx_power_dbm,
-             heart) for t, ai, p, closing, dist, heart in beacons]
-
-
 @pytest.mark.parametrize("seed", [4, 11])
 def test_decoded_beacons_of_a_run_equal_the_per_device_reference(seed):
     # four contending anchors and a dozen devices: every device's beacons,
@@ -445,8 +438,7 @@ def test_decoded_beacons_of_a_run_equal_the_per_device_reference(seed):
                            np.array(anchor_pos), anchor_tx, channel, beacon_air, duration)
     want = [_reference_beacons(_reference_schedule(tr, GRAPH), anchors, anchor_pos, anchor_tx,
                                ranges, channel, beacon_air, duration) for tr in traces]
-    assert ([_beacon_bits(_engine_rx(b, anchor_tx, channel)) for b in got]
-            == [_beacon_bits(b) for b in want])
+    assert [_beacon_bits(b) for b in got] == [_beacon_bits(b) for b in want]
     assert sum(map(len, want)) > 100
 
 
@@ -469,8 +461,7 @@ def _decode_both(engine_schedule, reference_schedules, anchors, channel, duratio
                            beacon_air, duration)
     want = [_reference_beacons(s, anchors, list(anchor_pos), anchor_tx, ranges, channel,
                                beacon_air, duration) for s in reference_schedules]
-    return ([_beacon_bits(_engine_rx(b, anchor_tx, channel)) for b in got],
-            [_beacon_bits(b) for b in want])
+    return [_beacon_bits(b) for b in got], [_beacon_bits(b) for b in want]
 
 
 def test_beacons_on_the_sensitivity_gate_decode_like_the_reference():

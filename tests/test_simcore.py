@@ -6,16 +6,18 @@ ideal energy the delivery pattern is then an exact function of the walk
 schedule and makes a clean oracle.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from nanoflow import channel as ch
 from nanoflow.channel import ChannelConfig
 from nanoflow.energy import EnergyConfig
 from nanoflow.errors import ConfigMismatch
-from nanoflow.simcore import (Anchor, SimPlan, _sense_hits, export_energy_csv,
-                              export_raw_csv, run_simulation)
+from nanoflow.simcore import (Anchor, SimPlan, _delivered, _path_loss, _sense_hits,
+                              export_energy_csv, export_raw_csv, run_simulation)
 from nanoflow.vasculature import (MobilityTrace, RegionType, Vessel, VesselGraph,
                                   simulate_mobility, upsample_trace)
 
@@ -225,3 +227,56 @@ def test_input_validation():
         with pytest.raises(ConfigMismatch, match=f"^{field} must be positive$"):
             replace(SimPlan(duration_s=9.0, sense_rate_hz=1, anchors=ANCHOR,
                             energy_cfg=IDEAL_ENERGY), **{field: value})
+
+
+@pytest.mark.parametrize("channel", [
+    ChannelConfig(),
+    ChannelConfig(f_c=0.33e12, spreading_exponent=-1.0, doppler_penalty_db_per_mhz=2000.0),
+    # spreading 0 * log10(x < 1) is -0.0, which max(..., 0.0) keeps and no layer covers
+    ChannelConfig(spreading_exponent=0.0, layers=[ch.Layer("gap", 0.0, 10.0),
+                                                  ch.Layer("tissue", 2.0, 30.0)]),
+    ChannelConfig(noise_floor_dbm=-math.inf, doppler_penalty_db_per_mhz=50.0,
+                  layers=[ch.Layer("vessel_wall", 0.1, 40.0), ch.Layer("gap", 0.0, 10.0),
+                          ch.Layer("tissue", 2.0, 30.0)]),
+], ids=["default", "low_carrier_doppler", "leading_gap", "quiet_mid_gap"])
+def test_array_channel_is_the_scalar_channel_bit_for_bit(channel):
+    # path loss and rx of the engine's array pass against ch.path_loss_db and
+    # ch.link_sample, and its verdicts against ch.sinr_db and
+    # ch.reception_decision, at zero, at sub-wavelength distances (where the
+    # spreading term is clipped at 0 dB), on each layer boundary and its
+    # float neighbours, and at random distances
+    rng = np.random.default_rng(19)
+    depth = np.cumsum([layer.thickness_cm for layer in channel.layers])
+    depth = depth[depth > 0]   # the float after 0.0 is subnormal: math.log10 rejects it
+    dist = np.concatenate(([0.0], rng.uniform(0.0, 0.01, 500), depth, np.nextafter(depth, 0.0),
+                           np.nextafter(depth, np.inf), rng.uniform(0.0, 3.0, 4000)))
+    assert ([x.hex() for x in _path_loss(dist, channel).tolist()]
+            == [ch.path_loss_db(d, channel).hex() for d in dist.tolist()])
+
+    closing = rng.normal(0.0, 30.0, len(dist))
+    closing[::7] = 0.0
+    tx = rng.uniform(-30.0, 10.0, len(dist))
+    row = np.repeat(np.arange(len(dist)), rng.integers(0, 4, len(dist)))
+    itx, idist = rng.uniform(-40.0, 10.0, len(row)), rng.uniform(0.0, 3.0, len(row))
+    delivered, rx = _delivered(dist, closing, tx, row, itx, idist, channel)
+    want_rx = [ch.link_sample(d, v, t, channel).rx_power_dbm
+               for d, v, t in zip(dist.tolist(), closing.tolist(), tx.tolist())]
+    assert [x.hex() for x in rx.tolist()] == [x.hex() for x in want_rx]
+    bounds = np.searchsorted(row, np.arange(len(dist) + 1)).tolist()
+    sinr = [ch.sinr_db(r, [t - ch.path_loss_db(x, channel) for t, x in
+                           zip(itx[lo:hi].tolist(), idist[lo:hi].tolist())],
+                       channel.noise_floor_dbm)
+            for r, lo, hi in zip(want_rx, bounds, bounds[1:])]
+    want = [ch.reception_decision(r, s, channel) is ch.Reception.DELIVERED
+            for r, s in zip(want_rx, sinr)]
+    assert delivered.tolist() == [i for i, heard in enumerate(want) if heard]
+    assert 0 < len(delivered) < len(want)
+    # the SINR to the last bit: an audible packet, alone with its interferers,
+    # is delivered at a threshold equal to its scalar SINR and not one float above
+    for i in [i for i, r in enumerate(want_rx) if r >= channel.rx_sensitivity_dbm][:300]:
+        lo, hi = bounds[i], bounds[i + 1]
+        for threshold, heard in ((sinr[i], True), (math.nextafter(sinr[i], math.inf), False)):
+            got, _ = _delivered(dist[i:i + 1], closing[i:i + 1], tx[i:i + 1], row[lo:hi] - i,
+                                itx[lo:hi], idist[lo:hi],
+                                replace(channel, sinr_threshold_db=threshold))
+            assert got.tolist() == [0] * heard, i
