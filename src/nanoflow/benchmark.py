@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -104,27 +103,6 @@ def reliability(estimates: list[RegionEstimate], truths: list[TargetEvent]) -> f
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=8)
-def _loop_representatives(graph: VesselGraph) -> tuple[tuple[float, ...], tuple[int, ...]]:
-    """Expected period and representative vessel for every heart loop.
-
-    The representative is the vessel the loop spends longest in among the
-    vessels unique to that loop (falling back to longest-dwell overall),
-    which is where a loop-time match localizes an event.
-    """
-    loops = graph.cycles_through_heart
-    times = tuple(graph.loop_time(c) for c in loops)
-    membership = Counter(vid for cycle in loops for vid in cycle)
-    reps = []
-    for cycle in loops:
-        unique = [vid for vid in cycle if membership[vid] == 1]
-        pool = unique if unique else list(cycle)
-        dwell = {vid: graph.loop_time((vid,)) for vid in pool}
-        best = max(dwell.values())
-        reps.append(min(vid for vid, d in dwell.items() if d == best))
-    return times, tuple(reps)   # immutable: every caller shares the cached result
-
-
 def baseline_localize(records, graph: VesselGraph, seed: int = 0,
                       event_id: int = 0) -> RegionEstimate:
     """Nearest-loop-time voting over event-positive records.
@@ -138,7 +116,7 @@ def baseline_localize(records, graph: VesselGraph, seed: int = 0,
     if not positives:
         return RegionEstimate(event_id=event_id, estimated_region=None, point=None)
     rng = np.random.default_rng(seed)
-    times, reps = _loop_representatives(graph)
+    times, reps = graph.heart_loops
     times_arr = np.asarray(times)
     votes: dict[int, int] = {}
     for rec in positives:
@@ -399,6 +377,14 @@ class MetricsReport:
         return asdict(self)
 
 
+def _mean(xs: list[float]) -> float | None:
+    """Mean of xs, None for none."""
+    total = 0.0
+    for x in xs:   # left to right: sum() compensates on Python 3.12+
+        total += x
+    return total / len(xs) if xs else None
+
+
 def _metric_block(estimates: list[RegionEstimate], truths: list[TargetEvent],
                   graph: VesselGraph, correct_only: bool) -> dict:
     pairs = _match(estimates, truths)
@@ -415,9 +401,8 @@ def _metric_block(estimates: list[RegionEstimate], truths: list[TargetEvent],
         "n_total": n_total,
         "reliability": n_estimated / n_total,
         "point_errors_cm": errors_correct if correct_only else errors_all,
-        "mean_point_error_cm": (sum(errors_all) / len(errors_all)) if errors_all else None,
-        "mean_point_error_correct_cm": (sum(errors_correct) / len(errors_correct))
-                                       if errors_correct else None,
+        "mean_point_error_cm": _mean(errors_all),
+        "mean_point_error_correct_cm": _mean(errors_correct),
     }
 
 
@@ -489,7 +474,7 @@ def run_benchmark(graph: VesselGraph, events: list[TargetEvent], plan: SimPlan,
     by_time = {f"{t:g}": _metric_block(estimates, truths, graph, point_error_correct_only)
                for t, estimates in per_time.items()}
     energy = {
-        "mean_consumed_pj": (sum(consumed) / len(consumed)) if consumed else None,
+        "mean_consumed_pj": _mean(consumed),
         "max_consumed_pj": max(consumed) if consumed else None,
     }
     return _build_report(per_time[max(per_time)], truths, graph, point_error_correct_only,
@@ -541,8 +526,11 @@ def load_estimates_csv(path: str) -> list[RegionEstimate]:
     region present mean centroid substitution at scoring time.  A file that
     cannot be read raises OSError; malformed content, ExternalDataError.
     """
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln.rstrip("\n") for ln in fh]
+    except UnicodeDecodeError as exc:
+        raise ExternalDataError(f"estimates file {path} is not UTF-8 text: {exc}") from exc
     if not lines:
         raise ExternalDataError(f"estimates file {path} is empty")
     header = lines[0].split(",")

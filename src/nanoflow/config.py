@@ -286,7 +286,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
         try:
             with open(path) as fh:
                 layers.insert(0, json.load(fh))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     resolved = DEFAULT_CONFIG   # never mutated: _merge returns a deep copy
     for layer in layers:

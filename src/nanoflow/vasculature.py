@@ -7,12 +7,12 @@ among successors at bifurcations, and are sampled at 1 Hz.  A separate
 upsampling step inserts linearly interpolated positions with optional
 Gaussian jitter so downstream sensing can run faster than 1 Hz.
 
-A graph is validated when it is built, so an invalid one never exists.  Its
-per-vessel tables (ids, end points, lengths, speeds, successors, velocities,
-heart cycles) are cached properties filled on first use: the walk records
-(vessel, arc) per sample and places a device's samples in one pass
-(points_at), and locate_vessel maps many points at once.  A graph is
-therefore not edited once it is built.
+A graph is validated when it is built, so an invalid one never exists, and
+its per-vessel tables (ids, end points, lengths, speeds, successor rows,
+velocities) are built with it: the walk records (vessel, arc) per sample and
+places a device's samples in one pass (points_at), and locate_vessel maps
+many points at once.  Only the heart-loop analysis waits for its first use.
+A graph is therefore not edited once it is built.
 
 Every MobilityTrace carries the exact visit schedule of its walk, and
 geometry that needs more than the samples (anchor contact, heart passages)
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
 from enum import IntEnum
@@ -58,72 +59,48 @@ class Vessel:
 
 @dataclass(eq=False)
 class VesselGraph:
-    """Vessels and the heart's id, checked by validate_graph when built."""
+    """Vessels and the heart's id, checked by validate_graph when built.
+
+    Building also fills every per-vessel table, one row per vessel in list
+    order.  Only the heart-loop analysis waits for its first use: it raises
+    InvalidGraph on a pathological graph, and a walk never needs it.
+    """
     vessels: list[Vessel]
     heart_id: int
 
     def __post_init__(self):
         validate_graph(self)
-
-    @cached_property
-    def _by_id(self) -> dict[int, Vessel]:
-        return {v.id: v for v in self.vessels}
+        vessels = self.vessels
+        self._row = {v.id: i for i, v in enumerate(vessels)}
+        ids = np.array([v.id for v in vessels])
+        starts = np.array([v.start for v in vessels], dtype=float)
+        ends = np.array([v.end for v in vessels], dtype=float)
+        self.segment_arrays = ids, starts, ends
+        lengths = [v.length for v in vessels]
+        speeds = [v.speed_cm_s for v in vessels]
+        self._lengths, self._deltas = np.array(lengths), ends - starts
+        self.motion_arrays = (   # validate_graph refuses zero-length vessels
+            self._deltas / self._lengths[:, None] * np.array(speeds, dtype=float)[:, None],
+            np.array([bool(v.is_heart) for v in vessels]))
+        self._walk_table = (lengths, speeds, [[self._row[s] for s in v.successors]
+                                              for v in vessels], self._row[self.heart_id])
 
     def vessel(self, vessel_id: int) -> Vessel:
-        return self._by_id[vessel_id]
-
-    @cached_property
-    def segment_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(ids, starts, ends) as arrays, one row per vessel in list order."""
-        return (np.array([v.id for v in self.vessels]),
-                np.array([v.start for v in self.vessels], dtype=float),
-                np.array([v.end for v in self.vessels], dtype=float))
-
-    @cached_property
-    def _id_order(self) -> np.ndarray:
-        return np.argsort(self.segment_arrays[0], kind="stable")
+        return self.vessels[self._row[vessel_id]]
 
     def rows_of(self, vessel_ids) -> np.ndarray:
         """Row of each vessel id in segment_arrays; KeyError for an id the
         graph does not have."""
-        ids = self.segment_arrays[0]
-        at = np.searchsorted(ids, vessel_ids, sorter=self._id_order)
-        rows = self._id_order[np.minimum(at, len(ids) - 1)]
-        if not np.array_equal(ids[rows], vessel_ids):
-            raise KeyError(f"vessel ids not in the graph: {np.setdiff1d(vessel_ids, ids)[:5]}")
-        return rows
-
-    @cached_property
-    def _placement(self) -> tuple[np.ndarray, np.ndarray]:
-        _, starts, ends = self.segment_arrays
-        return np.array([v.length for v in self.vessels]), ends - starts
+        return np.fromiter(map(self._row.__getitem__, np.asarray(vessel_ids).tolist()),
+                           dtype=np.intp)
 
     def points_at(self, rows: np.ndarray, arcs: np.ndarray) -> np.ndarray:
         """(n, 3) positions: row k is vessel rows[k] (a row of segment_arrays)
         at arc arcs[k] from its start, clamped to the segment, in one pass."""
-        lengths, deltas = self._placement
-        pos = deltas[rows]   # in place: fewer temporaries, and + and * commute exactly
-        pos *= np.clip(arcs / lengths[rows], 0.0, 1.0)[:, None]
+        pos = self._deltas[rows]   # in place: fewer temporaries, and + and * commute exactly
+        pos *= np.clip(arcs / self._lengths[rows], 0.0, 1.0)[:, None]
         pos += self.segment_arrays[1][rows]
         return pos
-
-    @cached_property
-    def _walk_table(self) -> tuple[list, list, list, int]:
-        # (length, speed, successor rows) per row of segment_arrays, and the heart's row
-        row = {v.id: i for i, v in enumerate(self.vessels)}
-        return ([v.length for v in self.vessels], [v.speed_cm_s for v in self.vessels],
-                [[row[s] for s in v.successors] for v in self.vessels], row[self.heart_id])
-
-    @cached_property
-    def motion_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(velocity in cm/s, is_heart) per row of segment_arrays; a
-        zero-length vessel has zero velocity."""
-        _, starts, _ = self.segment_arrays
-        lengths, deltas = self._placement
-        direction = np.divide(deltas, lengths[:, None], out=starts * 0.0,
-                              where=lengths[:, None] > 0)
-        speeds = np.array([v.speed_cm_s for v in self.vessels], dtype=float)
-        return direction * speeds[:, None], np.array([bool(v.is_heart) for v in self.vessels])
 
     @cached_property
     def cycles_through_heart(self) -> list[tuple[int, ...]]:
@@ -137,7 +114,7 @@ class VesselGraph:
         stack = [(heart, (heart,))]
         while stack:
             node, path = stack.pop()
-            for nxt in sorted(self._by_id[node].successors, reverse=True):
+            for nxt in sorted(self.vessel(node).successors, reverse=True):
                 if nxt == heart:
                     cycles.append(path)
                     if len(cycles) > _CYCLE_LIMIT:
@@ -147,9 +124,28 @@ class VesselGraph:
         cycles.sort()
         return cycles
 
+    @cached_property
+    def heart_loops(self) -> tuple[tuple[float, ...], tuple[int, ...]]:
+        """(periods, representatives): per heart cycle, in cycles_through_heart
+        order, its expected period and the vessel it spends longest in among
+        those unique to it (else among all its vessels), which is where a
+        loop-time match localizes an event."""
+        loops = self.cycles_through_heart
+        membership = Counter(vid for cycle in loops for vid in cycle)
+        reps = []
+        for cycle in loops:
+            pool = [vid for vid in cycle if membership[vid] == 1] or list(cycle)
+            dwell = {vid: self.loop_time((vid,)) for vid in pool}
+            best = max(dwell.values())
+            reps.append(min(vid for vid, d in dwell.items() if d == best))
+        return tuple(self.loop_time(c) for c in loops), tuple(reps)
+
     def loop_time(self, cycle: tuple[int, ...]) -> float:
         """Expected traversal time (s) of one cycle at nominal speeds."""
-        return sum(self._by_id[i].length / self._by_id[i].speed_cm_s for i in cycle)
+        total = 0.0
+        for v in map(self.vessel, cycle):   # left to right: sum() compensates on Python 3.12+
+            total += v.length / v.speed_cm_s
+        return total
 
 
 @dataclass
@@ -413,7 +409,7 @@ def simulate_mobility(graph: VesselGraph, device_count: int, duration_s: float,
     All devices start at the heart inlet.  Within a vessel the speed is
     exact; a sampling step can cross several vessels, each bifurcation
     resolved by a uniform draw from the seeded stream.  The walk reads the
-    graph's cached per-vessel tables and keeps only (vessel, arc) per sample;
+    graph's per-vessel tables and keeps only (vessel, arc) per sample;
     each device's positions are then placed in one pass by
     VesselGraph.points_at.  Each trace carries its visit schedule.
     """

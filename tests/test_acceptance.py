@@ -19,8 +19,7 @@ import pytest
 from nanoflow.benchmark import (SimPlan, baseline_localize, convergence_curve,
                                 dense_locations, point_error, region_accuracy,
                                 run_benchmark, run_events, sample_locations,
-                                RegionEstimate, TargetEvent,
-                                _loop_representatives)
+                                RegionEstimate, TargetEvent)
 from nanoflow.channel import ChannelConfig
 from nanoflow.energy import (EnergyConfig, capacitance, cycle_index,
                              energy_at_cycle, turn_on_latency_cycles)
@@ -237,7 +236,7 @@ def test_criterion_10_baseline_sanity():
     acc_ok = rep.region_accuracy >= floor
 
     # symmetric tie: a circulation time equidistant from two loop periods
-    times, reps = _loop_representatives(GRAPH)
+    times, reps = GRAPH.heart_loops
     order = np.argsort(times)
     pair = None
     for a, b in zip(order, order[1:]):

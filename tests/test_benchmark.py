@@ -1,10 +1,12 @@
 """Metrics, baseline localizer, sampling strategies and harness."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+from nanoflow import benchmark, vasculature
 from nanoflow.benchmark import (MetricsReport, RegionEstimate, SimPlan,
                                 TargetEvent, baseline_localize,
                                 convergence_curve, dense_locations,
@@ -407,6 +409,27 @@ def test_run_events_returns_estimates_in_event_id_order():
         assert block["region_accuracy"] == region_accuracy(estimates, truths)
         assert block["reliability"] == reliability(estimates, truths)
     assert rep.energy_summary["max_consumed_pj"] == max(consumed)
+
+
+def test_means_and_loop_periods_add_left_to_right(monkeypatch):
+    # sum() of floats is compensated on Python 3.12+, so report bytes would
+    # depend on the interpreter.  On this data the two additions differ, so
+    # a mean or period taken with sum() changes under math.fsum.
+    estimates, truths = synthetic_pairs(500, seed=1)
+    consumed = [0.1] * 10
+    monkeypatch.setattr(benchmark, "run_events",
+                        lambda *args: ({120.0: estimates}, consumed, {}))
+    plain = run_benchmark(GRAPH, truths, PLAN).to_dict()
+    errors = [point_error(e, t, GRAPH) for e, t in zip(estimates, truths) if e.has_estimate]
+    assert plain["mean_point_error_cm"] != math.fsum(errors) / len(errors)
+    assert plain["energy_summary"]["mean_consumed_pj"] != math.fsum(consumed) / len(consumed)
+    periods = [math.fsum(GRAPH.vessel(i).length / GRAPH.vessel(i).speed_cm_s for i in cycle)
+               for cycle in GRAPH.cycles_through_heart]
+    assert list(GRAPH.heart_loops[0]) != periods
+    for module in (benchmark, vasculature):
+        monkeypatch.setattr(module, "sum", math.fsum, raising=False)
+    assert run_benchmark(GRAPH, truths, PLAN).to_dict() == plain
+    assert build_reference_vasculature().heart_loops == GRAPH.heart_loops
 
 
 def test_sim_times_beyond_duration_rejected():

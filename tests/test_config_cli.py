@@ -122,6 +122,24 @@ def test_bad_values_are_rejected_by_key(tmp_path, capsys, override, message):
     assert re.search(message, capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("content, message", [
+    (json.dumps({"anchors": 5}).encode(), r"config key anchors must be a list"),
+    (json.dumps({"benchmark": {"dense_size": 0}}).encode(),
+     r"config key benchmark\.dense_size must be >= 1"),
+    (json.dumps({"benchmark": {"sample_k": 0}}).encode(),
+     r"config key benchmark\.sample_k must be >= 1"),
+    (json.dumps({"benchmark": {"sim_times_s": [10.0, -1.0]}}).encode(),
+     r"config key benchmark\.sim_times_s\[1\] must be positive"),
+    (b'{"seed": ', r"config file .*c\.json is not valid JSON: Expecting value"),
+    (b"\xff\xfe{}", r"config file .*c\.json is not valid JSON: 'utf-8' codec can't decode"),
+], ids=["not-a-list", "dense-size", "sample-k", "sim-time", "not-json", "not-utf-8"])
+def test_config_file_errors_name_the_key_or_file(tmp_path, content, message):
+    path = tmp_path / "c.json"
+    path.write_bytes(content)
+    with pytest.raises(ConfigError, match=message):
+        load_config(str(path))
+
+
 def _parts(path: str) -> list:
     """Keys and list indices of a dotted path such as anchors[0].mac."""
     return [int(p) if p.isdigit() else p for p in re.findall(r"\w+", path)]
@@ -553,8 +571,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     # an estimates file that cannot be read: I/O, like an unreadable config
     assert main(["benchmark", "--k", "3", "--localizer", f"external:{tmp_path / 'none.csv'}",
                  "--out", str(tmp_path / "x")]) == 2
-    # bogus localizer spec
+    # estimates that are not UTF-8: malformed estimates, with the file named
+    binary = tmp_path / "utf16.csv"
+    binary.write_bytes(b"\xff\xfee\x00v\x00")
     capsys.readouterr()
+    assert main(["benchmark", "--k", "3", "--localizer", f"external:{binary}",
+                 "--out", str(tmp_path / "x")]) == 3
+    assert capsys.readouterr().err.startswith(f"error: estimates file {binary} is not UTF-8 text")
+    # a config file that is not UTF-8: config error, with the file named
+    p.write_bytes(b"\xff\xfe{\x00}\x00")
+    assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: config file {p} is not valid JSON")
+    # bogus localizer spec
     assert main(["benchmark", "--k", "3", "--localizer", "quantum",
                  "--out", str(tmp_path / "x")]) == 1
     assert capsys.readouterr().err == (

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -97,6 +98,64 @@ def test_validate_graph_rejects_broken_inputs():
     with pytest.raises(InvalidGraph, match="vessel 0 has unknown region_type 7"):
         VesselGraph([t], heart_id=0)
     assert [f.name for f in dataclasses.fields(VesselGraph)] == ["vessels", "heart_id"]
+
+
+def _heart(**changes):
+    # a one-vessel graph's heart, a legal self-loop, with `changes` applied
+    fields = dict(id=0, start=np.zeros(3), end=np.array([1.0, 0, 0]),
+                  region_type=RegionType.ARTERIAL, speed_cm_s=20.0, successors=[0], is_heart=True)
+    return Vessel(**{**fields, **changes})
+
+
+def _parallel_layers(layers):
+    # the heart, then `layers` pairs of parallel vessels, each pair feeding
+    # both of the next: 2**layers heart cycles
+    vessels = [_heart(successors=[1, 2])]
+    for i in range(2 * layers):
+        first_of_next = i - i % 2 + 3
+        vessels.append(_heart(id=i + 1, is_heart=False, start=np.array([i, 0.0, 0]),
+                              end=np.array([i + 1.0, 0, 0]),
+                              successors=[0] if i >= 2 * layers - 2
+                              else [first_of_next, first_of_next + 1]))
+    return VesselGraph(vessels, heart_id=0)
+
+
+def _graph_file(tmp_path, payload):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda tmp: VesselGraph([], heart_id=0), "graph has no vessels"),
+    (lambda tmp: VesselGraph([_heart(), _heart(is_heart=False)], heart_id=0),
+     "duplicate vessel ids"),
+    (lambda tmp: VesselGraph([_heart(successors=[])], heart_id=0), "vessel 0 has no successors"),
+    (lambda tmp: VesselGraph([_heart(successors=[9])], heart_id=0),
+     "vessel 0 lists unknown successor 9"),
+    (lambda tmp: VesselGraph([_heart(end=np.array([1.0, 0, 2.5]))], heart_id=0),
+     r"vessel 0 endpoint depth outside \[-2, 2\] cm"),
+    (lambda tmp: VesselGraph([_heart(speed_cm_s=15.0)], heart_id=0),
+     "vessel 0 speed 15.0 invalid for region_type 0"),
+    (lambda tmp: VesselGraph([_heart(), _heart(id=1, is_heart=False)], heart_id=0),
+     r"vessels not on any heart loop: \[1\]"),
+    (lambda tmp: _parallel_layers(14).heart_loops, "more than 10000 heart cycles"),
+    (lambda tmp: load_graph(_graph_file(tmp, [])),
+     r"graph file .* must hold an object with a list 'vessels'"),
+    (lambda tmp: load_graph(_graph_file(tmp, {"vessels": {}})),
+     r"graph file .* must hold an object with a list 'vessels'"),
+], ids=["no-vessels", "duplicate-ids", "no-successors", "unknown-successor", "depth",
+        "speed", "stranded", "heart-cycle-cap", "file-not-an-object", "vessels-not-a-list"])
+def test_each_graph_invariant_names_its_breach(tmp_path, build, message):
+    with pytest.raises(InvalidGraph, match=message):
+        build(tmp_path)
+
+
+def test_cycle_cap_leaves_the_graph_usable():
+    # the heart-loop analysis waits for its first use: a graph past the cap
+    # still builds and walks
+    graph = _parallel_layers(14)
+    assert len(simulate_mobility(graph, 2, 30.0, seed=0)[0]) == 31
 
 
 def test_graph_io_roundtrip(tmp_path):
@@ -347,6 +406,82 @@ def test_heart_entries_uses_schedule():
     assert len(gaps) >= 3
     assert gaps.min() > 5.0
     assert gaps.max() < 90.0
+
+
+# ---------------------------------------------------------------------------
+# per-vessel tables, against test-local copies of the lazy tables they replaced
+# ---------------------------------------------------------------------------
+
+
+def _old_loop_representatives(graph):
+    loops = graph.cycles_through_heart
+    times = tuple(graph.loop_time(c) for c in loops)
+    membership = Counter(vid for cycle in loops for vid in cycle)
+    reps = []
+    for cycle in loops:
+        unique = [vid for vid in cycle if membership[vid] == 1]
+        pool = unique if unique else list(cycle)
+        dwell = {vid: graph.loop_time((vid,)) for vid in pool}
+        best = max(dwell.values())
+        reps.append(min(vid for vid, d in dwell.items() if d == best))
+    return times, tuple(reps)
+
+
+def _old_velocities(graph):
+    # the guarded division: a zero-length vessel would get zero velocity
+    _, starts, ends = graph.segment_arrays
+    lengths, deltas = np.array([v.length for v in graph.vessels]), ends - starts
+    direction = np.divide(deltas, lengths[:, None], out=starts * 0.0,
+                          where=lengths[:, None] > 0)
+    return direction * np.array([v.speed_cm_s for v in graph.vessels], dtype=float)[:, None]
+
+
+def _old_rows_of(graph, vessel_ids):
+    ids = graph.segment_arrays[0]
+    order = np.argsort(ids, kind="stable")
+    rows = order[np.minimum(np.searchsorted(ids, vessel_ids, sorter=order), len(ids) - 1)]
+    assert np.array_equal(ids[rows], vessel_ids)
+    return rows
+
+
+def _random_graph(seed):
+    # the reference topology under distinct unsorted ids, in shuffled list
+    # order, with jittered end points and redrawn vein speeds
+    rng = np.random.default_rng(seed)
+    relabel = dict(zip((v.id for v in GRAPH.vessels),
+                       rng.permutation(10 * len(GRAPH.vessels)).tolist()))
+
+    def jitter(p):
+        q = p + rng.uniform(-0.5, 0.5, 3)
+        q[2] = min(max(q[2], -Z_LIMIT), Z_LIMIT)
+        return q
+    vessels = [Vessel(relabel[v.id], jitter(v.start), jitter(v.end), v.region_type,
+                      rng.uniform(2.0, 4.0) if v.region_type == RegionType.VENOUS
+                      else v.speed_cm_s, [relabel[s] for s in v.successors], v.is_heart)
+               for v in GRAPH.vessels]
+    return VesselGraph([vessels[i] for i in rng.permutation(len(vessels))],
+                       heart_id=relabel[GRAPH.heart_id])
+
+
+@pytest.mark.parametrize("graph", [GRAPH, _random_graph(7)], ids=["reference", "random"])
+def test_tables_equal_the_lazy_tables_bit_for_bit(graph):
+    assert graph.heart_loops == _old_loop_representatives(graph)
+    velocities, heart = graph.motion_arrays
+    old = _old_velocities(graph)
+    assert velocities.dtype == old.dtype and velocities.tobytes() == old.tobytes()
+    assert heart.tolist() == [v.is_heart for v in graph.vessels]
+    ids = graph.segment_arrays[0]
+    visits = np.concatenate([tr.visit_vessels for tr in simulate_mobility(graph, 4, 300.0, 3)])
+    for query in (visits, ids[::-1], ids[:0]):
+        assert graph.rows_of(query).tolist() == _old_rows_of(graph, query).tolist()
+
+
+def test_rows_of_raises_key_error_for_an_unknown_id():
+    with pytest.raises(KeyError):
+        GRAPH.rows_of(np.array([0, 5, 94]))
+    assert GRAPH.vessel(5) is GRAPH.vessels[5]
+    with pytest.raises(KeyError):
+        GRAPH.vessel(94)
 
 
 # ---------------------------------------------------------------------------
