@@ -212,12 +212,18 @@ def _crs(dense, k, rng):
 
 
 def _cell_indices(points: np.ndarray, lo: np.ndarray, pitch: float) -> np.ndarray:
-    return np.floor((points - lo) / pitch).astype(np.int64)
+    """Each point's grid cell, as integral floats."""
+    return np.floor((points - lo) / pitch)
 
 
 def _distinct_rows(rows: np.ndarray) -> int:
-    """len(np.unique(rows, axis=0)) of a non-empty 2-D array: the changes
-    between its rows once sorted, plus one."""
+    """len(np.unique(rows, axis=0)) of a non-empty 2-D array of non-negative
+    integral values: the changes between its rows once sorted, plus one.  A
+    row sorts as one base-(max + 1) number where float64 holds that exactly."""
+    base = float(rows.max()) + 1.0
+    if base ** rows.shape[1] <= 2.0 ** 53:
+        keys = np.sort(rows @ base ** np.arange(rows.shape[1] - 1.0, -1.0, -1.0))
+        return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
     rows = rows[np.lexsort(rows.T)]
     return 1 + int(np.count_nonzero((rows[1:] != rows[:-1]).any(axis=1)))
 
@@ -237,6 +243,8 @@ def _rgs(dense, k, rng):
     else:
         for _ in range(80):   # shrink pitch until enough cells fill
             mid = 0.5 * (p_lo + p_hi)
+            if mid in (p_lo, p_hi):   # adjacent floats: no later step moves p_lo
+                break
             if nonempty(mid) >= k:
                 p_lo = mid
             else:
@@ -250,33 +258,44 @@ def _rgs(dense, k, rng):
     return [dense[i] for i in np.sort(picks[:k])]
 
 
-def _scs_blocks(lo: np.ndarray, hi: np.ndarray, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    if k == 1:
-        return [(lo, hi)]
-    axis = int(np.argmax(hi - lo))
-    k1 = k // 2
-    cut = lo[axis] + (hi[axis] - lo[axis]) * (k1 / k)
-    hi_a, lo_b = hi.copy(), lo.copy()
-    hi_a[axis] = cut
-    lo_b[axis] = cut
-    return _scs_blocks(lo, hi_a, k1) + _scs_blocks(lo_b, hi, k - k1)
+def _scs_blocks(points: np.ndarray, k: int) -> np.ndarray:
+    """Each point's block, numbered in order, of the k blocks the points'
+    bounding box (widened by 1e-9) is cut into; -1 outside it.  A cut gives
+    the lower part k // 2 blocks and that fraction of the longest side.
+    Nodes of one depth are cut together."""
+    lo = points.min(axis=0) - 1e-9
+    hi = points.max(axis=0) + 1e-9
+    block = np.full(len(points), -1)
+    rows = np.flatnonzero(((points >= lo) & (points < hi)).all(axis=1))
+    node = np.zeros(len(rows), dtype=np.intp)   # each row's node at this depth
+    lo, hi, ks, first = lo[None], hi[None], np.array([k]), np.array([0])
+    while len(rows):
+        done = ks[node] == 1
+        block[rows[done]] = first[node[done]]
+        split = ks > 1   # renumber the nodes that are cut, in order
+        rows, node = rows[~done], (np.cumsum(split) - 1)[node[~done]]
+        lo, hi, ks, first = lo[split], hi[split], ks[split], first[split]
+        at = np.arange(len(ks))
+        span = hi - lo
+        axis = np.argmax(span, axis=1)
+        k1 = ks // 2
+        cut = lo[at, axis] + span[at, axis] * (k1 / ks)
+        node = 2 * node + (points[rows, axis[node]] >= cut[node])   # lower child, upper child
+        lo, hi = lo.repeat(2, axis=0), hi.repeat(2, axis=0)
+        hi[2 * at, axis] = lo[2 * at + 1, axis] = cut
+        ks = np.column_stack((k1, ks - k1)).ravel()
+        first = np.column_stack((first, first + k1)).ravel()
+    return block
 
 
 def _scs(dense, k, rng):
-    points = np.array([ev.position for ev in dense])
-    lo = points.min(axis=0) - 1e-9
-    hi = points.max(axis=0) + 1e-9
-    blocks = _scs_blocks(lo, hi, k)
-    chosen: list[int] = []
-    taken = np.zeros(len(dense), dtype=bool)
-    for blo, bhi in blocks:
-        inside = np.flatnonzero(((points >= blo) & (points < bhi)).all(axis=1) & ~taken)
-        if len(inside):
-            pick = int(inside[rng.integers(len(inside))])
-            chosen.append(pick)
-            taken[pick] = True
-    spare = np.flatnonzero(~taken)
+    block = _scs_blocks(np.array([ev.position for ev in dense]), k)
+    order = np.argsort(block, kind="stable")   # by block, then index
+    starts = np.flatnonzero(np.diff(block[order], prepend=-1))   # each non-empty block's first
+    chosen = [int(order[start + rng.integers(stop - start)])   # one per non-empty block
+              for start, stop in zip(starts.tolist(), starts[1:].tolist() + [len(order)])]
     if len(chosen) < k:   # empty blocks: top up uniformly from the rest
+        spare = np.delete(np.arange(len(dense)), chosen)
         extra = rng.choice(len(spare), size=k - len(chosen), replace=False)
         chosen.extend(int(spare[i]) for i in extra)
     return [dense[i] for i in sorted(chosen)]
@@ -286,21 +305,16 @@ _STRATEGY_FN = {"srs": _srs, "ssrs": _ssrs, "crs": _crs, "rgs": _rgs, "scs": _sc
 STRATEGIES = tuple(_STRATEGY_FN)
 
 
-def check_sample_size(k: int, population: int) -> None:
-    """Raise SampleTooLarge unless 1 <= k <= population."""
-    if k < 1:
-        raise SampleTooLarge("sample size k must be >= 1")
-    if k > population:
-        raise SampleTooLarge(f"sample size {k} exceeds dense population {population}")
-
-
 def sample_locations(dense: list[TargetEvent], strategy: str, k: int,
                      seed: int = 0) -> list[TargetEvent]:
     """Exactly k dense-set members, drawn with the named strategy (one of STRATEGIES,
     lowercase); k = |dense| is identity.  SampleTooLarge if k is out of range or unfilled."""
     if strategy not in _STRATEGY_FN:
         raise ValueError(f"unknown sampling strategy {strategy!r}")
-    check_sample_size(k, len(dense))
+    if k < 1:
+        raise SampleTooLarge("sample size k must be >= 1")
+    if k > len(dense):
+        raise SampleTooLarge(f"sample size {k} exceeds dense population {len(dense)}")
     if k == len(dense):
         return list(dense)
     drawn = _STRATEGY_FN[strategy](dense, k, np.random.default_rng(seed))
@@ -431,12 +445,14 @@ def run_events(graph: VesselGraph, events: list[TargetEvent], plan: SimPlan,
     every device of every run, and {str(event_id): error} of the failed
     runs, which count as no estimate.  None of it depends on the worker
     count.  EventRunsFailed is raised, naming the count and the first error,
-    when every run failed.
+    when every run failed.  InvalidGraph, for too many heart cycles to
+    localize on, is raised before any run starts.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if not events:
         raise MismatchedSets("no target events to benchmark")
+    graph.heart_loops   # baseline_localize reads it; forked workers inherit it
     times = [float(t) for t in sim_times_s or [plan.duration_s]]
     bad = [t for t in times if not 0.0 < t <= plan.duration_s + 1e-9]   # NaN fails both
     if bad:
@@ -487,19 +503,30 @@ def run_benchmark(graph: VesselGraph, events: list[TargetEvent], plan: SimPlan,
 # ---------------------------------------------------------------------------
 
 
+def convergence_samples(dense: list[TargetEvent], strategy: str, sizes: list[int],
+                        seed: int = 0) -> list[list[TargetEvent]]:
+    """Per size, the subsample of dense that convergence_curve scores; no
+    event run is needed to draw them (or to find a size a strategy cannot fill)."""
+    return [sample_locations(dense, strategy, k, seed=_child_seed(seed, k)) for k in sizes]
+
+
 def convergence_curve(dense_results: list[tuple[TargetEvent, RegionEstimate]],
                       strategy: str, sizes: list[int], seed: int = 0, *,
-                      graph: VesselGraph) -> list[tuple[int, float, float]]:
+                      graph: VesselGraph,
+                      samples: list[list[TargetEvent]] | None = None
+                      ) -> list[tuple[int, float, float]]:
     """(k, region accuracy, mean point error) per subsample size.
 
     Resamples cached per-event results; no re-simulation happens here.  A
-    subset without any estimate has a mean point error of NaN.
+    subset without any estimate has a mean point error of NaN.  `samples`:
+    convergence_samples(events, strategy, sizes, seed), if already drawn.
     """
     truths = [t for t, _ in dense_results]
     by_id = {t.id: est for t, est in dense_results}
+    if samples is None:
+        samples = convergence_samples(truths, strategy, sizes, seed)
     rows = []
-    for k in sizes:
-        subset = sample_locations(truths, strategy, k, seed=_child_seed(seed, k))
+    for k, subset in zip(sizes, samples):
         block = _metric_block([by_id[t.id] for t in subset], subset, graph,
                               correct_only=False)
         err = block["mean_point_error_cm"]

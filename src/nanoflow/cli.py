@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .benchmark import (STRATEGIES, check_sample_size, convergence_curve,
+from .benchmark import (STRATEGIES, convergence_curve, convergence_samples,
                         dense_locations, export_events_csv, load_estimates_csv,
                         run_benchmark, run_events, sample_locations,
                         score_external, trace_and_run)
@@ -126,13 +126,13 @@ def cmd_convergence(cfg: RunConfig, args) -> int:
         if not sizes:
             raise ConfigError(f"--k must be comma-separated integers, got {args.sizes!r}")
     sizes = sorted(set(sizes))
-    for k in sizes:   # before the event runs, which are the whole cost
-        _sized("--k", check_sample_size, k, len(dense))
+    samples = {name: _sized("--k", convergence_samples, dense, name, sizes, seed=cfg.seed)
+               for name in strategies}   # before the event runs, which are the whole cost
     per_time, _, errors = run_events(graph, dense, plan, workers=args.workers, seed=cfg.seed)
     (final,) = per_time.values()   # the one sim time: the plan's duration
     dense_results = list(zip(dense, final))   # dense_locations numbers events in order
-    curves = [(name, _sized("--k", convergence_curve, dense_results, name, sizes,
-                            seed=cfg.seed, graph=graph)) for name in strategies]
+    curves = [(name, convergence_curve(dense_results, name, sizes, seed=cfg.seed, graph=graph,
+                                       samples=samples[name])) for name in strategies]
     _warn_run_errors(len(errors), len(dense))
     _prepare_out(cfg, args.out)
     write_csv(os.path.join(args.out, "convergence.csv"), "strategy,k,region_acc,mean_err_cm",

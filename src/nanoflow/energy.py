@@ -23,9 +23,14 @@ limit of the inverse either: where the curve is flat to the last bit
 (n ~ 19000 under the default config), a grid energy still maps back to the
 first of its equal neighbours, as cycle_index() does.  Beyond _GRID_LIMIT
 entries the closed form is used instead, so an extreme config costs time,
-not memory.  The walk itself is energy_after(); a caller that steps one
-capacitor many times (the simulation engine's per-device scan) fetches the
-grid once with charge_grid() and calls energy_after() directly.
+not memory.  The walk itself is energy_after(), which also returns the grid
+index it lands on.
+
+The simulation engine's per-device scan walks by that index, with tables
+kept beside the grid (charge_tables()): a harvest from a grid entry, or from
+one less a paid sense tick, is a gather, and a paid sense tick is
+try_consume()'s comparison and subtraction.  Other spends still go through
+try_consume(), and other states through energy_after().
 """
 
 from __future__ import annotations
@@ -122,16 +127,26 @@ _GRID_LIMIT = 1 << 17   # entries per charge grid; 23,767 reach e_max by default
 _GROWING = threading.Lock()
 
 
+class _Grid(list):
+    """E(0), E(1), ... of one curve, grown in place by _grown, with its index
+    tables, tables[c][n] = bisect_left(grid, grid[n] - c), grown alongside."""
+
+    def __init__(self):
+        super().__init__()
+        self.tables: dict[float, list[int]] = {}
+
+
 @functools.lru_cache(maxsize=8)
-def _charge_grid(v_g: float, delta_q: float, e_max: float) -> list[float]:
-    # E(0), E(1), ... of one curve, grown in place by _grown; keyed by the
-    # curve's values rather than the (mutable) EnergyConfig
-    return []
+def _charge_grid(v_g: float, delta_q: float, e_max: float) -> _Grid:
+    # keyed by the curve's values rather than the (mutable) EnergyConfig; an
+    # evicted grid takes its tables with it
+    return _Grid()
 
 
-def _grown(grid: list[float], n: int, energy: float, cfg: EnergyConfig) -> bool:
-    """Extend grid until it holds index n and an entry >= energy, or ends at
-    e_max.  False if it cannot: past _GRID_LIMIT, or on a curve of NaNs."""
+def _grown(grid: _Grid, n: int, energy: float, cfg: EnergyConfig) -> bool:
+    """Extend grid, and its tables with it, until it holds index n and an
+    entry >= energy, or ends at e_max.  False if it cannot: past _GRID_LIMIT,
+    or on a curve of NaNs."""
     with _GROWING:   # entry k must land at index k, whichever thread appends
         while len(grid) <= n or grid[-1] < energy:
             if grid and grid[-1] == cfg.e_max:
@@ -139,24 +154,43 @@ def _grown(grid: list[float], n: int, energy: float, cfg: EnergyConfig) -> bool:
             if len(grid) >= _GRID_LIMIT:
                 return False
             grid.append(energy_at_cycle(len(grid), cfg))
+            for cost, table in grid.tables.items():   # never longer than the grid
+                table.append(bisect_left(grid, grid[-1] - cost))
         return grid[-1] >= energy
 
 
-def charge_grid(cfg: EnergyConfig) -> list[float]:
+def charge_grid(cfg: EnergyConfig) -> _Grid:
     """The charge grid of cfg's curve, shared per process; energy_after()
     grows it on demand."""
     return _charge_grid(cfg.v_g, cfg.delta_q, cfg.e_max)
 
 
-def energy_after(grid: list[float], energy: float, cycles: int, cfg: EnergyConfig) -> float:
-    """energy_at_cycle(cycle_index(energy) + cycles), read off grid = charge_grid(cfg)."""
+def charge_tables(cfg: EnergyConfig) -> tuple[_Grid, list[int], list[int]]:
+    """(grid, low, drop): charge_grid(cfg) and its tables for spends of 0 and
+    cfg.cost_sense, low[n] = bisect_left(grid, grid[n]) and drop[n] =
+    bisect_left(grid, grid[n] - cost_sense).  A harvest of c cycles from
+    grid[n] lands on grid[low[n] + c], and from grid[n] - cost_sense on
+    grid[drop[n] + c], where energy_after() lands.  Index both below the
+    shorter one's length; energy_after() grows them with the grid."""
+    grid = charge_grid(cfg)
+    with _GROWING:
+        for cost in (0.0, cfg.cost_sense):
+            if cost not in grid.tables:
+                grid.tables[cost] = [bisect_left(grid, e - cost) for e in grid]
+    return grid, grid.tables[0.0], grid.tables[cfg.cost_sense]
+
+
+def energy_after(grid: _Grid, energy: float, cycles: int,
+                 cfg: EnergyConfig) -> tuple[float, int]:
+    """(energy_at_cycle(cycle_index(energy) + cycles), its index in grid),
+    read off grid = charge_grid(cfg); the index is -1 where the closed form
+    gives the energy instead (past _GRID_LIMIT)."""
     if energy >= 0.0 and ((grid and grid[-1] >= energy) or _grown(grid, 0, energy, cfg)):
         n = bisect_left(grid, energy) + cycles
-        if n < len(grid):
-            return grid[n]
-        if _grown(grid, n, 0.0, cfg):
-            return grid[min(n, len(grid) - 1)]   # past the end the curve stays at e_max
-    return energy_at_cycle(cycle_index(energy, cfg) + cycles, cfg)
+        if n < len(grid) or _grown(grid, n, 0.0, cfg):
+            n = min(n, len(grid) - 1)   # past the end the curve stays at e_max
+            return grid[n], n
+    return energy_at_cycle(cycle_index(energy, cfg) + cycles, cfg), -1
 
 
 def advance_harvest(state: EnergyState, dt: float, cfg: EnergyConfig) -> EnergyState:
@@ -171,7 +205,7 @@ def advance_harvest(state: EnergyState, dt: float, cfg: EnergyConfig) -> EnergyS
     cycles = int(total / cfg.t_cycle)
     state.phase = total - cycles * cfg.t_cycle
     if cycles > 0 and state.energy < cfg.e_max:
-        state.energy = energy_after(charge_grid(cfg), state.energy, cycles, cfg)
+        state.energy = energy_after(charge_grid(cfg), state.energy, cycles, cfg)[0]
     if not state.powered and state.energy >= cfg.e_turn_on:
         state.powered = True
     return state

@@ -25,9 +25,15 @@ energy depends only on its own events.  A run is therefore three phases:
    samples advances its capacitor along the harvest curve, spends energy,
    keeps the circulation clock and event bit, and collects the responses it
    sends, each at the rx of the beacon it answers plus the backscatter gain.
-   The capacitor steps exactly as energy.advance_harvest does, with the
-   cycle phase in a local and the charge grid fetched once per run; every
-   spend goes through energy.try_consume.  Whether a sense tick sees the
+   The capacitor steps exactly as energy.advance_harvest and
+   energy.try_consume would, with the cycle phase in a local.  While the
+   stored energy is a charge-grid entry, or one less a paid sense tick, a
+   harvest is a gather from the tables of energy.charge_tables and a paid
+   sense tick is try_consume's comparison and subtraction.  Every other
+   state (the start at 0 J, a step past the grid's end or limit, a beacon's
+   rx or tx spend above 0 J) takes energy.energy_after.  Beacon spends, a
+   few thousand per paper-default event against about 192k sense ticks, go
+   through energy.try_consume.  Whether a sense tick sees the
    target is decided beforehand for all of the device's ticks in one
    distance pass (the sense-hit mask); the scan reads one bool per tick and
    sets the bit when that tick's sensing is paid for.  The timeline is the
@@ -59,7 +65,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import channel as ch
-from .energy import EnergyConfig, EnergyState, charge_grid, energy_after, try_consume
+from .energy import EnergyConfig, EnergyState, charge_tables, energy_after, try_consume
 from .errors import ConfigMismatch, require
 from .vasculature import CSV_ROWS, MobilityTrace, VesselGraph, write_csv
 
@@ -379,8 +385,10 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
     rx_cost = ch.pulse_count(proto.beacon_bits) * energy_cfg.cost_rx_pulse
     tx_cost = ch.pulse_count(proto.response_bits) * energy_cfg.cost_tx_pulse
     cost_sense = energy_cfg.cost_sense
-    t_cycle, e_max, e_turn_on = energy_cfg.t_cycle, energy_cfg.e_max, energy_cfg.e_turn_on
-    grid = charge_grid(energy_cfg)
+    t_cycle, e_max = energy_cfg.t_cycle, energy_cfg.e_max
+    e_turn_on, e_turn_off = energy_cfg.e_turn_on, energy_cfg.e_turn_off
+    grid, low, drop = charge_tables(energy_cfg)
+    size = min(len(low), len(drop))   # the tables only grow, so a stale size is safe
     anchor_pos = np.array([a.position for a in anchors], dtype=float)
     anchor_tx = [a.tx_power_dbm if a.tx_power_dbm is not None else channel_cfg.tx_power_dbm
                  for a in anchors]
@@ -406,6 +414,9 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
 
         state = EnergyState()
         last_adv = last_reset = consumed = phase = 0.0
+        # a harvest of c cycles lands on grid[base + c], and on grid[spent + c]
+        # once a sense tick is paid; -1 while state.energy is no table entry
+        base = spent = -1
         last_delivered = None
         event_bit, responded = 0, False
         rows = []
@@ -415,7 +426,13 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
                 cycles = int(total / t_cycle)
                 phase = total - cycles * t_cycle
                 if cycles > 0 and state.energy < e_max:
-                    state.energy = energy_after(grid, state.energy, cycles, energy_cfg)
+                    n = base + cycles
+                    if base >= 0 and n < size:
+                        state.energy, base, spent = grid[n], low[n], drop[n]
+                    else:   # energy_after grows the grid and the tables
+                        state.energy, n = energy_after(grid, state.energy, cycles, energy_cfg)
+                        size = min(len(low), len(drop))
+                        base, spent = (low[n], drop[n]) if 0 <= n < size else (-1, -1)
                 if not state.powered and state.energy >= e_turn_on:
                     state.powered = True
                 last_adv = t
@@ -424,7 +441,11 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
                     if energy_rows:
                         rows.append((sample_times[k - first_sample], trace.device_id,
                                      state.energy * 1e12, int(state.powered)))
-                elif state.powered and try_consume(state, cost_sense, energy_cfg) is not None:
+                elif state.powered and state.energy >= cost_sense:   # try_consume's rule
+                    state.energy -= cost_sense
+                    if state.energy <= e_turn_off:
+                        state.powered = False
+                    base, spent = spent, -1
                     consumed += cost_sense
                     if hits[k - n_beacons]:
                         event_bit = 1
@@ -432,6 +453,8 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
             _, ai, p, closing, rx_dbm, in_heart = beacons[k]
             if not state.powered or try_consume(state, rx_cost, energy_cfg) is None:
                 continue
+            if rx_cost > 0.0:
+                base = spent = -1
             consumed += rx_cost
             gap = proto.episode_gap_intervals * anchors[ai].beacon_interval_s
             if last_delivered is None or t - last_delivered > gap + _T_EPS:
@@ -442,6 +465,8 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
                 last_reset, event_bit = t, 0
             if responded or try_consume(state, tx_cost, energy_cfg) is None:
                 continue
+            if tx_cost > 0.0:
+                base = spent = -1
             consumed += tx_cost
             responded = True
             t_rx = t + beacon_air + response_air

@@ -312,6 +312,52 @@ def test_crs_picks_whole_vessels():
     assert len(partial) <= 1
 
 
+def _block_loop_scs(dense, k, rng):
+    """scs as it drew before the blocks of one depth were cut together: the
+    list of k boxes first, then one pass over every point per box."""
+    def blocks(lo, hi, k):
+        if k == 1:
+            return [(lo, hi)]
+        axis = int(np.argmax(hi - lo))
+        k1 = k // 2
+        cut = lo[axis] + (hi[axis] - lo[axis]) * (k1 / k)
+        hi_a, lo_b = hi.copy(), lo.copy()
+        hi_a[axis] = cut
+        lo_b[axis] = cut
+        return blocks(lo, hi_a, k1) + blocks(lo_b, hi, k - k1)
+
+    points = np.array([ev.position for ev in dense])
+    chosen = []
+    taken = np.zeros(len(dense), dtype=bool)
+    for blo, bhi in blocks(points.min(axis=0) - 1e-9, points.max(axis=0) + 1e-9, k):
+        inside = np.flatnonzero(((points >= blo) & (points < bhi)).all(axis=1) & ~taken)
+        if len(inside):
+            pick = int(inside[rng.integers(len(inside))])
+            chosen.append(pick)
+            taken[pick] = True
+    spare = np.flatnonzero(~taken)
+    if len(chosen) < k:
+        extra = rng.choice(len(spare), size=k - len(chosen), replace=False)
+        chosen.extend(int(spare[i]) for i in extra)
+    return [dense[i] for i in sorted(chosen)]
+
+
+def test_scs_draws_what_the_block_loop_drew():
+    from nanoflow.benchmark import _scs, _scs_blocks
+    twice = DENSE[::3] + [TargetEvent(len(DENSE) + e.id, e.position.copy(), e.region_id,
+                                      e.region_type) for e in DENSE[::3]]
+    # at 1e7 times the size, max + 1e-9 rounds to max: the largest points lie
+    # outside every block and are drawn only to top up
+    huge = [TargetEvent(e.id, e.position * 1e7, e.region_id, e.region_type) for e in DENSE[:300]]
+    assert (_scs_blocks(np.array([e.position for e in huge]), 5) == -1).any()
+    for dense in (DENSE, twice, huge):
+        for k in (1, 2, 3, 94, 137, len(dense) // 2, len(dense) - 1):
+            for seed in (0, 7):
+                got = _scs(dense, k, np.random.default_rng(seed))
+                want = _block_loop_scs(dense, k, np.random.default_rng(seed))
+                assert [e.id for e in got] == [e.id for e in want], (len(dense), k, seed)
+
+
 def test_scs_spreads_across_space():
     s = sample_locations(DENSE, "scs", 64, seed=9)
     ys = sorted(float(e.position[1]) for e in s)

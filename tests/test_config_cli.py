@@ -443,6 +443,32 @@ def test_cli_reports_some_failed_event_runs(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "run_errors=1 of 94\n"
 
 
+def test_cli_benchmark_stops_before_any_run_on_a_graph_past_the_heart_cycle_cap(
+        tmp_path, capsys, monkeypatch):
+    # the heart, then 14 pairs of parallel vessels, each pair feeding both of
+    # the next: 16,384 heart cycles.  Every event with a positive record would
+    # fail on them alike, and one without would count as a success
+    import nanoflow.benchmark as bm
+    from nanoflow.vasculature import RegionType, Vessel, VesselGraph
+
+    vessels = [Vessel(0, np.zeros(3), np.array([1.0, 0, 0]), RegionType.ARTERIAL, 20.0, [1, 2],
+                      is_heart=True)]
+    for i in range(28):
+        nxt = i - i % 2 + 3
+        vessels.append(Vessel(i + 1, np.array([i, 0.0, 0]), np.array([i + 1.0, 0, 0]),
+                              RegionType.ARTERIAL, 20.0, [0] if i >= 26 else [nxt, nxt + 1]))
+    save_graph(VesselGraph(vessels, heart_id=0), str(tmp_path / "graph.json"))
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"vasculature": {"graph": str(tmp_path / "graph.json")},
+                                "benchmark": {"dense_size": 60, "sample_k": 20}}))
+    real, calls = bm.simulate_event, []
+    monkeypatch.setattr(bm, "simulate_event", lambda *a: calls.append(1) or real(*a))
+    assert main(["benchmark", "--config", str(cfgp), "--devices", "4", "--duration-s", "120",
+                 "--out", str(tmp_path / "bm")]) == 1
+    assert capsys.readouterr().err == "error: more than 10000 heart cycles\n"
+    assert calls == [] and not (tmp_path / "bm").exists()
+
+
 def test_cli_rejects_zero_devices(tmp_path, capsys):
     for argv in (["simulate", "--devices", "0", "--duration-s", "10"],
                  ["benchmark", "--devices", "0", "--k", "3", "--duration-s", "10"]):
@@ -499,7 +525,7 @@ def test_cli_size_errors_name_the_key_or_flag(tmp_path, capsys, monkeypatch, com
 
 def test_cli_names_the_size_rgs_cannot_fill(tmp_path, capsys, monkeypatch):
     # six of ten dense events at one position leave rgs five distinct cells;
-    # convergence learns it after the event runs, but before any output
+    # convergence learns it before the event runs, sample before any output
     import nanoflow.cli as cli
     from nanoflow.benchmark import RegionEstimate, TargetEvent
 
@@ -516,6 +542,28 @@ def test_cli_names_the_size_rgs_cannot_fill(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr().err == (
             f"error: {source}: rgs drew 5 events, fewer than sample size 8\n")
         assert not out.exists()
+
+
+def test_cli_convergence_finds_an_unfillable_size_before_any_event_runs(tmp_path, capsys,
+                                                                        monkeypatch):
+    # every (strategy, k) sample depends only on the dense set and the seed:
+    # seven of ten events at one position leave rgs four distinct cells
+    import nanoflow.cli as cli
+    from nanoflow.benchmark import TargetEvent
+
+    spots = [(0.0, 0.0, 0.0)] * 7 + [(1.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 3.0)]
+    monkeypatch.setattr(cli, "dense_locations", lambda graph, size: [
+        TargetEvent(i, np.array(p), 0, 0) for i, p in enumerate(spots)])
+
+    def no_runs(*args, **kwargs):
+        raise AssertionError("run_events called")
+
+    monkeypatch.setattr(cli, "run_events", no_runs)
+    out = tmp_path / "conv"
+    assert main(["convergence", "--strategy", "srs,rgs", "--k", "2,5", "--devices", "2",
+                 "--duration-s", "30", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --k: rgs drew 4 events, fewer than sample size 5\n"
+    assert not out.exists()
 
 
 def test_cli_convergence_rejects_an_empty_strategy_list(tmp_path, capsys, monkeypatch):

@@ -352,6 +352,59 @@ def test_the_scan_grows_the_charge_grid_only_as_far_as_it_walks():
     assert 0 < len(grid) <= 20.0 / cfg.t_cycle + 2 < 20000
 
 
+def _table_case(cfg, devices=2, seed=21):
+    # sense ticks off the whole seconds, so each energy sample is a harvest of
+    # its own and a harvest can follow a harvest
+    traces = [MobilityTrace(tr.device_id, tr.times + 0.21, tr.positions, tr.vessel_ids,
+                            tr.visit_times + 0.21, tr.visit_vessels)
+              for tr in (upsample_trace(tr, 3, 0.2, tr.device_id)
+                         for tr in simulate_mobility(GRAPH, devices, 30.0, seed=seed))]
+    plan = SimPlan(duration_s=29.0, anchors=[Anchor(0, POSITIONS[0], 0.05)], energy_cfg=cfg)
+    return (GRAPH, traces, plan, tuple(traces[0].positions[30]))
+
+
+def test_two_sensing_costs_on_one_curve_step_like_the_reference():
+    # one charge grid, one table per sensing cost: runs that alternate
+    # between the two costs each step as the per-tick reference does
+    for cost in (1e-12, 4e-12, 1e-12, 4e-12):
+        case = _table_case(EnergyConfig(v_g=0.45, e_max=700e-12, e_turn_on=5e-12,
+                                        cost_sense=cost))
+        assert _bits(run_simulation(*case)) == _bits(reference_run(*case))
+    tables = energy.charge_grid(case[2].energy_cfg).tables
+    assert {0.0, 1e-12, 4e-12} <= set(tables)
+    assert tables[1e-12] != tables[4e-12]
+
+
+def test_a_curve_evicted_from_the_grid_cache_steps_like_the_reference():
+    # nine other curves evict the first one's grid from the eight-entry
+    # cache; its tables leave with it, so the grid it regrows is never read
+    # through the longer tables of the first run
+    cfgs = [EnergyConfig(v_g=0.46 + 0.001 * i, e_max=777e-12, e_turn_on=5e-12)
+            for i in range(10)]
+    first = None
+    for cfg in cfgs + cfgs[:1]:
+        case = _table_case(cfg)
+        assert _bits(run_simulation(*case)) == _bits(reference_run(*case))
+        first = first or energy.charge_grid(cfg)
+    assert energy.charge_grid(cfgs[0]) is not first
+    assert len(energy.charge_grid(cfgs[0])) == len(first) > 100
+
+
+def test_free_sense_ticks_on_the_flat_of_a_saturating_curve_step_like_the_reference():
+    # a time constant of about 11 cycles: within the run the devices charge
+    # into the stretch just below e_max where consecutive cycle counts share
+    # one float64 energy, so a harvest from grid[n] starts at low[n] < n (the
+    # grid grows only as far as the walk goes).  Sensing costs nothing, so a
+    # paid sense tick leaves the energy on its grid entry
+    cfg = EnergyConfig(v_g=0.6, delta_q=3e-11, t_cycle=0.05, e_max=100e-12, e_turn_on=5e-12,
+                       cost_sense=0.0)
+    case = _table_case(cfg, devices=3, seed=8)
+    assert _bits(run_simulation(*case)) == _bits(reference_run(*case))
+    grid, low, drop = energy.charge_tables(cfg)
+    assert low is drop
+    assert sum(low[n] != n for n in range(len(grid))) > 10
+
+
 def test_row_dots_are_the_per_vector_dot_and_norm_bit_for_bit():
     rng = np.random.default_rng(8)
     a = rng.normal(size=(20000, 3)) * rng.choice([1e-6, 1e-3, 1.0, 10.0, 1e3], size=(20000, 1))
