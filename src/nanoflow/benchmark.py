@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import (EventRunsFailed, ExternalDataError, MismatchedSets,
+from .errors import (EventRunsFailed, ExternalDataError, MismatchedSets, NanoflowError,
                      NoEstimate, SampleTooLarge, require)
 from .simcore import SimPlan, _row_dots, run_simulation
 from .vasculature import (VesselGraph, locate_vessel, simulate_mobility, upsample_trace,
@@ -357,7 +357,10 @@ def simulate_event(graph: VesselGraph, plan: SimPlan, event: TargetEvent,
 
 
 def _run_one(graph: VesselGraph, plan: SimPlan, sim_times: list, seed: int, event: TargetEvent):
-    """([RegionEstimate per sim time], consumed pJ per device, error | None)."""
+    """([RegionEstimate per sim time], consumed pJ per device, error | None).
+    Only a NanoflowError counts as no estimate.  The one an event run raises
+    on its own is ConfigMismatch, for traces that do not fit the plan (the
+    mobility of a 60.4 s run covers 60 s).  Any other exception propagates."""
     try:
         result = simulate_event(graph, plan, event, seed)
         estimates = []
@@ -367,7 +370,7 @@ def _run_one(graph: VesselGraph, plan: SimPlan, sim_times: list, seed: int, even
                 prefix, graph, seed=_child_seed(seed, event.id, 3, ti),
                 event_id=event.id))
         return estimates, list(result.consumed_pj.values()), None
-    except Exception as exc:  # failed run counts as no estimate for the event
+    except NanoflowError as exc:
         empty = [RegionEstimate(event.id, None, None) for _ in sim_times]
         return empty, [], f"{type(exc).__name__}: {exc}"
 
@@ -443,10 +446,11 @@ def run_events(graph: VesselGraph, events: list[TargetEvent], plan: SimPlan,
     Returns (estimates, consumed, errors): {sim_time: [RegionEstimate per
     event, in event-id order]} with sim times ascending, the consumed pJ of
     every device of every run, and {str(event_id): error} of the failed
-    runs, which count as no estimate.  None of it depends on the worker
-    count.  EventRunsFailed is raised, naming the count and the first error,
-    when every run failed.  InvalidGraph, for too many heart cycles to
-    localize on, is raised before any run starts.
+    runs (see _run_one), which count as no estimate.  None of it depends on
+    the worker count, and no more workers start than there are events (no
+    pool for one).  EventRunsFailed is raised, naming the count and the
+    first error, when every run failed.  InvalidGraph, for too many heart
+    cycles to localize on, is raised before any run starts.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -462,6 +466,7 @@ def run_events(graph: VesselGraph, events: list[TargetEvent], plan: SimPlan,
         require(f"{a:g}" != f"{b:g}", "sim_times_s", f"{a!r} and {b!r} share the report label {a:g}")
     events = sorted(events, key=lambda e: e.id)
     run_one = functools.partial(_run_one, graph, plan, sim_times, seed)
+    workers = min(workers, len(events))   # the pool forks all of its workers up front
     if workers == 1:
         runs = [run_one(ev) for ev in events]
     else:

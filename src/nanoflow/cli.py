@@ -87,7 +87,7 @@ def cmd_benchmark(cfg: RunConfig, args) -> int:
                           f"got {args.localizer!r}")
     _prepare_out(cfg, args.out)
     export_events_csv(events, os.path.join(args.out, "events.csv"))
-    with open(os.path.join(args.out, "report.json"), "w") as fh:
+    with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     _warn_run_errors(len(report.run_errors), report.n_total)

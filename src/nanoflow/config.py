@@ -274,7 +274,7 @@ class RunConfig:
         return hashlib.sha256(canon.encode()).hexdigest()
 
     def dump(self, path: str) -> None:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.raw, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
@@ -284,7 +284,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
     layers = [overrides or {}]
     if path is not None:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 layers.insert(0, json.load(fh))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc

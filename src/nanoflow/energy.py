@@ -13,33 +13,32 @@ energy first reaches e_turn_on and OFF once consumption drags it to
 e_turn_off or below.
 
 advance_harvest() walks the curve as energy_at_cycle(cycle_index(E) + k),
-but reads both steps off a charge grid: the list E(0), E(1), ... built with
-energy_at_cycle itself, kept per process for each curve (v_g, delta_q,
-e_max), grown on demand and never past its first entry equal to e_max.
-The grid is non-decreasing, so bisect_left(grid, E) is by definition the
-smallest m with E(m) >= E, which is what cycle_index() returns: the lookup
-is exact, not an approximation of the inverse.  It does not lift the float64
-limit of the inverse either: where the curve is flat to the last bit
-(n ~ 19000 under the default config), a grid energy still maps back to the
-first of its equal neighbours, as cycle_index() does.  Beyond _GRID_LIMIT
-entries the closed form is used instead, so an extreme config costs time,
-not memory.  The walk itself is energy_after(), which also returns the grid
-index it lands on.
+but reads both steps off a charge grid: E(0), E(1), ... up to the first
+entry equal to e_max, built whole with energy_at_cycle's own arithmetic
+once per process for each curve, and never changed.  The grid is
+non-decreasing, so bisect_left(grid, E) is by definition the smallest m
+with E(m) >= E, which is what cycle_index() returns: the lookup is exact,
+not an approximation of the inverse.  It does not lift the float64 limit
+of the inverse either: where the curve is flat to the last bit (n ~ 19000
+under the default config), a grid energy still maps back to the first of
+its equal neighbours, as cycle_index() does.  A grid stops at _GRID_LIMIT
+entries, and the closed form takes over past them.  energy_after() takes
+these steps and also returns the grid index it lands on.
 
-The simulation engine's per-device scan walks by that index, with tables
-kept beside the grid (charge_tables()): a harvest from a grid entry, or from
-one less a paid sense tick, is a gather, and a paid sense tick is
-try_consume()'s comparison and subtraction.  Other spends still go through
-try_consume(), and other states through energy_after().
+The simulation engine's per-device scan walks by that index, with two
+index tables built with the grid (charge_tables()): a harvest from a grid
+entry, or from one less a paid sense tick, is a gather, and a paid sense
+tick is try_consume()'s comparison and subtraction.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import threading
 from bisect import bisect_left
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import EnergyOutOfRange, require
 
@@ -65,6 +64,8 @@ class EnergyConfig:
             require(getattr(self, name) >= 0, name, "must be >= 0")
         require(self.e_turn_off < self.e_turn_on <= self.e_max, "e_turn_on",
                 "must lie above e_turn_off and at most e_max")
+        require(self.v_g * self.v_g > 0 and _tau_cycles(self) > 0, "v_g",
+                "must give, with delta_q and e_max, a positive charging time constant")
 
 
 @dataclass
@@ -88,9 +89,13 @@ def energy_at_cycle(n: int, cfg: EnergyConfig) -> float:
     """Stored energy in joules after n whole harvesting cycles from empty."""
     if n < 0:
         raise EnergyOutOfRange(f"cycle index must be >= 0, got {n}")
+    return _charge(n, _tau_cycles(cfg), cfg.e_max)
+
+
+def _charge(n: int, tau: float, e_max: float) -> float:
     # -expm1 keeps precision for both tiny and huge n
-    filled = -math.expm1(-n / _tau_cycles(cfg))
-    return min(cfg.e_max * filled * filled, cfg.e_max)
+    filled = -math.expm1(-n / tau)
+    return min(e_max * filled * filled, e_max)
 
 
 def cycle_index(energy: float, cfg: EnergyConfig) -> int:
@@ -124,71 +129,40 @@ def turn_on_latency_cycles(cfg: EnergyConfig) -> int:
 
 
 _GRID_LIMIT = 1 << 17   # entries per charge grid; 23,767 reach e_max by default
-_GROWING = threading.Lock()
 
 
-class _Grid(list):
-    """E(0), E(1), ... of one curve, grown in place by _grown, with its index
-    tables, tables[c][n] = bisect_left(grid, grid[n] - c), grown alongside."""
-
-    def __init__(self):
-        super().__init__()
-        self.tables: dict[float, list[int]] = {}
+def charge_tables(cfg: EnergyConfig) -> tuple[tuple, tuple, tuple]:
+    """(grid, low, drop) of cfg's curve, built whole once per process:
+    grid = E(0), E(1), ... up to the first entry equal to e_max (at most
+    _GRID_LIMIT entries), low[n] = bisect_left(grid, grid[n]) and drop[n] =
+    bisect_left(grid, grid[n] - cost_sense).  A harvest of c cycles from
+    grid[n] lands on grid[low[n] + c], and from grid[n] - cost_sense on
+    grid[drop[n] + c], as energy_after() does, while that index is in grid."""
+    return _charge_tables(_tau_cycles(cfg), cfg.e_max, cfg.cost_sense, _GRID_LIMIT)
 
 
 @functools.lru_cache(maxsize=8)
-def _charge_grid(v_g: float, delta_q: float, e_max: float) -> _Grid:
-    # keyed by the curve's values rather than the (mutable) EnergyConfig; an
-    # evicted grid takes its tables with it
-    return _Grid()
+def _charge_tables(tau: float, e_max: float, cost_sense: float, limit: int):
+    # keyed by the curve's values rather than the (mutable) EnergyConfig, and
+    # by the limit, so a grid cut short is served to no other limit
+    # the curve is non-decreasing, so a bisect finds its first e_max entry
+    full = bisect_left(range(limit), e_max, key=lambda n: _charge(n, tau, e_max))
+    grid = [_charge(n, tau, e_max) for n in range(min(full + 1, limit))]
+    energies = np.array(grid)   # searchsorted "left" on sorted float64 is bisect_left
+    return (tuple(grid), tuple(np.searchsorted(energies, energies).tolist()),
+            tuple(np.searchsorted(energies, energies - cost_sense).tolist()))
 
 
-def _grown(grid: _Grid, n: int, energy: float, cfg: EnergyConfig) -> bool:
-    """Extend grid, and its tables with it, until it holds index n and an
-    entry >= energy, or ends at e_max.  False if it cannot: past _GRID_LIMIT,
-    or on a curve of NaNs."""
-    with _GROWING:   # entry k must land at index k, whichever thread appends
-        while len(grid) <= n or grid[-1] < energy:
-            if grid and grid[-1] == cfg.e_max:
-                break
-            if len(grid) >= _GRID_LIMIT:
-                return False
-            grid.append(energy_at_cycle(len(grid), cfg))
-            for cost, table in grid.tables.items():   # never longer than the grid
-                table.append(bisect_left(grid, grid[-1] - cost))
-        return grid[-1] >= energy
-
-
-def charge_grid(cfg: EnergyConfig) -> _Grid:
-    """The charge grid of cfg's curve, shared per process; energy_after()
-    grows it on demand."""
-    return _charge_grid(cfg.v_g, cfg.delta_q, cfg.e_max)
-
-
-def charge_tables(cfg: EnergyConfig) -> tuple[_Grid, list[int], list[int]]:
-    """(grid, low, drop): charge_grid(cfg) and its tables for spends of 0 and
-    cfg.cost_sense, low[n] = bisect_left(grid, grid[n]) and drop[n] =
-    bisect_left(grid, grid[n] - cost_sense).  A harvest of c cycles from
-    grid[n] lands on grid[low[n] + c], and from grid[n] - cost_sense on
-    grid[drop[n] + c], where energy_after() lands.  Index both below the
-    shorter one's length; energy_after() grows them with the grid."""
-    grid = charge_grid(cfg)
-    with _GROWING:
-        for cost in (0.0, cfg.cost_sense):
-            if cost not in grid.tables:
-                grid.tables[cost] = [bisect_left(grid, e - cost) for e in grid]
-    return grid, grid.tables[0.0], grid.tables[cfg.cost_sense]
-
-
-def energy_after(grid: _Grid, energy: float, cycles: int,
+def energy_after(grid: tuple[float, ...], energy: float, cycles: int,
                  cfg: EnergyConfig) -> tuple[float, int]:
     """(energy_at_cycle(cycle_index(energy) + cycles), its index in grid),
-    read off grid = charge_grid(cfg); the index is -1 where the closed form
-    gives the energy instead (past _GRID_LIMIT)."""
-    if energy >= 0.0 and ((grid and grid[-1] >= energy) or _grown(grid, 0, energy, cfg)):
+    read off grid = charge_tables(cfg)[0] and held at e_max past its end;
+    the index is -1 where the closed form gives the energy instead, from or
+    to a point past a grid cut short at _GRID_LIMIT."""
+    if 0.0 <= energy <= grid[-1]:
         n = bisect_left(grid, energy) + cycles
-        if n < len(grid) or _grown(grid, n, 0.0, cfg):
-            n = min(n, len(grid) - 1)   # past the end the curve stays at e_max
+        if n < len(grid) or grid[-1] == cfg.e_max:
+            n = min(n, len(grid) - 1)
             return grid[n], n
     return energy_at_cycle(cycle_index(energy, cfg) + cycles, cfg), -1
 
@@ -205,7 +179,7 @@ def advance_harvest(state: EnergyState, dt: float, cfg: EnergyConfig) -> EnergyS
     cycles = int(total / cfg.t_cycle)
     state.phase = total - cycles * cfg.t_cycle
     if cycles > 0 and state.energy < cfg.e_max:
-        state.energy = energy_after(charge_grid(cfg), state.energy, cycles, cfg)[0]
+        state.energy = energy_after(charge_tables(cfg)[0], state.energy, cycles, cfg)[0]
     if not state.powered and state.energy >= cfg.e_turn_on:
         state.powered = True
     return state

@@ -26,14 +26,14 @@ energy depends only on its own events.  A run is therefore three phases:
    keeps the circulation clock and event bit, and collects the responses it
    sends, each at the rx of the beacon it answers plus the backscatter gain.
    The capacitor steps exactly as energy.advance_harvest and
-   energy.try_consume would, with the cycle phase in a local.  While the
-   stored energy is a charge-grid entry, or one less a paid sense tick, a
-   harvest is a gather from the tables of energy.charge_tables and a paid
-   sense tick is try_consume's comparison and subtraction.  Every other
-   state (the start at 0 J, a step past the grid's end or limit, a beacon's
-   rx or tx spend above 0 J) takes energy.energy_after.  Beacon spends, a
-   few thousand per paper-default event against about 192k sense ticks, go
-   through energy.try_consume.  Whether a sense tick sees the
+   energy.try_consume would, with the cycle phase in a local.  It starts
+   on grid[0], 0 J, of energy.charge_tables' fixed grid.  While the stored
+   energy is a grid entry, or one less a paid sense tick, a harvest is a
+   gather from the grid's tables and a paid sense tick is try_consume's
+   comparison and subtraction.  Two states take energy.energy_after: after
+   a beacon's rx or tx spend above 0 J, and past the grid's end.  Beacon
+   spends, a few thousand per paper-default event against about 192k sense
+   ticks, go through energy.try_consume.  Whether a sense tick sees the
    target is decided beforehand for all of the device's ticks in one
    distance pass (the sense-hit mask); the scan reads one bool per tick and
    sets the bit when that tick's sensing is paid for.  The timeline is the
@@ -388,7 +388,7 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
     t_cycle, e_max = energy_cfg.t_cycle, energy_cfg.e_max
     e_turn_on, e_turn_off = energy_cfg.e_turn_on, energy_cfg.e_turn_off
     grid, low, drop = charge_tables(energy_cfg)
-    size = min(len(low), len(drop))   # the tables only grow, so a stale size is safe
+    size = len(grid)
     anchor_pos = np.array([a.position for a in anchors], dtype=float)
     anchor_tx = [a.tx_power_dbm if a.tx_power_dbm is not None else channel_cfg.tx_power_dbm
                  for a in anchors]
@@ -412,11 +412,11 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
         merged = np.concatenate(([b[0] for b in beacons], times[ticks], sample_t))
         order = np.argsort(merged, kind="stable")
 
-        state = EnergyState()
+        state = EnergyState()   # at 0 J, which is grid[0]
         last_adv = last_reset = consumed = phase = 0.0
         # a harvest of c cycles lands on grid[base + c], and on grid[spent + c]
         # once a sense tick is paid; -1 while state.energy is no table entry
-        base = spent = -1
+        base, spent = low[0], drop[0]
         last_delivered = None
         event_bit, responded = 0, False
         rows = []
@@ -429,10 +429,9 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
                     n = base + cycles
                     if base >= 0 and n < size:
                         state.energy, base, spent = grid[n], low[n], drop[n]
-                    else:   # energy_after grows the grid and the tables
+                    else:
                         state.energy, n = energy_after(grid, state.energy, cycles, energy_cfg)
-                        size = min(len(low), len(drop))
-                        base, spent = (low[n], drop[n]) if 0 <= n < size else (-1, -1)
+                        base, spent = (low[n], drop[n]) if n >= 0 else (-1, -1)
                 if not state.powered and state.energy >= e_turn_on:
                     state.powered = True
                 last_adv = t

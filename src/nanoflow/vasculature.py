@@ -253,7 +253,7 @@ _FILE_KEYS = {"id": _integer, "start": partial(np.asarray, dtype=float),
 def load_graph(path: str) -> VesselGraph:
     """Load a vessel graph from its JSON file format; InvalidGraph names the
     entry (vessels[i].key) that is missing or does not convert."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict) or not isinstance(raw.get("vessels"), list):
         raise InvalidGraph(f"graph file {path} must hold an object with a list 'vessels'")
@@ -289,7 +289,7 @@ def save_graph(graph: VesselGraph, path: str) -> None:
         }
         for v in graph.vessels
     ]}
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
 
 

@@ -14,7 +14,7 @@ from nanoflow.benchmark import (MetricsReport, RegionEstimate, SimPlan,
                                 point_error, region_accuracy, reliability,
                                 run_benchmark, run_events, sample_locations,
                                 score_external)
-from nanoflow.errors import (EventRunsFailed, ExternalDataError,
+from nanoflow.errors import (ConfigMismatch, EventRunsFailed, ExternalDataError,
                              MismatchedSets, NoEstimate, SampleTooLarge)
 from nanoflow.simcore import RawRecord
 from nanoflow.vasculature import build_reference_vasculature, locate_vessel, vessel_centroid
@@ -416,7 +416,7 @@ def test_failed_event_run_counts_as_no_estimate(monkeypatch):
 
     def flaky(graph, plan, event, seed):
         if event.id == EVENTS[0].id:
-            raise RuntimeError("synthetic failure")
+            raise ConfigMismatch("synthetic failure")
         return real(graph, plan, event, seed)
 
     monkeypatch.setattr(bm, "simulate_event", flaky)
@@ -426,15 +426,58 @@ def test_failed_event_run_counts_as_no_estimate(monkeypatch):
     assert rep.n_total == len(EVENTS)
 
 
+def test_a_fault_in_an_event_run_stops_the_benchmark(monkeypatch):
+    # only a NanoflowError counts as no estimate; a bug's TypeError does not
+    import nanoflow.benchmark as bm
+
+    real = bm.simulate_event
+
+    def buggy(graph, plan, event, seed):
+        if event.id == EVENTS[1].id:
+            raise TypeError("synthetic bug")
+        return real(graph, plan, event, seed)
+
+    monkeypatch.setattr(bm, "simulate_event", buggy)
+    with pytest.raises(TypeError, match="synthetic bug"):
+        run_benchmark(GRAPH, EVENTS, PLAN, workers=1, seed=5)
+
+
+def test_run_events_starts_no_more_workers_than_events(monkeypatch):
+    started = []
+
+    class Pool:   # stands in for ProcessPoolExecutor and starts no process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(benchmark, "ProcessPoolExecutor", Pool)
+    one = run_events(GRAPH, EVENTS[:1], PLAN, workers=4, seed=5)
+    assert started == []
+    assert one == run_events(GRAPH, EVENTS[:1], PLAN, workers=1, seed=5)
+    assert run_events(GRAPH, EVENTS[:3], PLAN, workers=4, seed=5) == \
+        run_events(GRAPH, EVENTS[:3], PLAN, workers=1, seed=5)
+    assert started == [3]
+    run_events(GRAPH, EVENTS[:3], PLAN, workers=2, seed=5)
+    assert started == [3, 2]
+
+
 def test_all_failed_event_runs_raise(monkeypatch):
     import nanoflow.benchmark as bm
 
     def broken(graph, plan, event, seed):
-        raise RuntimeError(f"synthetic failure {event.id}")
+        raise ConfigMismatch(f"synthetic failure {event.id}")
 
     monkeypatch.setattr(bm, "simulate_event", broken)
     message = (f"all {len(EVENTS)} event runs failed; "
-               f"the first: RuntimeError: synthetic failure {min(ev.id for ev in EVENTS)}$")
+               f"the first: ConfigMismatch: synthetic failure {min(ev.id for ev in EVENTS)}$")
     with pytest.raises(EventRunsFailed, match=message):
         run_benchmark(GRAPH, EVENTS, PLAN, workers=1, seed=5)
 

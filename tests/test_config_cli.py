@@ -4,6 +4,8 @@ import copy
 import json
 import os
 import re
+import subprocess
+import sys
 import traceback
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 from nanoflow.benchmark import SimPlan
 from nanoflow.cli import main
 from nanoflow.config import _KEYS, DEFAULT_CONFIG, RunConfig, load_config
-from nanoflow.errors import ConfigError
+from nanoflow.errors import ConfigError, ConfigMismatch
 from nanoflow.vasculature import build_reference_vasculature, save_graph
 
 
@@ -426,7 +428,7 @@ def test_cli_reports_some_failed_event_runs(tmp_path, capsys, monkeypatch):
     def first_fails(graph, plan, event, seed):
         calls.append(event.id)
         if len(calls) == 1:
-            raise RuntimeError("synthetic failure")
+            raise ConfigMismatch("synthetic failure")
         return real(graph, plan, event, seed)
 
     monkeypatch.setattr(bm, "simulate_event", first_fails)
@@ -725,3 +727,33 @@ def test_readme_config_listing_is_the_default_config():
     # dumped, so that 3 and 3.0 differ as they do in a resolved_config.json
     assert (json.dumps(json.loads(blocks[0]), sort_keys=True)
             == json.dumps(DEFAULT_CONFIG, sort_keys=True))
+
+
+def test_every_command_opens_its_text_files_as_utf8(tmp_path):
+    # a file opened in the locale's encoding would hold other bytes under a
+    # locale that is not UTF-8, and a non-ASCII config string would then move
+    # resolved_config.json and the fingerprint.  warn_default_encoding warns
+    # at each such open, and -W error turns the warning into exit 1
+    graph = tmp_path / "graph.json"
+    save_graph(build_reference_vasculature(), str(graph))
+    layers = copy.deepcopy(DEFAULT_CONFIG["channel"]["layers"])
+    layers[0]["name"] = "Gef\u00e4\u00dfwand"
+    plain = {"channel": {"layers": layers}, "benchmark": {"dense_size": 94}}
+    for name, cfg in (("plain", plain), ("graph", {**plain, "vasculature": {"graph": str(graph)}})):
+        (tmp_path / f"{name}-config.json").write_text(json.dumps(cfg), encoding="utf-8")
+    small = ["--devices", "2", "--duration-s", "10"]
+    runs = [("plain", ["simulate", *small]), ("plain", ["benchmark", "--k", "3", *small]),
+            ("plain", ["sample", "--k", "3"]),
+            ("plain", ["convergence", "--strategy", "srs", "--k", "10", *small]),
+            ("graph", ["benchmark", "--k", "3", *small])]
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for i, (name, argv) in enumerate(runs):
+        out = tmp_path / f"out{i}"
+        done = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "nanoflow.cli", *argv, "--config", str(tmp_path / f"{name}-config.json"),
+             "--out", str(out)], env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, (argv, done.stderr)
+        resolved = json.loads((out / "resolved_config.json").read_text(encoding="utf-8"))
+        assert resolved["channel"]["layers"][0]["name"] == "Gef\u00e4\u00dfwand"

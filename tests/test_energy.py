@@ -107,6 +107,15 @@ def test_non_finite_fields_are_rejected(field, value):
         EnergyConfig(**{field: value})
 
 
+@pytest.mark.parametrize("fields", [{"v_g": 1e200}, {"v_g": 1e-170},
+                                    {"v_g": 1e100, "e_max": 1e-300, "e_turn_on": 1e-301}])
+def test_a_curve_without_a_time_constant_is_rejected(fields):
+    # v_g squared overflows or underflows, or the capacitance underflows to
+    # 0: the charging curve would divide by zero
+    with pytest.raises(ValueError, match="^v_g must give, with delta_q and e_max, a positive"):
+        EnergyConfig(**fields)
+
+
 def test_harvest_only_at_whole_cycles():
     s = EnergyState()
     advance_harvest(s, CFG.t_cycle * 0.99, CFG)
@@ -187,22 +196,17 @@ GRID_CFGS = [CFG,
                           cost_sense=3e-12)]
 
 
-def _saturated_grid(cfg):
-    # a long enough harvest grows the grid to its first e_max entry
-    advance_harvest(EnergyState(), 1e6 * cfg.t_cycle, cfg)
-    return energy._charge_grid(cfg.v_g, cfg.delta_q, cfg.e_max)
-
-
 def test_default_grid_is_the_curve_up_to_saturation():
-    grid = _saturated_grid(CFG)
+    grid = energy.charge_tables(CFG)[0]
     assert len(grid) == 23767
-    assert grid == [energy_at_cycle(n, CFG) for n in range(len(grid))]
+    assert list(grid) == [energy_at_cycle(n, CFG) for n in range(len(grid))]
     assert grid[-1] == CFG.e_max > grid[-2]
 
 
 @pytest.mark.parametrize("cfg", GRID_CFGS, ids=["default", "small", "large"])
 def test_bisect_on_grid_is_cycle_index(cfg):
-    grid = _saturated_grid(cfg)
+    grid = energy.charge_tables(cfg)[0]
+    assert grid[-1] == cfg.e_max
     assert all(a <= b for a, b in zip(grid, grid[1:]))
     mismatches = []
     for e in grid:
@@ -211,6 +215,15 @@ def test_bisect_on_grid_is_cycle_index(cfg):
             if 0.0 <= probe < cfg.e_max and bisect_left(grid, probe) != cycle_index(probe, cfg):
                 mismatches.append(probe)
     assert mismatches == []
+
+
+@pytest.mark.parametrize("cfg", GRID_CFGS, ids=["default", "small", "large"])
+def test_tables_are_bisects_of_the_grid(cfg):
+    grid, low, drop = energy.charge_tables(cfg)
+    assert len(low) == len(drop) == len(grid)
+    assert list(low) == [bisect_left(grid, e) for e in grid]
+    assert list(drop) == [bisect_left(grid, e - cfg.cost_sense) for e in grid]
+    assert all(isinstance(i, int) for i in low + drop)
 
 
 def _reference_advance(state, dt, cfg):
@@ -241,24 +254,38 @@ def _same_steps(cfg, ops):
 
 def test_grid_limit_falls_back_to_the_closed_form(monkeypatch):
     monkeypatch.setattr(energy, "_GRID_LIMIT", 50)
-    cfg = EnergyConfig(v_g=0.41)   # a curve no other test has grown
+    cfg = EnergyConfig(v_g=0.41)   # a curve no other test uses
     ops = [("advance", 40 * cfg.t_cycle), ("advance", 30 * cfg.t_cycle),
            ("consume", 1e-12), ("set", energy_at_cycle(49, cfg)), ("advance", cfg.t_cycle),
            ("set", 500e-12), ("advance", 3 * cfg.t_cycle), ("set", 0.0),
            ("advance", 1e5 * cfg.t_cycle)]
     _same_steps(cfg, ops)
-    assert len(energy._charge_grid(cfg.v_g, cfg.delta_q, cfg.e_max)) == 50
+    assert len(energy.charge_tables(cfg)[0]) == 50
 
 
-def test_grid_grown_from_many_threads_is_the_curve():
-    cfg = EnergyConfig(v_g=0.43)   # a curve no other test has grown
+def test_a_grid_cut_short_is_not_served_to_another_limit(monkeypatch):
+    cfg = EnergyConfig(v_g=0.42, delta_q=5e-12)   # a curve no other test uses
+    monkeypatch.setattr(energy, "_GRID_LIMIT", 50)
+    short = energy.charge_tables(cfg)
+    monkeypatch.undo()
+    grid, low, drop = energy.charge_tables(cfg)
+    assert [len(t) for t in short] == [50, 50, 50]
+    assert grid[:50] == short[0] and low[:50] == short[1]
+    assert len(grid) > 50 and grid[-1] == cfg.e_max
+    _same_steps(cfg, [("set", energy_at_cycle(49, cfg)), ("advance", 3 * cfg.t_cycle)])
+
+
+def test_concurrent_first_use_gives_the_curve():
+    cfg = EnergyConfig(v_g=0.43)   # a curve no other test uses
     start = threading.Barrier(8, timeout=60)
+    ends = []
 
     def harvest():
         start.wait()
         s = EnergyState()
         for _ in range(3000):
             advance_harvest(s, cfg.t_cycle, cfg)
+        ends.append(s.energy)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -271,9 +298,10 @@ def test_grid_grown_from_many_threads_is_the_curve():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    grid = energy._charge_grid(cfg.v_g, cfg.delta_q, cfg.e_max)
-    assert len(grid) == 3001
-    assert grid == [energy_at_cycle(n, cfg) for n in range(len(grid))]
+    assert ends == [energy_at_cycle(3000, cfg)] * 8
+    grid = energy.charge_tables(cfg)[0]
+    assert list(grid) == [energy_at_cycle(n, cfg) for n in range(len(grid))]
+    assert grid[-1] == cfg.e_max > grid[-2]
 
 
 def test_negative_energy_still_rejected_by_harvest():

@@ -343,15 +343,6 @@ def test_samples_stay_harvest_points_without_rows():
     assert without.consumed_pj == {0: 138.0, 1: 138.0}
 
 
-def test_the_scan_grows_the_charge_grid_only_as_far_as_it_walks():
-    cfg = EnergyConfig(v_g=0.44)   # a curve no other test grows
-    traces = [upsample_trace(tr, 3, 0.2, 0) for tr in simulate_mobility(GRAPH, 2, 20.0, seed=3)]
-    run_simulation(GRAPH, traces, SimPlan(duration_s=20.0, anchors=[Anchor(0, POSITIONS[0])],
-                                          energy_cfg=cfg), energy_rows=False)
-    grid = energy.charge_grid(cfg)
-    assert 0 < len(grid) <= 20.0 / cfg.t_cycle + 2 < 20000
-
-
 def _table_case(cfg, devices=2, seed=21):
     # sense ticks off the whole seconds, so each energy sample is a harvest of
     # its own and a harvest can follow a harvest
@@ -364,44 +355,44 @@ def _table_case(cfg, devices=2, seed=21):
 
 
 def test_two_sensing_costs_on_one_curve_step_like_the_reference():
-    # one charge grid, one table per sensing cost: runs that alternate
-    # between the two costs each step as the per-tick reference does
+    # one curve, a drop table per sensing cost: runs that alternate between
+    # the two costs each step as the per-tick reference does
+    tables = {}
     for cost in (1e-12, 4e-12, 1e-12, 4e-12):
-        case = _table_case(EnergyConfig(v_g=0.45, e_max=700e-12, e_turn_on=5e-12,
-                                        cost_sense=cost))
+        cfg = EnergyConfig(v_g=0.45, e_max=700e-12, e_turn_on=5e-12, cost_sense=cost)
+        case = _table_case(cfg)
         assert _bits(run_simulation(*case)) == _bits(reference_run(*case))
-    tables = energy.charge_grid(case[2].energy_cfg).tables
-    assert {0.0, 1e-12, 4e-12} <= set(tables)
-    assert tables[1e-12] != tables[4e-12]
+        tables[cost] = energy.charge_tables(cfg)
+    assert tables[1e-12][:2] == tables[4e-12][:2]
+    assert tables[1e-12][2] != tables[4e-12][2]
 
 
 def test_a_curve_evicted_from_the_grid_cache_steps_like_the_reference():
     # nine other curves evict the first one's grid from the eight-entry
-    # cache; its tables leave with it, so the grid it regrows is never read
-    # through the longer tables of the first run
+    # cache; the grid and tables it is built again with are the same
     cfgs = [EnergyConfig(v_g=0.46 + 0.001 * i, e_max=777e-12, e_turn_on=5e-12)
             for i in range(10)]
     first = None
     for cfg in cfgs + cfgs[:1]:
         case = _table_case(cfg)
         assert _bits(run_simulation(*case)) == _bits(reference_run(*case))
-        first = first or energy.charge_grid(cfg)
-    assert energy.charge_grid(cfgs[0]) is not first
-    assert len(energy.charge_grid(cfgs[0])) == len(first) > 100
+        first = first or energy.charge_tables(cfg)
+    assert energy.charge_tables(cfgs[0]) is not first
+    assert energy.charge_tables(cfgs[0]) == first and len(first[0]) > 100
 
 
 def test_free_sense_ticks_on_the_flat_of_a_saturating_curve_step_like_the_reference():
     # a time constant of about 11 cycles: within the run the devices charge
     # into the stretch just below e_max where consecutive cycle counts share
-    # one float64 energy, so a harvest from grid[n] starts at low[n] < n (the
-    # grid grows only as far as the walk goes).  Sensing costs nothing, so a
-    # paid sense tick leaves the energy on its grid entry
+    # one float64 energy, so a harvest from grid[n] starts at low[n] < n.
+    # Sensing costs nothing, so a paid sense tick leaves the energy on its
+    # grid entry
     cfg = EnergyConfig(v_g=0.6, delta_q=3e-11, t_cycle=0.05, e_max=100e-12, e_turn_on=5e-12,
                        cost_sense=0.0)
     case = _table_case(cfg, devices=3, seed=8)
     assert _bits(run_simulation(*case)) == _bits(reference_run(*case))
     grid, low, drop = energy.charge_tables(cfg)
-    assert low is drop
+    assert low == drop
     assert sum(low[n] != n for n in range(len(grid))) > 10
 
 
