@@ -14,8 +14,8 @@ e_turn_off or below.
 
 advance_harvest() walks the curve as energy_at_cycle(cycle_index(E) + k),
 but reads both steps off a charge grid: E(0), E(1), ... up to the first
-entry equal to e_max, built whole with energy_at_cycle's own arithmetic
-once per process for each curve, and never changed.  The grid is
+entry equal to e_max, built whole in arrays with energy_at_cycle's own
+operations once per process for each curve, and never changed.  The grid is
 non-decreasing, so bisect_left(grid, E) is by definition the smallest m
 with E(m) >= E, which is what cycle_index() returns: the lookup is exact,
 not an approximation of the inverse.  It does not lift the float64 limit
@@ -25,10 +25,10 @@ its equal neighbours, as cycle_index() does.  A grid stops at _GRID_LIMIT
 entries, and the closed form takes over past them.  energy_after() takes
 these steps and also returns the grid index it lands on.
 
-The simulation engine's per-device scan walks by that index, with two
-index tables built with the grid (charge_tables()): a harvest from a grid
-entry, or from one less a paid sense tick, is a gather, and a paid sense
-tick is try_consume()'s comparison and subtraction.
+The simulation engine's tight loop over a device's sense ticks walks by
+that index, with two index tables built with the grid (charge_tables()):
+a harvest from a grid entry, or from one less a paid sense tick, is a
+gather, and a paid sense tick is try_consume()'s comparison and subtraction.
 """
 
 from __future__ import annotations
@@ -64,8 +64,8 @@ class EnergyConfig:
             require(getattr(self, name) >= 0, name, "must be >= 0")
         require(self.e_turn_off < self.e_turn_on <= self.e_max, "e_turn_on",
                 "must lie above e_turn_off and at most e_max")
-        require(self.v_g * self.v_g > 0 and _tau_cycles(self) > 0, "v_g",
-                "must give, with delta_q and e_max, a positive charging time constant")
+        require(self.v_g * self.v_g > 0 and 0 < _tau_cycles(self) < math.inf, "v_g",
+                "must give, with delta_q and e_max, a positive finite charging time constant")
 
 
 @dataclass
@@ -147,10 +147,11 @@ def _charge_tables(tau: float, e_max: float, cost_sense: float, limit: int):
     # by the limit, so a grid cut short is served to no other limit
     # the curve is non-decreasing, so a bisect finds its first e_max entry
     full = bisect_left(range(limit), e_max, key=lambda n: _charge(n, tau, e_max))
-    grid = [_charge(n, tau, e_max) for n in range(min(full + 1, limit))]
-    energies = np.array(grid)   # searchsorted "left" on sorted float64 is bisect_left
-    return (tuple(grid), tuple(np.searchsorted(energies, energies).tolist()),
-            tuple(np.searchsorted(energies, energies - cost_sense).tolist()))
+    # _charge's operations in their order, with math.expm1 (np.expm1 differs)
+    filled = -np.array(list(map(math.expm1, (-np.arange(min(full + 1, limit)) / tau).tolist())))
+    grid = np.minimum(e_max * filled * filled, e_max)   # searchsorted "left" on it is bisect_left
+    return (tuple(grid.tolist()), tuple(np.searchsorted(grid, grid).tolist()),
+            tuple(np.searchsorted(grid, grid - cost_sense).tolist()))
 
 
 def energy_after(grid: tuple[float, ...], energy: float, cycles: int,

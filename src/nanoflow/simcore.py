@@ -20,26 +20,22 @@ energy depends only on its own events.  A run is therefore three phases:
    (row dots equal to np.dot and np.linalg.norm bit for bit).  Each beacon
    is decided against sensitivity and the other anchors' overlapping
    beacons; a decoded one carries its rx dBm.
-2. Per-device scan.  One pass over the device's own timeline of decoded
-   beacons, sense ticks (on the upsampled sample grid) and 1 Hz energy
-   samples advances its capacitor along the harvest curve, spends energy,
-   keeps the circulation clock and event bit, and collects the responses it
-   sends, each at the rx of the beacon it answers plus the backscatter gain.
-   The capacitor steps exactly as energy.advance_harvest and
-   energy.try_consume would, with the cycle phase in a local.  It starts
-   on grid[0], 0 J, of energy.charge_tables' fixed grid.  While the stored
-   energy is a grid entry, or one less a paid sense tick, a harvest is a
-   gather from the grid's tables and a paid sense tick is try_consume's
-   comparison and subtraction.  Two states take energy.energy_after: after
-   a beacon's rx or tx spend above 0 J, and past the grid's end.  Beacon
-   spends, a few thousand per paper-default event against about 192k sense
-   ticks, go through energy.try_consume.  Whether a sense tick sees the
-   target is decided beforehand for all of the device's ticks in one
-   distance pass (the sense-hit mask); the scan reads one bool per tick and
-   sets the bit when that tick's sensing is paid for.  The timeline is the
-   three time arrays concatenated in tie order and put in time order by one
-   stable argsort: at equal timestamps beacons come first, by anchor index,
-   then the sense tick, then the energy sample.
+2. Per-device scan.  The device's decoded beacons, sense ticks (on the
+   upsampled sample grid) and 1 Hz energy samples advance its capacitor
+   along the harvest curve, spend energy, keep the circulation clock and
+   event bit, and collect the responses it sends, each at the rx of the
+   beacon it answers plus the backscatter gain.  The capacitor steps exactly
+   as energy.advance_harvest and energy.try_consume would, in locals, from
+   grid[0], 0 J, of energy.charge_tables' grid: from a grid entry, or one
+   less a paid sense tick, a harvest is a gather from the tables, and
+   otherwise energy.energy_after.  Most of a scan is one tight loop that
+   steps tick to tick on a tick grid built once per distinct trace time
+   grid of the run.  It stops only at sparse items, in time and tie order:
+   decoded beacons (before a tick at the same time; spent through
+   try_consume), ticks that see the target (a distance pass over the ticks
+   in the radius box), the tick after another sparse item's harvest, and
+   energy samples that write a row or fall off the tick grid (after a tick
+   at the same time); a sample on a tick without a row is not scanned.
 3. Collisions.  Responses arriving within _T_EPS of the earliest pending
    arrival form one batch.  Each is decided against the others in the
    batch, summed in (arrival time, anchor, device) order; a decoded one
@@ -59,6 +55,7 @@ capacitor, so records and consumption do not change.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -308,12 +305,46 @@ def _decoded_beacons(schedule, anchors: list[Anchor], anchor_pos: np.ndarray,
 
 def _sense_hits(points: np.ndarray, target: np.ndarray | None,
                 radius_cm: float) -> np.ndarray:
-    """float(np.linalg.norm(p - target)) < radius_cm for each row p of points;
-    all False without a target."""
+    """float(np.linalg.norm(p - target)) < radius_cm for each row p of points,
+    all False without a target.  Only rows in the radius box are measured: a
+    float norm is at least each |offset| whose square does not underflow."""
     if target is None:
         return np.zeros(len(points), dtype=bool)
     offsets = points - target
-    return np.sqrt(_row_dots(offsets, offsets)) < radius_cm
+    inside = np.abs(offsets) < max(radius_cm, 1e-150)
+    hits = inside[:, 0] & inside[:, 1] & inside[:, 2]   # in the radius box
+    near = hits.nonzero()[0]
+    if len(near):
+        offsets = offsets[near]
+        hits[near] = np.sqrt(_row_dots(offsets, offsets)) < radius_cm
+    return hits
+
+
+_BEACON, _SAMPLE, _TICK, _END = range(4)   # a scan stop's kind, in tie order
+
+
+def _tick_grid(trace: MobilityTrace, sense_rate_hz: int, t_last: float, energy_rows: bool):
+    """(tick times, steps, tick sample indices, stops) of a trace's time grid,
+    ticks on its samples up to t_last; steps[i] is tick time i less tick time
+    i - 1 (steps[0] is never read).  Stops: the end, and the samples off the
+    ticks (they harvest) or, with rows, right after their tick."""
+    times = np.asarray(trace.times, dtype=float)
+    dt = times[1] - times[0]
+    stride = (1.0 / sense_rate_hz) / dt
+    if abs(stride - round(stride)) > 1e-6 or round(stride) < 1:
+        raise ConfigMismatch(
+            f"device {trace.device_id}: trace period {dt:.6f} s does not divide the "
+            f"sense period {1.0 / sense_rate_hz:.6f} s")
+    if not (times[1:] > times[:-1]).all():
+        raise ConfigMismatch(f"device {trace.device_id}: trace times do not strictly increase")
+    ticks = np.arange(0, np.searchsorted(times, t_last, side="right"), int(round(stride)))
+    tick_t, samples = times[ticks], np.arange(math.floor(t_last) + 1, dtype=float)
+    at = np.searchsorted(tick_t, samples)
+    on = (np.searchsorted(tick_t, samples, side="right") > at).tolist()   # a tick at the sample
+    stops = [(i + o, s, _SAMPLE, None) for i, o, s in zip(at.tolist(), on, samples.tolist())
+             if energy_rows or not o]
+    stops.append((len(ticks), math.inf, _END, None))
+    return tick_t.tolist(), [math.nan, *(tick_t[1:] - tick_t[:-1]).tolist()], ticks, stops
 
 
 def _decide_responses(responses: list[tuple], anchor_pos: np.ndarray,
@@ -361,7 +392,8 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
     1 Hz energy rows unless energy_rows is False)."""
     anchors, duration_s, proto = plan.anchors, plan.duration_s, plan.protocol
     energy_cfg, channel_cfg = plan.energy_cfg, plan.channel_cfg
-    strides = []
+    t_last = duration_s + _T_EPS
+    grids, device_grids = {}, []   # one tick grid per distinct trace time grid
     for trace in traces:
         if len(trace.times) < 2:
             raise ConfigMismatch(f"device {trace.device_id}: trace has fewer than 2 samples")
@@ -369,17 +401,11 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
             raise ConfigMismatch(
                 f"device {trace.device_id}: trace covers {trace.times[-1]:.3f} s "
                 f"< simulation duration {duration_s:.3f} s")
-        # sense ticks ride the upsampled sample grid
-        dt = trace.times[1] - trace.times[0]
-        stride = (1.0 / plan.sense_rate_hz) / dt
-        if abs(stride - round(stride)) > 1e-6 or round(stride) < 1:
-            raise ConfigMismatch(
-                f"device {trace.device_id}: trace period {dt:.6f} s does not divide the "
-                f"sense period {1.0 / plan.sense_rate_hz:.6f} s")
-        strides.append(int(round(stride)))
+        key = np.asarray(trace.times, dtype=float).tobytes()
+        grids[key] = grids.get(key) or _tick_grid(trace, plan.sense_rate_hz, t_last, energy_rows)
+        device_grids.append(grids[key])
 
     target = None if target is None else np.asarray(target, dtype=float)
-    t_last = duration_s + _T_EPS
     beacon_air = ch.airtime_s(proto.beacon_bits, channel_cfg)
     response_air = ch.airtime_s(proto.response_bits, channel_cfg)
     rx_cost = ch.pulse_count(proto.beacon_bits) * energy_cfg.cost_rx_pulse
@@ -392,65 +418,77 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
     anchor_pos = np.array([a.position for a in anchors], dtype=float)
     anchor_tx = [a.tx_power_dbm if a.tx_power_dbm is not None else channel_cfg.tx_power_dbm
                  for a in anchors]
-    sample_t = np.arange(math.floor(t_last) + 1, dtype=float)
-    sample_times = sample_t.tolist()   # one float per second, shared by every device's rows
 
     decoded = _decoded_beacons(_visit_schedule(traces, graph, duration_s), anchors, anchor_pos,
                                anchor_tx, channel_cfg, beacon_air, duration_s) if traces else []
     device_rows, responses, consumed_pj = [], [], {}
-    for di, (trace, stride) in enumerate(zip(traces, strides)):
-        beacons, decoded[di] = decoded[di], None   # dropped once scanned
-        times = np.asarray(trace.times, dtype=float)
-        ticks = np.arange(0, len(times), stride)
-        ticks = ticks[times[ticks] <= t_last]
+    for di, (trace, (tick_t, steps, ticks, grid_stops)) in enumerate(zip(traces, device_grids)):
+        beacons, decoded[di], mac = decoded[di], None, trace.device_id   # freed once scanned
         hits = _sense_hits(np.asarray(trace.positions, dtype=float)[ticks], target,
-                           plan.detection_radius_cm).tolist()
-        # beacons, sense ticks, samples: concatenated in tie order, so a stable
-        # sort on time alone keeps that order at equal times (and beacons in
-        # their (t, anchor) order)
-        n_beacons, first_sample = len(beacons), len(beacons) + len(ticks)
-        merged = np.concatenate(([b[0] for b in beacons], times[ticks], sample_t))
-        order = np.argsort(merged, kind="stable")
+                           plan.detection_radius_cm).nonzero()[0].tolist()
+        # (ticks before it, time, kind, item), popped in time and tie order
+        stops = sorted([*grid_stops, *[(bisect_left(tick_t, b[0]), b[0], _BEACON, i)
+                                       for i, b in enumerate(beacons)],
+                        *[(j, tick_t[j], _TICK, True) for j in hits]], reverse=True)
 
-        state = EnergyState()   # at 0 J, which is grid[0]
-        last_adv = last_reset = consumed = phase = 0.0
+        energy, powered, phase = 0.0, False, 0.0   # at 0 J, which is grid[0]
+        last_adv = last_reset = consumed = 0.0
         # a harvest of c cycles lands on grid[base + c], and on grid[spent + c]
-        # once a sense tick is paid; -1 while state.energy is no table entry
+        # once a sense tick is paid; -1 while energy is no table entry
         base, spent = low[0], drop[0]
-        last_delivered = None
-        event_bit, responded = 0, False
-        rows = []
-        for t, k in zip(merged[order].tolist(), order.tolist()):
-            if t > last_adv:   # energy.advance_harvest, on locals
+        state = EnergyState()   # the beacons' try_consume spends from it
+        last_delivered, event_bit, responded, done, rows = None, 0, False, 0, []
+        while True:
+            at, t, kind, item = stops.pop()
+            if done < at and (done == 0 or last_adv != tick_t[done - 1]):
+                stops.append((at, t, kind, item))   # a sparse harvest came after the last tick
+                at, t, kind, item = done, tick_t[done], _TICK, False
+            if done < at:   # ticks done..at-1, each a step from the one before
+                for dt in steps[done:at]:
+                    total = phase + dt
+                    cycles = int(total / t_cycle)
+                    phase = total - cycles * t_cycle
+                    if cycles > 0 and energy < e_max:
+                        n = base + cycles
+                        if base >= 0 and n < size:
+                            energy, base, spent = grid[n], low[n], drop[n]
+                        else:
+                            energy, n = energy_after(grid, energy, cycles, energy_cfg)
+                            base, spent = (low[n], drop[n]) if n >= 0 else (-1, -1)
+                    if not powered and energy >= e_turn_on:
+                        powered = True
+                    if powered and energy >= cost_sense:   # try_consume's rule
+                        energy -= cost_sense
+                        if energy <= e_turn_off:
+                            powered = False
+                        base, spent = spent, -1
+                        consumed += cost_sense
+                last_adv, done = tick_t[at - 1], at
+            if kind == _END:
+                break
+            if t > last_adv:   # the sparse items' harvest: the tight one without the gather
                 total = phase + (t - last_adv)
                 cycles = int(total / t_cycle)
                 phase = total - cycles * t_cycle
-                if cycles > 0 and state.energy < e_max:
-                    n = base + cycles
-                    if base >= 0 and n < size:
-                        state.energy, base, spent = grid[n], low[n], drop[n]
-                    else:
-                        state.energy, n = energy_after(grid, state.energy, cycles, energy_cfg)
-                        base, spent = (low[n], drop[n]) if n >= 0 else (-1, -1)
-                if not state.powered and state.energy >= e_turn_on:
-                    state.powered = True
+                if cycles > 0 and energy < e_max:
+                    energy, n = energy_after(grid, energy, cycles, energy_cfg)
+                    base, spent = (low[n], drop[n]) if n >= 0 else (-1, -1)
+                powered = powered or energy >= e_turn_on
                 last_adv = t
-            if k >= n_beacons:
-                if k >= first_sample:
-                    if energy_rows:
-                        rows.append((sample_times[k - first_sample], trace.device_id,
-                                     state.energy * 1e12, int(state.powered)))
-                elif state.powered and state.energy >= cost_sense:   # try_consume's rule
-                    state.energy -= cost_sense
-                    if state.energy <= e_turn_off:
-                        state.powered = False
-                    base, spent = spent, -1
-                    consumed += cost_sense
-                    if hits[k - n_beacons]:
-                        event_bit = 1
+            if kind == _SAMPLE:
+                if energy_rows:
+                    rows.append((t, mac, energy * 1e12, int(powered)))
                 continue
-            _, ai, p, closing, rx_dbm, in_heart = beacons[k]
-            if not state.powered or try_consume(state, rx_cost, energy_cfg) is None:
+            if kind == _TICK:
+                done += 1
+                if powered and energy >= cost_sense:
+                    energy, consumed = energy - cost_sense, consumed + cost_sense
+                    powered, base, spent = energy > e_turn_off, spent, -1
+                    event_bit |= item
+                continue
+            _, ai, p, closing, rx_dbm, in_heart = beacons[item]
+            state.energy, state.powered = energy, powered
+            if not powered or try_consume(state, rx_cost, energy_cfg) is None:
                 continue
             if rx_cost > 0.0:
                 base = spent = -1
@@ -462,18 +500,18 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
             circulation, bit = t - last_reset, event_bit
             if in_heart:
                 last_reset, event_bit = t, 0
-            if responded or try_consume(state, tx_cost, energy_cfg) is None:
-                continue
-            if tx_cost > 0.0:
-                base = spent = -1
-            consumed += tx_cost
-            responded = True
-            t_rx = t + beacon_air + response_air
-            if t_rx <= t_last:
-                responses.append((t_rx, ai, di, p, rx_dbm + channel_cfg.backscatter_gain_db,
-                                  closing, circulation, bit))
+            if not responded and try_consume(state, tx_cost, energy_cfg) is not None:
+                if tx_cost > 0.0:
+                    base = spent = -1
+                consumed += tx_cost
+                responded = True
+                t_rx = t + beacon_air + response_air
+                if t_rx <= t_last:
+                    responses.append((t_rx, ai, di, p, rx_dbm + channel_cfg.backscatter_gain_db,
+                                      closing, circulation, bit))
+            energy, powered = state.energy, state.powered
         device_rows.append(rows)
-        consumed_pj[trace.device_id] = consumed * 1e12
+        consumed_pj[mac] = consumed * 1e12
 
     responses.sort(key=itemgetter(0, 1, 2))
     records = _decide_responses(responses, anchor_pos, channel_cfg,

@@ -226,6 +226,19 @@ def test_range_errors_name_the_config_key(tmp_path, capsys, owner, override, mes
     assert not (tmp_path / "out").exists()
 
 
+def test_benchmark_rejects_a_curve_that_never_charges(tmp_path, capsys):
+    # v_g squared is subnormal, so the capacitance and the time constant are
+    # inf and every device stays at 0 J: a report of zeros, unless rejected
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps({"energy": {"v_g_volts": 1e-160}}))
+    assert main(["benchmark", "--config", str(cfgp), "--k", "3", "--devices", "2",
+                 "--duration-s", "10", "--out", str(tmp_path / "bm")]) == 1
+    assert capsys.readouterr().err == (
+        "error: config key energy.v_g_volts must give, with delta_q and e_max, a positive "
+        "finite charging time constant\n")
+    assert not (tmp_path / "bm").exists()
+
+
 def test_mapped_config_keys_exist():
     for field, key in _KEYS.items():
         node = DEFAULT_CONFIG

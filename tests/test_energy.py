@@ -108,11 +108,15 @@ def test_non_finite_fields_are_rejected(field, value):
 
 
 @pytest.mark.parametrize("fields", [{"v_g": 1e200}, {"v_g": 1e-170},
-                                    {"v_g": 1e100, "e_max": 1e-300, "e_turn_on": 1e-301}])
+                                    {"v_g": 1e100, "e_max": 1e-300, "e_turn_on": 1e-301},
+                                    {"v_g": 1e-160}, {"v_g": 1e-150, "delta_q": 1e-300}])
 def test_a_curve_without_a_time_constant_is_rejected(fields):
     # v_g squared overflows or underflows, or the capacitance underflows to
-    # 0: the charging curve would divide by zero
-    with pytest.raises(ValueError, match="^v_g must give, with delta_q and e_max, a positive"):
+    # 0: the charging curve would divide by zero.  Or the capacitance or the
+    # time constant overflows to inf: every grid entry is 0 J and no device
+    # ever powers on
+    with pytest.raises(ValueError, match="^v_g must give, with delta_q and e_max, a positive "
+                                         "finite charging time constant$"):
         EnergyConfig(**fields)
 
 
@@ -226,6 +230,27 @@ def test_tables_are_bisects_of_the_grid(cfg):
     assert all(isinstance(i, int) for i in low + drop)
 
 
+def _scalar_grid(cfg, size):
+    tau = energy._tau_cycles(cfg)
+    return [energy._charge(n, tau, cfg.e_max).hex() for n in range(size)]
+
+
+@pytest.mark.parametrize("cfg", GRID_CFGS, ids=["default", "small", "large"])
+def test_grid_arrays_are_the_scalar_curve(cfg):
+    # the grid is built in array passes; each entry must be _charge's own
+    # float, math.expm1 included
+    grid = energy.charge_tables(cfg)[0]
+    assert [e.hex() for e in grid] == _scalar_grid(cfg, len(grid))
+
+
+def test_a_grid_cut_short_is_the_scalar_curve(monkeypatch):
+    cfg = EnergyConfig(v_g=0.44, delta_q=7e-12)   # a curve no other test uses
+    monkeypatch.setattr(energy, "_GRID_LIMIT", 777)
+    grid = energy.charge_tables(cfg)[0]
+    assert len(grid) == 777 and grid[-1] < cfg.e_max
+    assert [e.hex() for e in grid] == _scalar_grid(cfg, 777)
+
+
 def _reference_advance(state, dt, cfg):
     # the closed-form step: energy_at_cycle(cycle_index(e) + cycles)
     total = state.phase + dt
@@ -333,3 +358,14 @@ else:
     @given(_configs_and_ops())
     def test_advance_harvest_matches_closed_form(case):
         _same_steps(*case)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(0.2, 2.0), st.floats(1e-12, 1e-10), st.floats(10e-12, 2000e-12),
+           st.sampled_from([None, 1, 300]))
+    def test_drawn_grids_are_the_scalar_curve(v_g, delta_q, e_max, limit):
+        cfg = EnergyConfig(v_g=v_g, delta_q=delta_q, e_max=e_max, e_turn_on=e_max / 2)
+        with pytest.MonkeyPatch.context() as patch:
+            if limit is not None:
+                patch.setattr(energy, "_GRID_LIMIT", limit)
+            grid = energy.charge_tables(cfg)[0]
+        assert [e.hex() for e in grid] == _scalar_grid(cfg, len(grid))

@@ -6,16 +6,19 @@ timeline as a sorted list of (t, kind, item) tuples, reads the visit
 schedule through a per-vessel dict, steps the capacitor with
 advance_harvest and try_consume at every entry, and decides each response
 of a collision batch in its own chain of scalar channel calls.  The engine
-decodes the beacons of every device of a run in array passes, merges the
-timeline with one stable argsort, reads the schedule from the graph's
-cached arrays, steps the capacitor on locals and decides every response in
-array passes; records, energy rows and consumption must come out bit for
-bit the same, including when sensing and receiving are refused and when
-the charge grid hits its size limit.  The engine decides beacons and
-responses in arrays that repeat the scalar channel calls' float operations,
-so the last tests put beacons and responses exactly on the sensitivity gate
-and on the SINR threshold, against one interferer and against three (where
-the order in which interference is summed shows)."""
+decodes the beacons of every device of a run in array passes, steps the
+capacitor on locals in one tight loop over each device's sense ticks that
+stops only at sparse items, reads the schedule from the graph's cached
+arrays and decides every response in array passes; records, energy rows
+and consumption must come out bit for bit the same, including when sensing
+and receiving are refused, when the charge grid hits its size limit, and
+at the seams of the tight loop (beacons and samples at tick times, ticks
+that see the target, ticks that harvest no cycle, several time grids).
+The engine decides beacons and responses in arrays that repeat the scalar
+channel calls' float operations, so the last tests put beacons and
+responses exactly on the sensitivity gate and on the SINR threshold,
+against one interferer and against three (where the order in which
+interference is summed shows)."""
 
 import math
 from operator import itemgetter
@@ -28,8 +31,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from nanoflow import channel as ch  # noqa: E402
-from nanoflow import energy  # noqa: E402
+from nanoflow import energy, simcore  # noqa: E402
 from nanoflow.energy import EnergyConfig, EnergyState, advance_harvest, try_consume  # noqa: E402
+from nanoflow.errors import ConfigMismatch  # noqa: E402
 from nanoflow.simcore import (Anchor, ProtocolParams, RawRecord, SimPlan,  # noqa: E402
                               SimResult, _decide_responses, _decoded_beacons,
                               _max_range_cm, _row_dots, _sense_hits, _visit_schedule,
@@ -394,6 +398,145 @@ def test_free_sense_ticks_on_the_flat_of_a_saturating_curve_step_like_the_refere
     grid, low, drop = energy.charge_tables(cfg)
     assert low == drop
     assert sum(low[n] != n for n in range(len(grid))) > 10
+
+
+def _shifted(traces, shift):
+    return [MobilityTrace(tr.device_id, tr.times + shift, tr.positions, tr.vessel_ids,
+                          tr.visit_times + shift, tr.visit_vessels) for tr in traces]
+
+
+def _beacon_times(traces, plan):
+    """Per device, the times of the beacons it decodes in a run of the plan."""
+    anchor_pos = np.array([a.position for a in plan.anchors], dtype=float)
+    beacon_air = ch.airtime_s(plan.protocol.beacon_bits, plan.channel_cfg)
+    decoded = _decoded_beacons(_visit_schedule(traces, GRAPH, plan.duration_s), plan.anchors,
+                               anchor_pos, [plan.channel_cfg.tx_power_dbm] * len(plan.anchors),
+                               plan.channel_cfg, beacon_air, plan.duration_s)
+    return [[b[0] for b in beacons] for beacons in decoded]
+
+
+def _same_as_reference(traces, plan, target=None):
+    want = _bits(reference_run(GRAPH, traces, plan, target))
+    for rows in (True, False):
+        got = _bits(run_simulation(GRAPH, traces, plan, target, energy_rows=rows))
+        assert got[0] == want[0] and got[2] == want[2]
+        assert got[1] == (want[1] if rows else [])
+
+
+def test_beacons_at_tick_times_come_before_the_tick():
+    # k * 0.1 s is a whole second for every tenth k, and so is every third
+    # sense tick: the beacon harvests, and the tick after it harvests nothing
+    traces = [upsample_trace(tr, 3, 0.2, tr.device_id)
+              for tr in simulate_mobility(GRAPH, 10, 200.0, seed=5)]
+    cfg = EnergyConfig(t_cycle=0.07, e_max=200e-12, e_turn_on=20e-12, e_turn_off=5e-12,
+                       cost_rx_pulse=0.5e-12, cost_sense=2e-12)
+    plan = SimPlan(duration_s=200.0, anchors=[Anchor(0, POSITIONS[0], 0.1),
+                                              Anchor(1, POSITIONS[1], 0.07)], energy_cfg=cfg)
+    on_tick = sum(t == round(t) for times in _beacon_times(traces, plan) for t in times)
+    assert on_tick >= 5
+    _same_as_reference(traces, plan, tuple(traces[0].positions[200]))
+
+
+@pytest.mark.parametrize("seed, tie", [(23, False), (7, True)])
+def test_hit_ticks_next_to_beacons_step_like_the_reference(seed, tie):
+    # the target sits where a device decodes beacons, so ticks that see it
+    # come right before and right after beacons, and with seed 7 one at a
+    # beacon's time: all stop the tight loop, and the beacon comes first at
+    # the tie
+    traces = [upsample_trace(tr, 3, 0.2, tr.device_id)
+              for tr in simulate_mobility(GRAPH, 4, 90.0, seed=seed)]
+    plan = SimPlan(duration_s=90.0, detection_radius_cm=3.0,
+                   anchors=[Anchor(0, POSITIONS[0], 0.025)],
+                   energy_cfg=EnergyConfig(e_max=100e-12, e_turn_on=5e-12, cost_rx_pulse=0.2e-12))
+    device = next(d for d, times in enumerate(_beacon_times(traces, plan)) if times)
+    beacons = _beacon_times(traces, plan)[device]
+    tick_t = traces[device].times
+    target = tuple(traces[device].positions[np.searchsorted(tick_t, beacons[len(beacons) // 2])])
+    hits = _sense_hits(traces[device].positions, np.asarray(target), 3.0).nonzero()[0]
+    after = {int(np.searchsorted(tick_t, t)) for t in beacons}   # first tick at or after each
+    before, hits = {i - 1 for i in after}, set(hits.tolist())
+    tied = {i for i in after if tick_t[i] in beacons}
+    assert before & hits and after & hits and bool(tied & hits) == tie
+    _same_as_reference(traces, plan, target)
+
+
+def test_a_beacon_at_a_hit_tick_is_answered_before_the_tick_senses():
+    # the one tick that sees the target is at a beacon's time, and every
+    # beacon opens an episode: the response carries the bit from before the tick
+    traces = [upsample_trace(tr, 3, 0.2, tr.device_id)
+              for tr in simulate_mobility(GRAPH, 4, 90.0, seed=7)]
+    plan = SimPlan(duration_s=90.0, detection_radius_cm=1e-9,
+                   anchors=[Anchor(0, POSITIONS[0], 0.025)],
+                   protocol=ProtocolParams(episode_gap_intervals=0.5),
+                   energy_cfg=EnergyConfig(e_max=100e-12, e_turn_on=5e-12))
+    tie = next(t for t in _beacon_times(traces, plan)[0] if t in traces[0].times)
+    target = tuple(traces[0].positions[np.searchsorted(traces[0].times, tie)])
+    records = run_simulation(GRAPH, traces, plan, target).records
+    answers = [r.event_bit for r in records if r.device_mac == 0 and r.report_time_s > tie]
+    assert answers[:2] == [0, 1]
+    _same_as_reference(traces, plan, target)
+
+
+@pytest.mark.parametrize("anchor", [POSITIONS[0], (50.0, 50.0, 50.0)], ids=["near", "far"])
+def test_cycles_longer_than_the_tick_spacing_step_like_the_reference(anchor):
+    # a 0.5 s cycle against 1/3 s ticks: some ticks harvest no cycle, so two
+    # paid ticks in a row leave no table index and the next harvest bisects.
+    # With the far anchor no beacon is decoded, so every energy_after call
+    # comes from the tight loop
+    traces = [upsample_trace(tr, 3, 0.2, tr.device_id)
+              for tr in simulate_mobility(GRAPH, 3, 60.0, seed=31)]
+    cfg = EnergyConfig(t_cycle=0.5, delta_q=3e-11, e_max=100e-12, e_turn_on=5e-12,
+                       cost_sense=0.5e-12)
+    plan = SimPlan(duration_s=60.0, anchors=[Anchor(0, anchor, 0.05)], energy_cfg=cfg)
+    with mock.patch("nanoflow.simcore.energy_after", wraps=energy.energy_after) as after:
+        run_simulation(GRAPH, traces, plan, energy_rows=False)
+    assert after.call_count > 10
+    assert anchor == POSITIONS[0] or not any(_beacon_times(traces, plan))
+    _same_as_reference(traces, plan, tuple(traces[1].positions[90]))
+
+
+def test_devices_on_different_time_grids_share_one_run():
+    # four devices on three time grids: 1/3 s, 1/6 s (a tick every second
+    # sample) and 1/3 s shifted by 0.21 s.  Each grid is built once
+    base = simulate_mobility(GRAPH, 4, 45.0, seed=41)
+    traces = [upsample_trace(base[0], 3, 0.2, 0), upsample_trace(base[1], 6, 0.2, 1),
+              *_shifted([upsample_trace(base[2], 3, 0.2, 2)], 0.21),
+              upsample_trace(base[3], 3, 0.2, 3)]
+    plan = SimPlan(duration_s=44.0, anchors=[Anchor(0, POSITIONS[0], 0.05)],
+                   energy_cfg=EnergyConfig(e_max=100e-12, e_turn_on=5e-12, cost_rx_pulse=1e-12))
+    with mock.patch("nanoflow.simcore._tick_grid", wraps=simcore._tick_grid) as build:
+        run_simulation(GRAPH, traces, plan)
+    assert build.call_count == 3
+    _same_as_reference(traces, plan, tuple(traces[1].positions[100]))
+
+
+@pytest.mark.parametrize("shift", [0.21, 1 / 3, 0.5])
+def test_rows_on_and_off_on_shifted_ticks_step_like_the_reference(shift):
+    # shifted by 1/3 s, some ticks land on whole seconds and some miss them
+    # by an ulp, so samples on and off the tick grid come in one run
+    traces = _shifted([upsample_trace(tr, 3, 0.2, tr.device_id)
+                       for tr in simulate_mobility(GRAPH, 3, 40.0, seed=53)], shift)
+    cfg = EnergyConfig(t_cycle=0.11, e_max=100e-12, e_turn_on=5e-12, e_turn_off=2.5e-12,
+                       cost_sense=3e-12, cost_tx_pulse=0.5e-12)
+    plan = SimPlan(duration_s=39.0, anchors=[Anchor(0, POSITIONS[0], 0.05)], energy_cfg=cfg)
+    on_grid = np.isin(np.arange(40.0), traces[0].times)
+    assert on_grid.any() and not on_grid.all() if shift == 1 / 3 else not on_grid.any()
+    _same_as_reference(traces, plan, tuple(traces[2].positions[60]))
+
+
+@pytest.mark.parametrize("edit", ["repeat", "swap"])
+def test_trace_times_that_do_not_strictly_increase_are_rejected(edit):
+    # the scan steps tick to tick, so it takes time grids that strictly increase only
+    tr = upsample_trace(simulate_mobility(GRAPH, 1, 30.0, seed=2)[0], 3, 0.2, 0)
+    times = tr.times.copy()
+    if edit == "repeat":
+        times[10] = times[9]
+    else:
+        times[[10, 11]] = times[[11, 10]]
+    bad = MobilityTrace(tr.device_id, times, tr.positions, tr.vessel_ids, tr.visit_times,
+                        tr.visit_vessels)
+    with pytest.raises(ConfigMismatch, match="^device 0: trace times do not strictly increase$"):
+        run_simulation(GRAPH, [bad], SimPlan(duration_s=29.0))
 
 
 def test_row_dots_are_the_per_vector_dot_and_norm_bit_for_bit():

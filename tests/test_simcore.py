@@ -16,7 +16,7 @@ from nanoflow import channel as ch
 from nanoflow.channel import ChannelConfig
 from nanoflow.energy import EnergyConfig
 from nanoflow.errors import ConfigMismatch
-from nanoflow.simcore import (Anchor, SimPlan, _delivered, _path_loss, _sense_hits,
+from nanoflow.simcore import (Anchor, SimPlan, _delivered, _path_loss, _row_dots, _sense_hits,
                               export_energy_csv, export_raw_csv, run_simulation)
 from nanoflow.vasculature import (MobilityTrace, RegionType, Vessel, VesselGraph,
                                   simulate_mobility, upsample_trace)
@@ -134,6 +134,26 @@ def test_sense_hits_match_the_per_vector_norm_at_the_radius():
     for radius in [*per_vector[:5], *per_vector[differ[:10]], *row_wise[differ[:10]]]:
         assert _sense_hits(points, target, radius).tolist() == (per_vector < radius).tolist()
     assert not _sense_hits(points, None, 1e9).any()
+
+
+def test_sense_hits_measure_the_radius_box_like_every_row():
+    # _sense_hits takes the distance only of rows inside the radius box; the
+    # mask must equal that of the distance of every row, on the box faces,
+    # just inside them and at radii whose squares underflow
+    rng = np.random.default_rng(13)
+    hit_kinds = set()
+    for radius in (1.0, 0.37, 3.0, 1e-140, 1e-155, 1e-160):
+        faces = np.concatenate([np.eye(3), -np.eye(3), np.eye(3) + 0.5 * np.eye(3)[[1, 2, 0]]])
+        offsets = np.concatenate([faces * radius, np.nextafter(faces * radius, 0.0),
+                                  rng.normal(size=(3000, 3)) * radius * rng.choice([0.3, 1.0, 3.0],
+                                                                                   (3000, 1))])
+        for target in (np.zeros(3), np.array([0.3, -0.2, 0.1])):
+            points = offsets + target
+            every = points - target
+            want = np.sqrt(_row_dots(every, every)) < radius
+            assert _sense_hits(points, target, radius).tolist() == want.tolist(), radius
+            hit_kinds.add((bool(want.any()), bool(want.all())))
+    assert (True, False) in hit_kinds
 
 
 def test_event_bit_clears_after_reset():
