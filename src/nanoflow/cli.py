@@ -54,10 +54,10 @@ def _warn_run_errors(failed: int, total: int) -> None:
 def cmd_simulate(cfg: RunConfig, args) -> int:
     graph = cfg.graph()
     plan = cfg.plan()
-    _prepare_out(cfg, args.out)
     target = cfg.raw["scenario"]["target_cm"]
     upsampled, result = trace_and_run(graph, plan, None if target is None else tuple(target),
                                       cfg.seed, (cfg.seed,), energy_rows=True)
+    _prepare_out(cfg, args.out)
     export_raw_csv(result.records, os.path.join(args.out, "raw_records.csv"))
     export_energy_csv(result.energy_rows, os.path.join(args.out, "energy.csv"))
     export_trace_csv(upsampled, os.path.join(args.out, "trace.csv"))

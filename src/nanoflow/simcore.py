@@ -34,8 +34,9 @@ energy depends only on its own events.  A run is therefore three phases:
    decoded beacons (before a tick at the same time; spent through
    try_consume), ticks that see the target (a distance pass over the ticks
    in the radius box), the tick after another sparse item's harvest, and
-   energy samples that write a row or fall off the tick grid (after a tick
-   at the same time); a sample on a tick without a row is not scanned.
+   energy samples off the tick grid (they harvest; after a tick at the same
+   time).  A sample on a tick is no stop: the tight loop is cut at its tick,
+   or the sparse tick there goes first, and then its row is recorded.
 3. Collisions.  Responses arriving within _T_EPS of the earliest pending
    arrival form one batch.  Each is decided against the others in the
    batch, summed in (arrival time, anchor, device) order; a decoded one
@@ -45,11 +46,11 @@ Beacons and responses are decided by one routine, _delivered, in array
 passes over one list of (packet, interferer) pairs.  Each value repeats the
 scalar channel functions' float operations in their order (math's log10 and
 float **, not numpy's, interference added left to right), so rx and verdicts
-are theirs bit for bit.  Energy rows come out in (time, device) order
-and records in (time, mac) order, so a run is deterministic regardless of
-how the caller schedules runs.  A caller that does not read the energy rows
-can skip building them (energy_rows=False); the samples still advance the
-capacitor, so records and consumption do not change.
+are theirs bit for bit.  Energy rows come out as one array in (time,
+device) order and records in (time, mac) order, so a run is deterministic
+regardless of how the caller schedules runs.  A caller that does not read
+the energy rows can skip building them (energy_rows=False); the samples
+still advance the capacitor, so records and consumption do not change.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ import numpy as np
 from . import channel as ch
 from .energy import EnergyConfig, EnergyState, charge_tables, energy_after, try_consume
 from .errors import ConfigMismatch, require
-from .vasculature import CSV_ROWS, MobilityTrace, VesselGraph, write_csv
+from .vasculature import MobilityTrace, VesselGraph, write_csv
 
 _T_EPS = 1e-9
 _RANGES: dict[tuple, float] = {}   # _max_range_cm, per process
@@ -128,10 +129,13 @@ class RawRecord:
     event_bit: int
 
 
+_ROW = np.dtype([("time", float), ("mac", np.int64), ("value", float), ("flag", np.int64)])
+
+
 @dataclass
 class SimResult:
     records: list[RawRecord]
-    energy_rows: list[tuple[float, int, float, int]]   # time_s, mac, pJ, powered
+    energy_rows: np.ndarray   # _ROW: time_s, mac, pJ, powered; (time, device) order
     consumed_pj: dict[int, float]
 
 
@@ -323,11 +327,12 @@ def _sense_hits(points: np.ndarray, target: np.ndarray | None,
 _BEACON, _SAMPLE, _TICK, _END = range(4)   # a scan stop's kind, in tie order
 
 
-def _tick_grid(trace: MobilityTrace, sense_rate_hz: int, t_last: float, energy_rows: bool):
-    """(tick times, steps, tick sample indices, stops) of a trace's time grid,
-    ticks on its samples up to t_last; steps[i] is tick time i less tick time
-    i - 1 (steps[0] is never read).  Stops: the end, and the samples off the
-    ticks (they harvest) or, with rows, right after their tick."""
+def _tick_grid(trace: MobilityTrace, sense_rate_hz: int, t_last: float):
+    """(tick times, steps, tick sample indices, stops, row ticks) of a trace's
+    time grid, ticks on its samples up to t_last; steps[i] is tick time i less
+    tick time i - 1 (steps[0] is never read).  Stops: the samples off the ticks
+    (they harvest), then the end.  Row ticks: for each sample on a tick, the
+    ticks done once its tick is, then a count never reached."""
     times = np.asarray(trace.times, dtype=float)
     dt = times[1] - times[0]
     stride = (1.0 / sense_rate_hz) / dt
@@ -340,11 +345,11 @@ def _tick_grid(trace: MobilityTrace, sense_rate_hz: int, t_last: float, energy_r
     ticks = np.arange(0, np.searchsorted(times, t_last, side="right"), int(round(stride)))
     tick_t, samples = times[ticks], np.arange(math.floor(t_last) + 1, dtype=float)
     at = np.searchsorted(tick_t, samples)
-    on = (np.searchsorted(tick_t, samples, side="right") > at).tolist()   # a tick at the sample
-    stops = [(i + o, s, _SAMPLE, None) for i, o, s in zip(at.tolist(), on, samples.tolist())
-             if energy_rows or not o]
+    on = np.searchsorted(tick_t, samples, side="right") > at   # a tick at the sample
+    stops = [(i, s, _SAMPLE, None) for i, s in zip(at[~on].tolist(), samples[~on].tolist())]
     stops.append((len(ticks), math.inf, _END, None))
-    return tick_t.tolist(), [math.nan, *(tick_t[1:] - tick_t[:-1]).tolist()], ticks, stops
+    return (tick_t.tolist(), [math.nan, *(tick_t[1:] - tick_t[:-1]).tolist()], ticks, stops,
+            [*(at[on] + 1).tolist(), len(ticks) + 1])
 
 
 def _decide_responses(responses: list[tuple], anchor_pos: np.ndarray,
@@ -402,7 +407,7 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
                 f"device {trace.device_id}: trace covers {trace.times[-1]:.3f} s "
                 f"< simulation duration {duration_s:.3f} s")
         key = np.asarray(trace.times, dtype=float).tobytes()
-        grids[key] = grids.get(key) or _tick_grid(trace, plan.sense_rate_hz, t_last, energy_rows)
+        grids[key] = grids.get(key) or _tick_grid(trace, plan.sense_rate_hz, t_last)
         device_grids.append(grids[key])
 
     target = None if target is None else np.asarray(target, dtype=float)
@@ -421,9 +426,13 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
 
     decoded = _decoded_beacons(_visit_schedule(traces, graph, duration_s), anchors, anchor_pos,
                                anchor_tx, channel_cfg, beacon_air, duration_s) if traces else []
-    device_rows, responses, consumed_pj = [], [], {}
-    for di, (trace, (tick_t, steps, ticks, grid_stops)) in enumerate(zip(traces, device_grids)):
+    responses, consumed_pj = [], {}
+    row_energy, row_powered = [], []   # each device's 1 Hz samples in turn, in time order
+    for di, (trace, (tick_t, steps, ticks, grid_stops, row_ticks)) in enumerate(
+            zip(traces, device_grids)):
         beacons, decoded[di], mac = decoded[di], None, trace.device_id   # freed once scanned
+        dues = iter(row_ticks if energy_rows else row_ticks[-1:])
+        due = next(dues)   # the ticks done when the next row on a tick is due
         hits = _sense_hits(np.asarray(trace.positions, dtype=float)[ticks], target,
                            plan.detection_radius_cm).nonzero()[0].tolist()
         # (ticks before it, time, kind, item), popped in time and tie order
@@ -437,14 +446,15 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
         # once a sense tick is paid; -1 while energy is no table entry
         base, spent = low[0], drop[0]
         state = EnergyState()   # the beacons' try_consume spends from it
-        last_delivered, event_bit, responded, done, rows = None, 0, False, 0, []
+        last_delivered, event_bit, responded, done = None, 0, False, 0
         while True:
             at, t, kind, item = stops.pop()
             if done < at and (done == 0 or last_adv != tick_t[done - 1]):
                 stops.append((at, t, kind, item))   # a sparse harvest came after the last tick
                 at, t, kind, item = done, tick_t[done], _TICK, False
-            if done < at:   # ticks done..at-1, each a step from the one before
-                for dt in steps[done:at]:
+            while done < at:   # ticks done..at-1, each a step from the last, cut at row ticks
+                end = at if at < due else due
+                for dt in steps[done:end]:
                     total = phase + dt
                     cycles = int(total / t_cycle)
                     phase = total - cycles * t_cycle
@@ -463,7 +473,11 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
                             powered = False
                         base, spent = spent, -1
                         consumed += cost_sense
-                last_adv, done = tick_t[at - 1], at
+                last_adv, done = tick_t[end - 1], end
+                if done == due:
+                    row_energy.append(energy)
+                    row_powered.append(powered)
+                    due = next(dues)
             if kind == _END:
                 break
             if t > last_adv:   # the sparse items' harvest: the tight one without the gather
@@ -477,7 +491,8 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
                 last_adv = t
             if kind == _SAMPLE:
                 if energy_rows:
-                    rows.append((t, mac, energy * 1e12, int(powered)))
+                    row_energy.append(energy)
+                    row_powered.append(powered)
                 continue
             if kind == _TICK:
                 done += 1
@@ -485,6 +500,10 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
                     energy, consumed = energy - cost_sense, consumed + cost_sense
                     powered, base, spent = energy > e_turn_off, spent, -1
                     event_bit |= item
+                if done == due:
+                    row_energy.append(energy)
+                    row_powered.append(powered)
+                    due = next(dues)
                 continue
             _, ai, p, closing, rx_dbm, in_heart = beacons[item]
             state.energy, state.powered = energy, powered
@@ -510,19 +529,18 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
                     responses.append((t_rx, ai, di, p, rx_dbm + channel_cfg.backscatter_gain_db,
                                       closing, circulation, bit))
             energy, powered = state.energy, state.powered
-        device_rows.append(rows)
         consumed_pj[mac] = consumed * 1e12
 
+    macs = [trace.device_id for trace in traces]
     responses.sort(key=itemgetter(0, 1, 2))
-    records = _decide_responses(responses, anchor_pos, channel_cfg,
-                                [trace.device_id for trace in traces])
+    records = _decide_responses(responses, anchor_pos, channel_cfg, macs)
     records.sort(key=lambda r: (r.report_time_s, r.device_mac))
-    return SimResult(records=records,
-                     energy_rows=[row for group in zip(*device_rows) for row in group],
-                     consumed_pj=consumed_pj)
-
-
-_ROW = np.dtype([("time", float), ("mac", np.int64), ("value", float), ("flag", np.int64)])
+    n = math.floor(t_last) + 1 if energy_rows else 0   # samples per device
+    rows = np.empty((n, len(traces)), _ROW)   # time-major
+    rows["time"], rows["mac"] = np.arange(n, dtype=float)[:, None], macs
+    rows["value"] = np.fromiter(row_energy, float, rows.size).reshape(len(traces), n).T * 1e12
+    rows["flag"] = np.fromiter(row_powered, bool, rows.size).reshape(len(traces), n).T
+    return SimResult(records=records, energy_rows=rows.ravel(), consumed_pj=consumed_pj)
 
 
 def export_raw_csv(records: list[RawRecord], path: str) -> None:
@@ -532,6 +550,6 @@ def export_raw_csv(records: list[RawRecord], path: str) -> None:
                             for r in records), _ROW)])
 
 
-def export_energy_csv(rows: list[tuple[float, int, float, int]], path: str) -> None:
-    write_csv(path, "time_s,device_mac,energy_pj,powered",
-              (np.fromiter(rows[lo:lo + CSV_ROWS], _ROW) for lo in range(0, len(rows), CSV_ROWS)))
+def export_energy_csv(rows: np.ndarray, path: str) -> None:
+    """One row per energy sample of a _ROW array such as SimResult.energy_rows."""
+    write_csv(path, "time_s,device_mac,energy_pj,powered", [rows])

@@ -433,6 +433,15 @@ def test_cli_exits_1_when_every_event_run_fails(tmp_path, capsys):
     assert not (tmp_path / "conv" / "convergence.csv").exists()
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["benchmark", "--k", "6", "--workers", "1"]])
+def test_cli_run_that_fails_leaves_no_output(tmp_path, capsys, command):
+    # the run fails before any file is written, resolved_config.json included
+    out = tmp_path / "out"
+    assert main([*command, "--devices", "2", "--duration-s", "60.4", "--out", str(out)]) == 1
+    assert "covers 60.000 s < simulation duration 60.400 s" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_reports_some_failed_event_runs(tmp_path, capsys, monkeypatch):
     import nanoflow.benchmark as bm
 

@@ -15,7 +15,7 @@ import pytest
 import nanoflow.cli as cli
 from nanoflow.benchmark import TargetEvent, dense_locations, export_events_csv, trace_and_run
 from nanoflow.config import load_config
-from nanoflow.simcore import RawRecord, export_energy_csv, export_raw_csv
+from nanoflow.simcore import _ROW, RawRecord, export_energy_csv, export_raw_csv
 from nanoflow.vasculature import (CSV_ROWS, build_reference_vasculature,
                                   export_trace_csv, write_csv)
 
@@ -59,11 +59,12 @@ def engine_output():
 
 
 def test_energy_csv_bytes_match_the_row_by_row_writer(tmp_path, engine_output):
-    rows = engine_output.energy_rows + [(v, 2 ** 62 + i, -v, i % 2)
-                                        for i, v in enumerate(AWKWARD)]
+    rows = np.concatenate([engine_output.energy_rows,
+                           np.array([(v, 2 ** 62 + i, -v, i % 2) for i, v in enumerate(AWKWARD)],
+                                    _ROW)])
     assert len(rows) > CSV_ROWS   # more than one block
     out = _same_bytes(tmp_path, export_energy_csv, rows, "time_s,device_mac,energy_pj,powered",
-                      rows, "{:.6f},{},{:.6f},{}")
+                      rows.tolist(), "{:.6f},{},{:.6f},{}")
     assert out.count(b"\n") == 1 + len(rows)
 
 
@@ -109,14 +110,14 @@ def test_convergence_csv_bytes_match_the_row_by_row_writer(tmp_path, monkeypatch
 
 
 def test_empty_inputs_write_the_header_only(tmp_path):
-    # run_simulation(..., energy_rows=False) leaves [] energy rows: the header alone
-    for export, header in [
-            (export_energy_csv, "time_s,device_mac,energy_pj,powered"),
-            (export_raw_csv, "report_time_s,device_mac,circulation_time_s,event_bit"),
-            (export_trace_csv, "time_s,device_id,x_cm,y_cm,z_cm,vessel_id"),
-            (export_events_csv, "event_id,x_cm,y_cm,z_cm,region_id,region_type")]:
+    # run_simulation(..., energy_rows=False) leaves an empty _ROW array: the header alone
+    for export, empty, header in [
+            (export_energy_csv, np.empty(0, _ROW), "time_s,device_mac,energy_pj,powered"),
+            (export_raw_csv, [], "report_time_s,device_mac,circulation_time_s,event_bit"),
+            (export_trace_csv, [], "time_s,device_id,x_cm,y_cm,z_cm,vessel_id"),
+            (export_events_csv, [], "event_id,x_cm,y_cm,z_cm,region_id,region_type")]:
         path = tmp_path / "empty.csv"
-        export([], str(path))
+        export(empty, str(path))
         assert path.read_bytes() == header.encode() + b"\n"
 
 

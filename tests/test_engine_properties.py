@@ -61,7 +61,8 @@ def test_each_device_runs_as_if_alone(case):
         for tr in traces:
             alone = _run(case, [tr], channel)
             mac = tr.device_id
-            assert [row for row in together.energy_rows if row[1] == mac] == alone.energy_rows
+            assert ([row for row in together.energy_rows.tolist() if row[1] == mac]
+                    == alone.energy_rows.tolist())
             assert together.consumed_pj[mac] == alone.consumed_pj[mac]
             if channel is NO_COLLISIONS:
                 assert _records_of(together, mac) == alone.records

@@ -13,7 +13,8 @@ arrays and decides every response in array passes; records, energy rows
 and consumption must come out bit for bit the same, including when sensing
 and receiving are refused, when the charge grid hits its size limit, and
 at the seams of the tight loop (beacons and samples at tick times, ticks
-that see the target, ticks that harvest no cycle, several time grids).
+that see the target, ticks that harvest no cycle, several time grids, rows
+due at a tick that is a stop of its own, durations short of a whole second).
 The engine decides beacons and responses in arrays that repeat the scalar
 channel calls' float operations, so the last tests put beacons and
 responses exactly on the sensitivity gate and on the SINR threshold,
@@ -342,7 +343,7 @@ def test_samples_stay_harvest_points_without_rows():
     args = (GRAPH, traces, SimPlan(duration_s=39.0, sense_rate_hz=3,
                                    anchors=[Anchor(0, POSITIONS[0], 0.03)], energy_cfg=cfg))
     with_rows, without = run_simulation(*args), run_simulation(*args, energy_rows=False)
-    assert without.energy_rows == [] and len(with_rows.energy_rows) == 2 * 40
+    assert without.energy_rows.tolist() == [] and len(with_rows.energy_rows) == 2 * 40
     assert _bits(without)[::2] == _bits(with_rows)[::2] == _bits(reference_run(*args))[::2]
     assert without.consumed_pj == {0: 138.0, 1: 138.0}
 
@@ -521,6 +522,66 @@ def test_rows_on_and_off_on_shifted_ticks_step_like_the_reference(shift):
     plan = SimPlan(duration_s=39.0, anchors=[Anchor(0, POSITIONS[0], 0.05)], energy_cfg=cfg)
     on_grid = np.isin(np.arange(40.0), traces[0].times)
     assert on_grid.any() and not on_grid.all() if shift == 1 / 3 else not on_grid.any()
+    _same_as_reference(traces, plan, tuple(traces[2].positions[60]))
+
+
+ROW_SEAM_ENERGY = EnergyConfig(e_max=100e-12, e_turn_on=5e-12, e_turn_off=2.5e-12,
+                               cost_sense=2e-12, cost_rx_pulse=0.2e-12)
+
+
+def test_a_row_tick_that_sees_the_target_records_after_the_tick_senses():
+    # the one tick that sees the target is at 30 s, so it is a stop of its
+    # own, and the 30 s row comes after the tick harvests and pays for sensing
+    traces = [upsample_trace(tr, 3, 0.2, tr.device_id)
+              for tr in simulate_mobility(GRAPH, 3, 60.0, seed=1)]
+    plan = SimPlan(duration_s=60.0, detection_radius_cm=1e-9,
+                   anchors=[Anchor(0, POSITIONS[0], 0.05)], energy_cfg=ROW_SEAM_ENERGY)
+    target = tuple(traces[0].positions[90])
+    assert traces[0].times[90] == 30.0
+    hits = [_sense_hits(tr.positions, np.asarray(target), 1e-9).nonzero()[0].tolist()
+            for tr in traces]
+    assert hits == [[90], [], []]
+    row = [r for r in reference_run(GRAPH, traces, plan, target).energy_rows if r[:2] == (30.0, 0)]
+    assert row[0][3] == 1   # powered, so the tick spends
+    _same_as_reference(traces, plan, target)
+
+
+def test_a_row_tick_right_after_a_beacon_records_after_the_tick_senses():
+    # beacons every 25 ms fall between the tick before a whole second and the
+    # tick on it: that tick harvests from the beacon's time as a stop of its
+    # own, and the second's row comes after it
+    traces = [upsample_trace(tr, 3, 0.2, tr.device_id)
+              for tr in simulate_mobility(GRAPH, 8, 120.0, seed=2)]
+    plan = SimPlan(duration_s=120.0, anchors=[Anchor(0, POSITIONS[0], 0.025)],
+                   energy_cfg=ROW_SEAM_ENERGY)
+    before = [t for times in _beacon_times(traces, plan) for t in times
+              if 0.0 < math.ceil(t) - t < 1 / 3]
+    assert len(before) >= 20
+    _same_as_reference(traces, plan)
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.21])
+def test_a_beacon_at_a_whole_second_comes_before_the_row(shift):
+    # 0.125 s beacons land on whole seconds exactly: the beacon comes first,
+    # then the tick at that second (none when shifted), then the row
+    traces = _shifted([upsample_trace(tr, 3, 0.2, tr.device_id)
+                       for tr in simulate_mobility(GRAPH, 8, 120.0, seed=0)], shift)
+    plan = SimPlan(duration_s=119.0, anchors=[Anchor(0, POSITIONS[0], 0.125)],
+                   energy_cfg=ROW_SEAM_ENERGY)
+    whole = [t for times in _beacon_times(traces, plan) for t in times if t == round(t)]
+    assert len(whole) >= 2
+    _same_as_reference(traces, plan)
+
+
+@pytest.mark.parametrize("duration", [37.4, 38.5, 39.9])
+def test_a_duration_short_of_a_whole_second_keeps_a_row_per_second(duration):
+    # ticks run past the last whole second, and the rows stop at it
+    traces = [upsample_trace(tr, 3, 0.2, tr.device_id)
+              for tr in simulate_mobility(GRAPH, 3, 40.0, seed=53)]
+    plan = SimPlan(duration_s=duration, anchors=[Anchor(0, POSITIONS[0], 0.05)],
+                   energy_cfg=ROW_SEAM_ENERGY)
+    rows = run_simulation(GRAPH, traces, plan).energy_rows
+    assert len(rows) == 3 * (math.floor(duration) + 1) and rows[-1]["time"] < duration
     _same_as_reference(traces, plan, tuple(traces[2].positions[60]))
 
 

@@ -16,8 +16,8 @@ from nanoflow import channel as ch
 from nanoflow.channel import ChannelConfig
 from nanoflow.energy import EnergyConfig
 from nanoflow.errors import ConfigMismatch
-from nanoflow.simcore import (Anchor, SimPlan, _delivered, _path_loss, _row_dots, _sense_hits,
-                              export_energy_csv, export_raw_csv, run_simulation)
+from nanoflow.simcore import (_ROW, Anchor, SimPlan, _delivered, _path_loss, _row_dots,
+                              _sense_hits, export_energy_csv, export_raw_csv, run_simulation)
 from nanoflow.vasculature import (MobilityTrace, RegionType, Vessel, VesselGraph,
                                   simulate_mobility, upsample_trace)
 
@@ -179,6 +179,26 @@ def test_energy_timeline_has_one_row_per_second():
     assert all(0.0 <= r[2] <= 800.0 + 1e-9 for r in res.energy_rows)
 
 
+def test_energy_rows_are_one_time_major_array():
+    # three time grids (1 s, 1/3 s, and 1/3 s shifted by 0.21 s) and macs out
+    # of order: one _ROW row per device and whole second, devices in trace order
+    def relabel(tr, mac, shift=0.0):
+        return MobilityTrace(mac, tr.times + shift, tr.positions, tr.vessel_ids,
+                             tr.visit_times + shift, tr.visit_vessels)
+
+    base = simulate_mobility(GRAPH, 3, 21.0, seed=4)
+    traces = [relabel(base[0], 7), relabel(upsample_trace(base[1], 3, 0.0, 1), 3),
+              relabel(upsample_trace(base[2], 3, 0.0, 2), 5, 0.21)]
+    plan = SimPlan(duration_s=20.5, sense_rate_hz=1, anchors=ANCHOR, energy_cfg=EnergyConfig())
+    rows = run_simulation(GRAPH, traces, plan).energy_rows
+    assert rows.dtype == _ROW and rows.shape == (3 * 21,)
+    assert rows["time"].tolist() == [float(s) for s in range(21) for _ in range(3)]
+    assert rows["mac"].tolist() == [7, 3, 5] * 21
+    assert set(rows["flag"].tolist()) == {0, 1}
+    empty = run_simulation(GRAPH, traces, plan, energy_rows=False).energy_rows
+    assert empty.dtype == _ROW and empty.shape == (0,)
+
+
 def test_consumption_accounting():
     tr = simulate_mobility(GRAPH, 1, 21.0, seed=0)[0]
     res = run([tr], energy=EnergyConfig())
@@ -197,7 +217,7 @@ def test_run_is_deterministic():
             for r in a.records] == \
            [(r.report_time_s, r.device_mac, r.circulation_time_s, r.event_bit)
             for r in b.records]
-    assert a.energy_rows == b.energy_rows
+    assert a.energy_rows.tolist() == b.energy_rows.tolist()
 
 
 def test_raw_csv_format(tmp_path):
