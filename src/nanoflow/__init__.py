@@ -12,7 +12,7 @@ from .energy import (EnergyConfig, EnergyState, capacitance, cycle_index,
                      energy_at_cycle, turn_on_latency_cycles)
 from .errors import NanoflowError
 from .simcore import (Anchor, ProtocolParams, RawRecord, SimPlan, SimResult,
-                      run_simulation)
+                      decode_beacons, run_simulation)
 from .vasculature import (MobilityTrace, Vessel, VesselGraph,
                           build_reference_vasculature, load_graph, locate_vessel,
                           save_graph, simulate_mobility, upsample_trace)
@@ -24,7 +24,7 @@ __all__ = [
     "RawRecord", "Reception", "RegionEstimate", "RunConfig", "SimPlan",
     "SimResult", "TargetEvent", "Vessel", "VesselGraph",
     "baseline_localize", "build_reference_vasculature",
-    "capacitance", "convergence_curve", "cycle_index", "dense_locations",
+    "capacitance", "convergence_curve", "cycle_index", "decode_beacons", "dense_locations",
     "energy_at_cycle", "link_sample", "load_config", "load_graph",
     "locate_vessel", "path_loss_db", "point_error", "region_accuracy",
     "reliability", "run_benchmark", "run_events", "run_simulation",

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (EventRunsFailed, ExternalDataError, MismatchedSets, NanoflowError,
                      NoEstimate, SampleTooLarge, require)
-from .simcore import SimPlan, _row_dots, run_simulation
+from .simcore import SimPlan, _row_dots, decode_beacons, run_simulation
 from .vasculature import (VesselGraph, locate_vessel, simulate_mobility, upsample_trace,
                           vessel_centroid, write_csv)
 
@@ -332,47 +332,74 @@ def _child_seed(root: int, *path: int) -> int:
     return int(np.random.SeedSequence((root,) + path).generate_state(1)[0])
 
 
+def upsampled_traces(graph: VesselGraph, plan: SimPlan, mobility_seed: int,
+                     upsample_root: tuple[int, ...]):
+    """Mobility and upsampling for the plan's devices.  Mobility draws from
+    `mobility_seed`; device d's trace is upsampled on the stream
+    _child_seed(*upsample_root, 1, d)."""
+    traces = simulate_mobility(graph, plan.device_count, plan.duration_s, seed=mobility_seed)
+    return [upsample_trace(tr, plan.upsample_factor, plan.upsample_sigma_cm,
+                           _child_seed(*upsample_root, 1, tr.device_id)) for tr in traces]
+
+
 def trace_and_run(graph: VesselGraph, plan: SimPlan,
                   target: tuple[float, float, float] | None, mobility_seed: int,
                   upsample_root: tuple[int, ...], energy_rows: bool):
-    """Mobility, upsampling and one engine run for the plan's devices.
-
-    Mobility draws from `mobility_seed`; device d's trace is upsampled on
-    the stream _child_seed(*upsample_root, 1, d).  Returns (upsampled
-    traces, SimResult).
-    """
-    traces = simulate_mobility(graph, plan.device_count, plan.duration_s, seed=mobility_seed)
-    upsampled = [upsample_trace(tr, plan.upsample_factor, plan.upsample_sigma_cm,
-                                _child_seed(*upsample_root, 1, tr.device_id)) for tr in traces]
+    """upsampled_traces and one engine run of them; returns (upsampled
+    traces, SimResult)."""
+    upsampled = upsampled_traces(graph, plan, mobility_seed, upsample_root)
     return upsampled, run_simulation(graph, upsampled, plan, target, energy_rows)
 
 
-def simulate_event(graph: VesselGraph, plan: SimPlan, event: TargetEvent,
-                   seed: int):
-    """One independent event run on the event's own seed streams; returns
-    records and per-device consumption (no energy rows: the benchmark does
-    not read them)."""
-    return trace_and_run(graph, plan, tuple(event.position), _child_seed(seed, event.id, 0),
-                         (seed, event.id), energy_rows=False)[1]
+def simulate_event(graph: VesselGraph, plan: SimPlan, event: TargetEvent, traces: list,
+                   beacons: list):
+    """The engine run of one event on its traces (built on the event's own
+    seed streams) and their decoded beacons; returns records and per-device
+    consumption (no energy rows: the benchmark does not read them)."""
+    return run_simulation(graph, traces, plan, tuple(event.position), energy_rows=False,
+                          beacons=beacons)
 
 
-def _run_one(graph: VesselGraph, plan: SimPlan, sim_times: list, seed: int, event: TargetEvent):
-    """([RegionEstimate per sim time], consumed pJ per device, error | None).
-    Only a NanoflowError counts as no estimate.  The one an event run raises
-    on its own is ConfigMismatch, for traces that do not fit the plan (the
-    mobility of a 60.4 s run covers 60 s).  Any other exception propagates."""
-    try:
-        result = simulate_event(graph, plan, event, seed)
-        estimates = []
-        for ti, t_cap in enumerate(sim_times):
-            prefix = [r for r in result.records if r.report_time_s <= t_cap + 1e-9]
-            estimates.append(baseline_localize(
-                prefix, graph, seed=_child_seed(seed, event.id, 3, ti),
-                event_id=event.id))
-        return estimates, list(result.consumed_pj.values()), None
-    except NanoflowError as exc:
-        empty = [RegionEstimate(event.id, None, None) for _ in sim_times]
-        return empty, [], f"{type(exc).__name__}: {exc}"
+_BATCH_DEVICE_S = 2048   # device-seconds of traces a batch of several events stays within
+
+
+def _run_batch(graph: VesselGraph, plan: SimPlan, sim_times: list, seed: int,
+               events: list[TargetEvent]):
+    """([RegionEstimate per sim time], consumed pJ per device, error | None)
+    of each event.  Each event's traces are built on its own seed streams,
+    the beacons of all of them are decoded in one pass, and then each event
+    runs and is localized alone, so its result does not depend on its
+    batch-mates.  Only a NanoflowError counts as no estimate, for that event
+    alone.  The one an event run raises on its own is ConfigMismatch, for
+    traces that do not fit the plan (the mobility of a 60.4 s run covers
+    60 s).  Any other exception propagates."""
+    built = []   # each event's traces, or the error building them raised
+    for event in events:
+        try:
+            built.append(upsampled_traces(graph, plan, _child_seed(seed, event.id, 0),
+                                          (seed, event.id)))
+        except NanoflowError as exc:
+            built.append(exc)
+    decoded = iter(decode_beacons(graph, [tr for traces in built if isinstance(traces, list)
+                                          for tr in traces], plan))
+    runs = []
+    for event, traces in zip(events, built):
+        try:
+            if isinstance(traces, NanoflowError):
+                raise traces
+            result = simulate_event(graph, plan, event, traces,
+                                    [next(decoded) for _ in traces])
+            estimates = []
+            for ti, t_cap in enumerate(sim_times):
+                prefix = [r for r in result.records if r.report_time_s <= t_cap + 1e-9]
+                estimates.append(baseline_localize(
+                    prefix, graph, seed=_child_seed(seed, event.id, 3, ti),
+                    event_id=event.id))
+            runs.append((estimates, list(result.consumed_pj.values()), None))
+        except NanoflowError as exc:
+            runs.append(([RegionEstimate(event.id, None, None) for _ in sim_times], [],
+                         f"{type(exc).__name__}: {exc}"))
+    return runs
 
 
 @dataclass
@@ -446,11 +473,17 @@ def run_events(graph: VesselGraph, events: list[TargetEvent], plan: SimPlan,
     Returns (estimates, consumed, errors): {sim_time: [RegionEstimate per
     event, in event-id order]} with sim times ascending, the consumed pJ of
     every device of every run, and {str(event_id): error} of the failed
-    runs (see _run_one), which count as no estimate.  None of it depends on
-    the worker count, and no more workers start than there are events (no
-    pool for one).  EventRunsFailed is raised, naming the count and the
-    first error, when every run failed.  InvalidGraph, for too many heart
-    cycles to localize on, is raised before any run starts.
+    runs (see _run_batch), which count as no estimate.  EventRunsFailed is
+    raised, naming the count and the first error, when every run failed.
+    InvalidGraph, for too many heart cycles to localize on, is raised before
+    any run starts.
+
+    The events, in id order, are cut into batches, the unit of work a worker
+    gets: a batch decodes its events' beacons in one pass.  A batch holds
+    len(events) // (4 * workers) events, at most _BATCH_DEVICE_S
+    device-seconds of traces and at least one event, so a large event runs
+    alone.  None of the results depends on the batches or the worker count,
+    and no more workers start than there are batches (no pool for one).
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -465,13 +498,17 @@ def run_events(graph: VesselGraph, events: list[TargetEvent], plan: SimPlan,
     for a, b in zip(sim_times, sim_times[1:]):   # run_benchmark keys its report by f"{t:g}"
         require(f"{a:g}" != f"{b:g}", "sim_times_s", f"{a!r} and {b!r} share the report label {a:g}")
     events = sorted(events, key=lambda e: e.id)
-    run_one = functools.partial(_run_one, graph, plan, sim_times, seed)
-    workers = min(workers, len(events))   # the pool forks all of its workers up front
+    size = max(1, min(len(events) // (4 * workers),
+                      int(_BATCH_DEVICE_S // (plan.device_count * plan.duration_s))))
+    batches = [events[i:i + size] for i in range(0, len(events), size)]
+    run_batch = functools.partial(_run_batch, graph, plan, sim_times, seed)
+    workers = min(workers, len(batches))   # the pool forks all of its workers up front
     if workers == 1:
-        runs = [run_one(ev) for ev in events]
+        runs = [run for batch in batches for run in run_batch(batch)]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(run_one, events, chunksize=max(1, len(events) // (4 * workers))))
+            runs = [run for batch_runs in pool.map(run_batch, batches, chunksize=max(
+                1, len(batches) // (4 * workers))) for run in batch_runs]
     errors = {str(ev.id): err for ev, (_, _, err) in zip(events, runs) if err is not None}
     if len(errors) == len(runs):
         raise EventRunsFailed(f"all {len(runs)} event runs failed; the first: {runs[0][2]}")

@@ -13,13 +13,17 @@ episode answered before reception is decided), whether a beacon is decoded
 depends only on geometry and on the other anchors' timing, and a device's
 energy depends only on its own events.  A run is therefore three phases:
 
-1. Geometry, for all devices at once.  The run's concatenated visit
-   schedules give, per anchor, each device's windows within packet range;
+1. Geometry, for all devices at once (decode_beacons).  The concatenated
+   visit schedules give, per anchor, each device's windows within packet range;
    the beacon instants k * interval inside them are enumerated, and every
    instant's position, distances and closing speed come from array passes
    (row dots equal to np.dot and np.linalg.norm bit for bit).  Each beacon
    is decided against sensitivity and the other anchors' overlapping
-   beacons; a decoded one carries its rx dBm.
+   beacons; a decoded one carries its rx dBm.  No value mixes devices (each
+   is elementwise or a per-packet sum in pair order), so a device's beacons
+   are the same bit for bit whatever else is decoded with it: phase 1 may
+   span the traces of a batch of runs of one plan, and each run then takes
+   its own slice (benchmark.run_events does this for small events).
 2. Per-device scan.  The device's decoded beacons, sense ticks (on the
    upsampled sample grid) and 1 Hz energy samples advance its capacitor
    along the harvest curve, spend energy, keep the circulation clock and
@@ -29,13 +33,13 @@ energy depends only on its own events.  A run is therefore three phases:
    grid[0], 0 J, of energy.charge_tables' grid: from a grid entry, or one
    less a paid sense tick, a harvest is a gather from the tables, and
    otherwise energy.energy_after.  Most of a scan is one tight loop that
-   steps tick to tick on a tick grid built once per distinct trace time
-   grid of the run.  It stops only at sparse items, in time and tie order:
-   decoded beacons (before a tick at the same time; spent through
-   try_consume), ticks that see the target (a distance pass over the ticks
-   in the radius box), the tick after another sparse item's harvest, and
-   energy samples off the tick grid (they harvest; after a tick at the same
-   time).  A sample on a tick is no stop: the tight loop is cut at its tick,
+   steps tick to tick on a tick grid built once per process for each
+   distinct trace time grid (a small cache, never changed).  It stops only
+   at sparse items, in time and tie order: decoded beacons (before a tick
+   at the same time; spent through try_consume), ticks that see the target
+   (a distance pass over the ticks in the radius box), the tick after
+   another sparse item's harvest, and energy samples off the tick grid
+   (they harvest; after a tick at the same time).  A sample on a tick is no stop: the tight loop is cut at its tick,
    or the sparse tick there goes first, and then its row is recorded.
 3. Collisions.  Responses arriving within _T_EPS of the earliest pending
    arrival form one batch.  Each is decided against the others in the
@@ -69,6 +73,7 @@ from .vasculature import MobilityTrace, VesselGraph, write_csv
 
 _T_EPS = 1e-9
 _RANGES: dict[tuple, float] = {}   # _max_range_cm, per process
+_TICK_GRIDS: dict[tuple, tuple] = {}   # _cached_tick_grid's last few grids, per process
 
 
 @dataclass
@@ -307,6 +312,21 @@ def _decoded_beacons(schedule, anchors: list[Anchor], anchor_pos: np.ndarray,
     return out
 
 
+def decode_beacons(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPlan):
+    """Per trace, (t, anchor index, position, closing speed, rx dBm, in heart)
+    of each beacon its device decodes under the plan, in (t, anchor index)
+    order.  The traces may be those of several runs of the plan: a device's
+    beacons do not depend on the other traces decoded with it (phase 1)."""
+    if not traces:
+        return []
+    ccfg = plan.channel_cfg
+    anchor_tx = [a.tx_power_dbm if a.tx_power_dbm is not None else ccfg.tx_power_dbm
+                 for a in plan.anchors]
+    return _decoded_beacons(_visit_schedule(traces, graph, plan.duration_s), plan.anchors,
+                            np.array([a.position for a in plan.anchors], dtype=float), anchor_tx,
+                            ccfg, ch.airtime_s(plan.protocol.beacon_bits, ccfg), plan.duration_s)
+
+
 def _sense_hits(points: np.ndarray, target: np.ndarray | None,
                 radius_cm: float) -> np.ndarray:
     """float(np.linalg.norm(p - target)) < radius_cm for each row p of points,
@@ -327,12 +347,24 @@ def _sense_hits(points: np.ndarray, target: np.ndarray | None,
 _BEACON, _SAMPLE, _TICK, _END = range(4)   # a scan stop's kind, in tie order
 
 
+def _cached_tick_grid(trace: MobilityTrace, sense_rate_hz: int, t_last: float):
+    """_tick_grid of the trace, from a per-process cache keyed by its time
+    grid, sense rate and t_last that keeps the 8 grids built last."""
+    key = (np.asarray(trace.times, dtype=float).tobytes(), sense_rate_hz, t_last)
+    if key not in _TICK_GRIDS:
+        if len(_TICK_GRIDS) >= 8:
+            del _TICK_GRIDS[next(iter(_TICK_GRIDS))]   # the oldest
+        _TICK_GRIDS[key] = _tick_grid(trace, sense_rate_hz, t_last)
+    return _TICK_GRIDS[key]
+
+
 def _tick_grid(trace: MobilityTrace, sense_rate_hz: int, t_last: float):
     """(tick times, steps, tick sample indices, stops, row ticks) of a trace's
     time grid, ticks on its samples up to t_last; steps[i] is tick time i less
     tick time i - 1 (steps[0] is never read).  Stops: the samples off the ticks
     (they harvest), then the end.  Row ticks: for each sample on a tick, the
-    ticks done once its tick is, then a count never reached."""
+    ticks done once its tick is, then a count never reached.  All of it is
+    read-only (tuples and a read-only array), since runs share it."""
     times = np.asarray(trace.times, dtype=float)
     dt = times[1] - times[0]
     stride = (1.0 / sense_rate_hz) / dt
@@ -348,8 +380,9 @@ def _tick_grid(trace: MobilityTrace, sense_rate_hz: int, t_last: float):
     on = np.searchsorted(tick_t, samples, side="right") > at   # a tick at the sample
     stops = [(i, s, _SAMPLE, None) for i, s in zip(at[~on].tolist(), samples[~on].tolist())]
     stops.append((len(ticks), math.inf, _END, None))
-    return (tick_t.tolist(), [math.nan, *(tick_t[1:] - tick_t[:-1]).tolist()], ticks, stops,
-            [*(at[on] + 1).tolist(), len(ticks) + 1])
+    ticks.flags.writeable = False
+    return (tuple(tick_t.tolist()), (math.nan, *(tick_t[1:] - tick_t[:-1]).tolist()), ticks,
+            tuple(stops), (*(at[on] + 1).tolist(), len(ticks) + 1))
 
 
 def _decide_responses(responses: list[tuple], anchor_pos: np.ndarray,
@@ -391,14 +424,17 @@ def _decide_responses(responses: list[tuple], anchor_pos: np.ndarray,
 
 def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPlan,
                    target: tuple[float, float, float] | None = None,
-                   energy_rows: bool = True) -> SimResult:
+                   energy_rows: bool = True, beacons: list | None = None) -> SimResult:
     """Run one deterministic simulation of the traces under the plan, with
     an event at target (None: no event), and collect raw records (and the
-    1 Hz energy rows unless energy_rows is False)."""
+    1 Hz energy rows unless energy_rows is False).  `beacons`: the traces'
+    decode_beacons(graph, traces, plan), one list per trace, if the caller
+    decoded them already (perhaps in one pass with other runs' traces);
+    None decodes them here."""
     anchors, duration_s, proto = plan.anchors, plan.duration_s, plan.protocol
     energy_cfg, channel_cfg = plan.energy_cfg, plan.channel_cfg
     t_last = duration_s + _T_EPS
-    grids, device_grids = {}, []   # one tick grid per distinct trace time grid
+    device_grids = []
     for trace in traces:
         if len(trace.times) < 2:
             raise ConfigMismatch(f"device {trace.device_id}: trace has fewer than 2 samples")
@@ -406,9 +442,7 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
             raise ConfigMismatch(
                 f"device {trace.device_id}: trace covers {trace.times[-1]:.3f} s "
                 f"< simulation duration {duration_s:.3f} s")
-        key = np.asarray(trace.times, dtype=float).tobytes()
-        grids[key] = grids.get(key) or _tick_grid(trace, plan.sense_rate_hz, t_last)
-        device_grids.append(grids[key])
+        device_grids.append(_cached_tick_grid(trace, plan.sense_rate_hz, t_last))
 
     target = None if target is None else np.asarray(target, dtype=float)
     beacon_air = ch.airtime_s(proto.beacon_bits, channel_cfg)
@@ -421,23 +455,21 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
     grid, low, drop = charge_tables(energy_cfg)
     size = len(grid)
     anchor_pos = np.array([a.position for a in anchors], dtype=float)
-    anchor_tx = [a.tx_power_dbm if a.tx_power_dbm is not None else channel_cfg.tx_power_dbm
-                 for a in anchors]
 
-    decoded = _decoded_beacons(_visit_schedule(traces, graph, duration_s), anchors, anchor_pos,
-                               anchor_tx, channel_cfg, beacon_air, duration_s) if traces else []
+    decoded = decode_beacons(graph, traces, plan) if beacons is None else list(beacons)
     responses, consumed_pj = [], {}
     row_energy, row_powered = [], []   # each device's 1 Hz samples in turn, in time order
     for di, (trace, (tick_t, steps, ticks, grid_stops, row_ticks)) in enumerate(
             zip(traces, device_grids)):
-        beacons, decoded[di], mac = decoded[di], None, trace.device_id   # freed once scanned
+        # freed once scanned, unless the caller holds them
+        heard, decoded[di], mac = decoded[di], None, trace.device_id
         dues = iter(row_ticks if energy_rows else row_ticks[-1:])
         due = next(dues)   # the ticks done when the next row on a tick is due
         hits = _sense_hits(np.asarray(trace.positions, dtype=float)[ticks], target,
                            plan.detection_radius_cm).nonzero()[0].tolist()
         # (ticks before it, time, kind, item), popped in time and tie order
         stops = sorted([*grid_stops, *[(bisect_left(tick_t, b[0]), b[0], _BEACON, i)
-                                       for i, b in enumerate(beacons)],
+                                       for i, b in enumerate(heard)],
                         *[(j, tick_t[j], _TICK, True) for j in hits]], reverse=True)
 
         energy, powered, phase = 0.0, False, 0.0   # at 0 J, which is grid[0]
@@ -505,7 +537,7 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
                     row_powered.append(powered)
                     due = next(dues)
                 continue
-            _, ai, p, closing, rx_dbm, in_heart = beacons[item]
+            _, ai, p, closing, rx_dbm, in_heart = heard[item]
             state.energy, state.powered = energy, powered
             if not powered or try_consume(state, rx_cost, energy_cfg) is None:
                 continue

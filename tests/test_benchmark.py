@@ -414,10 +414,10 @@ def test_failed_event_run_counts_as_no_estimate(monkeypatch):
 
     real = bm.simulate_event
 
-    def flaky(graph, plan, event, seed):
+    def flaky(graph, plan, event, traces, beacons):
         if event.id == EVENTS[0].id:
             raise ConfigMismatch("synthetic failure")
-        return real(graph, plan, event, seed)
+        return real(graph, plan, event, traces, beacons)
 
     monkeypatch.setattr(bm, "simulate_event", flaky)
     rep = run_benchmark(GRAPH, EVENTS, PLAN, workers=1, seed=5)
@@ -432,10 +432,10 @@ def test_a_fault_in_an_event_run_stops_the_benchmark(monkeypatch):
 
     real = bm.simulate_event
 
-    def buggy(graph, plan, event, seed):
+    def buggy(graph, plan, event, traces, beacons):
         if event.id == EVENTS[1].id:
             raise TypeError("synthetic bug")
-        return real(graph, plan, event, seed)
+        return real(graph, plan, event, traces, beacons)
 
     monkeypatch.setattr(bm, "simulate_event", buggy)
     with pytest.raises(TypeError, match="synthetic bug"):
@@ -469,10 +469,81 @@ def test_run_events_starts_no_more_workers_than_events(monkeypatch):
     assert started == [3, 2]
 
 
+BATCHED = sample_locations(DENSE, "srs", 40, seed=3)
+BATCH_PLAN = SimPlan(device_count=3, duration_s=60.0)   # 180 device-seconds per event
+
+
+def _run_bits(per_time, consumed, errors):
+    """run_events' return value with every float and point as exact bytes."""
+    return ({t: [(e.event_id, e.estimated_region, None if e.point is None else e.point.tobytes())
+                 for e in estimates] for t, estimates in per_time.items()},
+            [pj.hex() for pj in consumed], errors)
+
+
+def test_results_do_not_depend_on_batches_workers_or_event_order(monkeypatch):
+    # each event runs alone on its own seeds, whatever batch it shares a
+    # beacon decode with: one event per batch, all in one batch, batches of
+    # 10 (1 worker) and of 5 (2 workers), and the events shuffled
+    times = [30.0, 60.0]
+    want = _run_bits(*run_events(GRAPH, BATCHED, BATCH_PLAN, workers=1, seed=5,
+                                 sim_times_s=times))
+    assert sum(e[2] is not None for e in want[0][60.0]) > 5   # some events have estimates
+    sizes, real = [], benchmark._run_batch
+    monkeypatch.setattr(benchmark, "_run_batch", lambda *a: sizes.append(len(a[-1])) or real(*a))
+    assert _run_bits(*run_events(GRAPH, BATCHED[::-1], BATCH_PLAN, workers=1, seed=5,
+                                 sim_times_s=times)) == want
+    assert sizes == [10] * 4
+    monkeypatch.setattr(benchmark, "_BATCH_DEVICE_S", 1)
+    assert _run_bits(*run_events(GRAPH, BATCHED, BATCH_PLAN, workers=1, seed=5,
+                                 sim_times_s=times)) == want
+    assert sizes[4:] == [1] * 40
+    monkeypatch.undo()
+    assert _run_bits(*run_events(GRAPH, BATCHED, BATCH_PLAN, workers=2, seed=5,
+                                 sim_times_s=times)) == want
+    events = sorted(BATCHED, key=lambda ev: ev.id)
+    runs = benchmark._run_batch(GRAPH, BATCH_PLAN, times, 5, events)   # one batch of 40
+    assert _run_bits({t: [run[0][i] for run in runs] for i, t in enumerate(times)},
+                     [pj for run in runs for pj in run[1]], {}) == want
+
+
+def test_a_failing_event_mid_batch_leaves_its_batch_mates_alone(monkeypatch):
+    # batches of 10: the 4th event's run fails and the 16th event's traces
+    # cannot be built; every other event reads as in a run without faults
+    import nanoflow.benchmark as bm
+
+    want = _run_bits(*run_events(GRAPH, BATCHED, BATCH_PLAN, workers=1, seed=5))
+    events = sorted(BATCHED, key=lambda ev: ev.id)
+    bad_run, bad_traces = events[3].id, events[15].id
+    real_run, real_traces = bm.simulate_event, bm.upsampled_traces
+
+    def run_fails(graph, plan, event, traces, beacons):
+        if event.id == bad_run:
+            raise ConfigMismatch("synthetic run failure")
+        return real_run(graph, plan, event, traces, beacons)
+
+    def traces_fail(graph, plan, mobility_seed, upsample_root):
+        if upsample_root[1] == bad_traces:
+            raise ConfigMismatch("synthetic trace failure")
+        return real_traces(graph, plan, mobility_seed, upsample_root)
+
+    monkeypatch.setattr(bm, "simulate_event", run_fails)
+    monkeypatch.setattr(bm, "upsampled_traces", traces_fail)
+    per_time, consumed, errors = _run_bits(*run_events(GRAPH, BATCHED, BATCH_PLAN, workers=1,
+                                                       seed=5))
+    assert errors == {str(bad_run): "ConfigMismatch: synthetic run failure",
+                      str(bad_traces): "ConfigMismatch: synthetic trace failure"}
+    assert per_time[60.0][3] == (bad_run, None, None)
+    assert per_time[60.0][15] == (bad_traces, None, None)
+    keep = [i for i in range(len(events)) if i not in (3, 15)]
+    assert [per_time[60.0][i] for i in keep] == [want[0][60.0][i] for i in keep]
+    n = BATCH_PLAN.device_count   # consumed: each event's devices in turn
+    assert consumed == [pj for i in keep for pj in want[1][n * i:n * i + n]]
+
+
 def test_all_failed_event_runs_raise(monkeypatch):
     import nanoflow.benchmark as bm
 
-    def broken(graph, plan, event, seed):
+    def broken(graph, plan, event, traces, beacons):
         raise ConfigMismatch(f"synthetic failure {event.id}")
 
     monkeypatch.setattr(bm, "simulate_event", broken)
@@ -541,7 +612,7 @@ def test_sim_times_sharing_a_report_label_rejected(monkeypatch):
     def no_runs(*args, **kwargs):
         raise AssertionError("event runs started")
 
-    monkeypatch.setattr(bm, "_run_one", no_runs)
+    monkeypatch.setattr(bm, "_run_batch", no_runs)
     with pytest.raises(ValueError, match=r"^sim_times_s 10\.0000001 and 10\.0000002 share "
                                          r"the report label 10$"):
         run_benchmark(GRAPH, EVENTS, PLAN, sim_times_s=[10.0000001, 10.0000002, 20.0])

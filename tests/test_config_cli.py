@@ -447,11 +447,11 @@ def test_cli_reports_some_failed_event_runs(tmp_path, capsys, monkeypatch):
 
     real, calls = bm.simulate_event, []
 
-    def first_fails(graph, plan, event, seed):
+    def first_fails(graph, plan, event, traces, beacons):
         calls.append(event.id)
         if len(calls) == 1:
             raise ConfigMismatch("synthetic failure")
-        return real(graph, plan, event, seed)
+        return real(graph, plan, event, traces, beacons)
 
     monkeypatch.setattr(bm, "simulate_event", first_fails)
     assert main(["benchmark", "--strategy", "rgs", "--k", "3", "--devices", "2",

@@ -36,7 +36,7 @@ from nanoflow import energy, simcore  # noqa: E402
 from nanoflow.energy import EnergyConfig, EnergyState, advance_harvest, try_consume  # noqa: E402
 from nanoflow.errors import ConfigMismatch  # noqa: E402
 from nanoflow.simcore import (Anchor, ProtocolParams, RawRecord, SimPlan,  # noqa: E402
-                              SimResult, _decide_responses, _decoded_beacons,
+                              SimResult, _decide_responses, _decoded_beacons, decode_beacons,
                               _max_range_cm, _row_dots, _sense_hits, _visit_schedule,
                               _visit_windows,
                               run_simulation)
@@ -45,6 +45,9 @@ from nanoflow.vasculature import (MobilityTrace, build_reference_vasculature,  #
 
 GRAPH = build_reference_vasculature()
 POSITIONS = [(0.8, 0.0, 0.0), (-0.8, 0.0, 0.0), (0.0, 0.8, 0.0), (0.5, 0.5, 1.0)]
+# four anchors beaconing at 20-30 ms, as in perfbench's anchor-contention workload
+CONTENTION_ANCHORS = [Anchor(0, (0.8, 0.0, 0.0), 0.02), Anchor(1, (-0.8, 0.0, 0.0), 0.02),
+                      Anchor(2, (0.0, 0.8, 0.0), 0.025), Anchor(3, (0.0, -0.8, 0.0), 0.03)]
 _BEACON, _SENSE, _SAMPLE = 0, 1, 2
 _T_EPS = 1e-9
 
@@ -505,10 +508,40 @@ def test_devices_on_different_time_grids_share_one_run():
               upsample_trace(base[3], 3, 0.2, 3)]
     plan = SimPlan(duration_s=44.0, anchors=[Anchor(0, POSITIONS[0], 0.05)],
                    energy_cfg=EnergyConfig(e_max=100e-12, e_turn_on=5e-12, cost_rx_pulse=1e-12))
+    simcore._TICK_GRIDS.clear()
     with mock.patch("nanoflow.simcore._tick_grid", wraps=simcore._tick_grid) as build:
         run_simulation(GRAPH, traces, plan)
     assert build.call_count == 3
     _same_as_reference(traces, plan, tuple(traces[1].positions[100]))
+
+
+def test_cached_tick_grids_stay_as_built():
+    # runs share each time grid's tick grid through a per-process cache.  Two
+    # runs on three time grids, through beacons, ticks that see the target
+    # and energy rows, build each grid once and leave it equal to a fresh
+    # build; the cache keeps the last 8 grids
+    simcore._TICK_GRIDS.clear()
+    base = simulate_mobility(GRAPH, 3, 45.0, seed=41)
+    traces = [upsample_trace(base[0], 3, 0.2, 0), upsample_trace(base[1], 6, 0.2, 1),
+              *_shifted([upsample_trace(base[2], 3, 0.2, 2)], 0.21)]
+    plan = SimPlan(duration_s=44.0, anchors=[Anchor(0, POSITIONS[0], 0.05)],
+                   energy_cfg=EnergyConfig(e_max=100e-12, e_turn_on=5e-12, cost_rx_pulse=1e-12))
+    target = tuple(traces[1].positions[100])
+    with mock.patch("nanoflow.simcore._tick_grid", wraps=simcore._tick_grid) as build:
+        first = _bits(run_simulation(GRAPH, traces, plan, target))
+        assert _bits(run_simulation(GRAPH, traces, plan, target)) == first
+    assert build.call_count == 3
+    assert all(_beacon_times(traces, plan)) and any(bit for *_, bit in first[0]) and first[1]
+    t_last = plan.duration_s + _T_EPS
+    for trace in traces:
+        tick_t, steps, ticks, stops, row_ticks = simcore._cached_tick_grid(trace, 3, t_last)
+        want = simcore._tick_grid(trace, 3, t_last)
+        assert (tick_t, steps[1:], stops, row_ticks) == (want[0], want[1][1:], *want[3:])
+        assert math.isnan(steps[0]) and np.array_equal(ticks, want[2])
+        assert not ticks.flags.writeable
+    for shift in range(1, 12):
+        run_simulation(GRAPH, _shifted(traces[:1], shift * 0.01), plan, energy_rows=False)
+    assert len(simcore._TICK_GRIDS) == 8
 
 
 @pytest.mark.parametrize("shift", [0.21, 1 / 3, 0.5])
@@ -674,8 +707,7 @@ def _beacon_bits(beacons):
 def test_decoded_beacons_of_a_run_equal_the_per_device_reference(seed):
     # four contending anchors and a dozen devices: every device's beacons,
     # decoded in one pass over the run, equal its own scalar decode
-    anchors = [Anchor(0, (0.8, 0.0, 0.0), 0.02), Anchor(1, (-0.8, 0.0, 0.0), 0.02),
-               Anchor(2, (0.0, 0.8, 0.0), 0.025), Anchor(3, (0.0, -0.8, 0.0), 0.03)]
+    anchors = CONTENTION_ANCHORS
     channel, duration = ch.ChannelConfig(), 120.0
     beacon_air = ch.airtime_s(ProtocolParams().beacon_bits, channel)
     anchor_pos = [np.asarray(a.position, dtype=float) for a in anchors]
@@ -688,6 +720,26 @@ def test_decoded_beacons_of_a_run_equal_the_per_device_reference(seed):
                                ranges, channel, beacon_air, duration) for tr in traces]
     assert [_beacon_bits(b) for b in got] == [_beacon_bits(b) for b in want]
     assert sum(map(len, want)) > 100
+
+
+@pytest.mark.parametrize("anchors", [SimPlan().anchors, CONTENTION_ANCHORS],
+                         ids=["default", "contention"])
+def test_beacons_decoded_for_a_batch_of_runs_equal_each_run_decoded_alone(anchors):
+    # benchmark.run_events decodes the traces of several events in one pass:
+    # each run's slice of that decode must be its own decode, bit for bit,
+    # position bytes included, and so must the run made from it
+    plan = SimPlan(device_count=5, duration_s=90.0, anchors=anchors)
+    runs = [[upsample_trace(tr, 3, 0.2, seed)
+             for tr in simulate_mobility(GRAPH, plan.device_count, 90.0, seed=seed)]
+            for seed in (3, 8, 21, 34)]
+    batch = decode_beacons(GRAPH, [tr for traces in runs for tr in traces], plan)
+    alone = [beacons for traces in runs for beacons in decode_beacons(GRAPH, traces, plan)]
+    assert [_beacon_bits(b) for b in batch] == [_beacon_bits(b) for b in alone]
+    assert sum(map(len, alone)) > 40
+    for i, traces in enumerate(runs):
+        target = tuple(traces[0].positions[60])
+        assert _bits(run_simulation(GRAPH, traces, plan, target, beacons=batch[5 * i:5 * i + 5])) \
+            == _bits(run_simulation(GRAPH, traces, plan, target))
 
 
 def _resting(points, duration):
