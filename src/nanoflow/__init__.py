@@ -15,7 +15,7 @@ from .simcore import (Anchor, ProtocolParams, RawRecord, SimPlan, SimResult,
                       decode_beacons, run_simulation)
 from .vasculature import (MobilityTrace, Vessel, VesselGraph,
                           build_reference_vasculature, load_graph, locate_vessel,
-                          save_graph, simulate_mobility, upsample_trace)
+                          save_graph, simulate_mobility, upsample_trace, upsample_traces)
 
 __all__ = [
     "__version__",
@@ -29,5 +29,5 @@ __all__ = [
     "locate_vessel", "path_loss_db", "point_error", "region_accuracy",
     "reliability", "run_benchmark", "run_events", "run_simulation",
     "sample_locations", "save_graph", "simulate_mobility",
-    "turn_on_latency_cycles", "upsample_trace",
+    "turn_on_latency_cycles", "upsample_trace", "upsample_traces",
 ]

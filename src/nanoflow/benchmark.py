@@ -20,7 +20,7 @@ import numpy as np
 from .errors import (EventRunsFailed, ExternalDataError, MismatchedSets, NanoflowError,
                      NoEstimate, SampleTooLarge, require)
 from .simcore import SimPlan, _row_dots, decode_beacons, run_simulation
-from .vasculature import (VesselGraph, locate_vessel, simulate_mobility, upsample_trace,
+from .vasculature import (VesselGraph, locate_vessel, simulate_mobility, upsample_traces,
                           vessel_centroid, write_csv)
 
 # ---------------------------------------------------------------------------
@@ -332,23 +332,28 @@ def _child_seed(root: int, *path: int) -> int:
     return int(np.random.SeedSequence((root,) + path).generate_state(1)[0])
 
 
-def upsampled_traces(graph: VesselGraph, plan: SimPlan, mobility_seed: int,
-                     upsample_root: tuple[int, ...]):
-    """Mobility and upsampling for the plan's devices.  Mobility draws from
-    `mobility_seed`; device d's trace is upsampled on the stream
-    _child_seed(*upsample_root, 1, d)."""
-    traces = simulate_mobility(graph, plan.device_count, plan.duration_s, seed=mobility_seed)
-    return [upsample_trace(tr, plan.upsample_factor, plan.upsample_sigma_cm,
-                           _child_seed(*upsample_root, 1, tr.device_id)) for tr in traces]
-
-
-def trace_and_run(graph: VesselGraph, plan: SimPlan,
-                  target: tuple[float, float, float] | None, mobility_seed: int,
-                  upsample_root: tuple[int, ...], energy_rows: bool):
-    """upsampled_traces and one engine run of them; returns (upsampled
-    traces, SimResult)."""
-    upsampled = upsampled_traces(graph, plan, mobility_seed, upsample_root)
-    return upsampled, run_simulation(graph, upsampled, plan, target, energy_rows)
+def build_traces(graph: VesselGraph, plan: SimPlan, runs: list[tuple[int, tuple[int, ...]]]):
+    """The plan's upsampled traces for each (mobility seed, upsample root) of
+    `runs`, or the NanoflowError its walk raised.  A run walks on its own
+    mobility seed; then all runs' traces are upsampled in one
+    upsample_traces pass, device d of a run on the stream
+    _child_seed(*upsample_root, 1, d).  A run's traces come out as if it
+    were built alone."""
+    walks, seeds = [], []
+    for mobility_seed, root in runs:
+        try:
+            traces = simulate_mobility(graph, plan.device_count, plan.duration_s,
+                                       seed=mobility_seed)
+        except NanoflowError as exc:
+            walks.append(exc)
+            continue
+        walks.append(traces)
+        seeds += [_child_seed(*root, 1, tr.device_id) for tr in traces]
+    built = iter(upsample_traces([tr for traces in walks if isinstance(traces, list)
+                                  for tr in traces],
+                                 plan.upsample_factor, plan.upsample_sigma_cm, seeds))
+    return [[next(built) for _ in traces] if isinstance(traces, list) else traces
+            for traces in walks]
 
 
 def simulate_event(graph: VesselGraph, plan: SimPlan, event: TargetEvent, traces: list,
@@ -366,20 +371,15 @@ _BATCH_DEVICE_S = 2048   # device-seconds of traces a batch of several events st
 def _run_batch(graph: VesselGraph, plan: SimPlan, sim_times: list, seed: int,
                events: list[TargetEvent]):
     """([RegionEstimate per sim time], consumed pJ per device, error | None)
-    of each event.  Each event's traces are built on its own seed streams,
-    the beacons of all of them are decoded in one pass, and then each event
-    runs and is localized alone, so its result does not depend on its
-    batch-mates.  Only a NanoflowError counts as no estimate, for that event
-    alone.  The one an event run raises on its own is ConfigMismatch, for
-    traces that do not fit the plan (the mobility of a 60.4 s run covers
-    60 s).  Any other exception propagates."""
-    built = []   # each event's traces, or the error building them raised
-    for event in events:
-        try:
-            built.append(upsampled_traces(graph, plan, _child_seed(seed, event.id, 0),
-                                          (seed, event.id)))
-        except NanoflowError as exc:
-            built.append(exc)
+    of each event.  Each event's traces are built on its own seed streams
+    (build_traces), the beacons of all of them are decoded in one pass, and
+    then each event runs and is localized alone, so its result does not
+    depend on its batch-mates.  Only a NanoflowError counts as no estimate,
+    for that event alone.  The one an event run raises on its own is
+    ConfigMismatch, for traces that do not fit the plan (the mobility of a
+    60.4 s run covers 60 s).  Any other exception propagates."""
+    built = build_traces(graph, plan, [(_child_seed(seed, event.id, 0), (seed, event.id))
+                                       for event in events])
     decoded = iter(decode_beacons(graph, [tr for traces in built if isinstance(traces, list)
                                           for tr in traces], plan))
     runs = []
@@ -479,11 +479,12 @@ def run_events(graph: VesselGraph, events: list[TargetEvent], plan: SimPlan,
     any run starts.
 
     The events, in id order, are cut into batches, the unit of work a worker
-    gets: a batch decodes its events' beacons in one pass.  A batch holds
-    len(events) // (4 * workers) events, at most _BATCH_DEVICE_S
-    device-seconds of traces and at least one event, so a large event runs
-    alone.  None of the results depends on the batches or the worker count,
-    and no more workers start than there are batches (no pool for one).
+    gets: a batch upsamples its events' traces in one pass and decodes
+    their beacons in another.  A batch holds len(events) // (4 * workers)
+    events, at most _BATCH_DEVICE_S device-seconds of traces and at least
+    one event, so a large event runs alone.  None of the results depends on
+    the batches or the worker count, and no more workers start than there
+    are batches (no pool for one).
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")

@@ -13,13 +13,12 @@ import json
 import os
 import sys
 
-from .benchmark import (STRATEGIES, convergence_curve, convergence_samples,
+from .benchmark import (STRATEGIES, build_traces, convergence_curve, convergence_samples,
                         dense_locations, export_events_csv, load_estimates_csv,
-                        run_benchmark, run_events, sample_locations,
-                        score_external, trace_and_run)
+                        run_benchmark, run_events, sample_locations, score_external)
 from .config import RunConfig, load_config
 from .errors import ConfigError, ExternalDataError, NanoflowError, SampleTooLarge
-from .simcore import export_energy_csv, export_raw_csv
+from .simcore import export_energy_csv, export_raw_csv, run_simulation
 from .vasculature import export_trace_csv, write_csv
 
 EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_EXTERNAL = 0, 1, 2, 3
@@ -55,8 +54,11 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     graph = cfg.graph()
     plan = cfg.plan()
     target = cfg.raw["scenario"]["target_cm"]
-    upsampled, result = trace_and_run(graph, plan, None if target is None else tuple(target),
-                                      cfg.seed, (cfg.seed,), energy_rows=True)
+    (upsampled,) = build_traces(graph, plan, [(cfg.seed, (cfg.seed,))])
+    if isinstance(upsampled, NanoflowError):
+        raise upsampled
+    result = run_simulation(graph, upsampled, plan, None if target is None else tuple(target),
+                            energy_rows=True)
     _prepare_out(cfg, args.out)
     export_raw_csv(result.records, os.path.join(args.out, "raw_records.csv"))
     export_energy_csv(result.energy_rows, os.path.join(args.out, "energy.csv"))

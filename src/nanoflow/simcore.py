@@ -344,6 +344,7 @@ def _sense_hits(points: np.ndarray, target: np.ndarray | None,
     return hits
 
 
+_HIT_ROWS = 1 << 12   # sense ticks per _sense_hits pass: bounds its temporaries
 _BEACON, _SAMPLE, _TICK, _END = range(4)   # a scan stop's kind, in tie order
 
 
@@ -457,6 +458,19 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
     anchor_pos = np.array([a.position for a in anchors], dtype=float)
 
     decoded = decode_beacons(graph, traces, plan) if beacons is None else list(beacons)
+    # each device's sense-tick hits, as indices into its ticks, _HIT_ROWS ticks a pass
+    hits_of = []
+    step = max(1, _HIT_ROWS // max((len(grid[2]) for grid in device_grids), default=1))
+    for lo in range(0, len(traces), step):
+        points = [np.asarray(trace.positions, dtype=float)[ticks]
+                  for trace, (_, _, ticks, _, _) in zip(traces[lo:lo + step],
+                                                        device_grids[lo:lo + step])]
+        starts = np.cumsum([0] + [len(p) for p in points]).tolist()
+        hit_at = _sense_hits(np.concatenate(points), target,
+                             plan.detection_radius_cm).nonzero()[0]
+        cuts, hit_at = np.searchsorted(hit_at, starts).tolist(), hit_at.tolist()
+        hits_of += [[j - first for j in hit_at[a:b]]
+                    for first, a, b in zip(starts, cuts, cuts[1:])]
     responses, consumed_pj = [], {}
     row_energy, row_powered = [], []   # each device's 1 Hz samples in turn, in time order
     for di, (trace, (tick_t, steps, ticks, grid_stops, row_ticks)) in enumerate(
@@ -465,12 +479,10 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
         heard, decoded[di], mac = decoded[di], None, trace.device_id
         dues = iter(row_ticks if energy_rows else row_ticks[-1:])
         due = next(dues)   # the ticks done when the next row on a tick is due
-        hits = _sense_hits(np.asarray(trace.positions, dtype=float)[ticks], target,
-                           plan.detection_radius_cm).nonzero()[0].tolist()
         # (ticks before it, time, kind, item), popped in time and tie order
         stops = sorted([*grid_stops, *[(bisect_left(tick_t, b[0]), b[0], _BEACON, i)
                                        for i, b in enumerate(heard)],
-                        *[(j, tick_t[j], _TICK, True) for j in hits]], reverse=True)
+                        *[(j, tick_t[j], _TICK, True) for j in hits_of[di]]], reverse=True)
 
         energy, powered, phase = 0.0, False, 0.0   # at 0 J, which is grid[0]
         last_adv = last_reset = consumed = 0.0

@@ -408,27 +408,30 @@ def simulate_mobility(graph: VesselGraph, device_count: int, duration_s: float,
 
     All devices start at the heart inlet.  Within a vessel the speed is
     exact; a sampling step can cross several vessels, each bifurcation
-    resolved by a uniform draw from the seeded stream.  The walk reads the
-    graph's per-vessel tables and keeps only (vessel, arc) per sample;
-    each device's positions are then placed in one pass by
-    VesselGraph.points_at.  Each trace carries its visit schedule.
+    resolved by a uniform draw from the seeded stream, one device after
+    another.  The walk reads the graph's per-vessel tables and keeps only
+    (vessel, arc) per sample; every device's positions are then placed in
+    one VesselGraph.points_at pass and their vessel ids in one gather.
+    Each trace carries its visit schedule; its arrays share memory with no
+    other trace.
     """
     rng = np.random.default_rng(seed)
     n = int(round(duration_s)) + 1
     if n < 1:
         raise ValueError(f"duration_s {duration_s!r} leaves no sample")
-    times = np.arange(n, dtype=float)
     ids = graph.segment_arrays[0]
     lengths, speeds, successors, heart = graph._walk_table
-    traces = []
-    for dev in range(device_count):
+    # every device's samples and visits, device after device; device d's
+    # samples are [d * n, d * n + n) and its visits [visit_at[d], visit_at[d + 1])
+    sample_r, sample_arc, visit_t, visit_r, visit_at = [], [], [], [], [0]
+    for _ in range(device_count):
         r = heart   # the vessel the device is in, as a row of segment_arrays
         arc = 0.0
         t_cursor = 0.0
-        visit_t = [0.0]
-        visit_r = [r]
-        sample_r = [r]
-        sample_arc = [0.0]
+        visit_t.append(0.0)
+        visit_r.append(r)
+        sample_r.append(r)
+        sample_arc.append(0.0)
         for _ in range(1, n):
             remaining = 1.0
             while remaining > 0:
@@ -448,50 +451,83 @@ def simulate_mobility(graph: VesselGraph, device_count: int, duration_s: float,
                     visit_r.append(r)
             sample_r.append(r)
             sample_arc.append(arc)
-        rows = np.array(sample_r)
-        traces.append(MobilityTrace(device_id=dev, times=times.copy(),
-                                    positions=graph.points_at(rows, np.array(sample_arc)),
-                                    vessel_ids=ids[rows],
-                                    visit_times=np.asarray(visit_t),
-                                    visit_vessels=ids[np.array(visit_r)]))
-    return traces
+        visit_at.append(len(visit_t))
+    rows = np.array(sample_r, dtype=np.intp)
+    positions, vessel_ids = graph.points_at(rows, np.array(sample_arc)), ids[rows]
+    visit_times, visit_vessels = np.array(visit_t), ids[np.array(visit_r, dtype=np.intp)]
+    times = np.arange(n, dtype=float)
+    return [MobilityTrace(device_id=dev, times=times.copy(),
+                          positions=positions[dev * n:dev * n + n],
+                          vessel_ids=vessel_ids[dev * n:dev * n + n],
+                          visit_times=visit_times[lo:hi], visit_vessels=visit_vessels[lo:hi])
+            for dev, (lo, hi) in enumerate(zip(visit_at, visit_at[1:]))]
+
+
+_UPSAMPLE_ROWS = 1 << 12   # input samples per pass: bounds upsample_traces' temporaries
 
 
 def upsample_trace(trace: MobilityTrace, factor: int, sigma_cm: float,
                    seed: int) -> MobilityTrace:
-    """Split each interval into `factor` steps, jittering the inserted samples.
+    """upsample_traces of the one trace."""
+    return upsample_traces([trace], factor, sigma_cm, [seed])[0]
+
+
+def upsample_traces(traces: list[MobilityTrace], factor: int, sigma_cm: float,
+                    seeds) -> list[MobilityTrace]:
+    """Split each interval of each trace into `factor` steps, jittering the
+    inserted samples; traces[i] draws its jitter from default_rng(seeds[i]).
 
     Inserted positions follow p_i = p0 + (i/N) * (p1 - p0) + eps, N =
-    factor, eps drawn per axis from N(0, sigma_cm^2) on the stream of
-    `seed` (none for sigma_cm 0).  Original samples are preserved bit-exact
-    and inserted samples inherit the interval's starting vessel id; the
-    visit schedule is copied.  Factor 1, or a one-sample trace, gives
-    copies of the input arrays.  A factor that is not an integer >= 1, or a
-    sigma_cm that is negative or not finite, raises ValueError.
+    factor, eps drawn per axis from N(0, sigma_cm^2), in one (intervals,
+    N - 1, 3) draw per trace (none for sigma_cm 0).  Original samples are
+    preserved bit-exact and inserted samples inherit the interval's
+    starting vessel id; the visit schedule is copied.  Factor 1, or a
+    one-sample trace, gives copies of the input arrays.  The traces must
+    have one length: a pass interpolates and interleaves _UPSAMPLE_ROWS of
+    their input samples at once, and each result's arrays share memory with
+    no other trace.  A factor that is not an integer >= 1, or a sigma_cm
+    that is negative or not finite, raises ValueError, and so do traces of
+    several lengths or a seed count that is not the trace count.
     """
-    if len(trace) == 0:
-        raise EmptyTrace(f"device {trace.device_id} trace has no samples")
+    for trace in traces:
+        if len(trace) == 0:
+            raise EmptyTrace(f"device {trace.device_id} trace has no samples")
     if not (factor >= 1 and float(factor).is_integer()):
         raise ValueError(f"upsample factor must be an integer >= 1 (got {factor!r})")
     if not (sigma_cm >= 0 and math.isfinite(sigma_cm)):
         raise ValueError(f"upsample sigma_cm must be finite and >= 0 (got {sigma_cm!r})")
-    N = int(factor)
-    rng = np.random.default_rng(seed)
-    p0 = trace.positions[:-1]                      # (m, 3)
-    delta = trace.positions[1:] - p0               # (m, 3)
-    fracs = (np.arange(1, N) / N)[None, :, None]   # (1, N-1, 1)
-    inserted = p0[:, None, :] + fracs * delta[:, None, :]
-    if sigma_cm > 0:
-        inserted = inserted + rng.normal(0.0, sigma_cm, size=inserted.shape)
-    sub_times = trace.times[:-1, None] + fracs[..., 0] * np.diff(trace.times)[:, None]
+    if len(seeds) != len(traces):
+        raise ValueError(f"{len(seeds)} seeds for {len(traces)} traces")
+    if len({len(trace) for trace in traces}) > 1:
+        raise ValueError("upsample_traces needs traces of one length")
+    if not traces:
+        return []
+    N, m = int(factor), len(traces[0])
+    fracs = (np.arange(1, N) / N)[:, None]   # (N-1, 1)
 
-    def interleave(samples, inserted):   # each interval's first sample, then its inserted ones
-        rows = np.concatenate((samples[:-1, None], inserted), axis=1)
-        return np.concatenate((rows.reshape(-1, *samples.shape[1:]), samples[-1:]))
-    return MobilityTrace(trace.device_id, interleave(trace.times, sub_times),
-                         interleave(trace.positions, inserted),
-                         np.append(np.repeat(trace.vessel_ids[:-1], N), trace.vessel_ids[-1:]),
-                         trace.visit_times.copy(), trace.visit_vessels.copy())
+    def blocks(samples, jitter_seeds=()):   # (k, m, d) -> (k, m, N, d): sample j of a
+        # trace is block j // N, column j % N; column 0 the input sample,
+        # columns 1.. the points from it towards the next, jittered on the
+        # streams of jitter_seeds
+        inserted = fracs * (samples[:, 1:] - samples[:, :-1])[:, :, None]
+        inserted += samples[:, :-1, None]
+        for points, seed in zip(inserted, jitter_seeds):
+            points += np.random.default_rng(seed).normal(0.0, sigma_cm, size=points.shape)
+        out = np.empty((*samples.shape[:2], N, samples.shape[2]), inserted.dtype)
+        out[:, :, 0], out[:, :-1, 1:] = samples, inserted
+        return out
+
+    step, size, upsampled = max(1, _UPSAMPLE_ROWS // m), (m - 1) * N + 1, []
+    for lo in range(0, len(traces), step):
+        part = traces[lo:lo + step]
+        times = blocks(np.array([tr.times for tr in part]).reshape(len(part), m, 1))
+        positions = blocks(np.array([tr.positions for tr in part]),
+                           seeds[lo:lo + step] if sigma_cm > 0 else ())
+        vessel_ids = np.repeat(np.array([tr.vessel_ids for tr in part]), N, axis=1)
+        upsampled += [MobilityTrace(tr.device_id, t.reshape(-1)[:size], p.reshape(-1, 3)[:size],
+                                    v[:size], tr.visit_times.copy(), tr.visit_vessels.copy())
+                      for tr, t, p, v in zip(part, times, positions, vessel_ids)]
+    return upsampled
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ from nanoflow.benchmark import (MetricsReport, RegionEstimate, SimPlan,
 from nanoflow.errors import (ConfigMismatch, EventRunsFailed, ExternalDataError,
                              MismatchedSets, NoEstimate, SampleTooLarge)
 from nanoflow.simcore import RawRecord
-from nanoflow.vasculature import build_reference_vasculature, locate_vessel, vessel_centroid
+from nanoflow.vasculature import (build_reference_vasculature, locate_vessel, simulate_mobility,
+                                  upsample_trace, vessel_centroid)
 
 GRAPH = build_reference_vasculature()
 DENSE = dense_locations(GRAPH, 1368)
@@ -514,20 +515,20 @@ def test_a_failing_event_mid_batch_leaves_its_batch_mates_alone(monkeypatch):
     want = _run_bits(*run_events(GRAPH, BATCHED, BATCH_PLAN, workers=1, seed=5))
     events = sorted(BATCHED, key=lambda ev: ev.id)
     bad_run, bad_traces = events[3].id, events[15].id
-    real_run, real_traces = bm.simulate_event, bm.upsampled_traces
+    real_run, real_walk = bm.simulate_event, bm.simulate_mobility
 
     def run_fails(graph, plan, event, traces, beacons):
         if event.id == bad_run:
             raise ConfigMismatch("synthetic run failure")
         return real_run(graph, plan, event, traces, beacons)
 
-    def traces_fail(graph, plan, mobility_seed, upsample_root):
-        if upsample_root[1] == bad_traces:
+    def walk_fails(graph, device_count, duration_s, seed):   # the per-event step of tracing
+        if seed == bm._child_seed(5, bad_traces, 0):
             raise ConfigMismatch("synthetic trace failure")
-        return real_traces(graph, plan, mobility_seed, upsample_root)
+        return real_walk(graph, device_count, duration_s, seed)
 
     monkeypatch.setattr(bm, "simulate_event", run_fails)
-    monkeypatch.setattr(bm, "upsampled_traces", traces_fail)
+    monkeypatch.setattr(bm, "simulate_mobility", walk_fails)
     per_time, consumed, errors = _run_bits(*run_events(GRAPH, BATCHED, BATCH_PLAN, workers=1,
                                                        seed=5))
     assert errors == {str(bad_run): "ConfigMismatch: synthetic run failure",
@@ -538,6 +539,49 @@ def test_a_failing_event_mid_batch_leaves_its_batch_mates_alone(monkeypatch):
     assert [per_time[60.0][i] for i in keep] == [want[0][60.0][i] for i in keep]
     n = BATCH_PLAN.device_count   # consumed: each event's devices in turn
     assert consumed == [pj for i in keep for pj in want[1][n * i:n * i + n]]
+
+
+_TRACE_FIELDS = ("times", "positions", "vessel_ids", "visit_times", "visit_vessels")
+
+
+@pytest.mark.parametrize("factor, rate", [(1, 1), (3, 3), (6, 3)])
+@pytest.mark.parametrize("sigma", [0.0, 0.2])
+@pytest.mark.parametrize("duration", [0.4, 30.0])   # 1 and 31 samples per trace
+def test_build_traces_is_each_run_traced_alone(monkeypatch, factor, rate, sigma, duration):
+    # mixed mobility seeds and upsample roots, one of them failing its walk
+    plan = SimPlan(device_count=3, duration_s=duration, sense_rate_hz=rate,
+                   upsample_factor=factor, upsample_sigma_cm=sigma)
+    runs = [(11, (5, 0)), (2 ** 40 + 3, (5, 17)), (0, (9,)), (11, (6, 2)), (7, (1, 2, 3))]
+    real_walk = benchmark.simulate_mobility
+
+    def walk(graph, device_count, duration_s, seed):
+        if seed == 0:
+            raise ConfigMismatch("synthetic walk failure")
+        return real_walk(graph, device_count, duration_s, seed)
+
+    monkeypatch.setattr(benchmark, "simulate_mobility", walk)
+    built = benchmark.build_traces(GRAPH, plan, runs)
+    assert isinstance(built[2], ConfigMismatch)
+    for (mobility_seed, root), traces in zip(runs, built):
+        if mobility_seed == 0:
+            continue
+        want = [upsample_trace(tr, factor, sigma, benchmark._child_seed(*root, 1, tr.device_id))
+                for tr in simulate_mobility(GRAPH, 3, duration, seed=mobility_seed)]
+        assert len(traces) == len(want) and len(traces[0]) == (int(round(duration))) * factor + 1
+        for got, exp in zip(traces, want):
+            assert got.device_id == exp.device_id
+            for name in _TRACE_FIELDS:
+                a, b = getattr(got, name), getattr(exp, name)
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    # writing to one trace reaches no other
+    traces = [tr for run in built if isinstance(run, list) for tr in run]
+    saved = [[getattr(tr, name).copy() for name in _TRACE_FIELDS] for tr in traces]
+    for name in _TRACE_FIELDS:
+        getattr(traces[4], name)[...] = -1
+    for i, (tr, arrays) in enumerate(zip(traces, saved)):
+        if i != 4:
+            assert all(getattr(tr, n).tobytes() == a.tobytes()
+                       for n, a in zip(_TRACE_FIELDS, arrays))
 
 
 def test_all_failed_event_runs_raise(monkeypatch):

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 import nanoflow.cli as cli
-from nanoflow.benchmark import TargetEvent, dense_locations, export_events_csv, trace_and_run
+from nanoflow.benchmark import TargetEvent, build_traces, dense_locations, export_events_csv
 from nanoflow.config import load_config
-from nanoflow.simcore import _ROW, RawRecord, export_energy_csv, export_raw_csv
+from nanoflow.simcore import _ROW, RawRecord, export_energy_csv, export_raw_csv, run_simulation
 from nanoflow.vasculature import (CSV_ROWS, build_reference_vasculature,
                                   export_trace_csv, write_csv)
 
@@ -55,7 +55,8 @@ def _assert_same_lines(got: bytes, want: bytes):
 @pytest.fixture(scope="module")
 def engine_output():
     plan = load_config(overrides={"device_count": 16, "duration_s": 300.0}).plan()
-    return trace_and_run(GRAPH, plan, (0.0, 7.0, -1.5), 4, (4,), energy_rows=True)[1]
+    (traces,) = build_traces(GRAPH, plan, [(4, (4,))])
+    return run_simulation(GRAPH, traces, plan, (0.0, 7.0, -1.5), energy_rows=True)
 
 
 def test_energy_csv_bytes_match_the_row_by_row_writer(tmp_path, engine_output):

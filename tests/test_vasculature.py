@@ -8,13 +8,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from nanoflow import vasculature
 from nanoflow.errors import EmptyTrace, InvalidGraph
 from nanoflow.vasculature import (MobilityTrace, RegionType,
                                   Vessel, VesselGraph, Z_LIMIT,
                                   build_reference_vasculature,
                                   export_trace_csv, load_graph,
                                   locate_vessel, save_graph, simulate_mobility,
-                                  upsample_trace, validate_graph,
+                                  upsample_trace, upsample_traces, validate_graph,
                                   vessel_centroid)
 
 GRAPH = build_reference_vasculature()
@@ -590,6 +591,57 @@ def test_upsample_matches_the_strided_loop_bit_for_bit(duration):
                                  _strided_upsample(tr, factor, sigma, 11)):
                 assert got.dtype == want.dtype and got.shape == want.shape, (factor, sigma)
                 assert got.tobytes() == want.tobytes(), (factor, sigma)
+
+
+_FIELDS = ("times", "positions", "vessel_ids", "visit_times", "visit_vessels")
+
+
+@pytest.mark.parametrize("rows", [1 << 15, 70])   # one pass, and a pass per two 31-sample traces
+def test_upsample_traces_is_the_strided_loop_per_trace(monkeypatch, rows):
+    monkeypatch.setattr(vasculature, "_UPSAMPLE_ROWS", rows)
+    for duration, count in [(0.0, 3), (1.0, 2), (30.0, 5)]:   # 1, 2 and 31 samples
+        traces = [tr for seed in (6, 91) for tr in simulate_mobility(GRAPH, count, duration, seed)]
+        seeds = [7 * i + 3 for i in range(len(traces))]
+        for factor in (1, 3, 6):
+            for sigma in (0.0, 0.2):
+                ups = upsample_traces(traces, factor, sigma, seeds)
+                assert len(ups) == len(traces)
+                for tr, up, seed in zip(traces, ups, seeds):
+                    assert up.device_id == tr.device_id
+                    for got, want in zip((up.times, up.positions, up.vessel_ids),
+                                         _strided_upsample(tr, factor, sigma, seed)):
+                        assert got.dtype == want.dtype and got.shape == want.shape
+                        assert got.tobytes() == want.tobytes(), (duration, factor, sigma)
+                    for name in _FIELDS[3:]:
+                        assert getattr(up, name).tobytes() == getattr(tr, name).tobytes()
+
+
+def test_upsampled_traces_own_their_arrays(monkeypatch):
+    # a pass fills one output block for several traces: writing to one
+    # trace's arrays must not reach another trace, or the input traces
+    monkeypatch.setattr(vasculature, "_UPSAMPLE_ROWS", 100)   # passes of three traces
+    traces = simulate_mobility(GRAPH, 5, 30.0, seed=2)
+    ups = upsample_traces(traces, 3, 0.2, list(range(5)))
+    saved = [[getattr(tr, name).copy() for name in _FIELDS] for tr in traces + ups]
+    for i, up in enumerate(ups):   # each in turn: the inputs and the ones after it keep theirs
+        for name in _FIELDS:
+            getattr(up, name)[...] = -1
+        for tr, arrays in [*zip(traces, saved), *zip(ups[i + 1:], saved[5 + i + 1:])]:
+            for name, before in zip(_FIELDS, arrays):
+                assert getattr(tr, name).tobytes() == before.tobytes(), (i, name)
+    for a in traces + ups:
+        for b in traces + ups:
+            for name in _FIELDS:
+                assert a is b or not np.shares_memory(getattr(a, name), getattr(b, name))
+
+
+def test_upsample_traces_refuses_mismatched_inputs():
+    traces = simulate_mobility(GRAPH, 2, 10.0, seed=1) + simulate_mobility(GRAPH, 1, 11.0, 1)
+    with pytest.raises(ValueError, match="one length"):
+        upsample_traces(traces, 3, 0.2, [0, 1, 2])
+    with pytest.raises(ValueError, match="2 seeds for 3 traces"):
+        upsample_traces(traces, 3, 0.2, [0, 1])
+    assert upsample_traces([], 3, 0.2, []) == []
 
 
 def test_upsample_rejects_empty_trace():
