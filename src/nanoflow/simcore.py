@@ -39,8 +39,9 @@ energy depends only on its own events.  A run is therefore three phases:
    at the same time; spent through try_consume), ticks that see the target
    (a distance pass over the ticks in the radius box), the tick after
    another sparse item's harvest, and energy samples off the tick grid
-   (they harvest; after a tick at the same time).  A sample on a tick is no stop: the tight loop is cut at its tick,
-   or the sparse tick there goes first, and then its row is recorded.
+   (they harvest; after a tick at the same time).  A sample on a tick is
+   no stop: the tight loop is cut at its tick, or the sparse tick there
+   goes first, and then its row is recorded.
 3. Collisions.  Responses arriving within _T_EPS of the earliest pending
    arrival form one batch.  Each is decided against the others in the
    batch, summed in (arrival time, anchor, device) order; a decoded one

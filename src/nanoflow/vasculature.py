@@ -572,65 +572,83 @@ def vessel_centroid(graph: VesselGraph, region_id: int) -> np.ndarray:
     return (v.start + v.end) / 2.0
 
 
-CSV_ROWS = 4096   # rows formatted per pass: bounds the byte matrices
+CSV_ROWS = 4096   # rows formatted per pass: bounds the byte matrix
+_QUADS = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), -1)
+_QUADS = _QUADS.view(np.uint32).ravel()   # "0000".."9999", four ASCII bytes each
+_POWERS = 10 ** np.arange(20, dtype=np.uint64)
 
 
-def _digit_cells(m: np.ndarray, neg: np.ndarray, least: int) -> np.ndarray:
-    """One 0-padded ASCII column per value: '-' where neg, then the decimal
-    digits of m, at least `least` of them, with no other leading zeros."""
-    digits = np.empty((max(least, len(str(m.max()))), len(m)), np.uint8)
-    for row in digits[::-1]:
-        m, row[:] = np.divmod(m, 10)
-    digits += 48
-    lead = digits[:len(digits) - least]
-    lead[np.logical_and.accumulate(lead == 48)] = 0
-    return np.vstack([neg * np.uint8(45), digits])
+def _digit_rows(m: np.ndarray, least: int) -> np.ndarray:
+    """The decimal digits of the uint64s m, one uint8 row per place, most
+    significant first: at least `least` places, 0 for any other leading zero."""
+    n = max(least, len(str(m.max())))
+    rows, q = np.empty((-(-n // 4) * 4, len(m)), np.uint8), m
+    for quad in rows.reshape(-1, 4, len(m))[::-1]:   # four places per gather from the table
+        r, q = q, q // 10_000
+        quad[:] = _QUADS.take((r - q * 10_000).view(np.int64)).view(np.uint8).reshape(-1, 4).T
+    rows = rows[-n:]
+    rows[:n - least] *= m >= _POWERS[least:n][::-1, None]
+    return rows
 
 
-def _float_cells(x: np.ndarray) -> np.ndarray:
-    """f"{v:.6f}" of each v, via m = rint(fl(|v|*1e6)) in int64.  Half-integers
-    below 2**52 are doubles and rounding is monotonic, so the product can land on
-    a tie but never cross one: m is correctly rounded unless the product is a
-    half-integer, not finite or at least 2**52; those cells take the f-string."""
-    y = np.minimum(np.abs(x), 1e10) * 1e6   # inf and huge values clamp past 2**52
-    m = np.rint(y)
-    odd = ~((np.abs(y - m) < 0.5) & (y < 2.0 ** 52))
-    cells = np.insert(_digit_cells(np.where(odd, 0, m).astype(np.int64), np.signbit(x), 7),
-                      -6, 46, axis=0)   # the '.' before the last six digits
-    if odd.any():
-        text = _cells(np.array([f"{v:.6f}" for v in x[odd].tolist()]))
-        cells = np.pad(cells, ((0, max(0, len(text) - len(cells))), (0, 0)))
-        cells[:, odd] = np.pad(text, ((0, len(cells) - len(text)), (0, 0)))
+def _fallback_cells(cells: np.ndarray, x: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """cells with each cell where odd replaced by f"{v:.6f}" of x, one at a time."""
+    text = _cells(np.array([f"{v:.6f}" for v in x[odd].tolist()]))
+    cells = np.pad(cells, ((0, max(0, len(text) - len(cells))), (0, 0)))
+    cells[:, odd] = np.pad(text, ((0, len(cells) - len(text)), (0, 0)))
     return cells
 
 
+def _float_cells(x: np.ndarray) -> np.ndarray:
+    """f"{v:.6f}" of each v, via m = rint(fl(|v|*1e6)).  Half-integers below
+    2**52 are doubles and rounding is monotonic, so the product can land on a
+    tie but never cross one: m is correctly rounded unless the product is a
+    half-integer, not finite or at least 2**52; those cells take _fallback_cells."""
+    y = np.minimum(np.abs(x), 1e10) * 1e6   # inf and huge values clamp past 2**52
+    m = np.rint(y)
+    odd = ~((np.abs(y - m) < 0.5) & (y < 2.0 ** 52))
+    np.copyto(m, 0.0, where=odd)
+    digits = _digit_rows(m.astype(np.uint64), 7)
+    cells = np.concatenate([np.signbit(x)[None] * np.uint8(45), digits[:-6],
+                            np.full((1, len(x)), 46, np.uint8), digits[-6:]])
+    return _fallback_cells(cells, x, odd) if odd.any() else cells
+
+
 def _cells(col: np.ndarray) -> np.ndarray:
+    """A column's cells, one uint8 row per byte position; 0 where a cell is shorter."""
     if col.dtype.kind == "f":
-        return _float_cells(np.asarray(col, dtype=float))
+        return _float_cells(col.astype(float, copy=False))
     if col.dtype.kind in "iu":
-        return _digit_cells(np.abs(col.astype(np.int64)), col < 0, 1)
+        mag, neg = col.astype(np.uint64), col < 0
+        np.negative(mag, out=mag, where=neg)   # |v| in uint64: int64's minimum too
+        return np.vstack([neg * np.uint8(45), _digit_rows(mag, 1)])
     return np.array(col, dtype="S").view(np.uint8).reshape(len(col), -1).T
 
 
 def write_csv(path: str, header: str, blocks) -> None:
     """The header row, then each block's rows.  A block is a structured array or
     a sequence of equal-length columns: a float column is written as f"{v:.6f}",
-    an integer one as f"{v}" (|v| < 2**63), any other as str(v).  Each pass puts
-    CSV_ROWS rows in a 0-padded ASCII matrix and writes its nonzero bytes."""
+    an integer one as f"{v}", any other as str(v).  Each pass stacks the cells of
+    CSV_ROWS rows in one character-major (bytes per row, rows) uint8 matrix and writes
+    its transpose without the 0s.  Unequal columns raise ValueError before opening."""
+    blocks = [[block[n] for n in block.dtype.names] if hasattr(block, "dtype")
+              else [np.asarray(c) for c in block] for block in blocks]
+    for lengths in ({len(c) for c in columns} for columns in blocks):
+        if len(lengths) > 1:
+            raise ValueError(f"{path}: a block's columns differ in length: {sorted(lengths)}")
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
-        for block in blocks:
-            columns = [block[n] for n in block.dtype.names] if hasattr(block, "dtype") else block
+        for columns in blocks:
             for lo in range(0, len(columns[0]), CSV_ROWS):
-                cells = [_cells(np.asarray(c)[lo:lo + CSV_ROWS]) for c in columns]
+                cells = [_cells(c[lo:lo + CSV_ROWS]) for c in columns]
                 sep = np.full((1, cells[0].shape[1]), 44, np.uint8)
-                mat = np.vstack([a for c in cells for a in (c, sep)]).T
-                mat[:, -1] = 10   # the last separator ends the line
-                fh.write(mat[mat != 0].tobytes())
+                mat = np.concatenate([a for c in cells for a in (c, sep)])
+                mat[-1] = 10   # the last separator ends the line
+                fh.write(mat.T.tobytes().translate(None, b"\0"))
 
 
 def export_trace_csv(traces: list[MobilityTrace], path: str) -> None:
     """One row per sample: time_s,device_id,x_cm,y_cm,z_cm,vessel_id."""
     write_csv(path, "time_s,device_id,x_cm,y_cm,z_cm,vessel_id",
-              ((tr.times, np.full(len(tr.times), tr.device_id), *tr.positions.T,
-                tr.vessel_ids.astype(np.int64)) for tr in traces))
+              ((tr.times, np.broadcast_to(tr.device_id, tr.times.shape), *tr.positions.T,
+                tr.vessel_ids.astype(np.int64, copy=False)) for tr in traces))

@@ -8,11 +8,13 @@ formatter fault.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 import nanoflow.cli as cli
+import nanoflow.vasculature as vasculature
 from nanoflow.benchmark import TargetEvent, build_traces, dense_locations, export_events_csv
 from nanoflow.config import load_config
 from nanoflow.simcore import _ROW, RawRecord, export_energy_csv, export_raw_csv, run_simulation
@@ -28,6 +30,8 @@ AWKWARD = [0.0, -0.0, -1e-9, 1e-9, 1e-7, -1e-7, 5e-7, -5e-7, 2.5e-6, -2.5e-6,
            123.4567895, -123.4567895, 1e9 / 3, -123456.7890125, 2 ** 52 / 1e6,
            float(np.nextafter(2 ** 52 / 1e6, 0)), -2 ** 53 / 1e6, 1e300, -1e300,
            INF, -INF, NAN]
+# cells the fast path must hand to the f-string: not finite, too large, exact ties
+FALLBACK = [NAN, INF, -INF, 1e300, -1e300, 1 / 128, -3 / 128]
 
 
 def _write(path, header, rows, fmt):
@@ -162,3 +166,68 @@ def test_integer_and_text_columns_match_str(tmp_path):
     want = "k,name,x\n" + "".join(f"{k},{n},{v:.6f}\n"
                                   for k, n, v in zip(ints.tolist(), names.tolist(), x.tolist()))
     _assert_same_lines(path.read_bytes(), want.encode())
+    # the ends of the uint64 and int64 ranges, and a narrow signed type
+    wide = (np.array([2 ** 64 - 1, 2 ** 63, 5, 0], np.uint64),
+            np.array([-2 ** 63, 2 ** 63 - 1, -5, 0]), np.array([-128, 127, -1, 0], np.int8))
+    write_csv(str(path), "a,b,c", [wide])
+    want = "a,b,c\n" + "".join(f"{a},{b},{c}\n" for a, b, c in zip(*(c.tolist() for c in wide)))
+    _assert_same_lines(path.read_bytes(), want.encode())
+    assert path.read_text().split("\n")[1] == "18446744073709551615,-9223372036854775808,-128"
+
+
+@pytest.mark.parametrize("columns, lengths", [((np.arange(3.0), np.arange(5)), "[3, 5]"),
+                                              ((np.arange(3.0), np.arange(1)), "[1, 3]")])
+def test_unequal_columns_raise_before_the_file_opens(tmp_path, columns, lengths):
+    # a 1-row column must not broadcast over the block; a good block first
+    # shows the check runs before anything is written
+    path = tmp_path / "ragged.csv"
+    with pytest.raises(ValueError, match=re.escape(lengths)):
+        write_csv(str(path), "a,b", [(np.arange(2.0), np.arange(2)), columns])
+    assert not path.exists()
+
+
+def _row_pass(n: int, all_fallback: bool = False) -> list:
+    """Columns for the seam tests: floats, ints of 1 to 19 digits, text and bool."""
+    i = np.arange(n)
+    lo = 10 ** (i % 19)   # 1 to 19 digits, in turn
+    k = lo + np.random.default_rng(n).integers(0, 2 ** 62, n) % np.minimum(9 * lo, 2 ** 63 - 1 - lo)
+    k *= np.where(i % 3, 1, -1)
+    a, b = np.sin(i) * 10.0 ** (i % 9 - 3), np.cos(i) * 1e3
+    for at in {0, n - 1, CSV_ROWS - 1, CSV_ROWS} & set(range(n)):   # first and last of a pass
+        a[at], b[at] = FALLBACK[at % 7], FALLBACK[(at + 3) % 7]
+    if all_fallback:
+        a, b = np.resize(FALLBACK, n), np.resize(FALLBACK[::-1], n)
+    return [a, k, np.array(["srs", "ssrs", "", "crs"])[i % 4], i % 5 == 1, b]
+
+
+@pytest.mark.parametrize("n, all_fallback", [(1, False), (CSV_ROWS, False),
+                                             (CSV_ROWS + 1, False), (50, True)])
+def test_pass_seams_match_the_row_by_row_writer(tmp_path, n, all_fallback):
+    columns = _row_pass(n, all_fallback)
+    assert {len(str(abs(v))) for v in columns[1].tolist()} == set(range(1, 20)) or n < 19
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_csv(str(got), "a,k,name,flag,b", [columns])
+    _write(want, "a,k,name,flag,b", zip(*(c.tolist() for c in columns)), "{:.6f},{},{},{},{:.6f}")
+    _assert_same_lines(got.read_bytes(), want.read_bytes())
+
+
+def test_no_cell_of_the_engine_outputs_takes_the_scalar_fallback(tmp_path, monkeypatch,
+                                                                 engine_output):
+    # the exact fast path must cover real outputs; a fallback cell costs a
+    # Python f-string, so a loosened `odd` would silently slow every export
+    real, cells = vasculature._fallback_cells, []
+
+    def counted(block, x, odd):
+        cells.append(int(odd.sum()))
+        return real(block, x, odd)
+
+    monkeypatch.setattr(vasculature, "_fallback_cells", counted)
+    write_csv(str(tmp_path / "awkward.csv"), "v", [(np.array(AWKWARD),)])
+    assert sum(cells) > 0   # the spy sees fallback cells
+    cells.clear()
+    export_energy_csv(engine_output.energy_rows, str(tmp_path / "energy.csv"))
+    cfg = load_config(overrides={"device_count": 16})
+    (traces,) = build_traces(GRAPH, cfg.plan(), [(cfg.seed, (cfg.seed,))])
+    export_trace_csv(traces, str(tmp_path / "trace.csv"))
+    assert len(engine_output.energy_rows) > CSV_ROWS and sum(map(len, traces)) > 16 * 3000
+    assert cells == []
