@@ -11,17 +11,17 @@ from .config import RunConfig, load_config
 from .energy import (EnergyConfig, EnergyState, capacitance, cycle_index,
                      energy_at_cycle, turn_on_latency_cycles)
 from .errors import NanoflowError
-from .simcore import (Anchor, ProtocolParams, RawRecord, SimPlan, SimResult,
+from .simcore import (RECORD, Anchor, ProtocolParams, SimPlan, SimResult,
                       decode_beacons, run_simulation)
 from .vasculature import (MobilityTrace, Vessel, VesselGraph,
                           build_reference_vasculature, load_graph, locate_vessel,
                           save_graph, simulate_mobility, upsample_trace, upsample_traces)
 
 __all__ = [
-    "__version__",
+    "__version__", "RECORD",
     "Anchor", "ChannelConfig", "EnergyConfig", "EnergyState", "Layer",
     "MetricsReport", "MobilityTrace", "NanoflowError", "ProtocolParams",
-    "RawRecord", "Reception", "RegionEstimate", "RunConfig", "SimPlan",
+    "Reception", "RegionEstimate", "RunConfig", "SimPlan",
     "SimResult", "TargetEvent", "Vessel", "VesselGraph",
     "baseline_localize", "build_reference_vasculature",
     "capacitance", "convergence_curve", "cycle_index", "decode_beacons", "dense_locations",

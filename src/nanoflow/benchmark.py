@@ -103,24 +103,24 @@ def reliability(estimates: list[RegionEstimate], truths: list[TargetEvent]) -> f
 # ---------------------------------------------------------------------------
 
 
-def baseline_localize(records, graph: VesselGraph, seed: int = 0,
+def baseline_localize(records: np.ndarray, graph: VesselGraph, seed: int = 0,
                       event_id: int = 0) -> RegionEstimate:
-    """Nearest-loop-time voting over event-positive records.
+    """Nearest-loop-time voting over the event-positive rows of a RECORD array.
 
     Each record with the event bit set votes for the loop whose expected
     period is nearest its circulation time (ties, e.g. mirrored left/right
     loops, broken uniformly from the seeded stream); the majority region
     wins, again with seeded tie-breaks.  No positive records, no estimate.
     """
-    positives = [r for r in records if r.event_bit == 1]
+    positives = records["circulation_time_s"][records["event_bit"] == 1].tolist()
     if not positives:
         return RegionEstimate(event_id=event_id, estimated_region=None, point=None)
     rng = np.random.default_rng(seed)
     times, reps = graph.heart_loops
     times_arr = np.asarray(times)
     votes: dict[int, int] = {}
-    for rec in positives:
-        gaps = np.abs(times_arr - rec.circulation_time_s)
+    for circulation in positives:
+        gaps = np.abs(times_arr - circulation)
         best = float(gaps.min())
         tol = 1e-9 * max(1.0, best)
         candidates = np.flatnonzero(gaps <= best + tol)
@@ -333,27 +333,18 @@ def _child_seed(root: int, *path: int) -> int:
 
 
 def build_traces(graph: VesselGraph, plan: SimPlan, runs: list[tuple[int, tuple[int, ...]]]):
-    """The plan's upsampled traces for each (mobility seed, upsample root) of
-    `runs`, or the NanoflowError its walk raised.  A run walks on its own
-    mobility seed; then all runs' traces are upsampled in one
-    upsample_traces pass, device d of a run on the stream
-    _child_seed(*upsample_root, 1, d).  A run's traces come out as if it
-    were built alone."""
-    walks, seeds = [], []
-    for mobility_seed, root in runs:
-        try:
-            traces = simulate_mobility(graph, plan.device_count, plan.duration_s,
-                                       seed=mobility_seed)
-        except NanoflowError as exc:
-            walks.append(exc)
-            continue
-        walks.append(traces)
-        seeds += [_child_seed(*root, 1, tr.device_id) for tr in traces]
-    built = iter(upsample_traces([tr for traces in walks if isinstance(traces, list)
-                                  for tr in traces],
-                                 plan.upsample_factor, plan.upsample_sigma_cm, seeds))
-    return [[next(built) for _ in traces] if isinstance(traces, list) else traces
-            for traces in walks]
+    """The plan's upsampled traces, one list per (mobility seed, upsample
+    root) of `runs`.  A run walks on its own mobility seed; then all runs'
+    traces are upsampled in one upsample_traces pass, device d of a run on
+    the stream _child_seed(*upsample_root, 1, d).  A run's traces come out
+    as if it were built alone."""
+    walks = [simulate_mobility(graph, plan.device_count, plan.duration_s, seed=mobility_seed)
+             for mobility_seed, _ in runs]
+    built = iter(upsample_traces([tr for traces in walks for tr in traces],
+                                 plan.upsample_factor, plan.upsample_sigma_cm,
+                                 [_child_seed(*root, 1, tr.device_id)
+                                  for (_, root), traces in zip(runs, walks) for tr in traces]))
+    return [[next(built) for _ in traces] for traces in walks]
 
 
 def simulate_event(graph: VesselGraph, plan: SimPlan, event: TargetEvent, traces: list,
@@ -373,28 +364,25 @@ def _run_batch(graph: VesselGraph, plan: SimPlan, sim_times: list, seed: int,
     """([RegionEstimate per sim time], consumed pJ per device, error | None)
     of each event.  Each event's traces are built on its own seed streams
     (build_traces), the beacons of all of them are decoded in one pass, and
-    then each event runs and is localized alone, so its result does not
-    depend on its batch-mates.  Only a NanoflowError counts as no estimate,
-    for that event alone.  The one an event run raises on its own is
-    ConfigMismatch, for traces that do not fit the plan (the mobility of a
-    60.4 s run covers 60 s).  Any other exception propagates."""
+    then each event runs alone and is localized at each sim time on the
+    records reported by then, so its result does not depend on its
+    batch-mates.  Only a NanoflowError counts as no estimate, for that event
+    alone; an event run raises ConfigMismatch for traces that do not fit the
+    plan (the mobility of a 60.4 s run covers 60 s).  Any other exception
+    propagates."""
     built = build_traces(graph, plan, [(_child_seed(seed, event.id, 0), (seed, event.id))
                                        for event in events])
-    decoded = iter(decode_beacons(graph, [tr for traces in built if isinstance(traces, list)
-                                          for tr in traces], plan))
+    decoded = iter(decode_beacons(graph, [tr for traces in built for tr in traces], plan))
     runs = []
     for event, traces in zip(events, built):
         try:
-            if isinstance(traces, NanoflowError):
-                raise traces
             result = simulate_event(graph, plan, event, traces,
                                     [next(decoded) for _ in traces])
-            estimates = []
-            for ti, t_cap in enumerate(sim_times):
-                prefix = [r for r in result.records if r.report_time_s <= t_cap + 1e-9]
-                estimates.append(baseline_localize(
-                    prefix, graph, seed=_child_seed(seed, event.id, 3, ti),
-                    event_id=event.id))
+            records = result.records.view(np.ndarray)   # recarray reads run in Python
+            ends = np.searchsorted(records["report_time_s"], np.array(sim_times) + 1e-9, "right")
+            estimates = [baseline_localize(records[:end], graph, event_id=event.id,
+                                           seed=_child_seed(seed, event.id, 3, ti))
+                         for ti, end in enumerate(ends.tolist())]
             runs.append((estimates, list(result.consumed_pj.values()), None))
         except NanoflowError as exc:
             runs.append(([RegionEstimate(event.id, None, None) for _ in sim_times], [],
@@ -491,10 +479,11 @@ def run_events(graph: VesselGraph, events: list[TargetEvent], plan: SimPlan,
     if not events:
         raise MismatchedSets("no target events to benchmark")
     graph.heart_loops   # baseline_localize reads it; forked workers inherit it
-    times = [float(t) for t in sim_times_s or [plan.duration_s]]
+    times = [float(t) for t in ([plan.duration_s] if sim_times_s is None else sim_times_s)]
     bad = [t for t in times if not 0.0 < t <= plan.duration_s + 1e-9]   # NaN fails both
     if bad:
         raise ValueError(f"sim_times_s must lie in (0, {plan.duration_s:g}] s, got {bad[0]!r}")
+    require(len(times) > 0, "sim_times_s", "must list at least one time")
     sim_times = sorted(set(times))
     for a, b in zip(sim_times, sim_times[1:]):   # run_benchmark keys its report by f"{t:g}"
         require(f"{a:g}" != f"{b:g}", "sim_times_s", f"{a!r} and {b!r} share the report label {a:g}")

@@ -55,8 +55,6 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     plan = cfg.plan()
     target = cfg.raw["scenario"]["target_cm"]
     (upsampled,) = build_traces(graph, plan, [(cfg.seed, (cfg.seed,))])
-    if isinstance(upsampled, NanoflowError):
-        raise upsampled
     result = run_simulation(graph, upsampled, plan, None if target is None else tuple(target),
                             energy_rows=True)
     _prepare_out(cfg, args.out)

@@ -4,8 +4,8 @@ A run is a SimPlan, the one description of a scenario, plus the event's
 target: run_simulation(graph, traces, plan, target) reads the plan's
 anchors, energy, channel, protocol, duration, sense rate and detection
 radius.  Its device count and upsampling shape the traces the caller passes.
-The plan and its parts check their own ranges when built; run_simulation
-checks only that the traces fit the plan.
+The plan and its parts check their own ranges when built, and each trace
+time grid is checked against the plan once, where its tick grid is built.
 
 Devices interact in one place only: responses that overlap at an anchor.
 Nothing flows back from there (a device has spent its energy and marked the
@@ -51,11 +51,11 @@ Beacons and responses are decided by one routine, _delivered, in array
 passes over one list of (packet, interferer) pairs.  Each value repeats the
 scalar channel functions' float operations in their order (math's log10 and
 float **, not numpy's, interference added left to right), so rx and verdicts
-are theirs bit for bit.  Energy rows come out as one array in (time,
-device) order and records in (time, mac) order, so a run is deterministic
-regardless of how the caller schedules runs.  A caller that does not read
-the energy rows can skip building them (energy_rows=False); the samples
-still advance the capacitor, so records and consumption do not change.
+are theirs bit for bit.  Energy rows come out as one _ROW array in (time,
+device) order and records as one RECORD recarray in (time, mac) order, so a
+run is deterministic however runs are scheduled.  A caller that does not
+read the energy rows can skip them (energy_rows=False); the samples still
+advance the capacitor, so records and consumption do not change.
 """
 
 from __future__ import annotations
@@ -127,20 +127,15 @@ class SimPlan:
         require(len(self.anchors) > 0, "anchors", "must list at least one anchor")
 
 
-@dataclass
-class RawRecord:
-    report_time_s: float
-    device_mac: int
-    circulation_time_s: float
-    event_bit: int
-
-
+# np.record rows: r.event_bit reads, and a recarray view of them skips a dtype reset
+RECORD = np.dtype((np.record, [("report_time_s", float), ("device_mac", np.int64),
+                               ("circulation_time_s", float), ("event_bit", np.int64)]))
 _ROW = np.dtype([("time", float), ("mac", np.int64), ("value", float), ("flag", np.int64)])
 
 
 @dataclass
 class SimResult:
-    records: list[RawRecord]
+    records: np.recarray   # RECORD; (time, mac) order
     energy_rows: np.ndarray   # _ROW: time_s, mac, pJ, powered; (time, device) order
     consumed_pj: dict[int, float]
 
@@ -349,33 +344,41 @@ _HIT_ROWS = 1 << 12   # sense ticks per _sense_hits pass: bounds its temporaries
 _BEACON, _SAMPLE, _TICK, _END = range(4)   # a scan stop's kind, in tie order
 
 
-def _cached_tick_grid(trace: MobilityTrace, sense_rate_hz: int, t_last: float):
+def _cached_tick_grid(trace: MobilityTrace, sense_rate_hz: int, duration_s: float):
     """_tick_grid of the trace, from a per-process cache keyed by its time
-    grid, sense rate and t_last that keeps the 8 grids built last."""
-    key = (np.asarray(trace.times, dtype=float).tobytes(), sense_rate_hz, t_last)
+    grid, sense rate and duration that keeps the 8 grids built last."""
+    key = (np.asarray(trace.times, dtype=float).tobytes(), sense_rate_hz, duration_s)
     if key not in _TICK_GRIDS:
         if len(_TICK_GRIDS) >= 8:
             del _TICK_GRIDS[next(iter(_TICK_GRIDS))]   # the oldest
-        _TICK_GRIDS[key] = _tick_grid(trace, sense_rate_hz, t_last)
+        _TICK_GRIDS[key] = _tick_grid(trace, sense_rate_hz, duration_s)
     return _TICK_GRIDS[key]
 
 
-def _tick_grid(trace: MobilityTrace, sense_rate_hz: int, t_last: float):
+def _tick_grid(trace: MobilityTrace, sense_rate_hz: int, duration_s: float):
     """(tick times, steps, tick sample indices, stops, row ticks) of a trace's
-    time grid, ticks on its samples up to t_last; steps[i] is tick time i less
-    tick time i - 1 (steps[0] is never read).  Stops: the samples off the ticks
-    (they harvest), then the end.  Row ticks: for each sample on a tick, the
-    ticks done once its tick is, then a count never reached.  All of it is
-    read-only (tuples and a read-only array), since runs share it."""
+    time grid, ticks on its samples up to the duration; steps[i] is tick time
+    i less tick time i - 1 (steps[0] is never read).  Stops: the samples off
+    the ticks (they harvest), then the end.  Row ticks: for each sample on a
+    tick, the ticks done once its tick is, then a count never reached.  All of
+    it is read-only (tuples and a read-only array), since runs share it.  A
+    grid that does not fit the plan raises ConfigMismatch naming the device."""
     times = np.asarray(trace.times, dtype=float)
-    dt = times[1] - times[0]
+    if len(times) < 2:
+        raise ConfigMismatch(f"device {trace.device_id}: trace has fewer than 2 samples")
+    if times[-1] + _T_EPS < duration_s:
+        raise ConfigMismatch(f"device {trace.device_id}: trace covers {times[-1]:.3f} s "
+                             f"< simulation duration {duration_s:.3f} s")
+    if not (times[1:] > times[:-1]).all():   # before the period: dt 0 has no stride
+        raise ConfigMismatch(f"device {trace.device_id}: trace times do not strictly increase")
+    dt, t_last = times[1] - times[0], duration_s + _T_EPS
     stride = (1.0 / sense_rate_hz) / dt
     if abs(stride - round(stride)) > 1e-6 or round(stride) < 1:
         raise ConfigMismatch(
             f"device {trace.device_id}: trace period {dt:.6f} s does not divide the "
             f"sense period {1.0 / sense_rate_hz:.6f} s")
-    if not (times[1:] > times[:-1]).all():
-        raise ConfigMismatch(f"device {trace.device_id}: trace times do not strictly increase")
+    if np.abs(np.diff(times) - dt).max() > 1e-6 * dt:
+        raise ConfigMismatch(f"device {trace.device_id}: trace times are not evenly spaced")
     ticks = np.arange(0, np.searchsorted(times, t_last, side="right"), int(round(stride)))
     tick_t, samples = times[ticks], np.arange(math.floor(t_last) + 1, dtype=float)
     at = np.searchsorted(tick_t, samples)
@@ -388,8 +391,8 @@ def _tick_grid(trace: MobilityTrace, sense_rate_hz: int, t_last: float):
 
 
 def _decide_responses(responses: list[tuple], anchor_pos: np.ndarray,
-                      ccfg: ch.ChannelConfig, macs: list[int]) -> list[RawRecord]:
-    """Records of the responses that survive their collision batch.
+                      ccfg: ch.ChannelConfig, macs: list[int]) -> np.ndarray:
+    """RECORD rows of the responses that survive their collision batch, in order.
 
     `responses` holds (arrival, anchor index, device index, position,
     tx dBm, closing speed, circulation time, event bit) in (arrival,
@@ -397,7 +400,7 @@ def _decide_responses(responses: list[tuple], anchor_pos: np.ndarray,
     same anchor from the same device.
     """
     if not responses:
-        return []
+        return np.empty(0, RECORD)
     arrivals, anchor_of, device_of, pos, tx, closing, circulation, bit = zip(*responses)
     bounds = [0]   # batch b is bounds[b]:bounds[b + 1]
     while bounds[-1] < len(responses):
@@ -420,8 +423,8 @@ def _decide_responses(responses: list[tuple], anchor_pos: np.ndarray,
     dist = np.sqrt(_row_dots(gap, gap))
     delivered, _ = _delivered(dist[:len(own)], np.array(closing), tx, row, tx[mate],
                               dist[len(own):], ccfg)
-    return [RawRecord(arrivals[first[i]], macs[device_of[i]], circulation[i], bit[i])
-            for i in delivered.tolist()]
+    return np.array([(arrivals[first[i]], macs[device_of[i]], circulation[i], bit[i])
+                     for i in delivered.tolist()], RECORD)
 
 
 def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPlan,
@@ -436,15 +439,7 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
     anchors, duration_s, proto = plan.anchors, plan.duration_s, plan.protocol
     energy_cfg, channel_cfg = plan.energy_cfg, plan.channel_cfg
     t_last = duration_s + _T_EPS
-    device_grids = []
-    for trace in traces:
-        if len(trace.times) < 2:
-            raise ConfigMismatch(f"device {trace.device_id}: trace has fewer than 2 samples")
-        if trace.times[-1] + _T_EPS < duration_s:
-            raise ConfigMismatch(
-                f"device {trace.device_id}: trace covers {trace.times[-1]:.3f} s "
-                f"< simulation duration {duration_s:.3f} s")
-        device_grids.append(_cached_tick_grid(trace, plan.sense_rate_hz, t_last))
+    device_grids = [_cached_tick_grid(trace, plan.sense_rate_hz, duration_s) for trace in traces]
 
     target = None if target is None else np.asarray(target, dtype=float)
     beacon_air = ch.airtime_s(proto.beacon_bits, channel_cfg)
@@ -579,20 +574,18 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
     macs = [trace.device_id for trace in traces]
     responses.sort(key=itemgetter(0, 1, 2))
     records = _decide_responses(responses, anchor_pos, channel_cfg, macs)
-    records.sort(key=lambda r: (r.report_time_s, r.device_mac))
+    records = records[np.lexsort((records["device_mac"], records["report_time_s"]))]
     n = math.floor(t_last) + 1 if energy_rows else 0   # samples per device
     rows = np.empty((n, len(traces)), _ROW)   # time-major
     rows["time"], rows["mac"] = np.arange(n, dtype=float)[:, None], macs
     rows["value"] = np.fromiter(row_energy, float, rows.size).reshape(len(traces), n).T * 1e12
     rows["flag"] = np.fromiter(row_powered, bool, rows.size).reshape(len(traces), n).T
-    return SimResult(records=records, energy_rows=rows.ravel(), consumed_pj=consumed_pj)
+    return SimResult(records.view(np.recarray), rows.ravel(), consumed_pj)
 
 
-def export_raw_csv(records: list[RawRecord], path: str) -> None:
-    """One row per record, in the order given (run_simulation's is (time, mac))."""
-    write_csv(path, "report_time_s,device_mac,circulation_time_s,event_bit",
-              [np.fromiter(((r.report_time_s, r.device_mac, r.circulation_time_s, r.event_bit)
-                            for r in records), _ROW)])
+def export_raw_csv(records: np.ndarray, path: str) -> None:
+    """One row per record of a RECORD array such as SimResult.records, in its order."""
+    write_csv(path, ",".join(RECORD.names), [records])
 
 
 def export_energy_csv(rows: np.ndarray, path: str) -> None:

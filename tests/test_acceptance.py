@@ -24,7 +24,7 @@ from nanoflow.channel import ChannelConfig
 from nanoflow.energy import (EnergyConfig, capacitance, cycle_index,
                              energy_at_cycle, turn_on_latency_cycles)
 from nanoflow.errors import EnergyOutOfRange
-from nanoflow.simcore import Anchor, RawRecord, run_simulation
+from nanoflow.simcore import RECORD, Anchor, run_simulation
 from nanoflow.vasculature import (build_reference_vasculature, simulate_mobility,
                                   upsample_trace, vessel_centroid)
 
@@ -249,7 +249,7 @@ def test_criterion_10_baseline_sanity():
             break
     assert pair is not None
     a, b, mid = pair
-    recs = [RawRecord(1.0, 0, float(mid), 1)]
+    recs = np.array([(1.0, 0, float(mid), 1)], RECORD)
     hits = sum(1 for s in range(10000)
                if baseline_localize(recs, GRAPH, seed=s).estimated_region == reps[a])
     frac = hits / 10000.0

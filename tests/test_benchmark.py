@@ -16,12 +16,17 @@ from nanoflow.benchmark import (MetricsReport, RegionEstimate, SimPlan,
                                 score_external)
 from nanoflow.errors import (ConfigMismatch, EventRunsFailed, ExternalDataError,
                              MismatchedSets, NoEstimate, SampleTooLarge)
-from nanoflow.simcore import RawRecord
+from nanoflow.simcore import RECORD, SimResult, _ROW
 from nanoflow.vasculature import (build_reference_vasculature, locate_vessel, simulate_mobility,
                                   upsample_trace, vessel_centroid)
 
 GRAPH = build_reference_vasculature()
 DENSE = dense_locations(GRAPH, 1368)
+
+
+def _records(*rows):
+    """A RECORD recarray of (report_time_s, device_mac, circulation_time_s, event_bit) rows."""
+    return np.array(list(rows), RECORD).view(np.recarray)
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +96,7 @@ def test_baseline_matches_loop_time():
     loops = GRAPH.cycles_through_heart
     times = [GRAPH.loop_time(c) for c in loops]
     for li in (0, 5, 11):
-        recs = [RawRecord(9.0, 0, times[li], 1), RawRecord(19.0, 1, times[li], 1)]
+        recs = _records((9.0, 0, times[li], 1), (19.0, 1, times[li], 1))
         est = baseline_localize(recs, GRAPH, seed=4, event_id=li)
         assert est.estimated_region in set(loops[li])
         assert est.event_id == li
@@ -100,7 +105,7 @@ def test_baseline_matches_loop_time():
 
 
 def test_baseline_no_positive_records():
-    recs = [RawRecord(5.0, 0, 20.0, 0), RawRecord(9.0, 1, 44.0, 0)]
+    recs = _records((5.0, 0, 20.0, 0), (9.0, 1, 44.0, 0))
     est = baseline_localize(recs, GRAPH, seed=0)
     assert est.estimated_region is None and est.point is None
     assert not est.has_estimate
@@ -109,9 +114,9 @@ def test_baseline_no_positive_records():
 def test_baseline_majority_vote():
     loops = GRAPH.cycles_through_heart
     times = [GRAPH.loop_time(c) for c in loops]
-    recs = [RawRecord(1.0, 0, times[2], 1),
-            RawRecord(2.0, 1, times[2], 1),
-            RawRecord(3.0, 2, times[8], 1)]
+    recs = _records((1.0, 0, times[2], 1),
+                    (2.0, 1, times[2], 1),
+                    (3.0, 2, times[8], 1))
     est = baseline_localize(recs, GRAPH, seed=0)
     assert est.estimated_region in set(loops[2])
 
@@ -120,7 +125,7 @@ def test_baseline_deterministic_per_seed():
     loops = GRAPH.cycles_through_heart
     times = sorted(GRAPH.loop_time(c) for c in loops)
     mid = (times[3] + times[4]) / 2.0  # exact tie between two loops
-    recs = [RawRecord(1.0, 0, mid, 1)]
+    recs = _records((1.0, 0, mid, 1))
     picks = {baseline_localize(recs, GRAPH, seed=s).estimated_region
              for s in range(40)}
     assert len(picks) == 2  # the tie is real and seed-controlled
@@ -139,8 +144,7 @@ def test_baseline_scale_invariant_argmin():
     gaps = sorted(abs(t - times[li]) for t in times if t != times[li])
     eps = gaps[0] / 3
     for delta in (-eps, eps):
-        est = baseline_localize([RawRecord(1.0, 0, times[li] + delta, 1)],
-                                GRAPH, seed=0)
+        est = baseline_localize(_records((1.0, 0, times[li] + delta, 1)), GRAPH, seed=0)
         assert est.estimated_region in set(loops[li])
 
 
@@ -508,37 +512,47 @@ def test_results_do_not_depend_on_batches_workers_or_event_order(monkeypatch):
 
 
 def test_a_failing_event_mid_batch_leaves_its_batch_mates_alone(monkeypatch):
-    # batches of 10: the 4th event's run fails and the 16th event's traces
-    # cannot be built; every other event reads as in a run without faults
+    # batches of 10: the runs of the 4th and 7th events fail; every other
+    # event, in their batch or not, reads as in a run without faults
     import nanoflow.benchmark as bm
 
     want = _run_bits(*run_events(GRAPH, BATCHED, BATCH_PLAN, workers=1, seed=5))
     events = sorted(BATCHED, key=lambda ev: ev.id)
-    bad_run, bad_traces = events[3].id, events[15].id
-    real_run, real_walk = bm.simulate_event, bm.simulate_mobility
+    bad = {events[3].id: "first", events[6].id: "second"}
+    real_run = bm.simulate_event
 
     def run_fails(graph, plan, event, traces, beacons):
-        if event.id == bad_run:
-            raise ConfigMismatch("synthetic run failure")
+        if event.id in bad:
+            raise ConfigMismatch(f"synthetic {bad[event.id]} run failure")
         return real_run(graph, plan, event, traces, beacons)
 
-    def walk_fails(graph, device_count, duration_s, seed):   # the per-event step of tracing
-        if seed == bm._child_seed(5, bad_traces, 0):
-            raise ConfigMismatch("synthetic trace failure")
-        return real_walk(graph, device_count, duration_s, seed)
-
     monkeypatch.setattr(bm, "simulate_event", run_fails)
-    monkeypatch.setattr(bm, "simulate_mobility", walk_fails)
     per_time, consumed, errors = _run_bits(*run_events(GRAPH, BATCHED, BATCH_PLAN, workers=1,
                                                        seed=5))
-    assert errors == {str(bad_run): "ConfigMismatch: synthetic run failure",
-                      str(bad_traces): "ConfigMismatch: synthetic trace failure"}
-    assert per_time[60.0][3] == (bad_run, None, None)
-    assert per_time[60.0][15] == (bad_traces, None, None)
-    keep = [i for i in range(len(events)) if i not in (3, 15)]
+    assert errors == {str(eid): f"ConfigMismatch: synthetic {which} run failure"
+                      for eid, which in bad.items()}
+    assert per_time[60.0][3] == (events[3].id, None, None)
+    assert per_time[60.0][6] == (events[6].id, None, None)
+    keep = [i for i in range(len(events)) if i not in (3, 6)]
     assert [per_time[60.0][i] for i in keep] == [want[0][60.0][i] for i in keep]
     n = BATCH_PLAN.device_count   # consumed: each event's devices in turn
     assert consumed == [pj for i in keep for pj in want[1][n * i:n * i + n]]
+
+
+def test_each_sim_time_reads_the_records_reported_by_then(monkeypatch):
+    # sim time t reads the records reported by t + 1e-9, as the list filter
+    # did: one exactly there is kept and one a float step above it is not
+    cap = 10.0 + 1e-9
+    records = _records((1.0, 0, 2.0, 1), (cap, 1, 3.0, 1),
+                       (float(np.nextafter(cap, np.inf)), 2, 4.0, 1), (50.0, 0, 5.0, 0))
+    seen = []
+    monkeypatch.setattr(benchmark, "simulate_event",
+                        lambda *args: SimResult(records, np.empty(0, _ROW), {}))
+    monkeypatch.setattr(benchmark, "baseline_localize", lambda recs, graph, seed, event_id: (
+        seen.append(recs.tolist()) or RegionEstimate(event_id, None)))
+    benchmark._run_batch(GRAPH, BATCH_PLAN, [10.0, 60.0], 5, BATCHED[:1])
+    assert seen == [records[:2].tolist(), records.tolist()]
+    assert seen == [[r for r in records.tolist() if r[0] <= t + 1e-9] for t in (10.0, 60.0)]
 
 
 _TRACE_FIELDS = ("times", "positions", "vessel_ids", "visit_times", "visit_vessels")
@@ -547,24 +561,14 @@ _TRACE_FIELDS = ("times", "positions", "vessel_ids", "visit_times", "visit_vesse
 @pytest.mark.parametrize("factor, rate", [(1, 1), (3, 3), (6, 3)])
 @pytest.mark.parametrize("sigma", [0.0, 0.2])
 @pytest.mark.parametrize("duration", [0.4, 30.0])   # 1 and 31 samples per trace
-def test_build_traces_is_each_run_traced_alone(monkeypatch, factor, rate, sigma, duration):
-    # mixed mobility seeds and upsample roots, one of them failing its walk
+def test_build_traces_is_each_run_traced_alone(factor, rate, sigma, duration):
+    # mixed mobility seeds and upsample roots
     plan = SimPlan(device_count=3, duration_s=duration, sense_rate_hz=rate,
                    upsample_factor=factor, upsample_sigma_cm=sigma)
-    runs = [(11, (5, 0)), (2 ** 40 + 3, (5, 17)), (0, (9,)), (11, (6, 2)), (7, (1, 2, 3))]
-    real_walk = benchmark.simulate_mobility
-
-    def walk(graph, device_count, duration_s, seed):
-        if seed == 0:
-            raise ConfigMismatch("synthetic walk failure")
-        return real_walk(graph, device_count, duration_s, seed)
-
-    monkeypatch.setattr(benchmark, "simulate_mobility", walk)
+    runs = [(11, (5, 0)), (2 ** 40 + 3, (5, 17)), (11, (6, 2)), (7, (1, 2, 3))]
     built = benchmark.build_traces(GRAPH, plan, runs)
-    assert isinstance(built[2], ConfigMismatch)
+    assert len(built) == len(runs)
     for (mobility_seed, root), traces in zip(runs, built):
-        if mobility_seed == 0:
-            continue
         want = [upsample_trace(tr, factor, sigma, benchmark._child_seed(*root, 1, tr.device_id))
                 for tr in simulate_mobility(GRAPH, 3, duration, seed=mobility_seed)]
         assert len(traces) == len(want) and len(traces[0]) == (int(round(duration))) * factor + 1
@@ -574,7 +578,7 @@ def test_build_traces_is_each_run_traced_alone(monkeypatch, factor, rate, sigma,
                 a, b = getattr(got, name), getattr(exp, name)
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
     # writing to one trace reaches no other
-    traces = [tr for run in built if isinstance(run, list) for tr in run]
+    traces = [tr for run in built for tr in run]
     saved = [[getattr(tr, name).copy() for name in _TRACE_FIELDS] for tr in traces]
     for name in _TRACE_FIELDS:
         getattr(traces[4], name)[...] = -1
@@ -644,6 +648,8 @@ def test_sim_times_beyond_duration_rejected():
             run_events(GRAPH, EVENTS, PLAN, workers=1, seed=0, sim_times_s=[bad])
         with pytest.raises(ValueError, match="sim_times_s"):
             run_benchmark(GRAPH, EVENTS, PLAN, workers=1, seed=0, sim_times_s=[60.0, bad])
+    with pytest.raises(ValueError, match="sim_times_s"):   # not the plan's duration
+        run_events(GRAPH, EVENTS, PLAN, workers=1, seed=0, sim_times_s=[])
     with pytest.raises(MismatchedSets):
         run_events(GRAPH, [], PLAN, workers=1, seed=0)
 

@@ -17,7 +17,7 @@ import nanoflow.cli as cli
 import nanoflow.vasculature as vasculature
 from nanoflow.benchmark import TargetEvent, build_traces, dense_locations, export_events_csv
 from nanoflow.config import load_config
-from nanoflow.simcore import _ROW, RawRecord, export_energy_csv, export_raw_csv, run_simulation
+from nanoflow.simcore import _ROW, RECORD, export_energy_csv, export_raw_csv, run_simulation
 from nanoflow.vasculature import (CSV_ROWS, build_reference_vasculature,
                                   export_trace_csv, write_csv)
 
@@ -74,12 +74,12 @@ def test_energy_csv_bytes_match_the_row_by_row_writer(tmp_path, engine_output):
 
 
 def test_raw_csv_bytes_match_the_row_by_row_writer(tmp_path, engine_output):
-    records = engine_output.records + [RawRecord(v, i, -v, 1) for i, v in enumerate(AWKWARD)]
-    assert any(r.event_bit for r in engine_output.records)
+    records = np.concatenate([engine_output.records,
+                              np.array([(v, i, -v, 1) for i, v in enumerate(AWKWARD)], RECORD)])
+    assert any(engine_output.records.event_bit)
     _same_bytes(tmp_path, export_raw_csv, records,
                 "report_time_s,device_mac,circulation_time_s,event_bit",
-                [(r.report_time_s, r.device_mac, r.circulation_time_s, r.event_bit)
-                 for r in records], "{:.6f},{},{:.6f},{}")
+                records.tolist(), "{:.6f},{},{:.6f},{}")
 
 
 def test_events_csv_bytes_match_the_row_by_row_writer(tmp_path):
@@ -118,7 +118,8 @@ def test_empty_inputs_write_the_header_only(tmp_path):
     # run_simulation(..., energy_rows=False) leaves an empty _ROW array: the header alone
     for export, empty, header in [
             (export_energy_csv, np.empty(0, _ROW), "time_s,device_mac,energy_pj,powered"),
-            (export_raw_csv, [], "report_time_s,device_mac,circulation_time_s,event_bit"),
+            (export_raw_csv, np.empty(0, RECORD),
+             "report_time_s,device_mac,circulation_time_s,event_bit"),
             (export_trace_csv, [], "time_s,device_id,x_cm,y_cm,z_cm,vessel_id"),
             (export_events_csv, [], "event_id,x_cm,y_cm,z_cm,region_id,region_type")]:
         path = tmp_path / "empty.csv"

@@ -49,7 +49,7 @@ def _run(case, traces, channel):
 
 
 def _records_of(result, mac):
-    return [r for r in result.records if r.device_mac == mac]
+    return result.records[result.records.device_mac == mac].tolist()
 
 
 @settings(max_examples=8, deadline=None)
@@ -65,7 +65,7 @@ def test_each_device_runs_as_if_alone(case):
                     == alone.energy_rows.tolist())
             assert together.consumed_pj[mac] == alone.consumed_pj[mac]
             if channel is NO_COLLISIONS:
-                assert _records_of(together, mac) == alone.records
+                assert _records_of(together, mac) == alone.records.tolist()
 
 
 @settings(max_examples=8, deadline=None)

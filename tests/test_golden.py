@@ -2,9 +2,10 @@
 
 Each run is sized so that the engine's rarer paths fire: some delivered
 records carry event bit 1 and some responses are lost to collisions at an
-anchor (the contention run also loses beacons to overlapping anchors).  A
-changed hash means the output bytes changed; re-pinning one is a deliberate
-re-baseline and is explained in CHANGES.md.
+anchor (the contention run also loses beacons to overlapping anchors).  The
+convergence run is the pooled, batched harness: 2 workers, several events
+per batch.  A changed hash means the output bytes changed; re-pinning one
+is a deliberate re-baseline and is explained in CHANGES.md.
 """
 
 import hashlib
@@ -36,6 +37,10 @@ SIMULATE = {
     ],
 }
 
+# 200 dense events of 4 devices x 30 s on 2 workers: batches of 17 events
+CONVERGENCE_ARGS = ["convergence", "--strategy", "srs,rgs", "--k", "20,60", "--devices", "4",
+                    "--duration-s", "30", "--workers", "2"]
+
 # region only, point given, wrong region, no estimate; 1104 and 1188 absent
 ESTIMATES = """event_id,estimated_region,x_cm,y_cm,z_cm
 116,8,,,
@@ -48,6 +53,8 @@ ESTIMATES = """event_id,estimated_region,x_cm,y_cm,z_cm
 
 PINS = {
     "benchmark/report.json": "515fc1ffa9369aecfb37421d5235e4031b83ff9ebb6b09c6ba31b7f48d3b5f27",
+    "convergence/convergence.csv":
+        "a454981d35e4cd9c2baddb34e1dda6728f7b7f94e184ddb2d3fa6eeab61a4131",
     "contention/report.json": "30f2453fa394daf488924941d6c175bf247cc0e437cc92b33bc0091eea67f66d",
     "external/report.json": "5901c640c846c2faf10c2faf5f1f2e09962cd06d9aa2d0ab34768639428d918b",
     "simulate/raw_records.csv": "2dc15775bdd9a60a9ec9fa613ea8c4f65ddc64b330df68c634ad99ec276a69b6",
@@ -77,6 +84,8 @@ def outputs(tmp_path_factory):
     dirs = {
         "benchmark": _run(tmp, "benchmark", BENCH_ARGS),
         "contention": _run(tmp, "contention", BENCH_ARGS, CONTENTION),
+        "convergence": _run(tmp, "convergence", CONVERGENCE_ARGS,
+                            {"benchmark": {"dense_size": 200}}),
         "external": _run(tmp, "external",
                          BENCH_ARGS + ["--localizer", f"external:{estimates}"]),
         "simulate": _run(tmp, "simulate", ["simulate", "--devices", "8", "--duration-s",

@@ -35,7 +35,7 @@ from nanoflow import channel as ch  # noqa: E402
 from nanoflow import energy, simcore  # noqa: E402
 from nanoflow.energy import EnergyConfig, EnergyState, advance_harvest, try_consume  # noqa: E402
 from nanoflow.errors import ConfigMismatch  # noqa: E402
-from nanoflow.simcore import (Anchor, ProtocolParams, RawRecord, SimPlan,  # noqa: E402
+from nanoflow.simcore import (RECORD, Anchor, ProtocolParams, SimPlan,  # noqa: E402
                               SimResult, _decide_responses, _decoded_beacons, decode_beacons,
                               _max_range_cm, _row_dots, _sense_hits, _visit_schedule,
                               _visit_windows,
@@ -157,8 +157,8 @@ def _heard(dist_cm: float, closing: float, tx_dbm: float, interferers: list[tupl
 
 
 def _reference_responses(responses: list[tuple], anchor_pos: np.ndarray,
-                         ccfg: ch.ChannelConfig, macs: list[int]) -> list[RawRecord]:
-    """Records of the responses that survive their collision batch.
+                         ccfg: ch.ChannelConfig, macs: list[int]) -> np.recarray:
+    """RECORD rows of the responses that survive their collision batch.
 
     `responses` holds (arrival, anchor index, device index, position,
     tx dBm, closing speed, circulation time, event bit) in (arrival,
@@ -184,8 +184,8 @@ def _reference_responses(responses: list[tuple], anchor_pos: np.ndarray,
             interferers = [(otx, x) for (_oarr, oai, odi, _op, otx, *_), x in zip(batch, row)
                            if oai != ai or odi != di]
             if _heard(row[i], closing, tx_dbm, interferers, ccfg):
-                records.append(RawRecord(arrivals[lo], macs[di], circulation, bit))
-    return records
+                records.append((arrivals[lo], macs[di], circulation, bit))
+    return np.array(records, RECORD).view(np.recarray)
 
 
 def reference_run(graph, traces, plan, target=None):
@@ -256,9 +256,9 @@ def reference_run(graph, traces, plan, target=None):
         device_rows.append(rows)
         consumed_pj[trace.device_id] = consumed * 1e12
     responses.sort(key=itemgetter(0, 1, 2))
-    records = _reference_responses(responses, anchor_pos, channel_cfg,
-                                   [trace.device_id for trace in traces])
-    records.sort(key=lambda r: (r.report_time_s, r.device_mac))
+    records = sorted(_reference_responses(responses, anchor_pos, channel_cfg,
+                                          [trace.device_id for trace in traces]),
+                     key=lambda r: (r.report_time_s, r.device_mac))
     return SimResult(records, [row for group in zip(*device_rows) for row in group],
                      consumed_pj)
 
@@ -532,10 +532,9 @@ def test_cached_tick_grids_stay_as_built():
         assert _bits(run_simulation(GRAPH, traces, plan, target)) == first
     assert build.call_count == 3
     assert all(_beacon_times(traces, plan)) and any(bit for *_, bit in first[0]) and first[1]
-    t_last = plan.duration_s + _T_EPS
     for trace in traces:
-        tick_t, steps, ticks, stops, row_ticks = simcore._cached_tick_grid(trace, 3, t_last)
-        want = simcore._tick_grid(trace, 3, t_last)
+        tick_t, steps, ticks, stops, row_ticks = simcore._cached_tick_grid(trace, 3, 44.0)
+        want = simcore._tick_grid(trace, 3, 44.0)
         assert (tick_t, steps[1:], stops, row_ticks) == (want[0], want[1][1:], *want[3:])
         assert math.isnan(steps[0]) and np.array_equal(ticks, want[2])
         assert not ticks.flags.writeable
@@ -618,18 +617,25 @@ def test_a_duration_short_of_a_whole_second_keeps_a_row_per_second(duration):
     _same_as_reference(traces, plan, tuple(traces[2].positions[60]))
 
 
-@pytest.mark.parametrize("edit", ["repeat", "swap"])
+@pytest.mark.parametrize("edit", ["repeat", "swap", "repeat_first", "stretch"])
 def test_trace_times_that_do_not_strictly_increase_are_rejected(edit):
-    # the scan steps tick to tick, so it takes time grids that strictly increase only
+    # the scan steps tick to tick, so it takes time grids that strictly
+    # increase only, and evenly: a tick falls every 1 / (sense rate * period)
+    # samples, so 1/3 s steps stretched to 0.5 s from sample 60 on would sense at 2 Hz there
     tr = upsample_trace(simulate_mobility(GRAPH, 1, 30.0, seed=2)[0], 3, 0.2, 0)
     times = tr.times.copy()
     if edit == "repeat":
         times[10] = times[9]
-    else:
+    elif edit == "repeat_first":   # a period of 0 s
+        times[1] = times[0]
+    elif edit == "swap":
         times[[10, 11]] = times[[11, 10]]
+    else:
+        times[60:] = 20.0 + 0.5 * np.arange(len(times) - 60)
     bad = MobilityTrace(tr.device_id, times, tr.positions, tr.vessel_ids, tr.visit_times,
                         tr.visit_vessels)
-    with pytest.raises(ConfigMismatch, match="^device 0: trace times do not strictly increase$"):
+    why = "are not evenly spaced" if edit == "stretch" else "do not strictly increase"
+    with pytest.raises(ConfigMismatch, match=f"^device 0: trace times {why}$"):
         run_simulation(GRAPH, [bad], SimPlan(duration_s=29.0))
 
 
@@ -830,8 +836,8 @@ def _response(t, ai, di, p, tx, closing=0.0, circulation=1.5, bit=1):
 def _responses_both(responses, anchor_pos, channel):
     """Records of the engine's collision pass and of the scalar reference, as bits."""
     anchor_pos = np.asarray(anchor_pos, dtype=float).reshape(-1, 3)
-    return [[(r.report_time_s.hex(), r.device_mac, r.circulation_time_s.hex(), r.event_bit)
-             for r in decide(responses, anchor_pos, channel, MACS)]
+    return [[(t.hex(), mac, circulation.hex(), bit)
+             for t, mac, circulation, bit in decide(responses, anchor_pos, channel, MACS).tolist()]
             for decide in (_decide_responses, _reference_responses)]
 
 

@@ -16,7 +16,7 @@ from nanoflow import channel as ch
 from nanoflow.channel import ChannelConfig
 from nanoflow.energy import EnergyConfig
 from nanoflow.errors import ConfigMismatch
-from nanoflow.simcore import (_ROW, Anchor, SimPlan, _delivered, _path_loss, _row_dots,
+from nanoflow.simcore import (_ROW, RECORD, Anchor, SimPlan, _delivered, _path_loss, _row_dots,
                               _sense_hits, export_energy_csv, export_raw_csv, run_simulation)
 from nanoflow.vasculature import (MobilityTrace, RegionType, Vessel, VesselGraph,
                                   simulate_mobility, upsample_trace)
@@ -89,11 +89,24 @@ def test_identical_devices_collide_every_response():
     traces = simulate_mobility(GRAPH, 2, 21.0, seed=0)
     np.testing.assert_array_equal(traces[0].positions, traces[1].positions)
     res = run(traces)
-    assert res.records == []  # ALOHA responses always overlap, none decode
+    assert len(res.records) == 0  # ALOHA responses always overlap, none decode
     res_ideal = run(traces, channel=NO_COLLISIONS)
     singles = run([traces[0]], channel=NO_COLLISIONS)
     assert len(res_ideal.records) == 2 * len(singles.records)
     assert {r.device_mac for r in res_ideal.records} == {0, 1}
+
+
+def test_records_are_one_record_array_in_time_mac_order():
+    # the two devices answer at the same instants; passed mac 1 first, they
+    # still come out in (time, mac) order, with no record lost
+    traces = simulate_mobility(GRAPH, 2, 21.0, seed=0)
+    for channel in (None, NO_COLLISIONS):   # no records, then some
+        records = run(traces[::-1], channel=channel).records
+        assert isinstance(records, np.recarray) and records.dtype == RECORD
+    keys = list(zip(records.report_time_s.tolist(), records.device_mac.tolist()))
+    singles = run([traces[0]], channel=NO_COLLISIONS).records
+    assert keys == sorted(keys) and len(keys) == 2 * len(singles) > 0
+    assert keys[0::2] == [(t, 0) for t in singles.report_time_s.tolist()]
 
 
 def test_concurrent_anchors_jam_beacons():
@@ -103,7 +116,7 @@ def test_concurrent_anchors_jam_beacons():
     two = [Anchor(mac=0, position=(0.3, 0.0, 0.0)),
            Anchor(mac=1, position=(-0.3, 0.0, 0.0))]
     res = run([tr], anchors=two)
-    assert res.records == []
+    assert len(res.records) == 0
     # with the SINR gate disabled the device answers one beacon per episode,
     # so two anchors do not double the record count
     res_ideal = run([tr], anchors=two, channel=NO_COLLISIONS)
@@ -227,6 +240,7 @@ def test_raw_csv_format(tmp_path):
     export_raw_csv(res.records, str(path))
     lines = path.read_text().splitlines()
     assert lines[0] == "report_time_s,device_mac,circulation_time_s,event_bit"
+    assert lines[0].split(",") == list(RECORD.names)
     assert len(lines) == 1 + len(res.records)
     cols = lines[1].split(",")
     assert len(cols) == 4
