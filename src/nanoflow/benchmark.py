@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -328,22 +327,82 @@ def sample_locations(dense: list[TargetEvent], strategy: str, k: int,
 # ---------------------------------------------------------------------------
 
 
-def _child_seed(root: int, *path: int) -> int:
-    return int(np.random.SeedSequence((root,) + path).generate_state(1)[0])
+_MASK32 = 0xFFFFFFFF
+# numpy's SeedSequence hash constants (INIT_A, MULT_A, INIT_B, MULT_B, MIX_MULT_L, MIX_MULT_R)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _child_seeds(keys: list[tuple[int, ...]]) -> list[int]:
+    """int(np.random.SeedSequence(key).generate_state(1)[0]) of each int tuple
+    in keys, bit for bit, in one uint32 pass over all of them.  It repeats
+    numpy's hash: a key is its ints' 32-bit words (an int of 2**32 or more
+    low word first), mixed into a 4-word pool, whose first word is hashed
+    out.  The hash constants do not depend on the data, so keys of any
+    lengths share one pass; a word past the pool mixes in only where a key
+    has it."""
+    rows = []
+    for key in keys:
+        row = []
+        for n in key:
+            if n < 0:
+                raise ValueError(f"seed key {key} holds a negative integer")
+            row.append(n & _MASK32)
+            while n > _MASK32:
+                n >>= 32
+                row.append(n & _MASK32)
+        rows.append(row)
+    if not rows:
+        return []
+    lengths = [len(row) for row in rows]
+    width = max(4, *lengths)   # a key short of the pool is padded with 0 words, as numpy does
+    words = np.array([row + [0] * (width - len(row)) for row in rows], np.uint32).T
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        mixed = x * _MIX_L - y * _MIX_R
+        return mixed ^ mixed >> 16
+
+    pool = [hashmix(word) for word in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    lengths = np.array(lengths)
+    for src in range(4, width):
+        has = lengths > src
+        for dst in range(4):
+            pool[dst] = np.where(has, mix(pool[dst], hashmix(words[src])), pool[dst])
+    state = (pool[0] ^ _INIT_B) * (_INIT_B * _MULT_B & _MASK32)
+    return (state ^ state >> 16).tolist()
 
 
 def build_traces(graph: VesselGraph, plan: SimPlan, runs: list[tuple[int, tuple[int, ...]]]):
     """The plan's upsampled traces, one list per (mobility seed, upsample
-    root) of `runs`.  A run walks on its own mobility seed; then all runs'
-    traces are upsampled in one upsample_traces pass, device d of a run on
-    the stream _child_seed(*upsample_root, 1, d).  A run's traces come out
-    as if it were built alone."""
+    root) of `runs`: _walked_traces with device d of a run upsampled on the
+    stream _child_seeds([(*upsample_root, 1, d)]), all drawn in one pass."""
+    return _walked_traces(graph, plan, [mobility_seed for mobility_seed, _ in runs],
+                          _child_seeds([(*root, 1, d) for _, root in runs
+                                        for d in range(plan.device_count)]))
+
+
+def _walked_traces(graph: VesselGraph, plan: SimPlan, mobility_seeds: list[int],
+                   upsample_seeds: list[int]):
+    """One list of upsampled traces per mobility seed.  Each run walks on its
+    own seed; then all runs' traces are upsampled in one upsample_traces
+    pass, trace i on upsample_seeds[i].  A run's traces come out as if it
+    were built alone."""
     walks = [simulate_mobility(graph, plan.device_count, plan.duration_s, seed=mobility_seed)
-             for mobility_seed, _ in runs]
+             for mobility_seed in mobility_seeds]
     built = iter(upsample_traces([tr for traces in walks for tr in traces],
-                                 plan.upsample_factor, plan.upsample_sigma_cm,
-                                 [_child_seed(*root, 1, tr.device_id)
-                                  for (_, root), traces in zip(runs, walks) for tr in traces]))
+                                 plan.upsample_factor, plan.upsample_sigma_cm, upsample_seeds))
     return [[next(built) for _ in traces] for traces in walks]
 
 
@@ -362,27 +421,35 @@ _BATCH_DEVICE_S = 2048   # device-seconds of traces a batch of several events st
 def _run_batch(graph: VesselGraph, plan: SimPlan, sim_times: list, seed: int,
                events: list[TargetEvent]):
     """([RegionEstimate per sim time], consumed pJ per device, error | None)
-    of each event.  Each event's traces are built on its own seed streams
-    (build_traces), the beacons of all of them are decoded in one pass, and
-    then each event runs alone and is localized at each sim time on the
-    records reported by then, so its result does not depend on its
-    batch-mates.  Only a NanoflowError counts as no estimate, for that event
-    alone; an event run raises ConfigMismatch for traces that do not fit the
-    plan (the mobility of a 60.4 s run covers 60 s).  Any other exception
-    propagates."""
-    built = build_traces(graph, plan, [(_child_seed(seed, event.id, 0), (seed, event.id))
-                                       for event in events])
+    of each event.  Event id walks on seed key (seed, id, 0), upsamples
+    device d on (seed, id, 1, d), as build_traces does for the root (seed,
+    id), and localizes at sim time i on (seed, id, 3, i); every seed of the
+    batch comes from one _child_seeds pass.  The beacons of all the traces
+    are decoded in one pass, and then each event runs alone and is
+    localized at each sim time on the records reported by then, so its
+    result does not depend on its batch-mates.  Only a NanoflowError counts
+    as no estimate, for that event alone; an event run raises ConfigMismatch
+    for traces that do not fit the plan (the mobility of a 60.4 s run covers
+    60 s).  Any other exception propagates."""
+    # every seed of the batch in one pass: mobility, upsampling, localization
+    n, devices, times = len(events), plan.device_count, range(len(sim_times))
+    seeds = _child_seeds([(seed, event.id, 0) for event in events]
+                         + [(seed, event.id, 1, d) for event in events for d in range(devices)]
+                         + [(seed, event.id, 3, ti) for event in events for ti in times])
+    built = _walked_traces(graph, plan, seeds[:n], seeds[n:n + n * devices])
+    localize_seeds = iter(seeds[n + n * devices:])
     decoded = iter(decode_beacons(graph, [tr for traces in built for tr in traces], plan))
+    cuts = np.array(sim_times) + 1e-9
     runs = []
     for event, traces in zip(events, built):
+        event_seeds = [next(localize_seeds) for _ in times]
         try:
             result = simulate_event(graph, plan, event, traces,
                                     [next(decoded) for _ in traces])
             records = result.records.view(np.ndarray)   # recarray reads run in Python
-            ends = np.searchsorted(records["report_time_s"], np.array(sim_times) + 1e-9, "right")
-            estimates = [baseline_localize(records[:end], graph, event_id=event.id,
-                                           seed=_child_seed(seed, event.id, 3, ti))
-                         for ti, end in enumerate(ends.tolist())]
+            ends = np.searchsorted(records["report_time_s"], cuts, "right")
+            estimates = [baseline_localize(records[:end], graph, event_id=event.id, seed=s)
+                         for s, end in zip(event_seeds, ends.tolist())]
             runs.append((estimates, list(result.consumed_pj.values()), None))
         except NanoflowError as exc:
             runs.append(([RegionEstimate(event.id, None, None) for _ in sim_times], [],
@@ -496,6 +563,7 @@ def run_events(graph: VesselGraph, events: list[TargetEvent], plan: SimPlan,
     if workers == 1:
         runs = [run for batch in batches for run in run_batch(batch)]
     else:
+        from concurrent.futures import ProcessPoolExecutor   # only here: it loads multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
             runs = [run for batch_runs in pool.map(run_batch, batches, chunksize=max(
                 1, len(batches) // (4 * workers))) for run in batch_runs]
@@ -539,7 +607,8 @@ def convergence_samples(dense: list[TargetEvent], strategy: str, sizes: list[int
                         seed: int = 0) -> list[list[TargetEvent]]:
     """Per size, the subsample of dense that convergence_curve scores; no
     event run is needed to draw them (or to find a size a strategy cannot fill)."""
-    return [sample_locations(dense, strategy, k, seed=_child_seed(seed, k)) for k in sizes]
+    return [sample_locations(dense, strategy, k, seed=child)
+            for k, child in zip(sizes, _child_seeds([(seed, k) for k in sizes]))]
 
 
 def convergence_curve(dense_results: list[tuple[TargetEvent, RegionEstimate]],

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .benchmark import STRATEGIES
 from .channel import ChannelConfig, Layer
-from .energy import EnergyConfig
+from .energy import EnergyConfig, turn_on_latency_cycles
 from .errors import ConfigError, ConfigMismatch
 from .simcore import Anchor, ProtocolParams, SimPlan
 from .vasculature import VesselGraph, build_reference_vasculature, load_graph
@@ -267,7 +267,13 @@ class RunConfig:
                 if t > self.raw["duration_s"]:
                     raise ConfigError(f"config key benchmark.sim_times_s[{i}] must not exceed "
                                       f"duration_s ({t!r} > {self.raw['duration_s']!r})")
-        self.plan()
+        plan = self.plan()
+        e = plan.energy_cfg   # devices that never turn on would report nothing: a score of 0
+        on_s = turn_on_latency_cycles(e) * e.t_cycle
+        if on_s > plan.duration_s:
+            raise ConfigError(f"config key energy.v_g_volts gives a charging curve that turns a "
+                              f"device on after {on_s:g} s, longer than duration_s "
+                              f"{plan.duration_s:g} s")
 
     def fingerprint(self) -> str:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))

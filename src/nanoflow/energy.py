@@ -124,8 +124,9 @@ def cycle_index(energy: float, cfg: EnergyConfig) -> int:
 
 
 def turn_on_latency_cycles(cfg: EnergyConfig) -> int:
-    """First whole cycle at which a device charging from empty powers on."""
-    return cycle_index(cfg.e_turn_on, cfg)
+    """First whole cycle at which a device charging from empty powers on: the
+    least n with energy_at_cycle(n) >= e_turn_on, which may be e_max."""
+    return bisect_left(range(1 << 62), cfg.e_turn_on, key=lambda n: energy_at_cycle(n, cfg))
 
 
 _GRID_LIMIT = 1 << 17   # entries per charge grid; 23,767 reach e_max by default

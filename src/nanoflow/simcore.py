@@ -19,43 +19,48 @@ energy depends only on its own events.  A run is therefore three phases:
    instant's position, distances and closing speed come from array passes
    (row dots equal to np.dot and np.linalg.norm bit for bit).  Each beacon
    is decided against sensitivity and the other anchors' overlapping
-   beacons; a decoded one carries its rx dBm.  No value mixes devices (each
-   is elementwise or a per-packet sum in pair order), so a device's beacons
-   are the same bit for bit whatever else is decoded with it: phase 1 may
-   span the traces of a batch of runs of one plan, and each run then takes
-   its own slice (benchmark.run_events does this for small events).
+   beacons; a decoded one carries its rx dBm, path loss and Doppler
+   penalty.  No value mixes devices (each is elementwise or a per-packet
+   sum in pair order), so a device's beacons are the same bit for bit
+   whatever else is decoded with it: phase 1 may span the traces of a
+   batch of runs of one plan, and each run then takes its own slice
+   (benchmark.run_events does this for small events).
 2. Per-device scan.  The device's decoded beacons, sense ticks (on the
    upsampled sample grid) and 1 Hz energy samples advance its capacitor
    along the harvest curve, spend energy, keep the circulation clock and
    event bit, and collect the responses it sends, each at the rx of the
-   beacon it answers plus the backscatter gain.  The capacitor steps exactly
-   as energy.advance_harvest and energy.try_consume would, in locals, from
-   grid[0], 0 J, of energy.charge_tables' grid: from a grid entry, or one
-   less a paid sense tick, a harvest is a gather from the tables, and
-   otherwise energy.energy_after.  Most of a scan is one tight loop that
-   steps tick to tick on a tick grid built once per process for each
-   distinct trace time grid (a small cache, never changed).  It stops only
-   at sparse items, in time and tie order: decoded beacons (before a tick
-   at the same time; spent through try_consume), ticks that see the target
-   (a distance pass over the ticks in the radius box), the tick after
-   another sparse item's harvest, and energy samples off the tick grid
-   (they harvest; after a tick at the same time).  A sample on a tick is
-   no stop: the tight loop is cut at its tick, or the sparse tick there
+   beacon it answers plus the backscatter gain, and received at the anchor
+   over the beacon's path (its path loss and Doppler penalty).  The
+   capacitor steps exactly as energy.advance_harvest and energy.try_consume
+   would, in locals, from grid[0], 0 J, of energy.charge_tables' grid: from
+   a grid entry, or one less a paid sense tick, a harvest is a gather from
+   the tables, and otherwise energy.energy_after.  Most of a scan is one
+   tight loop that steps tick to tick on a tick grid built once per process
+   for each distinct trace time grid (a small cache, never changed).  It
+   stops only at sparse items, in time and tie order: decoded beacons
+   (before a tick at the same time; spent through try_consume), ticks that
+   see the target (a distance pass over the ticks in the radius box), the
+   tick after another sparse item's harvest, and energy samples off the tick
+   grid (they harvest; after a tick at the same time).  A sample on a tick
+   is no stop: the tight loop is cut at its tick, or the sparse tick there
    goes first, and then its row is recorded.
 3. Collisions.  Responses arriving within _T_EPS of the earliest pending
    arrival form one batch.  Each is decided against the others in the
    batch, summed in (arrival time, anchor, device) order; a decoded one
-   becomes a record stamped with the batch's earliest arrival.
+   becomes a record stamped with the batch's earliest arrival.  Only a
+   batch of two or more needs path losses, from each interferer.
 
-Beacons and responses are decided by one routine, _delivered, in array
-passes over one list of (packet, interferer) pairs.  Each value repeats the
-scalar channel functions' float operations in their order (math's log10 and
-float **, not numpy's, interference added left to right), so rx and verdicts
-are theirs bit for bit.  Energy rows come out as one _ROW array in (time,
-device) order and records as one RECORD recarray in (time, mac) order, so a
-run is deterministic however runs are scheduled.  A caller that does not
-read the energy rows can skip them (energy_rows=False); the samples still
-advance the capacitor, so records and consumption do not change.
+A packet's link budget (_link_budget: path loss, Doppler penalty, rx) and
+its verdict (_delivered: sensitivity, then SINR against its interferers)
+are array passes; beacons and responses share the verdict pass.  Each value
+repeats the scalar channel functions' float operations in their order
+(math's log10 and float **, not numpy's, interference added left to right),
+so rx and verdicts are theirs bit for bit.  Energy rows come out as one _ROW
+array in (time, device) order and records as one RECORD recarray in (time,
+mac) order, so a run is deterministic however runs are scheduled.  A
+caller that does not read the energy rows can skip them (energy_rows=False);
+the samples still advance the capacitor, so records and consumption do not
+change.
 """
 
 from __future__ import annotations
@@ -211,24 +216,30 @@ def _path_loss(dist: np.ndarray, ccfg: ch.ChannelConfig) -> np.ndarray:
     return loss
 
 
-def _delivered(dist: np.ndarray, closing: np.ndarray, tx: np.ndarray, row: np.ndarray,
-               itx: np.ndarray, idist: np.ndarray, ccfg: ch.ChannelConfig):
-    """(indices of the delivered packets, ascending; rx dBm of every packet).
-    Packet i is sent at tx[i] dBm over dist[i] cm, closing at closing[i]
-    cm/s; pair j, sent at itx[j] dBm over idist[j] cm, interferes with packet
-    row[j] (ascending).  Each value repeats the float operations of
-    ch.link_sample, ch.sinr_db and ch.reception_decision in their order."""
-    loss = _path_loss(np.concatenate((dist, idist)), ccfg)
-    rx = ch.received_power_dbm(tx, loss[:len(dist)],
-                               ch.doppler_penalty_db(ch.doppler_shift_hz(closing, ccfg), ccfg))
+def _link_budget(dist: np.ndarray, closing: np.ndarray, tx: np.ndarray,
+                 ccfg: ch.ChannelConfig):
+    """(path loss dB, Doppler penalty dB, rx dBm) of each packet, sent at
+    tx[i] dBm over dist[i] cm, closing at closing[i] cm/s: ch.link_sample's
+    float operations in its order."""
+    loss = _path_loss(dist, ccfg)
+    penalty = ch.doppler_penalty_db(ch.doppler_shift_hz(closing, ccfg), ccfg)
+    return loss, penalty, ch.received_power_dbm(tx, loss, penalty)
+
+
+def _delivered(rx: np.ndarray, row: np.ndarray, interferer_dbm: np.ndarray,
+               ccfg: ch.ChannelConfig) -> np.ndarray:
+    """Indices of the delivered packets, ascending.  Packet i arrives at
+    rx[i] dBm; pair j, arriving at interferer_dbm[j] dBm, interferes with
+    packet row[j] (ascending).  Each value repeats the float operations of
+    ch.sinr_db and ch.reception_decision in their order."""
     audible = (rx >= ccfg.rx_sensitivity_dbm).nonzero()[0]   # SINR matters only for these
     # added left to right per packet, in pair order, as ch.sinr_db adds them
-    interference = np.bincount(row, _scalar_map(ch.dbm_to_mw, itx - loss[len(dist):]), len(dist))
+    interference = np.bincount(row, _scalar_map(ch.dbm_to_mw, interferer_dbm), len(rx))
     denom = ch.dbm_to_mw(ccfg.noise_floor_dbm) + interference[audible]
     ratio = np.divide(_scalar_map(ch.dbm_to_mw, rx[audible]), denom,
                       out=np.full(len(denom), np.inf), where=denom != 0.0)   # inf: the 200 dB cap
     sinr = np.minimum(10.0 * _scalar_map(math.log10, ratio), 200.0)
-    return audible[sinr >= ccfg.sinr_threshold_db], rx
+    return audible[sinr >= ccfg.sinr_threshold_db]
 
 
 def _visit_windows(vdev: np.ndarray, vt: np.ndarray, ends: np.ndarray, vstart: np.ndarray,
@@ -255,7 +266,8 @@ def _decoded_beacons(schedule, anchors: list[Anchor], anchor_pos: np.ndarray,
                      anchor_tx: list[float], ccfg: ch.ChannelConfig, beacon_air: float,
                      duration_s: float):
     """Per device of the schedule, (t, anchor index, position, closing speed,
-    rx dBm, in heart) of each beacon it decodes, in (t, anchor index) order."""
+    rx dBm, in heart, path loss dB, Doppler penalty dB) of each beacon it
+    decodes, in (t, anchor index) order."""
     first, vt, ends, vstart, vvel, vheart = schedule
     vdev = np.repeat(np.arange(len(first) - 1), np.diff(first))
     intervals = np.array([a.beacon_interval_s for a in anchors])
@@ -299,20 +311,23 @@ def _decoded_beacons(schedule, anchors: list[Anchor], anchor_pos: np.ndarray,
         row, j = ((np.abs(np.round(bt[:, None] / intervals) * intervals - bt[:, None]) <= beacon_air)
                   & (ba[:, None] != np.arange(len(anchors)))).nonzero()
         gap = p[row] - anchor_pos[j]
-        delivered, rx = _delivered(dist, closing, tx_of[ba], row, tx_of[j],
-                                   np.sqrt(_row_dots(gap, gap)), ccfg)
-        devs, ais, ts, rxs, closings, hearts = (
-            x.tolist() for x in (bd, ba, bt, rx, closing, vheart[bv]))
+        loss, penalty, rx = _link_budget(dist, closing, tx_of[ba], ccfg)
+        delivered = _delivered(rx, row, tx_of[j] - _path_loss(np.sqrt(_row_dots(gap, gap)), ccfg),
+                               ccfg)
+        devs, ais, ts, rxs, closings, hearts, losses, penalties = (
+            x.tolist() for x in (bd, ba, bt, rx, closing, vheart[bv], loss, penalty))
         for i in delivered.tolist():
-            out[devs[i]].append((ts[i], ais[i], p[i], closings[i], rxs[i], hearts[i]))
+            out[devs[i]].append((ts[i], ais[i], p[i], closings[i], rxs[i], hearts[i],
+                                 losses[i], penalties[i]))
     return out
 
 
 def decode_beacons(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPlan):
-    """Per trace, (t, anchor index, position, closing speed, rx dBm, in heart)
-    of each beacon its device decodes under the plan, in (t, anchor index)
-    order.  The traces may be those of several runs of the plan: a device's
-    beacons do not depend on the other traces decoded with it (phase 1)."""
+    """Per trace, (t, anchor index, position, closing speed, rx dBm, in heart,
+    path loss dB, Doppler penalty dB) of each beacon its device decodes under
+    the plan, in (t, anchor index) order.  The traces may be those of
+    several runs of the plan: a device's beacons do not depend on the other
+    traces decoded with it (phase 1)."""
     if not traces:
         return []
     ccfg = plan.channel_cfg
@@ -395,36 +410,34 @@ def _decide_responses(responses: list[tuple], anchor_pos: np.ndarray,
     """RECORD rows of the responses that survive their collision batch, in order.
 
     `responses` holds (arrival, anchor index, device index, position,
-    tx dBm, closing speed, circulation time, event bit) in (arrival,
+    tx dBm, rx dBm at its anchor, circulation time, event bit) in (arrival,
     anchor, device) order.  A batch-mate interferes unless it answers the
-    same anchor from the same device.
+    same anchor from the same device, so path losses are needed only for
+    batches of two or more: from each interferer to the response's anchor.
     """
     if not responses:
         return np.empty(0, RECORD)
-    arrivals, anchor_of, device_of, pos, tx, closing, circulation, bit = zip(*responses)
-    bounds = [0]   # batch b is bounds[b]:bounds[b + 1]
-    while bounds[-1] < len(responses):
-        t, stop = arrivals[bounds[-1]], bounds[-1] + 1
-        while stop < len(responses) and arrivals[stop] - t <= _T_EPS:
-            stop += 1
-        bounds.append(stop)
-    ai, di, tx, own = np.array(anchor_of), np.array(device_of), np.array(tx), np.arange(len(tx))
-    size = np.diff(bounds)
-    first = np.repeat(bounds[:-1], size)
-    # (response, batch-mate) pairs in batch order, the response itself included
-    width = size.repeat(size)
-    row = own.repeat(width)
-    mate = first[row] + np.arange(len(row)) - (np.cumsum(width) - width)[row]
-    keep = (ai[mate] != ai[row]) | (di[mate] != di[row])
-    row, mate = row[keep], mate[keep]
-    # distance to each response's anchor from itself, then from each interferer
-    gap = (np.array(pos).reshape(-1, 3)[np.concatenate((own, mate))]
-           - anchor_pos[ai[np.concatenate((own, row))]])
-    dist = np.sqrt(_row_dots(gap, gap))
-    delivered, _ = _delivered(dist[:len(own)], np.array(closing), tx, row, tx[mate],
-                              dist[len(own):], ccfg)
+    arrivals, anchor_of, device_of, pos, tx, rx, circulation, bit = zip(*responses)
+    first, bounds = [], []   # each response's batch's first response; each batch's
+    for i, t in enumerate(arrivals):
+        if not bounds or t - arrivals[bounds[-1]] > _T_EPS:
+            bounds.append(i)
+        first.append(bounds[-1])
+    row, interferer_dbm = np.empty(0, np.intp), np.empty(0)
+    if len(bounds) < len(first):   # a batch of two or more; batch b is bounds[b]:bounds[b + 1]
+        ai, di = np.array(anchor_of), np.array(device_of)
+        size = np.diff(bounds + [len(first)])
+        # (response, batch-mate) pairs in batch order, the response itself included
+        width = size.repeat(size)
+        row = np.arange(len(first)).repeat(width)
+        mate = np.array(first)[row] + np.arange(len(row)) - (np.cumsum(width) - width)[row]
+        keep = (ai[mate] != ai[row]) | (di[mate] != di[row])
+        row, mate = row[keep], mate[keep]
+        gap = np.array(pos).reshape(-1, 3)[mate] - anchor_pos[ai[row]]
+        interferer_dbm = np.array(tx)[mate] - _path_loss(np.sqrt(_row_dots(gap, gap)), ccfg)
     return np.array([(arrivals[first[i]], macs[device_of[i]], circulation[i], bit[i])
-                     for i in delivered.tolist()], RECORD)
+                     for i in _delivered(np.array(rx), row, interferer_dbm, ccfg).tolist()],
+                    RECORD)
 
 
 def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPlan,
@@ -545,7 +558,7 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
                     row_powered.append(powered)
                     due = next(dues)
                 continue
-            _, ai, p, closing, rx_dbm, in_heart = heard[item]
+            _, ai, p, _, rx_dbm, in_heart, loss, penalty = heard[item]
             state.energy, state.powered = energy, powered
             if not powered or try_consume(state, rx_cost, energy_cfg) is None:
                 continue
@@ -565,9 +578,10 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
                 consumed += tx_cost
                 responded = True
                 t_rx = t + beacon_air + response_air
-                if t_rx <= t_last:
-                    responses.append((t_rx, ai, di, p, rx_dbm + channel_cfg.backscatter_gain_db,
-                                      closing, circulation, bit))
+                if t_rx <= t_last:   # back over the beacon's path: its loss and penalty
+                    tx = rx_dbm + channel_cfg.backscatter_gain_db
+                    responses.append((t_rx, ai, di, p, tx, ch.received_power_dbm(tx, loss, penalty),
+                                      circulation, bit))
             energy, powered = state.energy, state.powered
         consumed_pj[mac] = consumed * 1e12
 
@@ -575,7 +589,9 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
     responses.sort(key=itemgetter(0, 1, 2))
     records = _decide_responses(responses, anchor_pos, channel_cfg, macs)
     records = records[np.lexsort((records["device_mac"], records["report_time_s"]))]
-    n = math.floor(t_last) + 1 if energy_rows else 0   # samples per device
+    if not energy_rows:
+        return SimResult(records.view(np.recarray), np.empty(0, _ROW), consumed_pj)
+    n = math.floor(t_last) + 1   # samples per device
     rows = np.empty((n, len(traces)), _ROW)   # time-major
     rows["time"], rows["mac"] = np.arange(n, dtype=float)[:, None], macs
     rows["value"] = np.fromiter(row_energy, float, rows.size).reshape(len(traces), n).T * 1e12

@@ -1,7 +1,11 @@
 """Metrics, baseline localizer, sampling strategies and harness."""
 
+import concurrent.futures
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -447,6 +451,18 @@ def test_a_fault_in_an_event_run_stops_the_benchmark(monkeypatch):
         run_benchmark(GRAPH, EVENTS, PLAN, workers=1, seed=5)
 
 
+def test_importing_the_cli_loads_no_process_pool():
+    # simulate and one-worker runs start no pool, so they do not pay for
+    # importing multiprocessing: run_events imports the pool when it starts one
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", "import sys, nanoflow.cli; "
+                           "print(sorted(m for m in sys.modules if 'multiprocessing' in m))"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_run_events_starts_no_more_workers_than_events(monkeypatch):
     started = []
 
@@ -463,7 +479,7 @@ def test_run_events_starts_no_more_workers_than_events(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(benchmark, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)   # run_events imports it
     one = run_events(GRAPH, EVENTS[:1], PLAN, workers=4, seed=5)
     assert started == []
     assert one == run_events(GRAPH, EVENTS[:1], PLAN, workers=1, seed=5)
@@ -555,6 +571,29 @@ def test_each_sim_time_reads_the_records_reported_by_then(monkeypatch):
     assert seen == [[r for r in records.tolist() if r[0] <= t + 1e-9] for t in (10.0, 60.0)]
 
 
+def _seed_sequence(*key):
+    return int(np.random.SeedSequence(key).generate_state(1)[0])
+
+
+def test_child_seeds_are_numpys_seed_sequence_bit_for_bit():
+    # random paths of 1 to 9 ints, some of them 2**32 or more (several
+    # words each); roots on the 32- and 64-bit edges; keys longer than the
+    # 4-word pool; all lengths in one call, as one batch's seeds are
+    rng = np.random.default_rng(29)
+    keys = [tuple(int(v) << int(shift) for v, shift in
+                  zip(rng.integers(0, 2 ** 31, n), rng.choice([0, 0, 0, 16, 32, 40, 64], n)))
+            for n in rng.integers(1, 10, 600).tolist()]
+    for root in (0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3):
+        keys += [(root,), (root, 7), (root, 7, 0), (root, 7, 1, 2), (root, 7, 3, 0, 1),
+                 (1, 2, 3, 4, 5, root)]
+    assert benchmark._child_seeds(keys) == [_seed_sequence(*key) for key in keys]
+    assert len({len(key) for key in keys}) == 9
+    assert benchmark._child_seeds(keys[:1]) == [_seed_sequence(*keys[0])]
+    assert benchmark._child_seeds([]) == []
+    with pytest.raises(ValueError, match="negative"):
+        benchmark._child_seeds([(1, 2), (3, -1)])
+
+
 _TRACE_FIELDS = ("times", "positions", "vessel_ids", "visit_times", "visit_vessels")
 
 
@@ -569,7 +608,7 @@ def test_build_traces_is_each_run_traced_alone(factor, rate, sigma, duration):
     built = benchmark.build_traces(GRAPH, plan, runs)
     assert len(built) == len(runs)
     for (mobility_seed, root), traces in zip(runs, built):
-        want = [upsample_trace(tr, factor, sigma, benchmark._child_seed(*root, 1, tr.device_id))
+        want = [upsample_trace(tr, factor, sigma, _seed_sequence(*root, 1, tr.device_id))
                 for tr in simulate_mobility(GRAPH, 3, duration, seed=mobility_seed)]
         assert len(traces) == len(want) and len(traces[0]) == (int(round(duration))) * factor + 1
         for got, exp in zip(traces, want):

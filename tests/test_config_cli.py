@@ -239,6 +239,26 @@ def test_benchmark_rejects_a_curve_that_never_charges(tmp_path, capsys):
     assert not (tmp_path / "bm").exists()
 
 
+def test_benchmark_rejects_a_curve_that_turns_on_after_the_run(tmp_path, capsys):
+    # v_g 0.001 V charges a device to turn_on_pj in 31,617 cycles (632 s),
+    # so no device of a 30 s run ever turns on: a report of zeros, unless
+    # rejected.  At 633 s it turns on in time and the config loads
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps({"energy": {"v_g_volts": 0.001}}))
+    assert main(["benchmark", "--config", str(cfgp), "--k", "5", "--devices", "2",
+                 "--duration-s", "30", "--out", str(tmp_path / "bm")]) == 1
+    assert capsys.readouterr().err == (
+        "error: config key energy.v_g_volts gives a charging curve that turns a device on "
+        "after 632.34 s, longer than duration_s 30 s\n")
+    assert not (tmp_path / "bm").exists()
+    assert load_config(str(cfgp), {"duration_s": 633.0}).plan().duration_s == 633.0
+    with pytest.raises(ConfigError, match="after 632.34 s, longer than duration_s 632.3 s"):
+        load_config(str(cfgp), {"duration_s": 632.3})
+    # turn_on_pj at e_max: the first cycle that reaches e_max, not an inverse out of range
+    with pytest.raises(ConfigError, match="after 475.32 s, longer than duration_s 400 s"):
+        load_config(None, {"energy": {"turn_on_pj": 800.0}, "duration_s": 400.0})
+
+
 def test_mapped_config_keys_exist():
     for field, key in _KEYS.items():
         node = DEFAULT_CONFIG

@@ -705,8 +705,19 @@ def test_visit_windows_at_rest_and_on_a_tangent_equal_the_scalar_loop():
 
 
 def _beacon_bits(beacons):
-    return [(t.hex(), ai, p.tobytes(), closing.hex(), rx.hex(), heart)
-            for t, ai, p, closing, rx, heart in beacons]
+    return [(t.hex(), ai, p.tobytes(), closing.hex(), rx.hex(), heart, loss.hex(), penalty.hex())
+            for t, ai, p, closing, rx, heart, loss, penalty in beacons]
+
+
+def _reference_beacon_bits(beacons, anchor_pos, channel):
+    """_beacon_bits of the reference's beacons, each with the path loss and
+    Doppler penalty of its own distance and closing speed, from the scalar
+    channel functions."""
+    return _beacon_bits([
+        (t, ai, p, closing, rx, heart,
+         ch.path_loss_db(float(np.linalg.norm(p - anchor_pos[ai])), channel),
+         ch.doppler_penalty_db(ch.doppler_shift_hz(closing, channel), channel))
+        for t, ai, p, closing, rx, heart in beacons])
 
 
 @pytest.mark.parametrize("seed", [4, 11])
@@ -724,7 +735,8 @@ def test_decoded_beacons_of_a_run_equal_the_per_device_reference(seed):
                            np.array(anchor_pos), anchor_tx, channel, beacon_air, duration)
     want = [_reference_beacons(_reference_schedule(tr, GRAPH), anchors, anchor_pos, anchor_tx,
                                ranges, channel, beacon_air, duration) for tr in traces]
-    assert [_beacon_bits(b) for b in got] == [_beacon_bits(b) for b in want]
+    assert ([_beacon_bits(b) for b in got]
+            == [_reference_beacon_bits(b, anchor_pos, channel) for b in want])
     assert sum(map(len, want)) > 100
 
 
@@ -748,6 +760,26 @@ def test_beacons_decoded_for_a_batch_of_runs_equal_each_run_decoded_alone(anchor
             == _bits(run_simulation(GRAPH, traces, plan, target))
 
 
+def test_responses_over_a_doppler_channel_run_like_the_reference():
+    # the scan stamps each response with the rx its beacon's path loss and
+    # Doppler penalty give; the reference computes both again per response
+    # from its position and closing speed.  With penalties of up to 3.5 dB
+    # and a backscatter gain that puts responses near the sensitivity gate
+    # (so a response rx without its penalty would move records), records
+    # still come out bit for bit, at one anchor and at four
+    channel = ch.ChannelConfig(doppler_penalty_db_per_mhz=8000.0, backscatter_gain_db=70.0)
+    traces = [upsample_trace(tr, 3, 0.2, tr.device_id)
+              for tr in simulate_mobility(GRAPH, 12, 90.0, seed=13)]
+    target = tuple(traces[0].positions[40])
+    for anchors in (SimPlan().anchors, CONTENTION_ANCHORS):
+        plan = SimPlan(device_count=12, duration_s=90.0, anchors=anchors, channel_cfg=channel)
+        penalties = [b[7] for beacons in decode_beacons(GRAPH, traces, plan) for b in beacons]
+        assert max(penalties) > 2.0
+        got = run_simulation(GRAPH, traces, plan, target)
+        assert _bits(got) == _bits(reference_run(GRAPH, traces, plan, target))
+        assert len(got.records) > 5
+
+
 def _resting(points, duration):
     """Engine and per-device reference schedules of devices resting at `points`."""
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
@@ -767,7 +799,8 @@ def _decode_both(engine_schedule, reference_schedules, anchors, channel, duratio
                            beacon_air, duration)
     want = [_reference_beacons(s, anchors, list(anchor_pos), anchor_tx, ranges, channel,
                                beacon_air, duration) for s in reference_schedules]
-    return [_beacon_bits(b) for b in got], [_beacon_bits(b) for b in want]
+    return ([_beacon_bits(b) for b in got],
+            [_reference_beacon_bits(b, anchor_pos, channel) for b in want])
 
 
 def test_beacons_on_the_sensitivity_gate_decode_like_the_reference():
@@ -830,15 +863,22 @@ MACS = [10, 11, 12, 13]
 
 
 def _response(t, ai, di, p, tx, closing=0.0, circulation=1.5, bit=1):
+    """A response as the reference takes it: closing speed in place of rx."""
     return (t, ai, di, np.asarray(p, dtype=float), tx, closing, circulation, bit)
 
 
 def _responses_both(responses, anchor_pos, channel):
-    """Records of the engine's collision pass and of the scalar reference, as bits."""
+    """Records of the engine's collision pass and of the scalar reference, as
+    bits.  The engine's responses carry the rx that ch.link_sample gives over
+    the distance to their anchor at their closing speed, as the scan stamps
+    it from the beacon's path loss and Doppler penalty."""
     anchor_pos = np.asarray(anchor_pos, dtype=float).reshape(-1, 3)
+    stamped = [(t, ai, di, p, tx, ch.link_sample(float(np.linalg.norm(p - anchor_pos[ai])),
+                                                 closing, tx, channel).rx_power_dbm, *rest)
+               for t, ai, di, p, tx, closing, *rest in responses]
     return [[(t.hex(), mac, circulation.hex(), bit)
-             for t, mac, circulation, bit in decide(responses, anchor_pos, channel, MACS).tolist()]
-            for decide in (_decide_responses, _reference_responses)]
+             for t, mac, circulation, bit in decide(given, anchor_pos, channel, MACS).tolist()]
+            for decide, given in ((_decide_responses, stamped), (_reference_responses, responses))]
 
 
 def test_responses_on_the_sinr_threshold_decide_like_the_reference():

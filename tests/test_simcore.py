@@ -16,8 +16,9 @@ from nanoflow import channel as ch
 from nanoflow.channel import ChannelConfig
 from nanoflow.energy import EnergyConfig
 from nanoflow.errors import ConfigMismatch
-from nanoflow.simcore import (_ROW, RECORD, Anchor, SimPlan, _delivered, _path_loss, _row_dots,
-                              _sense_hits, export_energy_csv, export_raw_csv, run_simulation)
+from nanoflow.simcore import (_ROW, RECORD, Anchor, SimPlan, _delivered, _link_budget,
+                              _path_loss, _row_dots, _sense_hits, export_energy_csv,
+                              export_raw_csv, run_simulation)
 from nanoflow.vasculature import (MobilityTrace, RegionType, Vessel, VesselGraph,
                                   simulate_mobility, upsample_trace)
 
@@ -294,8 +295,8 @@ def test_input_validation():
                           ch.Layer("tissue", 2.0, 30.0)]),
 ], ids=["default", "low_carrier_doppler", "leading_gap", "quiet_mid_gap"])
 def test_array_channel_is_the_scalar_channel_bit_for_bit(channel):
-    # path loss and rx of the engine's array pass against ch.path_loss_db and
-    # ch.link_sample, and its verdicts against ch.sinr_db and
+    # path loss, Doppler penalty and rx of the engine's array passes against
+    # ch.path_loss_db and ch.link_sample, and its verdicts against ch.sinr_db and
     # ch.reception_decision, at zero, at sub-wavelength distances (where the
     # spreading term is clipped at 0 dB), on each layer boundary and its
     # float neighbours, and at random distances
@@ -312,10 +313,16 @@ def test_array_channel_is_the_scalar_channel_bit_for_bit(channel):
     tx = rng.uniform(-30.0, 10.0, len(dist))
     row = np.repeat(np.arange(len(dist)), rng.integers(0, 4, len(dist)))
     itx, idist = rng.uniform(-40.0, 10.0, len(row)), rng.uniform(0.0, 3.0, len(row))
-    delivered, rx = _delivered(dist, closing, tx, row, itx, idist, channel)
+    loss, penalty, rx = _link_budget(dist, closing, tx, channel)
+    delivered = _delivered(rx, row, itx - _path_loss(idist, channel), channel)
     want_rx = [ch.link_sample(d, v, t, channel).rx_power_dbm
                for d, v, t in zip(dist.tolist(), closing.tolist(), tx.tolist())]
     assert [x.hex() for x in rx.tolist()] == [x.hex() for x in want_rx]
+    assert ([x.hex() for x in loss.tolist()]
+            == [ch.path_loss_db(d, channel).hex() for d in dist.tolist()])
+    assert ([x.hex() for x in penalty.tolist()]
+            == [ch.doppler_penalty_db(ch.doppler_shift_hz(v, channel), channel).hex()
+                for v in closing.tolist()])
     bounds = np.searchsorted(row, np.arange(len(dist) + 1)).tolist()
     sinr = [ch.sinr_db(r, [t - ch.path_loss_db(x, channel) for t, x in
                            zip(itx[lo:hi].tolist(), idist[lo:hi].tolist())],
@@ -330,7 +337,7 @@ def test_array_channel_is_the_scalar_channel_bit_for_bit(channel):
     for i in [i for i, r in enumerate(want_rx) if r >= channel.rx_sensitivity_dbm][:300]:
         lo, hi = bounds[i], bounds[i + 1]
         for threshold, heard in ((sinr[i], True), (math.nextafter(sinr[i], math.inf), False)):
-            got, _ = _delivered(dist[i:i + 1], closing[i:i + 1], tx[i:i + 1], row[lo:hi] - i,
-                                itx[lo:hi], idist[lo:hi],
-                                replace(channel, sinr_threshold_db=threshold))
+            got = _delivered(rx[i:i + 1], row[lo:hi] - i,
+                             itx[lo:hi] - _path_loss(idist[lo:hi], channel),
+                             replace(channel, sinr_threshold_db=threshold))
             assert got.tolist() == [0] * heard, i
