@@ -28,7 +28,13 @@ these steps and also returns the grid index it lands on.
 The simulation engine's tight loop over a device's sense ticks walks by
 that index, with two index tables built with the grid (charge_tables()):
 a harvest from a grid entry, or from one less a paid sense tick, is a
-gather, and a paid sense tick is try_consume()'s comparison and subtraction.
+gather.  Two more tables (steady_tables()) fold the sense tick's pay into
+that step: after[n] = grid[n] - cost_sense is try_consume()'s subtraction,
+and steady[n] says that a powered device harvesting onto grid[n] pays and
+stays powered below e_max (grid[n] >= cost_sense, e_turn_off < after[n] <
+e_max).  Past the grid it is False for _STEADY_PAD more entries, so a
+harvest of up to that many cycles reads False there.  All five tables are
+built in one cache entry keyed by numbers, so a run fetches them in O(1).
 """
 
 from __future__ import annotations
@@ -130,6 +136,7 @@ def turn_on_latency_cycles(cfg: EnergyConfig) -> int:
 
 
 _GRID_LIMIT = 1 << 17   # entries per charge grid; 23,767 reach e_max by default
+_STEADY_PAD = 1 << 10   # False entries past a steady table's grid
 
 
 def charge_tables(cfg: EnergyConfig) -> tuple[tuple, tuple, tuple]:
@@ -139,11 +146,24 @@ def charge_tables(cfg: EnergyConfig) -> tuple[tuple, tuple, tuple]:
     bisect_left(grid, grid[n] - cost_sense).  A harvest of c cycles from
     grid[n] lands on grid[low[n] + c], and from grid[n] - cost_sense on
     grid[drop[n] + c], as energy_after() does, while that index is in grid."""
-    return _charge_tables(_tau_cycles(cfg), cfg.e_max, cfg.cost_sense, _GRID_LIMIT)
+    return _tables(cfg)[0]
+
+
+def steady_tables(cfg: EnergyConfig) -> tuple[tuple, tuple]:
+    """(after, steady) of charge_tables(cfg)'s grid, from the same cache
+    entry: after[n] = grid[n] - cost_sense, and steady[n] is grid[n] >=
+    cost_sense and e_turn_off < after[n] < e_max, then False for
+    _STEADY_PAD entries past the grid."""
+    return _tables(cfg)[1]
+
+
+def _tables(cfg: EnergyConfig):
+    return _charge_tables(_tau_cycles(cfg), cfg.e_max, cfg.cost_sense, cfg.e_turn_off,
+                          _GRID_LIMIT)
 
 
 @functools.lru_cache(maxsize=8)
-def _charge_tables(tau: float, e_max: float, cost_sense: float, limit: int):
+def _charge_tables(tau: float, e_max: float, cost_sense: float, e_turn_off: float, limit: int):
     # keyed by the curve's values rather than the (mutable) EnergyConfig, and
     # by the limit, so a grid cut short is served to no other limit
     # the curve is non-decreasing, so a bisect finds its first e_max entry
@@ -151,8 +171,11 @@ def _charge_tables(tau: float, e_max: float, cost_sense: float, limit: int):
     # _charge's operations in their order, with math.expm1 (np.expm1 differs)
     filled = -np.array(list(map(math.expm1, (-np.arange(min(full + 1, limit)) / tau).tolist())))
     grid = np.minimum(e_max * filled * filled, e_max)   # searchsorted "left" on it is bisect_left
-    return (tuple(grid.tolist()), tuple(np.searchsorted(grid, grid).tolist()),
-            tuple(np.searchsorted(grid, grid - cost_sense).tolist()))
+    after = grid - cost_sense
+    steady = (grid >= cost_sense) & (after > e_turn_off) & (after < e_max)
+    return ((tuple(grid.tolist()), tuple(np.searchsorted(grid, grid).tolist()),
+             tuple(np.searchsorted(grid, after).tolist())),
+            (tuple(after.tolist()), (*steady.tolist(), *[False] * _STEADY_PAD)))
 
 
 def energy_after(grid: tuple[float, ...], energy: float, cycles: int,

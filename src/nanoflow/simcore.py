@@ -32,12 +32,20 @@ energy depends only on its own events.  A run is therefore three phases:
    beacon it answers plus the backscatter gain, and received at the anchor
    over the beacon's path (its path loss and Doppler penalty).  The
    capacitor steps exactly as energy.advance_harvest and energy.try_consume
-   would, in locals, from grid[0], 0 J, of energy.charge_tables' grid: from
-   a grid entry, or one less a paid sense tick, a harvest is a gather from
-   the tables, and otherwise energy.energy_after.  Most of a scan is one
-   tight loop that steps tick to tick on a tick grid built once per process
-   for each distinct trace time grid (a small cache, never changed).  It
-   stops only at sparse items, in time and tie order: decoded beacons
+   would, in locals, from grid[0], 0 J, of energy.charge_tables' grid.  Most
+   of a scan is one tight loop that steps tick to tick on a tick grid built
+   once per process for each distinct trace time grid (a small cache, never
+   changed).  A tick's cycle count int(total / t_cycle) never falls as its
+   total grows, so the least totals that reach c0 = int(dt / t_cycle), c0 + 1
+   and c0 + 2 cycles, cut once per tick spacing (_cycle_cuts), give the
+   count and the phase of a total between the first and the last cut by
+   compares and one subtraction; any other total divides.  A powered device
+   whose energy is on the grid (base, its grid index, is set) and whose
+   harvest lands on an entry that energy.steady_tables marks steady then
+   pays for the tick and stays powered: the tick is one table step.  Any
+   other tick, and a harvest at a sparse item, gathers from the tables when
+   the energy is on the grid and calls energy.energy_after otherwise.  The
+   tight loop stops only at sparse items, in time and tie order: decoded beacons
    (before a tick at the same time; spent through try_consume), ticks that
    see the target (a distance pass over the ticks in the radius box), the
    tick after another sparse item's harvest, and energy samples off the tick
@@ -65,6 +73,7 @@ change.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -73,7 +82,8 @@ from operator import itemgetter
 import numpy as np
 
 from . import channel as ch
-from .energy import EnergyConfig, EnergyState, charge_tables, energy_after, try_consume
+from .energy import (EnergyConfig, EnergyState, charge_tables, energy_after, steady_tables,
+                     try_consume)
 from .errors import ConfigMismatch, require
 from .vasculature import MobilityTrace, VesselGraph, write_csv
 
@@ -405,6 +415,32 @@ def _tick_grid(trace: MobilityTrace, sense_rate_hz: int, duration_s: float):
             tuple(stops), (*(at[on] + 1).tolist(), len(ticks) + 1))
 
 
+@functools.lru_cache(maxsize=64)
+def _cycle_cuts(dt: float, t_cycle: float, most: int) -> tuple:
+    """(cut(c0), cut(c0 + 1), cut(c0 + 2), c0, c0 + 1, c0 * t_cycle,
+    (c0 + 1) * t_cycle) for c0 = int(dt / t_cycle), where cut(c) is the
+    least float x with int(x / t_cycle) >= c.  That count never falls as x
+    grows, so a total in [cut(c0), cut(c0 + 1)) takes c0 cycles and leaves a
+    phase of total - c0 * t_cycle, and one in [cut(c0 + 1), cut(c0 + 2))
+    c0 + 1, bit for bit.  Unless 0 < c0 < most (dt nan: c0 is 0) the cuts are
+    inf, and every total divides."""
+    c0 = int(dt / t_cycle) if dt > 0 else 0
+    if not 0 < c0 < most:
+        return (math.inf,) * 3 + (0, 0, 0.0, 0.0)
+    return (*(_cycle_cut(c, t_cycle) for c in (c0, c0 + 1, c0 + 2)), c0, c0 + 1,
+            c0 * t_cycle, (c0 + 1) * t_cycle)
+
+
+def _cycle_cut(c: int, t_cycle: float) -> float:
+    """The least float x with int(x / t_cycle) >= c > 0, walked to from c * t_cycle."""
+    x = c * t_cycle
+    while int(x / t_cycle) < c:
+        x = math.nextafter(x, math.inf)
+    while int(math.nextafter(x, 0.0) / t_cycle) >= c:
+        x = math.nextafter(x, 0.0)
+    return x
+
+
 def _decide_responses(responses: list[tuple], anchor_pos: np.ndarray,
                       ccfg: ch.ChannelConfig, macs: list[int]) -> np.ndarray:
     """RECORD rows of the responses that survive their collision batch, in order.
@@ -463,7 +499,20 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
     t_cycle, e_max = energy_cfg.t_cycle, energy_cfg.e_max
     e_turn_on, e_turn_off = energy_cfg.e_turn_on, energy_cfg.e_turn_off
     grid, low, drop = charge_tables(energy_cfg)
+    after, steady = steady_tables(energy_cfg)
     size = len(grid)
+
+    def harvest(energy, base, cycles):
+        """(energy, base, spent) after a harvest of cycles > 0 from energy <
+        e_max: a gather while base is energy's grid index and base + cycles
+        is in the grid, else energy_after (base and spent -1 off the tables)."""
+        n = base + cycles
+        if base < 0 or n >= size:
+            energy, n = energy_after(grid, energy, cycles, energy_cfg)
+            if n < 0:
+                return energy, -1, -1
+        return grid[n], low[n], drop[n]
+
     anchor_pos = np.array([a.position for a in anchors], dtype=float)
 
     decoded = decode_beacons(graph, traces, plan) if beacons is None else list(beacons)
@@ -493,6 +542,8 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
                                        for i, b in enumerate(heard)],
                         *[(j, tick_t[j], _TICK, True) for j in hits_of[di]]], reverse=True)
 
+        # at most c0 + 1 cycles past grid[-1]: steady's padding reads False there
+        lo, mid, hi, c0, c1, m0, m1 = _cycle_cuts(steps[-1], t_cycle, len(steady) - size)
         energy, powered, phase = 0.0, False, 0.0   # at 0 J, which is grid[0]
         last_adv = last_reset = consumed = 0.0
         # a harvest of c cycles lands on grid[base + c], and on grid[spent + c]
@@ -509,15 +560,21 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
                 end = at if at < due else due
                 for dt in steps[done:end]:
                     total = phase + dt
-                    cycles = int(total / t_cycle)
-                    phase = total - cycles * t_cycle
-                    if cycles > 0 and energy < e_max:
-                        n = base + cycles
-                        if base >= 0 and n < size:
-                            energy, base, spent = grid[n], low[n], drop[n]
+                    if lo <= total < hi:   # int(total / t_cycle) by compares
+                        if total < mid:
+                            cycles, phase = c0, total - m0
                         else:
-                            energy, n = energy_after(grid, energy, cycles, energy_cfg)
-                            base, spent = (low[n], drop[n]) if n >= 0 else (-1, -1)
+                            cycles, phase = c1, total - m1
+                        n = base + cycles
+                        if powered and base >= 0 and steady[n]:   # harvest, pay, stay on
+                            energy, base, spent = after[n], drop[n], -1
+                            consumed += cost_sense
+                            continue
+                    else:
+                        cycles = int(total / t_cycle)
+                        phase = total - cycles * t_cycle
+                    if cycles > 0 and energy < e_max:
+                        energy, base, spent = harvest(energy, base, cycles)
                     if not powered and energy >= e_turn_on:
                         powered = True
                     if powered and energy >= cost_sense:   # try_consume's rule
@@ -533,13 +590,12 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
                     due = next(dues)
             if kind == _END:
                 break
-            if t > last_adv:   # the sparse items' harvest: the tight one without the gather
+            if t > last_adv:   # the sparse items' harvest
                 total = phase + (t - last_adv)
                 cycles = int(total / t_cycle)
                 phase = total - cycles * t_cycle
                 if cycles > 0 and energy < e_max:
-                    energy, n = energy_after(grid, energy, cycles, energy_cfg)
-                    base, spent = (low[n], drop[n]) if n >= 0 else (-1, -1)
+                    energy, base, spent = harvest(energy, base, cycles)
                 powered = powered or energy >= e_turn_on
                 last_adv = t
             if kind == _SAMPLE:

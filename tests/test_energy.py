@@ -230,6 +230,18 @@ def test_tables_are_bisects_of_the_grid(cfg):
     assert all(isinstance(i, int) for i in low + drop)
 
 
+@pytest.mark.parametrize("cfg", GRID_CFGS, ids=["default", "small", "large"])
+def test_steady_tables_are_a_paid_sense_tick_on_each_grid_entry(cfg):
+    grid = energy.charge_tables(cfg)[0]
+    after, steady = energy.steady_tables(cfg)
+    assert len(after) == len(grid) and steady[len(grid):] == (False,) * energy._STEADY_PAD
+    for n, e in enumerate(grid):
+        state = EnergyState(energy=e, powered=True)
+        paid = try_consume(state, cfg.cost_sense, cfg) is not None
+        assert after[n].hex() == (e - cfg.cost_sense).hex()
+        assert steady[n] == (paid and state.powered and state.energy < cfg.e_max)
+
+
 def _scalar_grid(cfg, size):
     tau = energy._tau_cycles(cfg)
     return [energy._charge(n, tau, cfg.e_max).hex() for n in range(size)]

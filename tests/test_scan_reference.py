@@ -22,6 +22,7 @@ against one interferer and against three (where the order in which
 interference is summed shows)."""
 
 import math
+from dataclasses import replace
 from operator import itemgetter
 from unittest import mock
 
@@ -402,6 +403,91 @@ def test_free_sense_ticks_on_the_flat_of_a_saturating_curve_step_like_the_refere
     grid, low, drop = energy.charge_tables(cfg)
     assert low == drop
     assert sum(low[n] != n for n in range(len(grid))) > 10
+
+
+def test_runs_of_one_config_fetch_the_tables_in_constant_time():
+    # the tables are cached under float keys: a second and a third run of one
+    # config build nothing and hash no table (a key holding the 23,767-entry
+    # default grid would hash all of it on every fetch)
+    case = _table_case(EnergyConfig(v_g=0.47, e_turn_on=5e-12))   # a curve no other test uses
+    first = _bits(run_simulation(*case))
+    misses = energy._charge_tables.cache_info().misses
+    with mock.patch.object(energy, "_charge_tables", wraps=energy._charge_tables) as fetch:
+        assert _bits(run_simulation(*case)) == _bits(run_simulation(*case)) == first
+    assert energy._charge_tables.cache_info().misses == misses
+    assert 0 < fetch.call_count <= 4
+    assert all(type(arg) in (float, int) for call in fetch.call_args_list for arg in call.args)
+
+
+# ---- the edges of the steady step ----------------------------------------
+# One device and an anchor it never hears, so every tick after the first is
+# a step of the tight loop.  From turning on, this device pays more per tick
+# than it harvests.
+STEADY_EDGE = EnergyConfig(e_max=100e-12, e_turn_on=50e-12, cost_sense=15e-12)
+
+
+def _free_case(cfg):
+    traces = [upsample_trace(simulate_mobility(GRAPH, 1, 40.0, seed=3)[0], 3, 0.2, 0)]
+    plan = SimPlan(duration_s=39.0, anchors=[Anchor(0, (50.0, 50.0, 50.0), 0.05)], energy_cfg=cfg)
+    assert not any(_beacon_times(traces, plan))
+    return traces, plan
+
+
+def _free_ticks(traces, plan):
+    """(powered before, energy after the harvest, paid, energy, powered) at
+    each sense tick of the first device, stepped as the reference steps it."""
+    cfg, state, last, ticks = plan.energy_cfg, EnergyState(), 0.0, []
+    times = traces[0].times
+    for t in times[times <= plan.duration_s + _T_EPS].tolist():
+        advance_harvest(state, t - last, cfg)
+        last, powered, harvested = t, state.powered, state.energy
+        paid = powered and try_consume(state, cfg.cost_sense, cfg) is not None
+        ticks.append((powered, harvested, paid, state.energy, state.powered))
+    return ticks
+
+
+def test_a_pay_that_leaves_exactly_e_turn_off_powers_the_device_off():
+    # e_turn_off is the energy the fourth paid tick leaves: the three before
+    # leave more, so that pay still comes, lands on e_turn_off and powers off
+    traces, plan = _free_case(STEADY_EDGE)
+    left = [e for _, _, paid, e, _ in _free_ticks(traces, plan) if paid]
+    plan = replace(plan, energy_cfg=replace(STEADY_EDGE, e_turn_off=left[3]))
+    assert any(was and paid and e == left[3] and not on
+               for was, _, paid, e, on in _free_ticks(traces, plan))
+    _same_as_reference(traces, plan)
+
+
+def test_a_grid_entry_equal_to_cost_sense_pays_down_to_zero():
+    # sensing costs grid[43], and the powered device harvests onto that
+    # entry: it pays all of it and powers off at 0 J
+    cost = energy.charge_tables(STEADY_EDGE)[0][43]
+    traces, plan = _free_case(replace(STEADY_EDGE, cost_sense=cost))
+    assert any(was and harvested == cost and paid and e == 0.0 and not on
+               for was, harvested, paid, e, on in _free_ticks(traces, plan))
+    _same_as_reference(traces, plan)
+
+
+def test_free_sense_ticks_at_e_max_step_like_the_reference():
+    # the curve reaches e_max within the run and sensing costs nothing: a
+    # tick at e_max harvests nothing, and its pay leaves e_max
+    cfg = EnergyConfig(v_g=0.6, delta_q=6e-11, t_cycle=0.05, e_max=100e-12, e_turn_on=5e-12,
+                       cost_sense=0.0)
+    traces, plan = _free_case(cfg)
+    assert sum(was and harvested == cfg.e_max
+               for was, harvested, *_ in _free_ticks(traces, plan)) > 50
+    _same_as_reference(traces, plan)
+
+
+def test_harvests_past_a_grid_cut_short_step_like_the_reference():
+    # a 45-entry grid ends at 18 pJ, below what the paying device harvests
+    # to: harvests from the grid land past its end, where no tick is steady
+    with mock.patch.object(energy, "_GRID_LIMIT", 45):
+        traces, plan = _free_case(STEADY_EDGE)
+        end = energy.charge_tables(STEADY_EDGE)[0][-1]
+        ticks = _free_ticks(traces, plan)
+        assert sum(was and harvested > end >= e_before for (was, harvested, *_), e_before
+                   in zip(ticks, [0.0] + [tick[3] for tick in ticks])) > 10
+        _same_as_reference(traces, plan)
 
 
 def _shifted(traces, shift):
