@@ -25,16 +25,13 @@ its equal neighbours, as cycle_index() does.  A grid stops at _GRID_LIMIT
 entries, and the closed form takes over past them.  energy_after() takes
 these steps and also returns the grid index it lands on.
 
-The simulation engine's tight loop over a device's sense ticks walks by
-that index, with two index tables built with the grid (charge_tables()):
-a harvest from a grid entry, or from one less a paid sense tick, is a
-gather.  Two more tables (steady_tables()) fold the sense tick's pay into
-that step: after[n] = grid[n] - cost_sense is try_consume()'s subtraction,
-and steady[n] says that a powered device harvesting onto grid[n] pays and
-stays powered below e_max (grid[n] >= cost_sense, e_turn_off < after[n] <
-e_max).  Past the grid it is False for _STEADY_PAD more entries, so a
-harvest of up to that many cycles reads False there.  All five tables are
-built in one cache entry keyed by numbers, so a run fetches them in O(1).
+The simulation engine's scan walks by that index, with two index tables
+built with the grid (charge_tables()): a harvest from a grid entry, or from
+one less a paid sense tick, is a gather.  The tables are built once per
+process for each curve and sensing cost, in one cache entry keyed by
+numbers, so a run fetches them in O(1): as read-only arrays for compiled
+code (charge_arrays()), or as tuples for a Python loop (charge_tables(),
+made from the arrays at its first call).
 """
 
 from __future__ import annotations
@@ -136,7 +133,6 @@ def turn_on_latency_cycles(cfg: EnergyConfig) -> int:
 
 
 _GRID_LIMIT = 1 << 17   # entries per charge grid; 23,767 reach e_max by default
-_STEADY_PAD = 1 << 10   # False entries past a steady table's grid
 
 
 def charge_tables(cfg: EnergyConfig) -> tuple[tuple, tuple, tuple]:
@@ -146,24 +142,32 @@ def charge_tables(cfg: EnergyConfig) -> tuple[tuple, tuple, tuple]:
     bisect_left(grid, grid[n] - cost_sense).  A harvest of c cycles from
     grid[n] lands on grid[low[n] + c], and from grid[n] - cost_sense on
     grid[drop[n] + c], as energy_after() does, while that index is in grid."""
-    return _tables(cfg)[0]
+    return _tables(cfg).tuples
 
 
-def steady_tables(cfg: EnergyConfig) -> tuple[tuple, tuple]:
-    """(after, steady) of charge_tables(cfg)'s grid, from the same cache
-    entry: after[n] = grid[n] - cost_sense, and steady[n] is grid[n] >=
-    cost_sense and e_turn_off < after[n] < e_max, then False for
-    _STEADY_PAD entries past the grid."""
-    return _tables(cfg)[1]
+def charge_arrays(cfg: EnergyConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """charge_tables(cfg) as read-only arrays (float64 grid, int64 low and
+    drop), from the same cache entry."""
+    return _tables(cfg).arrays
 
 
-def _tables(cfg: EnergyConfig):
-    return _charge_tables(_tau_cycles(cfg), cfg.e_max, cfg.cost_sense, cfg.e_turn_off,
-                          _GRID_LIMIT)
+def _tables(cfg: EnergyConfig) -> _Tables:
+    return _charge_tables(_tau_cycles(cfg), cfg.e_max, cfg.cost_sense, _GRID_LIMIT)
+
+
+class _Tables:
+    """One cache entry: the tables as arrays, and as tuples once asked for."""
+
+    def __init__(self, arrays: tuple):
+        self.arrays = arrays
+
+    @functools.cached_property
+    def tuples(self) -> tuple[tuple, tuple, tuple]:
+        return tuple(tuple(array.tolist()) for array in self.arrays)
 
 
 @functools.lru_cache(maxsize=8)
-def _charge_tables(tau: float, e_max: float, cost_sense: float, e_turn_off: float, limit: int):
+def _charge_tables(tau: float, e_max: float, cost_sense: float, limit: int) -> _Tables:
     # keyed by the curve's values rather than the (mutable) EnergyConfig, and
     # by the limit, so a grid cut short is served to no other limit
     # the curve is non-decreasing, so a bisect finds its first e_max entry
@@ -171,11 +175,11 @@ def _charge_tables(tau: float, e_max: float, cost_sense: float, e_turn_off: floa
     # _charge's operations in their order, with math.expm1 (np.expm1 differs)
     filled = -np.array(list(map(math.expm1, (-np.arange(min(full + 1, limit)) / tau).tolist())))
     grid = np.minimum(e_max * filled * filled, e_max)   # searchsorted "left" on it is bisect_left
-    after = grid - cost_sense
-    steady = (grid >= cost_sense) & (after > e_turn_off) & (after < e_max)
-    return ((tuple(grid.tolist()), tuple(np.searchsorted(grid, grid).tolist()),
-             tuple(np.searchsorted(grid, after).tolist())),
-            (tuple(after.tolist()), (*steady.tolist(), *[False] * _STEADY_PAD)))
+    arrays = (grid, np.searchsorted(grid, grid).astype(np.int64),
+              np.searchsorted(grid, grid - cost_sense).astype(np.int64))
+    for array in arrays:
+        array.flags.writeable = False
+    return _Tables(arrays)
 
 
 def energy_after(grid: tuple[float, ...], energy: float, cycles: int,

@@ -28,30 +28,25 @@ energy depends only on its own events.  A run is therefore three phases:
 2. Per-device scan.  The device's decoded beacons, sense ticks (on the
    upsampled sample grid) and 1 Hz energy samples advance its capacitor
    along the harvest curve, spend energy, keep the circulation clock and
-   event bit, and collect the responses it sends, each at the rx of the
-   beacon it answers plus the backscatter gain, and received at the anchor
-   over the beacon's path (its path loss and Doppler penalty).  The
-   capacitor steps exactly as energy.advance_harvest and energy.try_consume
-   would, in locals, from grid[0], 0 J, of energy.charge_tables' grid.  Most
-   of a scan is one tight loop that steps tick to tick on a tick grid built
-   once per process for each distinct trace time grid (a small cache, never
-   changed).  A tick's cycle count int(total / t_cycle) never falls as its
-   total grows, so the least totals that reach c0 = int(dt / t_cycle), c0 + 1
-   and c0 + 2 cycles, cut once per tick spacing (_cycle_cuts), give the
-   count and the phase of a total between the first and the last cut by
-   compares and one subtraction; any other total divides.  A powered device
-   whose energy is on the grid (base, its grid index, is set) and whose
-   harvest lands on an entry that energy.steady_tables marks steady then
-   pays for the tick and stays powered: the tick is one table step.  Any
-   other tick, and a harvest at a sparse item, gathers from the tables when
-   the energy is on the grid and calls energy.energy_after otherwise.  The
-   tight loop stops only at sparse items, in time and tie order: decoded beacons
-   (before a tick at the same time; spent through try_consume), ticks that
-   see the target (a distance pass over the ticks in the radius box), the
-   tick after another sparse item's harvest, and energy samples off the tick
-   grid (they harvest; after a tick at the same time).  A sample on a tick
-   is no stop: the tight loop is cut at its tick, or the sparse tick there
-   goes first, and then its row is recorded.
+   event bit, and decide which beacons it answers: the first it pays for in
+   each episode, if it can pay for the response too.  The capacitor steps
+   exactly as energy.advance_harvest and energy.try_consume would, from
+   grid[0], 0 J, of energy.charge_tables' grid, by grid index while the
+   energy is on it.  Each device steps from tick to tick on a tick grid
+   built once per process for each distinct trace time grid (a small cache,
+   never changed), and stops at the sparse items, in time and tie order:
+   decoded beacons (before a tick at the same time), ticks that see the
+   target, and energy samples off the tick grid (they harvest; after a tick
+   at the same time).  A row due on a tick is recorded once its tick is done.
+   One call into the compiled kernel (_scan.c, built with the system C
+   compiler on first use; see _scan_kernel) scans every device of the run,
+   with the same float operations in the same order as the Python loop
+   below.  The Python loop scans every device where no kernel loads, and
+   any device the kernel flags: one whose harvest leaves a charge grid cut
+   short at energy._GRID_LIMIT, where energy.energy_after's closed form
+   takes over.  Each answered beacon becomes a response, sent at the
+   beacon's rx plus the backscatter gain and received at the anchor over
+   the beacon's path (its path loss and Doppler penalty).
 3. Collisions.  Responses arriving within _T_EPS of the earliest pending
    arrival form one batch.  Each is decided against the others in the
    batch, summed in (arrival time, anchor, device) order; a decoded one
@@ -75,6 +70,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -82,7 +78,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import channel as ch
-from .energy import (EnergyConfig, EnergyState, charge_tables, energy_after, steady_tables,
+from .energy import (EnergyConfig, EnergyState, charge_arrays, charge_tables, energy_after,
                      try_consume)
 from .errors import ConfigMismatch, require
 from .vasculature import MobilityTrace, VesselGraph, write_csv
@@ -351,22 +347,35 @@ def decode_beacons(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
 def _sense_hits(points: np.ndarray, target: np.ndarray | None,
                 radius_cm: float) -> np.ndarray:
     """float(np.linalg.norm(p - target)) < radius_cm for each row p of points,
-    all False without a target.  Only rows in the radius box are measured: a
-    float norm is at least each |offset| whose square does not underflow."""
-    if target is None:
-        return np.zeros(len(points), dtype=bool)
-    offsets = points - target
-    inside = np.abs(offsets) < max(radius_cm, 1e-150)
-    hits = inside[:, 0] & inside[:, 1] & inside[:, 2]   # in the radius box
-    near = hits.nonzero()[0]
+    all False without a target.  Only rows in the radius box are measured (a
+    float norm is at least each |offset| whose square does not underflow),
+    and the box is tested along x first."""
+    hits = np.zeros(len(points), dtype=bool)
+    box = max(radius_cm, 1e-150)
+    near = [] if target is None else (np.abs(points[:, 0] - target[0]) < box).nonzero()[0]
     if len(near):
-        offsets = offsets[near]
-        hits[near] = np.sqrt(_row_dots(offsets, offsets)) < radius_cm
+        offsets = points[near] - target
+        inside = np.abs(offsets) < box
+        inside = inside[:, 1] & inside[:, 2]   # and so in the radius box
+        offsets = offsets[inside]
+        hits[near[inside]] = np.sqrt(_row_dots(offsets, offsets)) < radius_cm
     return hits
 
 
-_HIT_ROWS = 1 << 12   # sense ticks per _sense_hits pass: bounds its temporaries
 _BEACON, _SAMPLE, _TICK, _END = range(4)   # a scan stop's kind, in tie order
+
+
+def _tick_grids(traces: list[MobilityTrace], sense_rate_hz: int, duration_s: float) -> list:
+    """Each trace's _cached_tick_grid.  A trace whose times are those of the
+    trace before, bit for bit, takes that grid without a cache lookup, which
+    would hash all of its times again."""
+    grids, last = [], None
+    for trace in traces:
+        times = np.asarray(trace.times, dtype=float).tobytes()
+        if times != last:
+            grid, last = _cached_tick_grid(trace, sense_rate_hz, duration_s), times
+        grids.append(grid)
+    return grids
 
 
 def _cached_tick_grid(trace: MobilityTrace, sense_rate_hz: int, duration_s: float):
@@ -381,13 +390,17 @@ def _cached_tick_grid(trace: MobilityTrace, sense_rate_hz: int, duration_s: floa
 
 
 def _tick_grid(trace: MobilityTrace, sense_rate_hz: int, duration_s: float):
-    """(tick times, steps, tick sample indices, stops, row ticks) of a trace's
-    time grid, ticks on its samples up to the duration; steps[i] is tick time
-    i less tick time i - 1 (steps[0] is never read).  Stops: the samples off
-    the ticks (they harvest), then the end.  Row ticks: for each sample on a
-    tick, the ticks done once its tick is, then a count never reached.  All of
-    it is read-only (tuples and a read-only array), since runs share it.  A
-    grid that does not fit the plan raises ConfigMismatch naming the device."""
+    """(tick times, steps, tick samples, stops, row ticks, packed) of a
+    trace's time grid, ticks on its samples up to the duration.  steps[i] is
+    tick time i less tick time i - 1 (steps[0] is never read); the tick
+    samples are a slice of the trace's samples.  Stops: the samples off the
+    ticks (they harvest), then the end.  Row ticks: for each sample on a
+    tick, the ticks done once its tick is, then a count never reached.
+    Packed, the same for the compiled scan: (tick times and the off-tick
+    sample times, row ticks without the last, (tick count, off-tick sample
+    count, row tick count)).  All of it is read-only (tuples, a slice and
+    read-only arrays), since runs share it.  A grid that does not fit the
+    plan raises ConfigMismatch naming the device."""
     times = np.asarray(trace.times, dtype=float)
     if len(times) < 2:
         raise ConfigMismatch(f"device {trace.device_id}: trace has fewer than 2 samples")
@@ -404,41 +417,18 @@ def _tick_grid(trace: MobilityTrace, sense_rate_hz: int, duration_s: float):
             f"sense period {1.0 / sense_rate_hz:.6f} s")
     if np.abs(np.diff(times) - dt).max() > 1e-6 * dt:
         raise ConfigMismatch(f"device {trace.device_id}: trace times are not evenly spaced")
-    ticks = np.arange(0, np.searchsorted(times, t_last, side="right"), int(round(stride)))
+    ticks = slice(0, np.searchsorted(times, t_last, side="right"), int(round(stride)))
     tick_t, samples = times[ticks], np.arange(math.floor(t_last) + 1, dtype=float)
     at = np.searchsorted(tick_t, samples)
     on = np.searchsorted(tick_t, samples, side="right") > at   # a tick at the sample
     stops = [(i, s, _SAMPLE, None) for i, s in zip(at[~on].tolist(), samples[~on].tolist())]
-    stops.append((len(ticks), math.inf, _END, None))
-    ticks.flags.writeable = False
+    stops.append((len(tick_t), math.inf, _END, None))
+    packed = (np.concatenate([tick_t, samples[~on]]), at[on] + 1,
+              (len(tick_t), len(stops) - 1, int(on.sum())))
+    for array in packed[:2]:
+        array.flags.writeable = False
     return (tuple(tick_t.tolist()), (math.nan, *(tick_t[1:] - tick_t[:-1]).tolist()), ticks,
-            tuple(stops), (*(at[on] + 1).tolist(), len(ticks) + 1))
-
-
-@functools.lru_cache(maxsize=64)
-def _cycle_cuts(dt: float, t_cycle: float, most: int) -> tuple:
-    """(cut(c0), cut(c0 + 1), cut(c0 + 2), c0, c0 + 1, c0 * t_cycle,
-    (c0 + 1) * t_cycle) for c0 = int(dt / t_cycle), where cut(c) is the
-    least float x with int(x / t_cycle) >= c.  That count never falls as x
-    grows, so a total in [cut(c0), cut(c0 + 1)) takes c0 cycles and leaves a
-    phase of total - c0 * t_cycle, and one in [cut(c0 + 1), cut(c0 + 2))
-    c0 + 1, bit for bit.  Unless 0 < c0 < most (dt nan: c0 is 0) the cuts are
-    inf, and every total divides."""
-    c0 = int(dt / t_cycle) if dt > 0 else 0
-    if not 0 < c0 < most:
-        return (math.inf,) * 3 + (0, 0, 0.0, 0.0)
-    return (*(_cycle_cut(c, t_cycle) for c in (c0, c0 + 1, c0 + 2)), c0, c0 + 1,
-            c0 * t_cycle, (c0 + 1) * t_cycle)
-
-
-def _cycle_cut(c: int, t_cycle: float) -> float:
-    """The least float x with int(x / t_cycle) >= c > 0, walked to from c * t_cycle."""
-    x = c * t_cycle
-    while int(x / t_cycle) < c:
-        x = math.nextafter(x, math.inf)
-    while int(math.nextafter(x, 0.0) / t_cycle) >= c:
-        x = math.nextafter(x, 0.0)
-    return x
+            tuple(stops), (*(at[on] + 1).tolist(), len(tick_t) + 1), packed)
 
 
 def _decide_responses(responses: list[tuple], anchor_pos: np.ndarray,
@@ -476,6 +466,97 @@ def _decide_responses(responses: list[tuple], anchor_pos: np.ndarray,
                     RECORD)
 
 
+_SCAN_C = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_scan.c")
+_CC = ("cc", "-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
+
+
+def _cache_dir() -> str | None:
+    """The first per-user cache directory that exists or can be made, and
+    that this user owns: $XDG_CACHE_HOME/nanoflow, ~/.cache/nanoflow, then
+    one in the temp dir."""
+    import tempfile
+    xdg, home = os.environ.get("XDG_CACHE_HOME", ""), os.path.expanduser("~")
+    for folder in ([os.path.join(xdg, "nanoflow")] * os.path.isabs(xdg)
+                   + [os.path.join(home, ".cache", "nanoflow")] * os.path.isabs(home)
+                   + [os.path.join(tempfile.gettempdir(), f"nanoflow-{os.getuid()}")]):
+        try:
+            os.makedirs(folder, mode=0o700, exist_ok=True)
+            if os.stat(folder).st_uid == os.getuid() and os.access(folder, os.W_OK):
+                return folder
+        except OSError:
+            continue
+    return None
+
+
+@functools.cache
+def _scan_kernel():
+    """_scan.c's nf_scan through ctypes, loaded once per process at the
+    first run.  The library is built with the system cc into _cache_dir(),
+    named by the sha256 of the source and the build command; one that does
+    not load (a truncated file) is built again.  A build writes a name of
+    its own and then renames it, so processes building at once do not
+    collide.  None off POSIX, or where there is no compiler or no build or
+    load works: run_simulation then scans in Python."""
+    import ctypes
+    import hashlib
+
+    def bind(path):
+        scan = ctypes.CDLL(path).nf_scan
+        scan.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64] * 4 + [ctypes.c_void_p] * 4
+        scan.restype = None
+        return scan
+
+    folder = _cache_dir() if os.name == "posix" else None
+    if folder is None:
+        return None
+    try:
+        with open(_SCAN_C, "rb") as fh:
+            name = hashlib.sha256(fh.read() + " ".join(_CC).encode()).hexdigest()
+    except OSError:
+        return None
+    path = os.path.join(folder, f"{name}.so")
+    try:
+        return bind(path)
+    except (OSError, AttributeError):   # not built yet, or a file that does not load
+        pass
+    import subprocess   # only to build: importing it takes milliseconds
+    part = f"{path}.{os.getpid()}.part"
+    try:
+        subprocess.run([*_CC, "-o", part, _SCAN_C], check=True, capture_output=True,
+                       stdin=subprocess.DEVNULL, timeout=60)
+        os.replace(part, path)
+        return bind(path)
+    except (OSError, AttributeError, subprocess.SubprocessError):
+        return None
+    finally:
+        if os.path.exists(part):
+            os.unlink(part)
+
+
+def _compiled_scan(kernel, energy_cfg: EnergyConfig, costs: tuple, device_grids: list,
+                   beacons: tuple, hits: list, n_rows: int, out_real: np.ndarray,
+                   out_index: np.ndarray) -> None:
+    """Scan every device in one nf_scan call, into run_simulation's
+    out_real and out_index; _scan.c says how the buffers are laid out.
+    costs: (rx J, tx J); beacons: (count per device, times, episode gaps,
+    in-heart flags); hits: each device's hit ticks; n_rows: rows per
+    device, 0 for none."""
+    b_count, bt, gap, in_heart = beacons
+    distinct = {}   # each distinct tick grid's (number, packed form), in first use order
+    g = [distinct.setdefault(id(grid), (len(distinct), grid[5]))[0] for grid in device_grids]
+    packed = [p for _, p in distinct.values()]
+    real = np.concatenate([[energy_cfg.t_cycle, energy_cfg.e_max, energy_cfg.e_turn_on,
+                            energy_cfg.e_turn_off, energy_cfg.cost_sense, *costs],
+                           *[p[0] for p in packed], bt, gap])
+    index = np.concatenate([[x for d in zip(g, b_count, map(len, hits)) for x in d],
+                            [x for p in packed for x in p[2]], *[p[1] for p in packed],
+                            in_heart, *hits], dtype=np.int64)
+    grid, low, drop = charge_arrays(energy_cfg)
+    kernel(grid.ctypes.data, low.ctypes.data, drop.ctypes.data, len(grid), len(g),
+           len(packed), n_rows, real.ctypes.data, index.ctypes.data, out_real.ctypes.data,
+           out_index.ctypes.data)
+
+
 def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPlan,
                    target: tuple[float, float, float] | None = None,
                    energy_rows: bool = True, beacons: list | None = None) -> SimResult:
@@ -488,19 +569,51 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
     anchors, duration_s, proto = plan.anchors, plan.duration_s, plan.protocol
     energy_cfg, channel_cfg = plan.energy_cfg, plan.channel_cfg
     t_last = duration_s + _T_EPS
-    device_grids = [_cached_tick_grid(trace, plan.sense_rate_hz, duration_s) for trace in traces]
+    device_grids = _tick_grids(traces, plan.sense_rate_hz, duration_s)
 
     target = None if target is None else np.asarray(target, dtype=float)
     beacon_air = ch.airtime_s(proto.beacon_bits, channel_cfg)
     response_air = ch.airtime_s(proto.response_bits, channel_cfg)
     rx_cost = ch.pulse_count(proto.beacon_bits) * energy_cfg.cost_rx_pulse
     tx_cost = ch.pulse_count(proto.response_bits) * energy_cfg.cost_tx_pulse
-    cost_sense = energy_cfg.cost_sense
-    t_cycle, e_max = energy_cfg.t_cycle, energy_cfg.e_max
-    e_turn_on, e_turn_off = energy_cfg.e_turn_on, energy_cfg.e_turn_off
-    grid, low, drop = charge_tables(energy_cfg)
-    after, steady = steady_tables(energy_cfg)
-    size = len(grid)
+    anchor_pos = np.array([a.position for a in anchors], dtype=float)
+    gaps = [proto.episode_gap_intervals * a.beacon_interval_s for a in anchors]
+
+    decoded = decode_beacons(graph, traces, plan) if beacons is None else beacons
+    heard = [b for device in decoded for b in device]   # the run's beacons, device by device
+    b_count = [len(device) for device in decoded]
+    bt = np.fromiter(map(itemgetter(0), heard), float, len(heard))
+    # each device's sense-tick hits, as indices into its ticks
+    hits = [_sense_hits(np.asarray(trace.positions, dtype=float)[grid[2]], target,
+                        plan.detection_radius_cm).nonzero()[0]
+            for trace, grid in zip(traces, device_grids)]
+
+    # out_real: consumed J per device, circulation times per beacon, row
+    # energies per device and row; out_index: the compiled scan's rescan
+    # flag per device, the event bit each beacon's response sent (-1: none),
+    # the rows' powered flags
+    n_dev, n_b = len(traces), len(heard)
+    n_rows = math.floor(t_last) + 1 if energy_rows else 0   # per device
+    out_real = np.empty(n_dev + n_b + n_dev * n_rows)
+    out_index = np.full(len(out_real), -1, np.int64)
+    consumed_j, sent_circulation = out_real[:n_dev], out_real[n_dev:n_dev + n_b]
+    sent_bit = out_index[n_dev:n_dev + n_b]
+    row_energy = out_real[n_dev + n_b:].reshape(n_dev, n_rows)
+    row_powered = out_index[n_dev + n_b:].reshape(n_dev, n_rows)
+    kernel = _scan_kernel()
+    rescan = range(n_dev)
+    if kernel is not None and n_dev:
+        gap = np.array(gaps)[np.fromiter(map(itemgetter(1), heard), np.intp, n_b)]
+        in_heart = np.fromiter(map(itemgetter(5), heard), bool, n_b)
+        _compiled_scan(kernel, energy_cfg, (rx_cost, tx_cost), device_grids,
+                       (b_count, bt, gap, in_heart), hits, n_rows, out_real, out_index)
+        rescan = out_index[:n_dev].nonzero()[0].tolist()
+    if rescan:   # the Python scan: every device without the kernel, else the ones it flagged
+        cost_sense = energy_cfg.cost_sense
+        t_cycle, e_max = energy_cfg.t_cycle, energy_cfg.e_max
+        e_turn_on, e_turn_off = energy_cfg.e_turn_on, energy_cfg.e_turn_off
+        grid, low, drop = charge_tables(energy_cfg)
+        size, b_first = len(grid), np.cumsum([0, *b_count]).tolist()
 
     def harvest(energy, base, cycles):
         """(energy, base, spent) after a harvest of cycles > 0 from energy <
@@ -513,37 +626,17 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
                 return energy, -1, -1
         return grid[n], low[n], drop[n]
 
-    anchor_pos = np.array([a.position for a in anchors], dtype=float)
-
-    decoded = decode_beacons(graph, traces, plan) if beacons is None else list(beacons)
-    # each device's sense-tick hits, as indices into its ticks, _HIT_ROWS ticks a pass
-    hits_of = []
-    step = max(1, _HIT_ROWS // max((len(grid[2]) for grid in device_grids), default=1))
-    for lo in range(0, len(traces), step):
-        points = [np.asarray(trace.positions, dtype=float)[ticks]
-                  for trace, (_, _, ticks, _, _) in zip(traces[lo:lo + step],
-                                                        device_grids[lo:lo + step])]
-        starts = np.cumsum([0] + [len(p) for p in points]).tolist()
-        hit_at = _sense_hits(np.concatenate(points), target,
-                             plan.detection_radius_cm).nonzero()[0]
-        cuts, hit_at = np.searchsorted(hit_at, starts).tolist(), hit_at.tolist()
-        hits_of += [[j - first for j in hit_at[a:b]]
-                    for first, a, b in zip(starts, cuts, cuts[1:])]
-    responses, consumed_pj = [], {}
-    row_energy, row_powered = [], []   # each device's 1 Hz samples in turn, in time order
-    for di, (trace, (tick_t, steps, ticks, grid_stops, row_ticks)) in enumerate(
-            zip(traces, device_grids)):
-        # freed once scanned, unless the caller holds them
-        heard, decoded[di], mac = decoded[di], None, trace.device_id
+    for di in rescan:
+        tick_t, steps, _, grid_stops, row_ticks, _ = device_grids[di]
+        b0, device_beacons = b_first[di], decoded[di]
+        sent_bit[b0:b0 + len(device_beacons)] = -1   # the kernel's answers, if it began
         dues = iter(row_ticks if energy_rows else row_ticks[-1:])
         due = next(dues)   # the ticks done when the next row on a tick is due
         # (ticks before it, time, kind, item), popped in time and tie order
         stops = sorted([*grid_stops, *[(bisect_left(tick_t, b[0]), b[0], _BEACON, i)
-                                       for i, b in enumerate(heard)],
-                        *[(j, tick_t[j], _TICK, True) for j in hits_of[di]]], reverse=True)
-
-        # at most c0 + 1 cycles past grid[-1]: steady's padding reads False there
-        lo, mid, hi, c0, c1, m0, m1 = _cycle_cuts(steps[-1], t_cycle, len(steady) - size)
+                                       for i, b in enumerate(device_beacons)],
+                        *[(j, tick_t[j], _TICK, True) for j in hits[di].tolist()]],
+                       reverse=True)
         energy, powered, phase = 0.0, False, 0.0   # at 0 J, which is grid[0]
         last_adv = last_reset = consumed = 0.0
         # a harvest of c cycles lands on grid[base + c], and on grid[spent + c]
@@ -551,6 +644,7 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
         base, spent = low[0], drop[0]
         state = EnergyState()   # the beacons' try_consume spends from it
         last_delivered, event_bit, responded, done = None, 0, False, 0
+        energies, powereds = [], []   # the device's 1 Hz samples, in time order
         while True:
             at, t, kind, item = stops.pop()
             if done < at and (done == 0 or last_adv != tick_t[done - 1]):
@@ -560,19 +654,8 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
                 end = at if at < due else due
                 for dt in steps[done:end]:
                     total = phase + dt
-                    if lo <= total < hi:   # int(total / t_cycle) by compares
-                        if total < mid:
-                            cycles, phase = c0, total - m0
-                        else:
-                            cycles, phase = c1, total - m1
-                        n = base + cycles
-                        if powered and base >= 0 and steady[n]:   # harvest, pay, stay on
-                            energy, base, spent = after[n], drop[n], -1
-                            consumed += cost_sense
-                            continue
-                    else:
-                        cycles = int(total / t_cycle)
-                        phase = total - cycles * t_cycle
+                    cycles = int(total / t_cycle)
+                    phase = total - cycles * t_cycle
                     if cycles > 0 and energy < e_max:
                         energy, base, spent = harvest(energy, base, cycles)
                     if not powered and energy >= e_turn_on:
@@ -585,8 +668,8 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
                         consumed += cost_sense
                 last_adv, done = tick_t[end - 1], end
                 if done == due:
-                    row_energy.append(energy)
-                    row_powered.append(powered)
+                    energies.append(energy)
+                    powereds.append(powered)
                     due = next(dues)
             if kind == _END:
                 break
@@ -600,8 +683,8 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
                 last_adv = t
             if kind == _SAMPLE:
                 if energy_rows:
-                    row_energy.append(energy)
-                    row_powered.append(powered)
+                    energies.append(energy)
+                    powereds.append(powered)
                 continue
             if kind == _TICK:
                 done += 1
@@ -610,19 +693,18 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
                     powered, base, spent = energy > e_turn_off, spent, -1
                     event_bit |= item
                 if done == due:
-                    row_energy.append(energy)
-                    row_powered.append(powered)
+                    energies.append(energy)
+                    powereds.append(powered)
                     due = next(dues)
                 continue
-            _, ai, p, _, rx_dbm, in_heart, loss, penalty = heard[item]
+            ai, in_heart = device_beacons[item][1], device_beacons[item][5]
             state.energy, state.powered = energy, powered
             if not powered or try_consume(state, rx_cost, energy_cfg) is None:
                 continue
             if rx_cost > 0.0:
                 base = spent = -1
             consumed += rx_cost
-            gap = proto.episode_gap_intervals * anchors[ai].beacon_interval_s
-            if last_delivered is None or t - last_delivered > gap + _T_EPS:
+            if last_delivered is None or t - last_delivered > gaps[ai] + _T_EPS:
                 responded = False
             last_delivered = t
             circulation, bit = t - last_reset, event_bit
@@ -633,25 +715,37 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
                     base = spent = -1
                 consumed += tx_cost
                 responded = True
-                t_rx = t + beacon_air + response_air
-                if t_rx <= t_last:   # back over the beacon's path: its loss and penalty
-                    tx = rx_dbm + channel_cfg.backscatter_gain_db
-                    responses.append((t_rx, ai, di, p, tx, ch.received_power_dbm(tx, loss, penalty),
-                                      circulation, bit))
+                sent_bit[b0 + item], sent_circulation[b0 + item] = bit, circulation
             energy, powered = state.energy, state.powered
-        consumed_pj[mac] = consumed * 1e12
+        consumed_j[di] = consumed
+        if energy_rows:
+            row_energy[di], row_powered[di] = energies, powereds
 
+    # the responses, back over each answered beacon's path: its loss and penalty
+    sent = (sent_bit >= 0).nonzero()[0]
+    t_rx = bt[sent] + beacon_air + response_air
+    arrives = t_rx <= t_last
+    sent, t_rx = sent[arrives], t_rx[arrives]
+    responses = []
+    if len(sent):
+        _, ai, p, _, rx_dbm, _, loss, penalty = zip(*map(heard.__getitem__, sent.tolist()))
+        tx = np.array(rx_dbm) + channel_cfg.backscatter_gain_db
+        columns = (t_rx, np.array(ai), np.arange(n_dev).repeat(b_count)[sent], tx,
+                   ch.received_power_dbm(tx, np.array(loss), np.array(penalty)),
+                   sent_circulation[sent], sent_bit[sent])
+        order = np.lexsort(columns[2::-1])   # (arrival, anchor, device) order
+        t_rx, ai, di, tx, rx_dbm, circulation, bit = (c[order].tolist() for c in columns)
+        responses = list(zip(t_rx, ai, di, [p[i] for i in order.tolist()], tx, rx_dbm,
+                             circulation, bit))
     macs = [trace.device_id for trace in traces]
-    responses.sort(key=itemgetter(0, 1, 2))
     records = _decide_responses(responses, anchor_pos, channel_cfg, macs)
     records = records[np.lexsort((records["device_mac"], records["report_time_s"]))]
+    consumed_pj = dict(zip(macs, (consumed_j * 1e12).tolist()))
     if not energy_rows:
         return SimResult(records.view(np.recarray), np.empty(0, _ROW), consumed_pj)
-    n = math.floor(t_last) + 1   # samples per device
-    rows = np.empty((n, len(traces)), _ROW)   # time-major
-    rows["time"], rows["mac"] = np.arange(n, dtype=float)[:, None], macs
-    rows["value"] = np.fromiter(row_energy, float, rows.size).reshape(len(traces), n).T * 1e12
-    rows["flag"] = np.fromiter(row_powered, bool, rows.size).reshape(len(traces), n).T
+    rows = np.empty((n_rows, n_dev), _ROW)   # time-major
+    rows["time"], rows["mac"] = np.arange(n_rows, dtype=float)[:, None], macs
+    rows["value"], rows["flag"] = row_energy.T * 1e12, row_powered.T
     return SimResult(records.view(np.recarray), rows.ravel(), consumed_pj)
 
 

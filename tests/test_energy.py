@@ -228,18 +228,11 @@ def test_tables_are_bisects_of_the_grid(cfg):
     assert list(low) == [bisect_left(grid, e) for e in grid]
     assert list(drop) == [bisect_left(grid, e - cfg.cost_sense) for e in grid]
     assert all(isinstance(i, int) for i in low + drop)
-
-
-@pytest.mark.parametrize("cfg", GRID_CFGS, ids=["default", "small", "large"])
-def test_steady_tables_are_a_paid_sense_tick_on_each_grid_entry(cfg):
-    grid = energy.charge_tables(cfg)[0]
-    after, steady = energy.steady_tables(cfg)
-    assert len(after) == len(grid) and steady[len(grid):] == (False,) * energy._STEADY_PAD
-    for n, e in enumerate(grid):
-        state = EnergyState(energy=e, powered=True)
-        paid = try_consume(state, cfg.cost_sense, cfg) is not None
-        assert after[n].hex() == (e - cfg.cost_sense).hex()
-        assert steady[n] == (paid and state.powered and state.energy < cfg.e_max)
+    # the same tables as read-only arrays, for the compiled scan
+    arrays = energy.charge_arrays(cfg)
+    assert [a.tolist() for a in arrays] == [list(grid), list(low), list(drop)]
+    assert [a.dtype for a in arrays] == [np.float64, np.int64, np.int64]
+    assert not any(a.flags.writeable for a in arrays)
 
 
 def _scalar_grid(cfg, size):

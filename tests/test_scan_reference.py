@@ -7,12 +7,14 @@ schedule through a per-vessel dict, steps the capacitor with
 advance_harvest and try_consume at every entry, and decides each response
 of a collision batch in its own chain of scalar channel calls.  The engine
 decodes the beacons of every device of a run in array passes, steps the
-capacitor on locals in one tight loop over each device's sense ticks that
-stops only at sparse items, reads the schedule from the graph's cached
-arrays and decides every response in array passes; records, energy rows
-and consumption must come out bit for bit the same, including when sensing
-and receiving are refused, when the charge grid hits its size limit, and
-at the seams of the tight loop (beacons and samples at tick times, ticks
+capacitors of all devices in one compiled call (or, without a compiler, on
+locals in one tight loop over each device's sense ticks that stops only at
+sparse items; test_scan_python.py runs these tests on that path), reads
+the schedule from the graph's cached arrays and decides every response in
+array passes; records, energy rows and consumption must come out bit for
+bit the same, including when sensing and receiving are refused, when the
+charge grid hits its size limit, and at the seams of the scan (beacons
+and samples at tick times, ticks
 that see the target, ticks that harvest no cycle, several time grids, rows
 due at a tick that is a stop of its own, durations short of a whole second).
 The engine decides beacons and responses in arrays that repeat the scalar
@@ -419,10 +421,10 @@ def test_runs_of_one_config_fetch_the_tables_in_constant_time():
     assert all(type(arg) in (float, int) for call in fetch.call_args_list for arg in call.args)
 
 
-# ---- the edges of the steady step ----------------------------------------
+# ---- the edges of a paid sense tick ---------------------------------------
 # One device and an anchor it never hears, so every tick after the first is
-# a step of the tight loop.  From turning on, this device pays more per tick
-# than it harvests.
+# a step from the tick before.  From turning on, this device pays more per
+# tick than it harvests.
 STEADY_EDGE = EnergyConfig(e_max=100e-12, e_turn_on=50e-12, cost_sense=15e-12)
 
 
@@ -480,7 +482,8 @@ def test_free_sense_ticks_at_e_max_step_like_the_reference():
 
 def test_harvests_past_a_grid_cut_short_step_like_the_reference():
     # a 45-entry grid ends at 18 pJ, below what the paying device harvests
-    # to: harvests from the grid land past its end, where no tick is steady
+    # to: harvests from the grid land past its end, where the closed form
+    # takes over (and the compiled scan hands the device back to Python)
     with mock.patch.object(energy, "_GRID_LIMIT", 45):
         traces, plan = _free_case(STEADY_EDGE)
         end = energy.charge_tables(STEADY_EDGE)[0][-1]
@@ -572,13 +575,15 @@ def test_cycles_longer_than_the_tick_spacing_step_like_the_reference(anchor):
     # a 0.5 s cycle against 1/3 s ticks: some ticks harvest no cycle, so two
     # paid ticks in a row leave no table index and the next harvest bisects.
     # With the far anchor no beacon is decoded, so every energy_after call
-    # comes from the tight loop
+    # of the Python scan comes from the tight loop (the compiled scan
+    # bisects in C)
     traces = [upsample_trace(tr, 3, 0.2, tr.device_id)
               for tr in simulate_mobility(GRAPH, 3, 60.0, seed=31)]
     cfg = EnergyConfig(t_cycle=0.5, delta_q=3e-11, e_max=100e-12, e_turn_on=5e-12,
                        cost_sense=0.5e-12)
     plan = SimPlan(duration_s=60.0, anchors=[Anchor(0, anchor, 0.05)], energy_cfg=cfg)
-    with mock.patch("nanoflow.simcore.energy_after", wraps=energy.energy_after) as after:
+    with mock.patch("nanoflow.simcore.energy_after", wraps=energy.energy_after) as after, \
+            mock.patch.object(simcore, "_scan_kernel", lambda: None):
         run_simulation(GRAPH, traces, plan, energy_rows=False)
     assert after.call_count > 10
     assert anchor == POSITIONS[0] or not any(_beacon_times(traces, plan))
@@ -619,14 +624,33 @@ def test_cached_tick_grids_stay_as_built():
     assert build.call_count == 3
     assert all(_beacon_times(traces, plan)) and any(bit for *_, bit in first[0]) and first[1]
     for trace in traces:
-        tick_t, steps, ticks, stops, row_ticks = simcore._cached_tick_grid(trace, 3, 44.0)
+        tick_t, steps, ticks, stops, row_ticks, packed = simcore._cached_tick_grid(trace, 3, 44.0)
         want = simcore._tick_grid(trace, 3, 44.0)
-        assert (tick_t, steps[1:], stops, row_ticks) == (want[0], want[1][1:], *want[3:])
-        assert math.isnan(steps[0]) and np.array_equal(ticks, want[2])
-        assert not ticks.flags.writeable
+        assert (tick_t, steps[1:], stops, row_ticks) == (want[0], want[1][1:], *want[3:5])
+        assert math.isnan(steps[0]) and ticks == want[2]
+        assert all(np.array_equal(a, b) for a, b in zip(packed, want[5]))
+        assert not any(a.flags.writeable for a in packed[:2])
     for shift in range(1, 12):
         run_simulation(GRAPH, _shifted(traces[:1], shift * 0.01), plan, energy_rows=False)
     assert len(simcore._TICK_GRIDS) == 8
+
+
+def test_a_run_hashes_each_time_grid_once():
+    # traces on one time grid take the grid of the trace before them: a run
+    # of six devices on two grids, in runs of three, looks the cache up twice
+    base = simulate_mobility(GRAPH, 6, 45.0, seed=41)
+    traces = [upsample_trace(tr, 3, 0.2, tr.device_id) for tr in base[:3]]
+    traces += _shifted([upsample_trace(tr, 3, 0.2, tr.device_id) for tr in base[3:]], 0.21)
+    plan = SimPlan(duration_s=44.0, anchors=[Anchor(0, POSITIONS[0], 0.05)],
+                   energy_cfg=EnergyConfig(e_max=100e-12, e_turn_on=5e-12))
+    with mock.patch("nanoflow.simcore._cached_tick_grid",
+                    wraps=simcore._cached_tick_grid) as fetch:
+        grids = simcore._tick_grids(traces, 3, 44.0)
+        result = run_simulation(GRAPH, traces, plan)
+    assert fetch.call_count == 4
+    assert [id(grid) for grid in grids] == [id(grids[0])] * 3 + [id(grids[3])] * 3
+    assert grids[0] is not grids[3]
+    assert _bits(result) == _bits(reference_run(GRAPH, traces, plan))
 
 
 @pytest.mark.parametrize("shift", [0.21, 1 / 3, 0.5])

@@ -16,9 +16,9 @@ from nanoflow import channel as ch
 from nanoflow.channel import ChannelConfig
 from nanoflow.energy import EnergyConfig
 from nanoflow.errors import ConfigMismatch
-from nanoflow.simcore import (_ROW, RECORD, Anchor, SimPlan, _cycle_cut, _cycle_cuts,
-                              _delivered, _link_budget, _path_loss, _row_dots, _sense_hits,
-                              export_energy_csv, export_raw_csv, run_simulation)
+from nanoflow.simcore import (_ROW, RECORD, Anchor, SimPlan, _delivered, _link_budget, _path_loss,
+                              _row_dots, _sense_hits, export_energy_csv, export_raw_csv,
+                              run_simulation)
 from nanoflow.vasculature import (MobilityTrace, RegionType, Vessel, VesselGraph,
                                   simulate_mobility, upsample_trace)
 
@@ -341,47 +341,3 @@ def test_array_channel_is_the_scalar_channel_bit_for_bit(channel):
                              itx[lo:hi] - _path_loss(idist[lo:hi], channel),
                              replace(channel, sinr_threshold_db=threshold))
             assert got.tolist() == [0] * heard, i
-
-
-# 1/3 s ticks over 1000 s, times as upsample_trace makes them: t = j + k / 3
-# is rounded in several binades, so the steps between ticks take 13 values
-THIRDS = upsample_trace(MobilityTrace(0, np.arange(1001.0), np.zeros((1001, 3)),
-                                      np.zeros(1001, dtype=int), np.zeros(1), np.zeros(1, int)),
-                        3, 0.0, 0).times
-THIRD_STEPS = sorted(set(np.diff(THIRDS).tolist()))
-
-
-@pytest.mark.parametrize("t_cycle", [0.02, 0.0031, 0.11, 0.5])
-def test_cycle_cuts_count_cycles_as_the_division_does(t_cycle):
-    # a total between the cuts takes its cycle count and phase from compares
-    # and one subtraction; they must be int(total / t_cycle) and the scalar
-    # phase bit for bit at every cut and at its neighbours on either side
-    assert len(THIRD_STEPS) == 13
-    # c * t_cycle lies above the least such float for some c, below it for others
-    for c in range(1, 400):
-        cut = _cycle_cut(c, t_cycle)
-        assert int(cut / t_cycle) >= c > int(math.nextafter(cut, 0.0) / t_cycle)
-    for dt in [*THIRD_STEPS, 1.0]:
-        lo, mid, hi, c0, c1, m0, m1 = _cycle_cuts(dt, t_cycle, 1 << 10)
-        if int(dt / t_cycle) == 0:   # 1/3 s ticks of 0.5 s cycles: no cuts, every total divides
-            assert (lo, mid, hi) == (math.inf,) * 3
-            continue
-        assert (c0, c1) == (int(dt / t_cycle), int(dt / t_cycle) + 1) and lo < mid < hi
-        for c, cut in zip((c0, c0 + 1, c0 + 2), (lo, mid, hi)):   # each the least such float
-            assert int(cut / t_cycle) >= c > int(math.nextafter(cut, 0.0) / t_cycle)
-        totals = [x for cut in (lo, mid, hi)
-                  for x in (math.nextafter(cut, 0.0), cut, math.nextafter(cut, math.inf))]
-        totals += (dt + np.linspace(0.0, t_cycle, 17)).tolist()   # a tick's totals
-        inside = [x for x in totals if lo <= x < hi]
-        assert len(inside) >= 20
-        for total in inside:
-            cycles, phase = (c0, total - m0) if total < mid else (c1, total - m1)
-            want = int(total / t_cycle)
-            assert (cycles, phase.hex()) == (want, (total - want * t_cycle).hex())
-
-
-def test_cycle_cuts_are_off_past_the_cycles_a_step_may_take():
-    # 0.0031 s cycles take 107 or 108 a 1/3 s tick: cuts with room for 200, none with 100
-    assert _cycle_cuts(1 / 3, 0.0031, 200)[3] == 107
-    assert _cycle_cuts(1 / 3, 0.0031, 100)[:4] == (math.inf, math.inf, math.inf, 0)
-    assert _cycle_cuts(math.nan, 0.02, 200)[:4] == (math.inf, math.inf, math.inf, 0)
