@@ -1,15 +1,23 @@
-/* Phase 2 of nanoflow.simcore.run_simulation, the per-device scan, for every
- * device of a run in one call.  It takes the Python scan's float operations
- * in their order, so records, energy rows and consumption come out bit for
- * bit the same; simcore builds it with -ffp-contract=off -fno-fast-math so
- * that no operation is fused or reordered.  Where the Python loop steps a
- * tick by tick[i] - tick[i - 1], this harvests tick[i] - last_adv, which is
- * the same float, since the tick before is the last harvest.  A device whose
- * harvest leaves a charge grid cut short (where energy_after takes its
- * closed form) or whose cycle count reaches 2^62 is flagged, and simcore
- * scans it again in Python.
+/* The compiled library of nanoflow, two entry points, each for every device
+ * of a run in one call, with the Python loop's float operations in their
+ * order; simcore builds it with -ffp-contract=off -fno-fast-math so that no
+ * operation is fused or reordered, and both paths give the same bytes.
  *
- * The run's buffers, each part following the one before:
+ * nf_walk is nanoflow.vasculature.simulate_mobility's walk.  Each bifurcation
+ * of more than one successor draws from the walk's own numpy generator, as
+ * Generator.integers(k) does (numpy's buffered_bounded_lemire_uint32, Lemire,
+ * "Fast Random Integer Generation in an Interval", 2019), so the walk reads
+ * the same stream as the Python loop.
+ *
+ * nf_scan is phase 2 of nanoflow.simcore.run_simulation, the per-device scan.
+ * Records, energy rows and consumption come out bit for bit the same as the
+ * Python scan's.  Where the Python loop steps a tick by tick[i] - tick[i - 1],
+ * this harvests tick[i] - last_adv, which is the same float, since the tick
+ * before is the last harvest.  A device whose harvest leaves a charge grid
+ * cut short (where energy_after takes its closed form) or whose cycle count
+ * reaches 2^62 is flagged, and simcore scans it again in Python.
+ *
+ * nf_scan's buffers, each part following the one before:
  *   real:      the energy numbers (CFG); per tick grid, its tick times and
  *              its off-tick sample times; the beacons' times; their
  *              episode gaps
@@ -224,4 +232,68 @@ void nf_scan(const double *grid, const int64_t *low, const int64_t *drop, int64_
         dv.answer += dv.n_beacons;
         dv.hits += dv.n_hits;
     }
+}
+
+/* Walk n_dev devices from the heart row for n samples each (one a second),
+ * on a graph of per-row vessel lengths and speeds whose row r has successor
+ * rows succ[succ_at[r]:succ_at[r + 1]].  Device d's samples (row, arc) fill
+ * [d * n, d * n + n); its visits (entry time, row) are
+ * [visit_at[d], visit_at[d + 1]), and only the first cap are written.  The
+ * draws call next_uint32(state), a numpy bit generator's.  Returns the
+ * visit count, which exceeds cap where the visit buffers were too short. */
+int64_t nf_walk(const double *length, const double *speed, const int64_t *succ_at,
+                const int64_t *succ, int64_t heart, int64_t n_dev, int64_t n,
+                uint32_t (*next_uint32)(void *), void *state, int64_t *sample_r,
+                double *sample_arc, int64_t *visit_at, double *visit_t, int64_t *visit_r,
+                int64_t cap)
+{
+    int64_t v = 0;
+    visit_at[0] = 0;
+    for (int64_t d = 0; d < n_dev; d++) {
+        int64_t r = heart, *row = sample_r + d * n;
+        double arc = 0.0, t_cursor = 0.0, *arcs = sample_arc + d * n;
+        if (v < cap) {
+            visit_t[v] = 0.0;
+            visit_r[v] = r;
+        }
+        v++;
+        row[0] = r;
+        arcs[0] = 0.0;
+        for (int64_t i = 1; i < n; i++) {
+            double remaining = 1.0;
+            while (remaining > 0) {
+                const double to_end = length[r] - arc, t_exit = to_end / speed[r];
+                if (t_exit > remaining) {
+                    arc += speed[r] * remaining;
+                    t_cursor += remaining;
+                    remaining = 0.0;
+                    continue;
+                }
+                remaining -= t_exit;
+                t_cursor += t_exit;
+                const uint32_t k = (uint32_t)(succ_at[r + 1] - succ_at[r]);
+                uint32_t pick = 0;
+                if (k > 1) {   /* Generator.integers(k): Lemire's draw, rejecting a biased one */
+                    uint64_t m = (uint64_t)next_uint32(state) * k;
+                    if ((uint32_t)m < k) {
+                        const uint32_t threshold = (UINT32_MAX - (k - 1)) % k;
+                        while ((uint32_t)m < threshold)
+                            m = (uint64_t)next_uint32(state) * k;
+                    }
+                    pick = (uint32_t)(m >> 32);
+                }
+                r = succ[succ_at[r] + pick];
+                arc = 0.0;
+                if (v < cap) {
+                    visit_t[v] = t_cursor;
+                    visit_r[v] = r;
+                }
+                v++;
+            }
+            row[i] = r;
+            arcs[i] = arc;
+        }
+        visit_at[d + 1] = v;
+    }
+    return v;
 }

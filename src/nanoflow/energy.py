@@ -173,10 +173,13 @@ def _charge_tables(tau: float, e_max: float, cost_sense: float, limit: int) -> _
     # the curve is non-decreasing, so a bisect finds its first e_max entry
     full = bisect_left(range(limit), e_max, key=lambda n: _charge(n, tau, e_max))
     # _charge's operations in their order, with math.expm1 (np.expm1 differs)
-    filled = -np.array(list(map(math.expm1, (-np.arange(min(full + 1, limit)) / tau).tolist())))
+    size = min(full + 1, limit)
+    filled = -np.fromiter(map(math.expm1, (-np.arange(size) / tau).tolist()), float, size)
     grid = np.minimum(e_max * filled * filled, e_max)   # searchsorted "left" on it is bisect_left
-    arrays = (grid, np.searchsorted(grid, grid).astype(np.int64),
-              np.searchsorted(grid, grid - cost_sense).astype(np.int64))
+    # grid is non-decreasing, so bisect_left(grid, grid[n]) is where grid[n]'s run starts
+    starts = np.concatenate(([True], grid[1:] != grid[:-1]))
+    low = np.maximum.accumulate(np.where(starts, np.arange(size, dtype=np.int64), 0))
+    arrays = (grid, low, np.searchsorted(grid, grid - cost_sense).astype(np.int64))
     for array in arrays:
         array.flags.writeable = False
     return _Tables(arrays)

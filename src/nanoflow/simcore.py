@@ -490,21 +490,24 @@ def _cache_dir() -> str | None:
 
 @functools.cache
 def _scan_kernel():
-    """_scan.c's nf_scan through ctypes, loaded once per process at the
-    first run.  The library is built with the system cc into _cache_dir(),
-    named by the sha256 of the source and the build command; one that does
-    not load (a truncated file) is built again.  A build writes a name of
-    its own and then renames it, so processes building at once do not
-    collide.  None off POSIX, or where there is no compiler or no build or
-    load works: run_simulation then scans in Python."""
+    """_scan.c's library through ctypes, its nf_scan and nf_walk bound,
+    loaded once per process at the first walk or run.  The library is built
+    with the system cc into _cache_dir(), named by the sha256 of the source
+    and the build command; one that does not load (a truncated file) is
+    built again.  A build writes a name of its own and then renames it, so
+    processes building at once do not collide.  None off POSIX, or where
+    there is no compiler or no build or load works: simulate_mobility then
+    walks and run_simulation scans in Python."""
     import ctypes
     import hashlib
 
     def bind(path):
-        scan = ctypes.CDLL(path).nf_scan
-        scan.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64] * 4 + [ctypes.c_void_p] * 4
-        scan.restype = None
-        return scan
+        lib, pointer, int64 = ctypes.CDLL(path), ctypes.c_void_p, ctypes.c_int64
+        lib.nf_scan.argtypes = [pointer] * 3 + [int64] * 4 + [pointer] * 4
+        lib.nf_scan.restype = None
+        lib.nf_walk.argtypes = [pointer] * 4 + [int64] * 3 + [pointer] * 7 + [int64]
+        lib.nf_walk.restype = int64
+        return lib
 
     folder = _cache_dir() if os.name == "posix" else None
     if folder is None:
@@ -552,9 +555,9 @@ def _compiled_scan(kernel, energy_cfg: EnergyConfig, costs: tuple, device_grids:
                             [x for p in packed for x in p[2]], *[p[1] for p in packed],
                             in_heart, *hits], dtype=np.int64)
     grid, low, drop = charge_arrays(energy_cfg)
-    kernel(grid.ctypes.data, low.ctypes.data, drop.ctypes.data, len(grid), len(g),
-           len(packed), n_rows, real.ctypes.data, index.ctypes.data, out_real.ctypes.data,
-           out_index.ctypes.data)
+    kernel.nf_scan(grid.ctypes.data, low.ctypes.data, drop.ctypes.data, len(grid), len(g),
+                   len(packed), n_rows, real.ctypes.data, index.ctypes.data,
+                   out_real.ctypes.data, out_index.ctypes.data)
 
 
 def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPlan,

@@ -17,6 +17,13 @@ A graph is therefore not edited once it is built.
 Every MobilityTrace carries the exact visit schedule of its walk, and
 geometry that needs more than the samples (anchor contact, heart passages)
 reads that schedule, never the sampled polyline.
+
+The walk of every device of a run is one call into the compiled library
+that simcore._scan_kernel builds and loads at the first walk or run (_scan.c's
+nf_walk), with the Python loop's float operations in their order and each
+bifurcation drawn from the walk's own numpy generator as Generator.integers
+draws it.  The Python loop (_walk) stays as the reference and as the path
+where no library loads; both give the same bytes.
 """
 
 from __future__ import annotations
@@ -82,8 +89,14 @@ class VesselGraph:
         self.motion_arrays = (   # validate_graph refuses zero-length vessels
             self._deltas / self._lengths[:, None] * np.array(speeds, dtype=float)[:, None],
             np.array([bool(v.is_heart) for v in vessels]))
-        self._walk_table = (lengths, speeds, [[self._row[s] for s in v.successors]
-                                              for v in vessels], self._row[self.heart_id])
+        succ = [[self._row[s] for s in v.successors] for v in vessels]
+        self._walk_table = (lengths, speeds, succ, self._row[self.heart_id])
+        # the same for the compiled walk, row r's successors in CSR form:
+        # succ_rows[succ_at[r]:succ_at[r + 1]]
+        self._walk_arrays = (self._lengths, np.array(speeds, dtype=float),
+                             np.cumsum([0, *map(len, succ)], dtype=np.int64),
+                             np.array([s for rows in succ for s in rows], np.int64),
+                             self._walk_table[3])
 
     def vessel(self, vessel_id: int) -> Vessel:
         return self.vessels[self._row[vessel_id]]
@@ -412,17 +425,34 @@ def simulate_mobility(graph: VesselGraph, device_count: int, duration_s: float,
     another.  The walk reads the graph's per-vessel tables and keeps only
     (vessel, arc) per sample; every device's positions are then placed in
     one VesselGraph.points_at pass and their vessel ids in one gather.
-    Each trace carries its visit schedule; its arrays share memory with no
-    other trace.
+    The walk runs in the compiled library (_walk_compiled) where it loads,
+    else in Python (_walk), with the same bytes.  Each trace carries its
+    visit schedule; its arrays share memory with no other trace.
     """
     rng = np.random.default_rng(seed)
     n = int(round(duration_s)) + 1
     if n < 1:
         raise ValueError(f"duration_s {duration_s!r} leaves no sample")
-    ids = graph.segment_arrays[0]
-    lengths, speeds, successors, heart = graph._walk_table
+    from . import simcore   # the library's one loader; simcore imports this module
+    kernel = simcore._scan_kernel()
+    walk = _walk if kernel is None else partial(_walk_compiled, kernel, seed)
     # every device's samples and visits, device after device; device d's
     # samples are [d * n, d * n + n) and its visits [visit_at[d], visit_at[d + 1])
+    sample_r, sample_arc, visit_t, visit_r, visit_at = walk(graph, device_count, n, rng)
+    ids = graph.segment_arrays[0]
+    positions, vessel_ids = graph.points_at(sample_r, sample_arc), ids[sample_r]
+    visit_vessels, times = ids[visit_r], np.arange(n, dtype=float)
+    return [MobilityTrace(device_id=dev, times=times.copy(),
+                          positions=positions[dev * n:dev * n + n],
+                          vessel_ids=vessel_ids[dev * n:dev * n + n],
+                          visit_times=visit_t[lo:hi], visit_vessels=visit_vessels[lo:hi])
+            for dev, (lo, hi) in enumerate(zip(visit_at, visit_at[1:]))]
+
+
+def _walk(graph: VesselGraph, device_count: int, n: int, rng: np.random.Generator):
+    """simulate_mobility's walk in Python, n samples a device: (sample rows,
+    sample arcs, visit times, visit rows, visit_at), rows of segment_arrays."""
+    lengths, speeds, successors, heart = graph._walk_table
     sample_r, sample_arc, visit_t, visit_r, visit_at = [], [], [], [], [0]
     for _ in range(device_count):
         r = heart   # the vessel the device is in, as a row of segment_arrays
@@ -452,15 +482,30 @@ def simulate_mobility(graph: VesselGraph, device_count: int, duration_s: float,
             sample_r.append(r)
             sample_arc.append(arc)
         visit_at.append(len(visit_t))
-    rows = np.array(sample_r, dtype=np.intp)
-    positions, vessel_ids = graph.points_at(rows, np.array(sample_arc)), ids[rows]
-    visit_times, visit_vessels = np.array(visit_t), ids[np.array(visit_r, dtype=np.intp)]
-    times = np.arange(n, dtype=float)
-    return [MobilityTrace(device_id=dev, times=times.copy(),
-                          positions=positions[dev * n:dev * n + n],
-                          vessel_ids=vessel_ids[dev * n:dev * n + n],
-                          visit_times=visit_times[lo:hi], visit_vessels=visit_vessels[lo:hi])
-            for dev, (lo, hi) in enumerate(zip(visit_at, visit_at[1:]))]
+    return (np.array(sample_r, dtype=np.intp), np.array(sample_arc), np.array(visit_t),
+            np.array(visit_r, dtype=np.intp), visit_at)
+
+
+def _walk_compiled(kernel, seed, graph: VesselGraph, device_count: int, n: int,
+                   rng: np.random.Generator):
+    """_walk in one nf_walk call of the compiled library, drawing from rng's
+    bit generator.  The visit buffers first hold a visit a sample; where the
+    walk needs more, it is walked again from default_rng(seed) on buffers of
+    the size it reported, which gives the same walk."""
+    lengths, speeds, succ_at, succ_rows, heart = graph._walk_arrays
+    count = len(range(device_count))   # range's checks, and 0 for a negative count
+    sample_r, sample_arc = np.empty(count * n, np.int64), np.empty(count * n)
+    visit_at, cap = np.empty(count + 1, np.int64), count * n
+    while True:
+        visit_t, visit_r, bits = np.empty(cap), np.empty(cap, np.int64), rng.bit_generator.ctypes
+        total = kernel.nf_walk(lengths.ctypes.data, speeds.ctypes.data, succ_at.ctypes.data,
+                               succ_rows.ctypes.data, heart, count, n, bits.next_uint32,
+                               bits.state, sample_r.ctypes.data, sample_arc.ctypes.data,
+                               visit_at.ctypes.data, visit_t.ctypes.data, visit_r.ctypes.data,
+                               cap)
+        if total <= cap:
+            return sample_r, sample_arc, visit_t[:total], visit_r[:total], visit_at.tolist()
+        cap, rng = total, np.random.default_rng(seed)
 
 
 _UPSAMPLE_ROWS = 1 << 12   # input samples per pass: bounds upsample_traces' temporaries
