@@ -1,13 +1,19 @@
-/* The compiled library of nanoflow, two entry points, each for every device
- * of a run in one call, with the Python loop's float operations in their
- * order; simcore builds it with -ffp-contract=off -fno-fast-math so that no
- * operation is fused or reordered, and both paths give the same bytes.
+/* The compiled library of nanoflow, three entry points, each for every
+ * device of a run (or every trace of a pass) in one call, with the Python
+ * loops' float operations in their order; simcore builds it with
+ * -ffp-contract=off -fno-fast-math so that no operation is fused or
+ * reordered, and both paths give the same bytes.
  *
  * nf_walk is nanoflow.vasculature.simulate_mobility's walk.  Each bifurcation
  * of more than one successor draws from the walk's own numpy generator, as
  * Generator.integers(k) does (numpy's buffered_bounded_lemire_uint32, Lemire,
  * "Fast Random Integer Generation in an Interval", 2019), so the walk reads
  * the same stream as the Python loop.
+ *
+ * nf_upsample is one pass of nanoflow.vasculature.upsample_traces.  The
+ * jitter stays numpy's: each trace's standard normals are drawn from its own
+ * generator before the call, and the kernel scales them as Generator.normal
+ * does (0.0 + sigma * z).
  *
  * nf_scan is phase 2 of nanoflow.simcore.run_simulation, the per-device scan.
  * Records, energy rows and consumption come out bit for bit the same as the
@@ -296,4 +302,44 @@ int64_t nf_walk(const double *length, const double *speed, const int64_t *succ_a
         visit_at[d + 1] = v;
     }
     return v;
+}
+
+/* Upsample k traces of m samples each by the factor n, as
+ * upsample_traces' numpy pass does: sample j * n of a trace is its input
+ * sample j, and sample j * n + c (0 < c < n) is the point c / n of the way
+ * from sample j to sample j + 1, (c / n * (p1 - p0)) + p0, with the vessel
+ * id of sample j.  A trace's times are (k, m), its positions (k, m, 3) and
+ * its vessel ids (k, m); each comes out as (k, (m - 1) * n + 1, ...).  z is
+ * NULL for no jitter, else (k, m - 1, n - 1, 3) standard normals, and each
+ * inserted coordinate gets + (0.0 + sigma * z). */
+void nf_upsample(int64_t k, int64_t m, int64_t n, double sigma, const double *times,
+                 const double *positions, const int64_t *ids, const double *z,
+                 double *out_times, double *out_positions, int64_t *out_ids)
+{
+    const int64_t size = (m - 1) * n + 1;
+    for (int64_t i = 0; i < k; i++) {
+        const double *t = times + i * m, *p = positions + 3 * i * m;
+        const int64_t *v = ids + i * m;
+        double *ot = out_times + i * size, *op = out_positions + 3 * i * size;
+        int64_t *ov = out_ids + i * size;
+        for (int64_t j = 0; j < m; j++) {
+            ot[j * n] = t[j];
+            ov[j * n] = v[j];
+            for (int a = 0; a < 3; a++)
+                op[3 * j * n + a] = p[3 * j + a];
+            if (j + 1 == m)
+                break;
+            for (int64_t c = 1; c < n; c++) {
+                const double f = (double)c / (double)n;
+                ot[j * n + c] = f * (t[j + 1] - t[j]) + t[j];
+                ov[j * n + c] = v[j];
+                for (int a = 0; a < 3; a++) {
+                    double x = f * (p[3 * (j + 1) + a] - p[3 * j + a]) + p[3 * j + a];
+                    if (z)
+                        x += 0.0 + sigma * *z++;
+                    op[3 * (j * n + c) + a] = x;
+                }
+            }
+        }
+    }
 }

@@ -9,6 +9,9 @@ fail, those commands print run_errors=N of M to stderr and exit 0.
 from __future__ import annotations
 
 import argparse
+import atexit
+import functools
+import gc
 import json
 import os
 import sys
@@ -198,7 +201,17 @@ def _overrides_from(args) -> dict:
     return over
 
 
+@functools.cache
+def _freeze_at_exit() -> None:
+    """Freeze the collector at interpreter exit, once per process, so the
+    shutdown collections do not walk the objects numpy's import and the
+    command leave tracked.  Every output file is closed by its with block
+    before then, and atexit, stdio flushing and module teardown still run."""
+    atexit.register(gc.freeze)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _freeze_at_exit()
     args = _build_parser().parse_args(argv)
     try:
         if getattr(args, "workers", 1) < 1:

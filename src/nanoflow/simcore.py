@@ -490,14 +490,15 @@ def _cache_dir() -> str | None:
 
 @functools.cache
 def _scan_kernel():
-    """_scan.c's library through ctypes, its nf_scan and nf_walk bound,
-    loaded once per process at the first walk or run.  The library is built
-    with the system cc into _cache_dir(), named by the sha256 of the source
-    and the build command; one that does not load (a truncated file) is
-    built again.  A build writes a name of its own and then renames it, so
-    processes building at once do not collide.  None off POSIX, or where
-    there is no compiler or no build or load works: simulate_mobility then
-    walks and run_simulation scans in Python."""
+    """_scan.c's library through ctypes, its nf_scan, nf_walk and
+    nf_upsample bound, loaded once per process at the first walk,
+    upsampling or run.  The library is built with the system cc into
+    _cache_dir(), named by the sha256 of the source and the build command;
+    one that does not load (a truncated file) is built again.  A build
+    writes a name of its own and then renames it, so processes building at
+    once do not collide.  None off POSIX, or where there is no compiler or
+    no build or load works: simulate_mobility then walks and run_simulation
+    scans in Python, and upsample_traces upsamples in numpy passes."""
     import ctypes
     import hashlib
 
@@ -507,6 +508,8 @@ def _scan_kernel():
         lib.nf_scan.restype = None
         lib.nf_walk.argtypes = [pointer] * 4 + [int64] * 3 + [pointer] * 7 + [int64]
         lib.nf_walk.restype = int64
+        lib.nf_upsample.argtypes = [int64] * 3 + [ctypes.c_double] + [pointer] * 7
+        lib.nf_upsample.restype = None
         return lib
 
     folder = _cache_dir() if os.name == "posix" else None

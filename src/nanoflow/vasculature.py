@@ -22,8 +22,10 @@ The walk of every device of a run is one call into the compiled library
 that simcore._scan_kernel builds and loads at the first walk or run (_scan.c's
 nf_walk), with the Python loop's float operations in their order and each
 bifurcation drawn from the walk's own numpy generator as Generator.integers
-draws it.  The Python loop (_walk) stays as the reference and as the path
-where no library loads; both give the same bytes.
+draws it.  Each upsampling pass is one call too (nf_upsample), on jitter
+that numpy draws.  The Python loop (_walk) and the numpy pass
+(_upsample_pass) stay as the reference and as the paths where no library
+loads; both paths give the same bytes.
 """
 
 from __future__ import annotations
@@ -526,13 +528,16 @@ def upsample_traces(traces: list[MobilityTrace], factor: int, sigma_cm: float,
     factor, eps drawn per axis from N(0, sigma_cm^2), in one (intervals,
     N - 1, 3) draw per trace (none for sigma_cm 0).  Original samples are
     preserved bit-exact and inserted samples inherit the interval's
-    starting vessel id; the visit schedule is copied.  Factor 1, or a
-    one-sample trace, gives copies of the input arrays.  The traces must
-    have one length: a pass interpolates and interleaves _UPSAMPLE_ROWS of
-    their input samples at once, and each result's arrays share memory with
-    no other trace.  A factor that is not an integer >= 1, or a sigma_cm
-    that is negative or not finite, raises ValueError, and so do traces of
-    several lengths or a seed count that is not the trace count.
+    starting vessel id; the visit schedule is copied.  Times and positions
+    are read as float64 and vessel ids as int64, so factor 1, or a
+    one-sample trace, gives copies of such input arrays.  The traces must
+    have one length: a pass upsamples _UPSAMPLE_ROWS of their input samples
+    at once, and each result's arrays share memory with no other trace.  A
+    pass is one nf_upsample call of the compiled library where it loads
+    (simcore._scan_kernel), else numpy's, with the same bytes.  A factor
+    that is not an integer >= 1, or a sigma_cm that is negative or not
+    finite, raises ValueError, and so do traces of several lengths or a
+    seed count that is not the trace count.
     """
     for trace in traces:
         if len(trace) == 0:
@@ -547,32 +552,62 @@ def upsample_traces(traces: list[MobilityTrace], factor: int, sigma_cm: float,
         raise ValueError("upsample_traces needs traces of one length")
     if not traces:
         return []
+    from . import simcore   # the library's one loader; simcore imports this module
+    kernel = simcore._scan_kernel()
+    upsample = _upsample_pass if kernel is None else partial(_upsample_compiled, kernel)
     N, m = int(factor), len(traces[0])
-    fracs = (np.arange(1, N) / N)[:, None]   # (N-1, 1)
+    step, upsampled = max(1, _UPSAMPLE_ROWS // m), []
+    for lo in range(0, len(traces), step):
+        part = traces[lo:lo + step]
+        k = len(part)   # the reshapes refuse arrays the kernel would read past
+        arrays = upsample(np.array([tr.times for tr in part], np.float64).reshape(k, m),
+                          np.array([tr.positions for tr in part], np.float64).reshape(k, m, 3),
+                          np.array([tr.vessel_ids for tr in part], np.int64).reshape(k, m),
+                          N, sigma_cm, seeds[lo:lo + step])
+        upsampled += [MobilityTrace(tr.device_id, t, p, v, tr.visit_times.copy(),
+                                    tr.visit_vessels.copy()) for tr, t, p, v in zip(part, *arrays)]
+    return upsampled
 
-    def blocks(samples, jitter_seeds=()):   # (k, m, d) -> (k, m, N, d): sample j of a
+
+def _upsample_pass(times, positions, vessel_ids, N: int, sigma_cm: float, seeds):
+    """One upsample_traces pass in numpy: (k, m) times, (k, m, 3) positions
+    and (k, m) vessel ids in, each trace's (k, (m - 1) * N + 1, ...) out,
+    trace i jittered on the stream of seeds[i]."""
+    k, m = times.shape
+    fracs, size = (np.arange(1, N) / N)[:, None], (m - 1) * N + 1   # (N-1, 1)
+
+    def blocks(samples, jitter_seeds=()):   # (k, m, d) -> (k, m * N, d): sample j of a
         # trace is block j // N, column j % N; column 0 the input sample,
-        # columns 1.. the points from it towards the next, jittered on the
-        # streams of jitter_seeds
+        # columns 1.. the points from it towards the next
         inserted = fracs * (samples[:, 1:] - samples[:, :-1])[:, :, None]
         inserted += samples[:, :-1, None]
         for points, seed in zip(inserted, jitter_seeds):
             points += np.random.default_rng(seed).normal(0.0, sigma_cm, size=points.shape)
-        out = np.empty((*samples.shape[:2], N, samples.shape[2]), inserted.dtype)
+        out = np.empty((k, m, N, samples.shape[2]))
         out[:, :, 0], out[:, :-1, 1:] = samples, inserted
-        return out
+        return out.reshape(k, m * N, -1)[:, :size]
 
-    step, size, upsampled = max(1, _UPSAMPLE_ROWS // m), (m - 1) * N + 1, []
-    for lo in range(0, len(traces), step):
-        part = traces[lo:lo + step]
-        times = blocks(np.array([tr.times for tr in part]).reshape(len(part), m, 1))
-        positions = blocks(np.array([tr.positions for tr in part]),
-                           seeds[lo:lo + step] if sigma_cm > 0 else ())
-        vessel_ids = np.repeat(np.array([tr.vessel_ids for tr in part]), N, axis=1)
-        upsampled += [MobilityTrace(tr.device_id, t.reshape(-1)[:size], p.reshape(-1, 3)[:size],
-                                    v[:size], tr.visit_times.copy(), tr.visit_vessels.copy())
-                      for tr, t, p, v in zip(part, times, positions, vessel_ids)]
-    return upsampled
+    return (blocks(times[:, :, None])[:, :, 0], blocks(positions, seeds if sigma_cm > 0 else ()),
+            np.repeat(vessel_ids, N, axis=1)[:, :size])
+
+
+def _upsample_compiled(kernel, times, positions, vessel_ids, N: int, sigma_cm: float, seeds):
+    """_upsample_pass in one nf_upsample call of the compiled library.  Each
+    trace's standard normals are drawn from its own generator into one pass
+    buffer first, and the kernel takes 0.0 + sigma_cm * z of each, which is
+    Generator.normal(0.0, sigma_cm)'s value on the same stream."""
+    k, m = times.shape
+    size = (m - 1) * N + 1
+    out = np.empty((k, size)), np.empty((k, size, 3)), np.empty((k, size), np.int64)
+    z = None
+    if sigma_cm > 0:
+        z = np.empty((k, m - 1, N - 1, 3))
+        for draws, seed in zip(z, seeds):
+            np.random.default_rng(seed).standard_normal(out=draws)
+    kernel.nf_upsample(k, m, N, sigma_cm, times.ctypes.data, positions.ctypes.data,
+                       vessel_ids.ctypes.data, None if z is None else z.ctypes.data,
+                       *[a.ctypes.data for a in out])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Config resolution/validation and the command-line front end."""
 
+import atexit
 import copy
+import gc
 import json
 import os
 import re
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 from nanoflow.benchmark import SimPlan
+from nanoflow import cli
 from nanoflow.cli import main
 from nanoflow.config import _KEYS, DEFAULT_CONFIG, RunConfig, load_config
 from nanoflow.errors import ConfigError, ConfigMismatch
@@ -357,6 +360,40 @@ def test_cli_resolved_config_reproduces(tmp_path):
     for name in ("raw_records.csv", "energy.csv", "trace.csv",
                  "resolved_config.json"):
         assert read(a / name) == read(b / name)
+
+
+def test_main_freezes_the_collector_only_at_exit(tmp_path):
+    # main registers gc.freeze with atexit, once a process; an in-process
+    # run leaves the collector as it found it
+    atexit.unregister(gc.freeze)
+    cli._freeze_at_exit.cache_clear()
+    frozen, callbacks = gc.get_freeze_count(), atexit._ncallbacks()
+    for i in range(2):
+        assert main(["simulate", "--devices", "2", "--duration-s", "10",
+                     "--out", str(tmp_path / f"run{i}")]) == 0
+        assert gc.get_freeze_count() == frozen and gc.isenabled()
+        assert atexit._ncallbacks() == callbacks + 1
+
+
+EXIT_PROBE = """
+import atexit, gc, sys
+from nanoflow.cli import main
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0))   # runs after main's
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_a_run_that_exits_frozen_writes_what_an_in_process_run_writes(tmp_path):
+    argv = ["simulate", "--devices", "3", "--duration-s", "20", "--seed", "5"]
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", EXIT_PROBE, *argv, "--out", str(tmp_path / "a")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "frozen at exit: True"
+    assert main([*argv, "--out", str(tmp_path / "b")]) == 0
+    for name in ("raw_records.csv", "energy.csv", "trace.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_cli_sample(tmp_path):

@@ -1,14 +1,16 @@
 """The compiled library (_scan.c) against the Python loops, and its loader.
 
-run_simulation scans every device of a run in one nf_scan call, and
-simulate_mobility walks every device in one nf_walk call, into the library
-simcore builds with the system cc on first use into a per-user cache.  The
-Python loops run where there is no compiler or the build or load fails,
-and the Python scan also scans again any device the kernel flags (a harvest
-past a charge grid cut short at _GRID_LIMIT).  Both paths must give the
-same bytes: for records, energy rows and consumption, and for every array
-of every trace; test_scan_python.py runs the engine and mobility tests on
-the Python paths too."""
+run_simulation scans every device of a run in one nf_scan call,
+simulate_mobility walks every device in one nf_walk call, and
+upsample_traces upsamples each pass of traces in one nf_upsample call,
+into the library simcore builds with the system cc on first use into a
+per-user cache.  The Python loops and numpy passes run where there is no
+compiler or the build or load fails, and the Python scan also scans again
+any device the kernel flags (a harvest past a charge grid cut short at
+_GRID_LIMIT).  Both paths must give the same bytes: for records, energy
+rows and consumption, and for every array of every trace;
+test_scan_python.py runs the engine, mobility and upsampling tests on the
+Python paths too."""
 
 import ctypes
 import json
@@ -27,11 +29,11 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from nanoflow import energy, simcore  # noqa: E402
+from nanoflow import energy, simcore, vasculature  # noqa: E402
 from nanoflow.energy import EnergyConfig  # noqa: E402
 from nanoflow.simcore import Anchor, SimPlan, _sense_hits, run_simulation  # noqa: E402
-from nanoflow.vasculature import (RegionType, Vessel, VesselGraph,  # noqa: E402
-                                  simulate_mobility, upsample_trace)
+from nanoflow.vasculature import (MobilityTrace, RegionType, Vessel, VesselGraph,  # noqa: E402
+                                  simulate_mobility, upsample_trace, upsample_traces)
 from test_scan_reference import (GRAPH, POSITIONS, _beacon_times, _bits, _shifted,  # noqa: E402
                                  cases)
 
@@ -253,6 +255,64 @@ def test_the_compiled_walk_redraws_a_biased_draw_as_lemire_does(draws):
         heart, 1, 2, next_uint32, None, rows.ctypes.data, arcs.ctypes.data, visit_at.ctypes.data,
         visit_t.ctypes.data, visit_r.ctypes.data, 4)
     assert visits == 2 and taken == draws[:used] and rows.tolist() == [0, 1 + pick]
+
+
+def _upsamples(traces, factor, sigma_cm, seeds, rows):
+    """_trace_bits of upsample_traces on the compiled library (where it
+    loads) and in numpy, in passes of `rows` input samples."""
+    with mock.patch.object(vasculature, "_UPSAMPLE_ROWS", rows):
+        compiled = _trace_bits(upsample_traces(traces, factor, sigma_cm, seeds))
+        with mock.patch.object(simcore, "_scan_kernel", lambda: None):
+            python = _trace_bits(upsample_traces(traces, factor, sigma_cm, seeds))
+    return compiled, python
+
+
+@st.composite
+def upsample_batches(draw):
+    """1-9 traces of one length (1, 2 or up to 40 samples), their
+    coordinates spread over many magnitudes, some of them -0.0 or 0.0,
+    and their seeds."""
+    count, m = draw(st.integers(1, 9)), draw(st.one_of(st.sampled_from([1, 2]),
+                                                       st.integers(3, 40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    step, start = draw(st.sampled_from([1.0, 0.5, 1 / 3])), draw(st.floats(-5.0, 1e4))
+    traces = []
+    for dev in range(count):
+        positions = rng.normal(0.0, 10.0, (m, 3)) * 10.0 ** rng.integers(-8, 8, (m, 3))
+        positions[rng.random((m, 3)) < 0.2] = -0.0
+        positions[rng.random((m, 3)) < 0.1] = 0.0
+        traces.append(MobilityTrace(dev, start + step * np.arange(m), positions,
+                                    rng.integers(0, 94, m), np.array([0.0]), np.array([5])))
+    return traces, [int(s) for s in rng.integers(0, 2**63, count)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(upsample_batches(), st.integers(1, 6), st.sampled_from([0.0, 1e-300, 0.2, 1e3]),
+       st.sampled_from([1, 7, 50, 1 << 12]))
+def test_compiled_and_numpy_upsampling_give_the_same_bytes(batch, factor, sigma_cm, rows):
+    # rows 1, 7 and 50 cut a batch into passes of one or a few traces
+    traces, seeds = batch
+    compiled, python = _upsamples(traces, factor, sigma_cm, seeds, rows)
+    assert compiled == python and len(compiled) == len(traces)
+
+
+def test_the_upsamplings_agree_at_paper_scale():
+    traces = simulate_mobility(GRAPH, 64, 1000.0, 2024)
+    compiled, python = _upsamples(traces, 3, 0.2, list(range(64)), 1 << 12)
+    assert compiled == python
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**63), st.one_of(st.sampled_from([1e-300, 0.2, 1e3]),
+                                        st.floats(1e-300, 1e300)),
+       st.sampled_from([(0, 2, 3), (1, 1, 3), (17, 5, 3)]))
+def test_normal_is_zero_plus_sigma_times_a_standard_normal(seed, sigma_cm, shape):
+    # what nf_upsample relies on: Generator.normal(0.0, sigma) is
+    # 0.0 + sigma * z on the same stream's standard normals, bit for bit
+    want = np.random.default_rng(seed).normal(0.0, sigma_cm, shape)
+    z = np.empty(shape)
+    np.random.default_rng(seed).standard_normal(out=z)
+    assert (0.0 + sigma_cm * z).tobytes() == want.tobytes()
 
 
 @pytest.fixture

@@ -642,6 +642,14 @@ def test_upsample_traces_refuses_mismatched_inputs():
     with pytest.raises(ValueError, match="2 seeds for 3 traces"):
         upsample_traces(traces, 3, 0.2, [0, 1])
     assert upsample_traces([], 3, 0.2, []) == []
+    # arrays of a trace that disagree in length, which a pass must not read past
+    tr = traces[0]
+    for short in [MobilityTrace(0, tr.times, tr.positions[:5], tr.vessel_ids, tr.visit_times,
+                                tr.visit_vessels),
+                  MobilityTrace(0, tr.times, tr.positions, tr.vessel_ids[:5], tr.visit_times,
+                                tr.visit_vessels)]:
+        with pytest.raises(ValueError, match="cannot reshape"):
+            upsample_traces([short], 3, 0.2, [0])
 
 
 def test_upsample_rejects_empty_trace():
