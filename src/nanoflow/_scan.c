@@ -17,11 +17,10 @@
  *
  * nf_scan is phase 2 of nanoflow.simcore.run_simulation, the per-device scan.
  * Records, energy rows and consumption come out bit for bit the same as the
- * Python scan's.  Where the Python loop steps a tick by tick[i] - tick[i - 1],
- * this harvests tick[i] - last_adv, which is the same float, since the tick
- * before is the last harvest.  A device whose harvest leaves a charge grid
- * cut short (where energy_after takes its closed form) or whose cycle count
- * reaches 2^62 is flagged, and simcore scans it again in Python.
+ * Python scan's, which is this loop on the same inputs.  A device whose
+ * harvest leaves a charge grid cut short (where energy_after takes its
+ * closed form) or whose cycle count reaches 2^62 is flagged, and simcore
+ * scans it again in Python.
  *
  * nf_scan's buffers, each part following the one before:
  *   real:      the energy numbers (CFG); per tick grid, its tick times and

@@ -32,21 +32,21 @@ energy depends only on its own events.  A run is therefore three phases:
    each episode, if it can pay for the response too.  The capacitor steps
    exactly as energy.advance_harvest and energy.try_consume would, from
    grid[0], 0 J, of energy.charge_tables' grid, by grid index while the
-   energy is on it.  Each device steps from tick to tick on a tick grid
-   built once per process for each distinct trace time grid (a small cache,
-   never changed), and stops at the sparse items, in time and tie order:
-   decoded beacons (before a tick at the same time), ticks that see the
-   target, and energy samples off the tick grid (they harvest; after a tick
-   at the same time).  A row due on a tick is recorded once its tick is done.
-   One call into the compiled kernel (_scan.c, built with the system C
-   compiler on first use; see _scan_kernel) scans every device of the run,
-   with the same float operations in the same order as the Python loop
-   below.  The Python loop scans every device where no kernel loads, and
-   any device the kernel flags: one whose harvest leaves a charge grid cut
-   short at energy._GRID_LIMIT, where energy.energy_after's closed form
-   takes over.  Each answered beacon becomes a response, sent at the
-   beacon's rx plus the backscatter gain and received at the anchor over
-   the beacon's path (its path loss and Doppler penalty).
+   energy is on it.  Each device makes one pass over the ticks of a tick
+   grid built once per process for each distinct trace time grid (a small
+   cache, never changed).  Before each tick it takes, in time order, its
+   decoded beacons up to the tick's time (a beacon first at a tie) and the
+   energy samples off the tick grid strictly before it (they harvest); each
+   harvest runs from the last.  A row due on a tick is recorded once its
+   tick is done.  One call into the compiled kernel (_scan.c, built with
+   the system C compiler on first use; see _scan_kernel) scans every device
+   of the run; the Python loop below is the same loop on the same inputs,
+   float operation for float operation.  It scans every device where no
+   kernel loads, and any device the kernel flags: one whose harvest leaves
+   a charge grid cut short at energy._GRID_LIMIT, where energy_after's
+   closed form takes over.  Each answered beacon becomes a response, sent
+   at the beacon's rx plus the backscatter gain and received at the anchor
+   over the beacon's path (its path loss and Doppler penalty).
 3. Collisions.  Responses arriving within _T_EPS of the earliest pending
    arrival form one batch.  Each is decided against the others in the
    batch, summed in (arrival time, anchor, device) order; a decoded one
@@ -71,7 +71,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -362,9 +361,6 @@ def _sense_hits(points: np.ndarray, target: np.ndarray | None,
     return hits
 
 
-_BEACON, _SAMPLE, _TICK, _END = range(4)   # a scan stop's kind, in tie order
-
-
 def _tick_grids(traces: list[MobilityTrace], sense_rate_hz: int, duration_s: float) -> list:
     """Each trace's _cached_tick_grid.  A trace whose times are those of the
     trace before, bit for bit, takes that grid without a cache lookup, which
@@ -390,17 +386,13 @@ def _cached_tick_grid(trace: MobilityTrace, sense_rate_hz: int, duration_s: floa
 
 
 def _tick_grid(trace: MobilityTrace, sense_rate_hz: int, duration_s: float):
-    """(tick times, steps, tick samples, stops, row ticks, packed) of a
-    trace's time grid, ticks on its samples up to the duration.  steps[i] is
-    tick time i less tick time i - 1 (steps[0] is never read); the tick
-    samples are a slice of the trace's samples.  Stops: the samples off the
-    ticks (they harvest), then the end.  Row ticks: for each sample on a
-    tick, the ticks done once its tick is, then a count never reached.
-    Packed, the same for the compiled scan: (tick times and the off-tick
-    sample times, row ticks without the last, (tick count, off-tick sample
-    count, row tick count)).  All of it is read-only (tuples, a slice and
-    read-only arrays), since runs share it.  A grid that does not fit the
-    plan raises ConfigMismatch naming the device."""
+    """(tick samples, packed) of a trace's time grid, ticks on its samples
+    up to the duration; the tick samples are a slice of the trace's
+    samples.  Packed, what both scans read: (tick times and the off-tick
+    sample times (they harvest), row ticks (for each sample on a tick, the
+    ticks done once its tick is), (tick count, off-tick sample count, row
+    tick count)).  Its arrays are read-only, since runs share them.  A grid
+    that does not fit the plan raises ConfigMismatch naming the device."""
     times = np.asarray(trace.times, dtype=float)
     if len(times) < 2:
         raise ConfigMismatch(f"device {trace.device_id}: trace has fewer than 2 samples")
@@ -421,14 +413,11 @@ def _tick_grid(trace: MobilityTrace, sense_rate_hz: int, duration_s: float):
     tick_t, samples = times[ticks], np.arange(math.floor(t_last) + 1, dtype=float)
     at = np.searchsorted(tick_t, samples)
     on = np.searchsorted(tick_t, samples, side="right") > at   # a tick at the sample
-    stops = [(i, s, _SAMPLE, None) for i, s in zip(at[~on].tolist(), samples[~on].tolist())]
-    stops.append((len(tick_t), math.inf, _END, None))
     packed = (np.concatenate([tick_t, samples[~on]]), at[on] + 1,
-              (len(tick_t), len(stops) - 1, int(on.sum())))
+              (len(tick_t), len(samples) - int(on.sum()), int(on.sum())))
     for array in packed[:2]:
         array.flags.writeable = False
-    return (tuple(tick_t.tolist()), (math.nan, *(tick_t[1:] - tick_t[:-1]).tolist()), ticks,
-            tuple(stops), (*(at[on] + 1).tolist(), len(tick_t) + 1), packed)
+    return ticks, packed
 
 
 def _decide_responses(responses: list[tuple], anchor_pos: np.ndarray,
@@ -549,7 +538,7 @@ def _compiled_scan(kernel, energy_cfg: EnergyConfig, costs: tuple, device_grids:
     device, 0 for none."""
     b_count, bt, gap, in_heart = beacons
     distinct = {}   # each distinct tick grid's (number, packed form), in first use order
-    g = [distinct.setdefault(id(grid), (len(distinct), grid[5]))[0] for grid in device_grids]
+    g = [distinct.setdefault(id(grid), (len(distinct), grid[1]))[0] for grid in device_grids]
     packed = [p for _, p in distinct.values()]
     real = np.concatenate([[energy_cfg.t_cycle, energy_cfg.e_max, energy_cfg.e_turn_on,
                             energy_cfg.e_turn_off, energy_cfg.cost_sense, *costs],
@@ -574,6 +563,8 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
     None decodes them here."""
     anchors, duration_s, proto = plan.anchors, plan.duration_s, plan.protocol
     energy_cfg, channel_cfg = plan.energy_cfg, plan.channel_cfg
+    if beacons is not None and len(beacons) != len(traces):   # nf_scan would read past its buffers
+        raise ConfigMismatch(f"beacons: {len(beacons)} lists for {len(traces)} traces")
     t_last = duration_s + _T_EPS
     device_grids = _tick_grids(traces, plan.sense_rate_hz, duration_s)
 
@@ -587,10 +578,13 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
 
     decoded = decode_beacons(graph, traces, plan) if beacons is None else beacons
     heard = [b for device in decoded for b in device]   # the run's beacons, device by device
+    n_dev, n_b = len(traces), len(heard)
     b_count = [len(device) for device in decoded]
-    bt = np.fromiter(map(itemgetter(0), heard), float, len(heard))
+    bt = np.fromiter(map(itemgetter(0), heard), float, n_b)
+    gap = np.array(gaps)[np.fromiter(map(itemgetter(1), heard), np.intp, n_b)]
+    in_heart = np.fromiter(map(itemgetter(5), heard), bool, n_b)
     # each device's sense-tick hits, as indices into its ticks
-    hits = [_sense_hits(np.asarray(trace.positions, dtype=float)[grid[2]], target,
+    hits = [_sense_hits(np.asarray(trace.positions, dtype=float)[grid[0]], target,
                         plan.detection_radius_cm).nonzero()[0]
             for trace, grid in zip(traces, device_grids)]
 
@@ -598,7 +592,6 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
     # energies per device and row; out_index: the compiled scan's rescan
     # flag per device, the event bit each beacon's response sent (-1: none),
     # the rows' powered flags
-    n_dev, n_b = len(traces), len(heard)
     n_rows = math.floor(t_last) + 1 if energy_rows else 0   # per device
     out_real = np.empty(n_dev + n_b + n_dev * n_rows)
     out_index = np.full(len(out_real), -1, np.int64)
@@ -609,8 +602,6 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
     kernel = _scan_kernel()
     rescan = range(n_dev)
     if kernel is not None and n_dev:
-        gap = np.array(gaps)[np.fromiter(map(itemgetter(1), heard), np.intp, n_b)]
-        in_heart = np.fromiter(map(itemgetter(5), heard), bool, n_b)
         _compiled_scan(kernel, energy_cfg, (rx_cost, tx_cost), device_grids,
                        (b_count, bt, gap, in_heart), hits, n_rows, out_real, out_index)
         rescan = out_index[:n_dev].nonzero()[0].tolist()
@@ -620,112 +611,91 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
         e_turn_on, e_turn_off = energy_cfg.e_turn_on, energy_cfg.e_turn_off
         grid, low, drop = charge_tables(energy_cfg)
         size, b_first = len(grid), np.cumsum([0, *b_count]).tolist()
+        beacon_t, beacon_gap, beacon_heart = bt.tolist(), gap.tolist(), in_heart.tolist()
 
-    def harvest(energy, base, cycles):
-        """(energy, base, spent) after a harvest of cycles > 0 from energy <
-        e_max: a gather while base is energy's grid index and base + cycles
-        is in the grid, else energy_after (base and spent -1 off the tables)."""
-        n = base + cycles
-        if base < 0 or n >= size:
-            energy, n = energy_after(grid, energy, cycles, energy_cfg)
-            if n < 0:
-                return energy, -1, -1
-        return grid[n], low[n], drop[n]
+    def harvest_to(t):
+        """Harvest from last_adv up to time t as _scan.c's harvest_to does,
+        with energy_after where the gather leaves the tables (base and spent -1)."""
+        nonlocal energy, powered, phase, last_adv, base, spent
+        if t > last_adv:
+            total = phase + (t - last_adv)
+            cycles = int(total / t_cycle)
+            phase, last_adv = total - cycles * t_cycle, t
+            if cycles > 0 and energy < e_max:
+                n = base + cycles
+                if base < 0 or n >= size:
+                    energy, n = energy_after(grid, energy, cycles, energy_cfg)
+                if n < 0:
+                    base = spent = -1
+                else:
+                    energy, base, spent = grid[n], low[n], drop[n]
+            powered = powered or energy >= e_turn_on
 
-    for di in rescan:
-        tick_t, steps, _, grid_stops, row_ticks, _ = device_grids[di]
-        b0, device_beacons = b_first[di], decoded[di]
-        sent_bit[b0:b0 + len(device_beacons)] = -1   # the kernel's answers, if it began
-        dues = iter(row_ticks if energy_rows else row_ticks[-1:])
-        due = next(dues)   # the ticks done when the next row on a tick is due
-        # (ticks before it, time, kind, item), popped in time and tie order
-        stops = sorted([*grid_stops, *[(bisect_left(tick_t, b[0]), b[0], _BEACON, i)
-                                       for i, b in enumerate(device_beacons)],
-                        *[(j, tick_t[j], _TICK, True) for j in hits[di].tolist()]],
-                       reverse=True)
+    for di in rescan:   # _scan.c's scan_device, on the inputs nf_scan reads
+        packed = device_grids[di][1]
+        times = packed[0].tolist()   # the tick times, then the off-tick sample times
+        dues = set(packed[1].tolist())   # the ticks done when each row on a tick is due
+        n_ticks, hit_ticks = packed[2][0], set(hits[di].tolist())
+        bi, b_end = b_first[di], b_first[di + 1]
+        sent_bit[bi:b_end] = -1   # the kernel's answers, if it began
         energy, powered, phase = 0.0, False, 0.0   # at 0 J, which is grid[0]
         last_adv = last_reset = consumed = 0.0
         # a harvest of c cycles lands on grid[base + c], and on grid[spent + c]
         # once a sense tick is paid; -1 while energy is no table entry
         base, spent = low[0], drop[0]
         state = EnergyState()   # the beacons' try_consume spends from it
-        last_delivered, event_bit, responded, done = None, 0, False, 0
-        energies, powereds = [], []   # the device's 1 Hz samples, in time order
-        while True:
-            at, t, kind, item = stops.pop()
-            if done < at and (done == 0 or last_adv != tick_t[done - 1]):
-                stops.append((at, t, kind, item))   # a sparse harvest came after the last tick
-                at, t, kind, item = done, tick_t[done], _TICK, False
-            while done < at:   # ticks done..at-1, each a step from the last, cut at row ticks
-                end = at if at < due else due
-                for dt in steps[done:end]:
-                    total = phase + dt
-                    cycles = int(total / t_cycle)
-                    phase = total - cycles * t_cycle
-                    if cycles > 0 and energy < e_max:
-                        energy, base, spent = harvest(energy, base, cycles)
-                    if not powered and energy >= e_turn_on:
-                        powered = True
-                    if powered and energy >= cost_sense:   # try_consume's rule
-                        energy -= cost_sense
-                        if energy <= e_turn_off:
-                            powered = False
-                        base, spent = spent, -1
-                        consumed += cost_sense
-                last_adv, done = tick_t[end - 1], end
-                if done == due:
-                    energies.append(energy)
-                    powereds.append(powered)
-                    due = next(dues)
-            if kind == _END:
-                break
-            if t > last_adv:   # the sparse items' harvest
-                total = phase + (t - last_adv)
-                cycles = int(total / t_cycle)
-                phase = total - cycles * t_cycle
-                if cycles > 0 and energy < e_max:
-                    energy, base, spent = harvest(energy, base, cycles)
-                powered = powered or energy >= e_turn_on
-                last_adv = t
-            if kind == _SAMPLE:
-                if energy_rows:
-                    energies.append(energy)
-                    powereds.append(powered)
-                continue
-            if kind == _TICK:
-                done += 1
-                if powered and energy >= cost_sense:
-                    energy, consumed = energy - cost_sense, consumed + cost_sense
-                    powered, base, spent = energy > e_turn_off, spent, -1
-                    event_bit |= item
-                if done == due:
-                    energies.append(energy)
-                    powereds.append(powered)
-                    due = next(dues)
-                continue
-            ai, in_heart = device_beacons[item][1], device_beacons[item][5]
-            state.energy, state.powered = energy, powered
-            if not powered or try_consume(state, rx_cost, energy_cfg) is None:
-                continue
-            if rx_cost > 0.0:
-                base = spent = -1
-            consumed += rx_cost
-            if last_delivered is None or t - last_delivered > gaps[ai] + _T_EPS:
-                responded = False
-            last_delivered = t
-            circulation, bit = t - last_reset, event_bit
-            if in_heart:
-                last_reset, event_bit = t, 0
-            if not responded and try_consume(state, tx_cost, energy_cfg) is not None:
-                if tx_cost > 0.0:
+        last_delivered, event_bit, responded = None, 0, False
+        oi = n_ticks   # the next off-tick sample
+        rows = []   # the device's 1 Hz samples, (energy, powered) in time order
+        for i in range(n_ticks + 1):   # tick i; i == n_ticks: the end
+            end = i == n_ticks
+            while True:   # the items before tick i, in time order, a beacon first at a tie
+                beacon = bi < b_end and (end or beacon_t[bi] <= times[i])
+                if (oi < len(times) and (end or times[oi] < times[i])
+                        and not (beacon and beacon_t[bi] <= times[oi])):
+                    harvest_to(times[oi])
+                    oi += 1
+                    rows.append((energy, powered))
+                    continue
+                if not beacon:
+                    break
+                t, b = beacon_t[bi], bi   # a decoded beacon
+                bi += 1
+                harvest_to(t)
+                state.energy, state.powered = energy, powered
+                if not powered or try_consume(state, rx_cost, energy_cfg) is None:
+                    continue
+                if rx_cost > 0.0:
                     base = spent = -1
-                consumed += tx_cost
-                responded = True
-                sent_bit[b0 + item], sent_circulation[b0 + item] = bit, circulation
-            energy, powered = state.energy, state.powered
+                consumed += rx_cost
+                if last_delivered is None or t - last_delivered > beacon_gap[b] + _T_EPS:
+                    responded = False   # a new episode
+                last_delivered = t
+                circulation, bit = t - last_reset, event_bit
+                if beacon_heart[b]:
+                    last_reset, event_bit = t, 0
+                if not responded and try_consume(state, tx_cost, energy_cfg) is not None:
+                    if tx_cost > 0.0:
+                        base = spent = -1
+                    consumed += tx_cost
+                    responded = True
+                    sent_bit[b], sent_circulation[b] = bit, circulation
+                energy, powered = state.energy, state.powered
+            if end:
+                break
+            harvest_to(times[i])
+            if powered and energy >= cost_sense:   # a sense tick, paid as try_consume would
+                energy -= cost_sense
+                if energy <= e_turn_off:
+                    powered = False
+                base, spent = spent, -1
+                consumed += cost_sense
+                event_bit |= i in hit_ticks
+            if i + 1 in dues:   # a row on this tick
+                rows.append((energy, powered))
         consumed_j[di] = consumed
         if energy_rows:
-            row_energy[di], row_powered[di] = energies, powereds
+            row_energy[di], row_powered[di] = zip(*rows)
 
     # the responses, back over each answered beacon's path: its loss and penalty
     sent = (sent_bit >= 0).nonzero()[0]

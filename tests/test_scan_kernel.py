@@ -5,12 +5,12 @@ simulate_mobility walks every device in one nf_walk call, and
 upsample_traces upsamples each pass of traces in one nf_upsample call,
 into the library simcore builds with the system cc on first use into a
 per-user cache.  The Python loops and numpy passes run where there is no
-compiler or the build or load fails, and the Python scan also scans again
-any device the kernel flags (a harvest past a charge grid cut short at
-_GRID_LIMIT).  Both paths must give the same bytes: for records, energy
-rows and consumption, and for every array of every trace;
-test_scan_python.py runs the engine, mobility and upsampling tests on the
-Python paths too."""
+compiler or the build or load fails, and the Python scan, nf_scan's loop
+on the inputs nf_scan reads, also scans again any device the kernel flags
+(a harvest past a charge grid cut short at _GRID_LIMIT).  Both paths must
+give the same bytes: for records, energy rows and consumption, and for
+every array of every trace; test_scan_python.py runs the engine, mobility
+and upsampling tests on the Python paths too."""
 
 import ctypes
 import json
@@ -431,3 +431,45 @@ def test_building_the_graph_loads_no_kernel():
     # the library loads at the first walk or run, never at import or a graph's build
     assert _loads_after("import nanoflow.vasculature as v; "
                         "v.build_reference_vasculature()") == [False, 0]
+
+
+WRONG_BEACON_COUNTS = """
+import json
+from unittest import mock
+from nanoflow import simcore
+from nanoflow.errors import ConfigMismatch
+from nanoflow.simcore import Anchor, SimPlan, decode_beacons, run_simulation
+from nanoflow.vasculature import build_reference_vasculature, simulate_mobility, upsample_trace
+
+graph = build_reference_vasculature()
+traces = [upsample_trace(tr, 3, 0.2, tr.device_id)
+          for tr in simulate_mobility(graph, 5, 40.0, seed=11)]
+plan = SimPlan(duration_s=39.0, anchors=[Anchor(0, (0.8, 0.0, 0.0), 0.05)])
+decoded = decode_beacons(graph, traces, plan)   # the fifth trace's list makes the long one
+out = {"kernel": simcore._scan_kernel() is not None, "decoded": sum(map(len, decoded[:4]))}
+with mock.patch.object(simcore, "_compiled_scan", wraps=simcore._compiled_scan) as call:
+    for path, kernel in (("compiled", simcore._scan_kernel), ("python", lambda: None)):
+        with mock.patch.object(simcore, "_scan_kernel", kernel):
+            for beacons in (decoded[:3], decoded):
+                try:
+                    run_simulation(graph, traces[:4], plan, beacons=beacons)
+                    out[f"{path} {len(beacons)}"] = None
+                except ConfigMismatch as exc:
+                    out[f"{path} {len(beacons)}"] = str(exc)
+    out["calls"] = call.call_count
+print(json.dumps(out))
+"""
+
+
+def test_a_beacons_list_of_the_wrong_length_is_refused_before_any_scan():
+    # a list shorter or longer than the traces once sent nf_scan past its
+    # buffers (a crash, hence a process of its own), and the Python scan to an
+    # IndexError or to beacons of the wrong devices
+    out = subprocess.run([sys.executable, "-c", WRONG_BEACON_COUNTS], check=True, text=True,
+                         capture_output=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    got = json.loads(out.stdout)
+    assert got.pop("kernel") == (CC is not None) and got.pop("decoded") > 0
+    assert got.pop("calls") == 0   # nothing reached the compiled scan
+    assert got == {f"{path} {n}": f"beacons: {n} lists for 4 traces"
+                   for path in ("compiled", "python") for n in (3, 5)}

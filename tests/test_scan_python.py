@@ -6,7 +6,8 @@ run_simulation scans, simulate_mobility walks and upsample_traces upsamples
 in the compiled library (_scan.c) wherever a C compiler builds it, and in
 Python and numpy where none does.  Here the loader is patched to find no
 library, so every test below runs the Python loops and numpy passes that
-those modules' own runs take only without a compiler."""
+those modules' own runs take only without a compiler: the scan as nf_scan's
+loop in Python, on the inputs nf_scan reads."""
 
 import pytest
 

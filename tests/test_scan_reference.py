@@ -7,16 +7,17 @@ schedule through a per-vessel dict, steps the capacitor with
 advance_harvest and try_consume at every entry, and decides each response
 of a collision batch in its own chain of scalar channel calls.  The engine
 decodes the beacons of every device of a run in array passes, steps the
-capacitors of all devices in one compiled call (or, without a compiler, on
-locals in one tight loop over each device's sense ticks that stops only at
-sparse items; test_scan_python.py runs these tests on that path), reads
+capacitors of all devices in one compiled call (or, without a compiler, in
+the same loop in Python: one pass over each device's sense ticks that takes
+the beacons and off-tick samples before each tick; test_scan_python.py runs
+these tests on that path), reads
 the schedule from the graph's cached arrays and decides every response in
 array passes; records, energy rows and consumption must come out bit for
 bit the same, including when sensing and receiving are refused, when the
 charge grid hits its size limit, and at the seams of the scan (beacons
 and samples at tick times, ticks
 that see the target, ticks that harvest no cycle, several time grids, rows
-due at a tick that is a stop of its own, durations short of a whole second).
+due at a tick that sees the target, durations short of a whole second).
 The engine decides beacons and responses in arrays that repeat the scalar
 channel calls' float operations, so the last tests put beacons and
 responses exactly on the sensitivity gate and on the SINR threshold,
@@ -534,8 +535,8 @@ def test_beacons_at_tick_times_come_before_the_tick():
 def test_hit_ticks_next_to_beacons_step_like_the_reference(seed, tie):
     # the target sits where a device decodes beacons, so ticks that see it
     # come right before and right after beacons, and with seed 7 one at a
-    # beacon's time: all stop the tight loop, and the beacon comes first at
-    # the tie
+    # beacon's time: each is taken in time order, and the beacon comes first
+    # at the tie
     traces = [upsample_trace(tr, 3, 0.2, tr.device_id)
               for tr in simulate_mobility(GRAPH, 4, 90.0, seed=seed)]
     plan = SimPlan(duration_s=90.0, detection_radius_cm=3.0,
@@ -575,7 +576,7 @@ def test_cycles_longer_than_the_tick_spacing_step_like_the_reference(anchor):
     # a 0.5 s cycle against 1/3 s ticks: some ticks harvest no cycle, so two
     # paid ticks in a row leave no table index and the next harvest bisects.
     # With the far anchor no beacon is decoded, so every energy_after call
-    # of the Python scan comes from the tight loop (the compiled scan
+    # of the Python scan comes from a tick's harvest (the compiled scan
     # bisects in C)
     traces = [upsample_trace(tr, 3, 0.2, tr.device_id)
               for tr in simulate_mobility(GRAPH, 3, 60.0, seed=31)]
@@ -624,11 +625,10 @@ def test_cached_tick_grids_stay_as_built():
     assert build.call_count == 3
     assert all(_beacon_times(traces, plan)) and any(bit for *_, bit in first[0]) and first[1]
     for trace in traces:
-        tick_t, steps, ticks, stops, row_ticks, packed = simcore._cached_tick_grid(trace, 3, 44.0)
-        want = simcore._tick_grid(trace, 3, 44.0)
-        assert (tick_t, steps[1:], stops, row_ticks) == (want[0], want[1][1:], *want[3:5])
-        assert math.isnan(steps[0]) and ticks == want[2]
-        assert all(np.array_equal(a, b) for a, b in zip(packed, want[5]))
+        ticks, packed = simcore._cached_tick_grid(trace, 3, 44.0)
+        want_ticks, want = simcore._tick_grid(trace, 3, 44.0)
+        assert ticks == want_ticks and packed[2] == want[2]
+        assert all(np.array_equal(a, b) for a, b in zip(packed[:2], want[:2]))
         assert not any(a.flags.writeable for a in packed[:2])
     for shift in range(1, 12):
         run_simulation(GRAPH, _shifted(traces[:1], shift * 0.01), plan, energy_rows=False)
@@ -672,8 +672,8 @@ ROW_SEAM_ENERGY = EnergyConfig(e_max=100e-12, e_turn_on=5e-12, e_turn_off=2.5e-1
 
 
 def test_a_row_tick_that_sees_the_target_records_after_the_tick_senses():
-    # the one tick that sees the target is at 30 s, so it is a stop of its
-    # own, and the 30 s row comes after the tick harvests and pays for sensing
+    # the one tick that sees the target is at 30 s, and the 30 s row comes
+    # after the tick harvests and pays for sensing
     traces = [upsample_trace(tr, 3, 0.2, tr.device_id)
               for tr in simulate_mobility(GRAPH, 3, 60.0, seed=1)]
     plan = SimPlan(duration_s=60.0, detection_radius_cm=1e-9,
@@ -690,8 +690,8 @@ def test_a_row_tick_that_sees_the_target_records_after_the_tick_senses():
 
 def test_a_row_tick_right_after_a_beacon_records_after_the_tick_senses():
     # beacons every 25 ms fall between the tick before a whole second and the
-    # tick on it: that tick harvests from the beacon's time as a stop of its
-    # own, and the second's row comes after it
+    # tick on it: that tick harvests from the beacon's time, and the second's
+    # row comes after it
     traces = [upsample_trace(tr, 3, 0.2, tr.device_id)
               for tr in simulate_mobility(GRAPH, 8, 120.0, seed=2)]
     plan = SimPlan(duration_s=120.0, anchors=[Anchor(0, POSITIONS[0], 0.025)],
