@@ -11,14 +11,14 @@ from .config import RunConfig, load_config
 from .energy import (EnergyConfig, EnergyState, capacitance, cycle_index,
                      energy_at_cycle, turn_on_latency_cycles)
 from .errors import NanoflowError
-from .simcore import (RECORD, Anchor, ProtocolParams, SimPlan, SimResult,
+from .simcore import (BEACON, RECORD, Anchor, ProtocolParams, SimPlan, SimResult,
                       decode_beacons, run_simulation)
 from .vasculature import (MobilityTrace, Vessel, VesselGraph,
                           build_reference_vasculature, load_graph, locate_vessel,
                           save_graph, simulate_mobility, upsample_trace, upsample_traces)
 
 __all__ = [
-    "__version__", "RECORD",
+    "__version__", "BEACON", "RECORD",
     "Anchor", "ChannelConfig", "EnergyConfig", "EnergyState", "Layer",
     "MetricsReport", "MobilityTrace", "NanoflowError", "ProtocolParams",
     "Reception", "RegionEstimate", "RunConfig", "SimPlan",

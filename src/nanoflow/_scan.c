@@ -1,8 +1,8 @@
-/* The compiled library of nanoflow, three entry points, each for every
- * device of a run (or every trace of a pass) in one call, with the Python
- * loops' float operations in their order; simcore builds it with
- * -ffp-contract=off -fno-fast-math so that no operation is fused or
- * reordered, and both paths give the same bytes.
+/* The compiled library of nanoflow, five entry points, each for every
+ * device of a run (or every trace of a pass, or every value of an array) in
+ * one call, with the Python loops' float operations in their order; simcore
+ * builds it with -ffp-contract=off -fno-fast-math so that no operation is
+ * fused or reordered, and both paths give the same bytes.
  *
  * nf_walk is nanoflow.vasculature.simulate_mobility's walk.  Each bifurcation
  * of more than one successor draws from the walk's own numpy generator, as
@@ -14,6 +14,14 @@
  * jitter stays numpy's: each trace's standard normals are drawn from its own
  * generator before the call, and the kernel scales them as Generator.normal
  * does (0.0 + sigma * z).
+ *
+ * nf_instants lists one anchor's beacon instants for phase 1 of
+ * nanoflow.simcore.run_simulation (simcore._instants), and nf_map maps
+ * math.log10, channel.dbm_to_mw or math.expm1 over an array
+ * (simcore._scalar_map).  nf_map calls the libm functions that CPython's
+ * math.log10, float ** and math.expm1 call, after the same special cases,
+ * so each value is CPython's bit for bit; where CPython would raise, it
+ * says so and simcore runs the Python map, which raises.
  *
  * nf_scan is phase 2 of nanoflow.simcore.run_simulation, the per-device scan.
  * Records, energy rows and consumption come out bit for bit the same as the
@@ -341,4 +349,84 @@ void nf_upsample(int64_t k, int64_t m, int64_t n, double sigma, const double *ti
             }
         }
     }
+}
+
+/* One anchor's beacon instants k * interval inside the n windows [t0[w],
+ * t1[w]] of devices dev[w], a device's windows one after another, as
+ * simcore._instants' Python loop lists them: k starts at 0 for each device
+ * and carries over its windows; each window raises it to ceil((t0 - T_EPS)
+ * / interval) - 1, then steps it while k * interval is at most t_end and
+ * at most t1 + T_EPS, listing it once it is at least t0 - T_EPS.  The first
+ * cap instants' devices and times are written.  Returns the instant count,
+ * which exceeds cap where the buffers were too short, or -1 where a
+ * window's starting k would leave (-2^62, 2^62) (simcore lists it in
+ * Python). */
+int64_t nf_instants(int64_t n, const int64_t *dev, const double *t0, const double *t1,
+                    double interval, double t_end, int64_t cap, int64_t *out_dev,
+                    double *out_t)
+{
+    int64_t m = 0, k = 0;
+    for (int64_t w = 0; w < n; w++) {
+        if (w == 0 || dev[w] != dev[w - 1])
+            k = 0;
+        const double start = ceil((t0[w] - T_EPS) / interval);
+        if (!(fabs(start) < CYCLE_LIMIT))   /* NaN too */
+            return -1;
+        if ((int64_t)start - 1 > k)
+            k = (int64_t)start - 1;
+        for (;;) {
+            const double t = (double)k * interval;
+            if (t > t_end || t1[w] < t - T_EPS)
+                break;
+            k++;
+            if (t0[w] > t + T_EPS)
+                continue;
+            if (m < cap) {
+                out_dev[m] = dev[w];
+                out_t[m] = t;
+            }
+            m++;
+        }
+    }
+    return m;
+}
+
+enum { LOG10, DBM_TO_MW, EXPM1 };
+
+/* out[i] = f(x[i]) for the n values, f as CPython computes it: math.log10
+ * (m_log10: log10 of a positive finite value, a NaN or +inf as it is),
+ * channel.dbm_to_mw's 10.0 ** (x / 10.0) (float_pow: a NaN or infinite
+ * exponent by its special cases, else pow) or math.expm1 (expm1).
+ * Returns nonzero where CPython raises for some value: math.log10 of a
+ * value <= 0 or -inf (ValueError), ** to an infinite power of 10 or
+ * math.expm1 to an infinity from a finite value (OverflowError). */
+int64_t nf_map(int64_t kind, int64_t n, const double *x, double *out)
+{
+    int64_t raises = 0;
+    for (int64_t i = 0; i < n; i++) {
+        double r = x[i];
+        if (kind == LOG10) {
+            if (r <= 0.0)
+                raises = 1;
+            else if (isfinite(r))
+                r = log10(r);
+        } else if (kind == DBM_TO_MW) {
+            const double w = r / 10.0;
+            if (isnan(w))
+                r = w;
+            else if (isinf(w))
+                r = w > 0.0 ? w : 0.0;
+            else if (w == 0.0)
+                r = 1.0;
+            else {
+                r = pow(10.0, w);
+                raises |= isinf(r);
+            }
+        } else {
+            r = expm1(r);
+            raises |= isinf(r) && isfinite(x[i]);
+        }
+        out[i] = r;
+    }
+    return raises;
 }

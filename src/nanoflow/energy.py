@@ -173,8 +173,9 @@ def _charge_tables(tau: float, e_max: float, cost_sense: float, limit: int) -> _
     # the curve is non-decreasing, so a bisect finds its first e_max entry
     full = bisect_left(range(limit), e_max, key=lambda n: _charge(n, tau, e_max))
     # _charge's operations in their order, with math.expm1 (np.expm1 differs)
+    from . import simcore   # for _scalar_map, which loads the library; simcore imports this module
     size = min(full + 1, limit)
-    filled = -np.fromiter(map(math.expm1, (-np.arange(size) / tau).tolist()), float, size)
+    filled = -simcore._scalar_map(math.expm1, -np.arange(size) / tau)
     grid = np.minimum(e_max * filled * filled, e_max)   # searchsorted "left" on it is bisect_left
     # grid is non-decreasing, so bisect_left(grid, grid[n]) is where grid[n]'s run starts
     starts = np.concatenate(([True], grid[1:] != grid[:-1]))

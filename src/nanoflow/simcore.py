@@ -13,18 +13,21 @@ episode answered before reception is decided), whether a beacon is decoded
 depends only on geometry and on the other anchors' timing, and a device's
 energy depends only on its own events.  A run is therefore three phases:
 
-1. Geometry, for all devices at once (decode_beacons).  The concatenated
-   visit schedules give, per anchor, each device's windows within packet range;
-   the beacon instants k * interval inside them are enumerated, and every
-   instant's position, distances and closing speed come from array passes
-   (row dots equal to np.dot and np.linalg.norm bit for bit).  Each beacon
-   is decided against sensitivity and the other anchors' overlapping
-   beacons; a decoded one carries its rx dBm, path loss and Doppler
-   penalty.  No value mixes devices (each is elementwise or a per-packet
-   sum in pair order), so a device's beacons are the same bit for bit
-   whatever else is decoded with it: phase 1 may span the traces of a
-   batch of runs of one plan, and each run then takes its own slice
-   (benchmark.run_events does this for small events).
+1. Geometry, for all devices at once (decode_beacons), in array passes
+   with no Python work per beacon.  The concatenated visit schedules give,
+   per anchor, each device's windows within packet range as arrays; the
+   beacon instants k * interval inside them are listed in one compiled
+   call per anchor (_instants), and every instant's position, distances
+   and closing speed come from one pass over all of them (row dots equal
+   to np.dot and np.linalg.norm bit for bit).  Each beacon is decided
+   against sensitivity and the other anchors' overlapping beacons; the
+   decoded ones go into one BEACON array with their rx dBm, path loss and
+   Doppler penalty, and each device gets its slice of it.  No value mixes
+   devices (each is elementwise or a per-packet sum in pair order), so a
+   device's beacons are the same bit for bit whatever else is decoded with
+   it: phase 1 may span the traces of a batch of runs of one plan, and
+   each run then takes its own slices (benchmark.run_events does this for
+   small events).
 2. Per-device scan.  The device's decoded beacons, sense ticks (on the
    upsampled sample grid) and 1 Hz energy samples advance its capacitor
    along the harvest curve, spend energy, keep the circulation clock and
@@ -57,8 +60,9 @@ A packet's link budget (_link_budget: path loss, Doppler penalty, rx) and
 its verdict (_delivered: sensitivity, then SINR against its interferers)
 are array passes; beacons and responses share the verdict pass.  Each value
 repeats the scalar channel functions' float operations in their order
-(math's log10 and float **, not numpy's, interference added left to right),
-so rx and verdicts are theirs bit for bit.  Energy rows come out as one _ROW
+(math's log10 and float **, not numpy's, mapped by libm's log10 and pow in
+_scan.c's nf_map, interference added left to right), so rx and verdicts
+are theirs bit for bit.  Energy rows come out as one _ROW
 array in (time, device) order and records as one RECORD recarray in (time,
 mac) order, so a run is deterministic however runs are scheduled.  A
 caller that does not read the energy rows can skip them (energy_rows=False);
@@ -72,7 +76,6 @@ import functools
 import math
 import os
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 import numpy as np
 
@@ -141,6 +144,11 @@ class SimPlan:
 RECORD = np.dtype((np.record, [("report_time_s", float), ("device_mac", np.int64),
                                ("circulation_time_s", float), ("event_bit", np.int64)]))
 _ROW = np.dtype([("time", float), ("mac", np.int64), ("value", float), ("flag", np.int64)])
+# a decoded beacon (decode_beacons): time s, anchor index, device position cm,
+# closing speed cm/s, rx dBm, in the heart, path loss dB, Doppler penalty dB
+BEACON = np.dtype([("t", float), ("anchor", np.int64), ("p", float, 3), ("closing", float),
+                   ("rx", float), ("heart", bool), ("loss", float), ("penalty", float)],
+                  align=True)
 
 
 @dataclass
@@ -199,8 +207,20 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+_MAP_KINDS = {math.log10: 0, ch.dbm_to_mw: 1, math.expm1: 2}   # _scan.c's nf_map kinds
+
+
 def _scalar_map(f, x: np.ndarray) -> np.ndarray:
-    """f of each value, on Python floats (math.log10 and float ** are not numpy's)."""
+    """f of each value as Python computes it on floats (math.log10, float **
+    and math.expm1 are not numpy's), f one of _MAP_KINDS: in one nf_map call
+    where the library loads and there are 256 values or more (a call costs
+    more than the Python map of fewer), else by the Python map, which also
+    raises where nf_map says Python would."""
+    kernel = _scan_kernel() if len(x) >= 256 else None
+    if kernel is not None:
+        x, out = np.ascontiguousarray(x, dtype=float), np.empty(len(x))
+        if not kernel.nf_map(_MAP_KINDS[f], len(x), x.ctypes.data, out.ctypes.data):
+            return out
     return np.fromiter(map(f, x.tolist()), float, len(x))
 
 
@@ -264,75 +284,100 @@ def _visit_windows(vdev: np.ndarray, vt: np.ndarray, ends: np.ndarray, vstart: n
         tau0 = np.where(moving, np.maximum((-bb - root) / (2.0 * aa), 0.0), 0.0)
         tau1 = np.where(moving, np.minimum((-bb + root) / (2.0 * aa), dwell), dwell)
     hit = ((moving & (disc >= 0.0)) | ((aa == 0.0) & (cc <= 0.0))) & (dwell > 0) & (tau0 < tau1)
-    return zip(*(x[hit].tolist() for x in (vdev, vt + tau0, vt + tau1)))
+    return vdev[hit], (vt + tau0)[hit], (vt + tau1)[hit]
+
+
+def _instants(dev: np.ndarray, t0: np.ndarray, t1: np.ndarray, interval: float,
+              t_end: float):
+    """(devices, times) of one anchor's beacon instants k * interval inside
+    the windows [t0, t1] of devices dev (_visit_windows'), up to t_end: in one
+    nf_instants call where the library loads, else in the Python loop below,
+    which nf_instants repeats float operation for float operation.  k
+    carries over a device's windows."""
+    kernel = _scan_kernel()
+    if kernel is not None:
+        dev = np.ascontiguousarray(dev, np.int64)
+        t0, t1 = (np.ascontiguousarray(x, float) for x in (t0, t1))
+        # instants lie in [0, t_end]: a window holds at most 2 more than the
+        # intervals its part of that span takes
+        span = np.maximum(np.minimum(t1, t_end) - np.maximum(t0, 0.0), 0.0)
+        cap = 2 * len(dev) + int((span / interval).sum())
+        while True:
+            out_dev, out_t = np.empty(cap, np.int64), np.empty(cap)
+            n = kernel.nf_instants(len(dev), dev.ctypes.data, t0.ctypes.data, t1.ctypes.data,
+                                   interval, t_end, cap, out_dev.ctypes.data, out_t.ctypes.data)
+            if n <= cap:
+                break
+            cap = n
+        if n >= 0:
+            return out_dev[:n], out_t[:n]
+    devs, times, device = [], [], -1
+    for d, start, end in zip(dev.tolist(), t0.tolist(), t1.tolist()):
+        if d != device:
+            device, k = d, 0
+        k = max(k, math.ceil((start - _T_EPS) / interval) - 1)
+        while True:
+            t = k * interval
+            if t > t_end or end < t - _T_EPS:
+                break
+            k += 1
+            if start > t + _T_EPS:
+                continue
+            devs.append(d)
+            times.append(t)
+    return np.array(devs, np.int64), np.array(times, float)
 
 
 def _decoded_beacons(schedule, anchors: list[Anchor], anchor_pos: np.ndarray,
                      anchor_tx: list[float], ccfg: ch.ChannelConfig, beacon_air: float,
-                     duration_s: float):
-    """Per device of the schedule, (t, anchor index, position, closing speed,
-    rx dBm, in heart, path loss dB, Doppler penalty dB) of each beacon it
-    decodes, in (t, anchor index) order."""
+                     duration_s: float) -> list[np.ndarray]:
+    """Per device of the schedule, a BEACON array of the beacons it decodes,
+    in (t, anchor index) order; the arrays are consecutive slices of one."""
     first, vt, ends, vstart, vvel, vheart = schedule
     vdev = np.repeat(np.arange(len(first) - 1), np.diff(first))
-    intervals = np.array([a.beacon_interval_s for a in anchors])
-    cands = []   # beacon instants k * interval in each window; k carries over a device's windows
-    for ai, interval in enumerate(intervals.tolist()):
-        device = -1
-        for d, t0, t1 in _visit_windows(vdev, vt, ends, vstart, vvel, anchor_pos[ai],
-                                        _max_range_cm(anchor_tx[ai], ccfg)):
-            if d != device:
-                device, k = d, 0
-            k = max(k, math.ceil((t0 - _T_EPS) / interval) - 1)
-            while True:
-                t = k * interval
-                if t > duration_s + _T_EPS or t1 < t - _T_EPS:
-                    break
-                k += 1
-                if t0 > t + _T_EPS:
-                    continue
-                cands.extend((d, t, ai))
+    intervals = np.array([a.beacon_interval_s for a in anchors], dtype=float)
+    listed = [_instants(*_visit_windows(vdev, vt, ends, vstart, vvel, anchor_pos[ai],
+                                        _max_range_cm(anchor_tx[ai], ccfg)),
+                        interval, duration_s + _T_EPS)
+              for ai, interval in enumerate(intervals.tolist())]
+    dev, t = (np.concatenate(x) for x in zip(*listed))
+    ai_of = np.arange(len(anchors)).repeat([len(d) for d, _ in listed])
+    order = np.lexsort((ai_of, t, dev))   # (device, t, anchor) order
+    dev, t, ai_of = dev[order], t[order], ai_of[order]
+    # each instant's visit: its device's last visit entered at or before it,
+    # else its first; device + 1j * time keys sort by device, then time
+    keys, at = np.empty(len(vt), complex), np.empty(len(t), complex)
+    keys.real, keys.imag, at.real, at.imag = vdev, vt, dev, t
+    v = np.maximum(np.searchsorted(keys, at, side="right") - 1, first[dev])
 
-    # kinematics of every candidate, in (device, t, anchor) order
-    cands = np.array(cands, dtype=float).reshape(-1, 3)
-    cands = cands[np.lexsort(cands.T[::-1])]
-    dev, t, ai_of = cands[:, 0].astype(np.intp), cands[:, 1].copy(), cands[:, 2].astype(np.intp)
-    v = np.empty(len(t), dtype=np.intp)
-    bounds = np.searchsorted(dev, np.arange(len(first)))
-    for d in np.diff(bounds).nonzero()[0].tolist():
-        lo, hi = bounds[d], bounds[d + 1]
-        v[lo:hi] = first[d] + np.maximum(
-            np.searchsorted(vt[first[d]:first[d + 1]], t[lo:hi], side="right") - 1, 0)
-    out = [[] for _ in range(len(first) - 1)]
+    # kinematics of every instant, and its verdict
+    p = vstart[v] + (t - vt[v])[:, None] * vvel[v]
+    offset = p - anchor_pos[ai_of]
+    dist = np.sqrt(_row_dots(offset, offset))
+    closing = -np.divide(_row_dots(vvel[v], offset), dist, out=np.zeros_like(dist),
+                         where=dist > 0)
+    # (instant, other anchor beaconing at it) pairs, in anchor order
+    row, j = ((np.abs(np.round(t[:, None] / intervals) * intervals - t[:, None]) <= beacon_air)
+              & (ai_of[:, None] != np.arange(len(anchors)))).nonzero()
+    gap = p[row] - anchor_pos[j]
     tx_of = np.array(anchor_tx, dtype=float)
-    for lo in range(0, len(t), 1024):   # a block of candidates at a time bounds the Python floats
-        bd, bt, ba, bv = (x[lo:lo + 1024] for x in (dev, t, ai_of, v))
-        p = vstart[bv] + (bt - vt[bv])[:, None] * vvel[bv]
-        offset = p - anchor_pos[ba]
-        dist = np.sqrt(_row_dots(offset, offset))
-        closing = -np.divide(_row_dots(vvel[bv], offset), dist, out=np.zeros_like(dist),
-                             where=dist > 0)
-        # (candidate, other anchor beaconing at its instant) pairs, in anchor order
-        row, j = ((np.abs(np.round(bt[:, None] / intervals) * intervals - bt[:, None]) <= beacon_air)
-                  & (ba[:, None] != np.arange(len(anchors)))).nonzero()
-        gap = p[row] - anchor_pos[j]
-        loss, penalty, rx = _link_budget(dist, closing, tx_of[ba], ccfg)
-        delivered = _delivered(rx, row, tx_of[j] - _path_loss(np.sqrt(_row_dots(gap, gap)), ccfg),
-                               ccfg)
-        devs, ais, ts, rxs, closings, hearts, losses, penalties = (
-            x.tolist() for x in (bd, ba, bt, rx, closing, vheart[bv], loss, penalty))
-        for i in delivered.tolist():
-            out[devs[i]].append((ts[i], ais[i], p[i], closings[i], rxs[i], hearts[i],
-                                 losses[i], penalties[i]))
-    return out
+    loss, penalty, rx = _link_budget(dist, closing, tx_of[ai_of], ccfg)
+    delivered = _delivered(rx, row, tx_of[j] - _path_loss(np.sqrt(_row_dots(gap, gap)), ccfg),
+                           ccfg)
+    out = np.empty(len(delivered), BEACON)
+    for name, x in zip(BEACON.names, (t, ai_of, p, closing, rx, vheart[v], loss, penalty)):
+        out[name] = x[delivered]
+    bounds = np.searchsorted(dev[delivered], np.arange(len(first))).tolist()
+    return [out[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def decode_beacons(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPlan):
-    """Per trace, (t, anchor index, position, closing speed, rx dBm, in heart,
-    path loss dB, Doppler penalty dB) of each beacon its device decodes under
-    the plan, in (t, anchor index) order.  The traces may be those of
-    several runs of the plan: a device's beacons do not depend on the other
-    traces decoded with it (phase 1)."""
+    """Per trace, a BEACON array of the beacons its device decodes under the
+    plan, in (t, anchor index) order: time, anchor index, position, closing
+    speed, rx dBm, in heart, path loss dB and Doppler penalty dB; a row
+    unpacks in that order.  The arrays are consecutive slices of one.  The
+    traces may be those of several runs of the plan: a device's beacons do
+    not depend on the other traces decoded with it (phase 1)."""
     if not traces:
         return []
     ccfg = plan.channel_cfg
@@ -457,6 +502,7 @@ def _decide_responses(responses: list[tuple], anchor_pos: np.ndarray,
 
 _SCAN_C = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_scan.c")
 _CC = ("cc", "-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
+_LIBS = ("-lm",)   # after the source, for linkers that drop a library listed before its use
 
 
 def _cache_dir() -> str | None:
@@ -479,15 +525,17 @@ def _cache_dir() -> str | None:
 
 @functools.cache
 def _scan_kernel():
-    """_scan.c's library through ctypes, its nf_scan, nf_walk and
-    nf_upsample bound, loaded once per process at the first walk,
-    upsampling or run.  The library is built with the system cc into
-    _cache_dir(), named by the sha256 of the source and the build command;
-    one that does not load (a truncated file) is built again.  A build
-    writes a name of its own and then renames it, so processes building at
-    once do not collide.  None off POSIX, or where there is no compiler or
-    no build or load works: simulate_mobility then walks and run_simulation
-    scans in Python, and upsample_traces upsamples in numpy passes."""
+    """_scan.c's library through ctypes, its nf_scan, nf_walk,
+    nf_upsample, nf_instants and nf_map bound, loaded once per process at
+    the first walk, upsampling, run or charge grid.  The library is built
+    with the system cc into _cache_dir(), named by the sha256 of the source
+    and the build command; one that does not load (a truncated file) is
+    built again.  A build writes a name of its own and then renames it, so
+    processes building at once do not collide.  None off POSIX, or where
+    there is no compiler or no build or load works: simulate_mobility then
+    walks, run_simulation scans and _instants lists in Python,
+    upsample_traces upsamples in numpy passes and _scalar_map maps in
+    Python."""
     import ctypes
     import hashlib
 
@@ -499,6 +547,11 @@ def _scan_kernel():
         lib.nf_walk.restype = int64
         lib.nf_upsample.argtypes = [int64] * 3 + [ctypes.c_double] + [pointer] * 7
         lib.nf_upsample.restype = None
+        lib.nf_instants.argtypes = [int64] + [pointer] * 3 + [ctypes.c_double] * 2 + [int64] \
+            + [pointer] * 2
+        lib.nf_instants.restype = int64
+        lib.nf_map.argtypes = [int64] * 2 + [pointer] * 2
+        lib.nf_map.restype = int64
         return lib
 
     folder = _cache_dir() if os.name == "posix" else None
@@ -506,7 +559,7 @@ def _scan_kernel():
         return None
     try:
         with open(_SCAN_C, "rb") as fh:
-            name = hashlib.sha256(fh.read() + " ".join(_CC).encode()).hexdigest()
+            name = hashlib.sha256(fh.read() + " ".join(_CC + _LIBS).encode()).hexdigest()
     except OSError:
         return None
     path = os.path.join(folder, f"{name}.so")
@@ -517,7 +570,7 @@ def _scan_kernel():
     import subprocess   # only to build: importing it takes milliseconds
     part = f"{path}.{os.getpid()}.part"
     try:
-        subprocess.run([*_CC, "-o", part, _SCAN_C], check=True, capture_output=True,
+        subprocess.run([*_CC, "-o", part, _SCAN_C, *_LIBS], check=True, capture_output=True,
                        stdin=subprocess.DEVNULL, timeout=60)
         os.replace(part, path)
         return bind(path)
@@ -558,13 +611,18 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
     """Run one deterministic simulation of the traces under the plan, with
     an event at target (None: no event), and collect raw records (and the
     1 Hz energy rows unless energy_rows is False).  `beacons`: the traces'
-    decode_beacons(graph, traces, plan), one list per trace, if the caller
+    decode_beacons(graph, traces, plan), one BEACON array per trace (fields
+    t, anchor, p, closing, rx, heart, loss and penalty), if the caller
     decoded them already (perhaps in one pass with other runs' traces);
     None decodes them here."""
     anchors, duration_s, proto = plan.anchors, plan.duration_s, plan.protocol
     energy_cfg, channel_cfg = plan.energy_cfg, plan.channel_cfg
-    if beacons is not None and len(beacons) != len(traces):   # nf_scan would read past its buffers
-        raise ConfigMismatch(f"beacons: {len(beacons)} lists for {len(traces)} traces")
+    if beacons is not None:   # else nf_scan could read past its buffers
+        if len(beacons) != len(traces):
+            raise ConfigMismatch(f"beacons: {len(beacons)} lists for {len(traces)} traces")
+        for i, b in enumerate(beacons):
+            if not (isinstance(b, np.ndarray) and b.dtype == BEACON and b.ndim == 1):
+                raise ConfigMismatch(f"beacons: entry {i} is not a BEACON array")
     t_last = duration_s + _T_EPS
     device_grids = _tick_grids(traces, plan.sense_rate_hz, duration_s)
 
@@ -577,12 +635,12 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
     gaps = [proto.episode_gap_intervals * a.beacon_interval_s for a in anchors]
 
     decoded = decode_beacons(graph, traces, plan) if beacons is None else beacons
-    heard = [b for device in decoded for b in device]   # the run's beacons, device by device
+    # the run's beacons, device by device, in one BEACON array (a byte join:
+    # np.concatenate promotes structured dtypes in Python, per array)
+    heard = np.frombuffer(b"".join(map(np.ascontiguousarray, decoded)), BEACON)
     n_dev, n_b = len(traces), len(heard)
     b_count = [len(device) for device in decoded]
-    bt = np.fromiter(map(itemgetter(0), heard), float, n_b)
-    gap = np.array(gaps)[np.fromiter(map(itemgetter(1), heard), np.intp, n_b)]
-    in_heart = np.fromiter(map(itemgetter(5), heard), bool, n_b)
+    bt, gap, in_heart = heard["t"], np.array(gaps)[heard["anchor"]], heard["heart"]
     # each device's sense-tick hits, as indices into its ticks
     hits = [_sense_hits(np.asarray(trace.positions, dtype=float)[grid[0]], target,
                         plan.detection_radius_cm).nonzero()[0]
@@ -704,15 +762,15 @@ def run_simulation(graph: VesselGraph, traces: list[MobilityTrace], plan: SimPla
     sent, t_rx = sent[arrives], t_rx[arrives]
     responses = []
     if len(sent):
-        _, ai, p, _, rx_dbm, _, loss, penalty = zip(*map(heard.__getitem__, sent.tolist()))
-        tx = np.array(rx_dbm) + channel_cfg.backscatter_gain_db
-        columns = (t_rx, np.array(ai), np.arange(n_dev).repeat(b_count)[sent], tx,
-                   ch.received_power_dbm(tx, np.array(loss), np.array(penalty)),
+        answered = heard[sent]
+        tx = answered["rx"] + channel_cfg.backscatter_gain_db
+        columns = (t_rx, answered["anchor"], np.arange(n_dev).repeat(b_count)[sent], tx,
+                   ch.received_power_dbm(tx, answered["loss"], answered["penalty"]),
                    sent_circulation[sent], sent_bit[sent])
         order = np.lexsort(columns[2::-1])   # (arrival, anchor, device) order
         t_rx, ai, di, tx, rx_dbm, circulation, bit = (c[order].tolist() for c in columns)
-        responses = list(zip(t_rx, ai, di, [p[i] for i in order.tolist()], tx, rx_dbm,
-                             circulation, bit))
+        responses = list(zip(t_rx, ai, di, answered["p"][order], tx, rx_dbm, circulation,
+                             bit))
     macs = [trace.device_id for trace in traces]
     records = _decide_responses(responses, anchor_pos, channel_cfg, macs)
     records = records[np.lexsort((records["device_mac"], records["report_time_s"]))]

@@ -10,10 +10,15 @@ on the inputs nf_scan reads, also scans again any device the kernel flags
 (a harvest past a charge grid cut short at _GRID_LIMIT).  Both paths must
 give the same bytes: for records, energy rows and consumption, and for
 every array of every trace; test_scan_python.py runs the engine, mobility
-and upsampling tests on the Python paths too."""
+and upsampling tests on the Python paths too.  decode_beacons lists each
+anchor's beacon instants in one nf_instants call and maps math.log10,
+dbm_to_mw and math.expm1 in nf_map calls; the tests here check nf_map's
+raise flag value by value and nf_instants' buffer bound, and
+test_scan_reference.py compares both with their Python loops."""
 
 import ctypes
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -34,8 +39,9 @@ from nanoflow.energy import EnergyConfig  # noqa: E402
 from nanoflow.simcore import Anchor, SimPlan, _sense_hits, run_simulation  # noqa: E402
 from nanoflow.vasculature import (MobilityTrace, RegionType, Vessel, VesselGraph,  # noqa: E402
                                   simulate_mobility, upsample_trace, upsample_traces)
-from test_scan_reference import (GRAPH, POSITIONS, _beacon_times, _bits, _shifted,  # noqa: E402
-                                 cases)
+from nanoflow import channel as ch  # noqa: E402
+from test_scan_reference import (GRAPH, MAP_EDGES, POSITIONS, _beacon_times, _bits,  # noqa: E402
+                                 _listed_instants, _map_or_error, _shifted, cases)
 
 ROOT = Path(__file__).resolve().parents[1]
 CC = shutil.which("cc")
@@ -473,3 +479,110 @@ def test_a_beacons_list_of_the_wrong_length_is_refused_before_any_scan():
     assert got.pop("calls") == 0   # nothing reached the compiled scan
     assert got == {f"{path} {n}": f"beacons: {n} lists for 4 traces"
                    for path in ("compiled", "python") for n in (3, 5)}
+
+
+MALFORMED_BEACONS = """
+import json
+from unittest import mock
+import numpy as np
+from nanoflow import simcore
+from nanoflow.errors import ConfigMismatch
+from nanoflow.simcore import BEACON, Anchor, SimPlan, decode_beacons, run_simulation
+from nanoflow.vasculature import build_reference_vasculature, simulate_mobility, upsample_trace
+
+graph = build_reference_vasculature()
+traces = [upsample_trace(tr, 3, 0.2, tr.device_id)
+          for tr in simulate_mobility(graph, 4, 40.0, seed=11)]
+plan = SimPlan(duration_s=39.0, anchors=[Anchor(0, (0.8, 0.0, 0.0), 0.05)])
+decoded = decode_beacons(graph, traces, plan)
+third = decoded[2]
+malformed = {
+    "tuples": [tuple(row.tolist()) for row in third],   # the 8-tuples of old
+    "times": third["t"],
+    "unaligned": third.astype(np.dtype([(name, BEACON.fields[name][0])
+                                        for name in BEACON.names])),
+    "column": third.reshape(-1, 1),
+}
+out = {"kernel": simcore._scan_kernel() is not None, "decoded": len(third)}
+with mock.patch.object(simcore, "_compiled_scan", wraps=simcore._compiled_scan) as call, \\
+        mock.patch.object(simcore, "_tick_grids", wraps=simcore._tick_grids) as grids:
+    for path, kernel in (("compiled", simcore._scan_kernel), ("python", lambda: None)):
+        with mock.patch.object(simcore, "_scan_kernel", kernel):
+            for name, entry in malformed.items():
+                try:
+                    run_simulation(graph, traces, plan, beacons=[*decoded[:2], entry, decoded[3]])
+                    out[f"{path} {name}"] = None
+                except ConfigMismatch as exc:
+                    out[f"{path} {name}"] = str(exc)
+    out["calls"] = call.call_count + grids.call_count
+print(json.dumps(out))
+"""
+
+
+def test_beacons_that_are_not_beacon_arrays_are_refused_before_any_scan():
+    # run_simulation packs each entry's bytes as BEACON rows for nf_scan: a
+    # list of 8-tuples, a bare column, another dtype or a 2-D array would
+    # send it counts and times of no beacon (a crash, hence a process of its own)
+    out = subprocess.run([sys.executable, "-c", MALFORMED_BEACONS], check=True, text=True,
+                         capture_output=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    got = json.loads(out.stdout)
+    assert got.pop("kernel") == (CC is not None) and got.pop("decoded") > 0
+    assert got.pop("calls") == 0   # no tick grid was built and nothing reached the kernel
+    assert got == {f"{path} {name}": "beacons: entry 2 is not a BEACON array"
+                   for path in ("compiled", "python")
+                   for name in ("tuples", "times", "unaligned", "column")}
+
+
+@needs_cc
+@pytest.mark.parametrize("f", [math.log10, ch.dbm_to_mw, math.expm1])
+def test_nf_map_flags_exactly_the_values_the_python_map_raises_for(f):
+    # each value alone: nf_map's flag says whether the Python map raises,
+    # and its value is the Python map's, NaN bits included
+    lib = simcore._scan_kernel()
+    values = MAP_EDGES + np.random.default_rng(5).uniform(-4000.0, 4000.0, 300).tolist()
+    flags = []
+    for value in values:
+        x, out = np.array([value]), np.empty(1)
+        flags.append(lib.nf_map(simcore._MAP_KINDS[f], 1, x.ctypes.data, out.ctypes.data))
+        want, error = _map_or_error(f, [value])
+        assert bool(flags[-1]) == (error is not None), value
+        assert error is not None or out.tobytes() == want.tobytes(), value
+    assert 0 < sum(flags) < len(values)
+
+
+@needs_cc
+def test_nf_instants_writes_no_more_than_its_buffer_holds():
+    lib = simcore._scan_kernel()
+    dev = np.array([0, 0, 1], np.int64)
+    t0, t1 = np.array([0.05, 0.3, 0.0]), np.array([0.45, 0.95, 0.6])
+    want_dev, want_t = _listed_instants(dev.tolist(), t0.tolist(), t1.tolist(), 0.1, 1.0 + 1e-9)
+    out_dev, out_t = np.full(40, -7, np.int64), np.full(40, -7.0)
+    for cap in (0, 3, 40):
+        n = lib.nf_instants(3, dev.ctypes.data, t0.ctypes.data, t1.ctypes.data, 0.1, 1.0 + 1e-9,
+                            cap, out_dev.ctypes.data, out_t.ctypes.data)
+        assert n == len(want_dev) == 16   # 0.3 and 0.4 once: k carries over
+        written = min(cap, n)
+        assert out_dev[:written].tolist() == want_dev[:written] and (out_dev[written:] == -7).all()
+        assert out_t[:written].tolist() == want_t[:written] and (out_t[written:] == -7.0).all()
+
+
+@needs_cc
+def test_instants_past_a_short_first_buffer_are_listed_again():
+    # intervals below 2 * _T_EPS hold more instants than simcore's first
+    # buffer; nf_instants reports the count and is called again at that size
+    lib, caps = simcore._scan_kernel(), []
+
+    def nf_instants(*args):
+        caps.append(args[6])
+        return lib.nf_instants(*args)
+
+    dev, t0, t1 = [0, 1], [1e-8, 2e-8], [1.1e-8, 2e-8]
+    kernel = SimpleNamespace(nf_instants=nf_instants)
+    with mock.patch.object(simcore, "_scan_kernel", lambda: kernel):
+        got_dev, got_t = simcore._instants(np.array(dev, np.int64), np.array(t0), np.array(t1),
+                                           4e-10, 1.0)
+    want_dev, want_t = _listed_instants(dev, t0, t1, 4e-10, 1.0)
+    assert got_dev.tolist() == want_dev and [t.hex() for t in got_t.tolist()] == [
+        t.hex() for t in want_t]
+    assert len(caps) == 2 and caps[1] == len(want_dev) > caps[0]

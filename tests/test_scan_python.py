@@ -7,7 +7,8 @@ in the compiled library (_scan.c) wherever a C compiler builds it, and in
 Python and numpy where none does.  Here the loader is patched to find no
 library, so every test below runs the Python loops and numpy passes that
 those modules' own runs take only without a compiler: the scan as nf_scan's
-loop in Python, on the inputs nf_scan reads."""
+loop in Python, on the inputs nf_scan reads, and the beacon instants and
+exact maps of test_scan_reference.py as Python loops."""
 
 import pytest
 

@@ -41,8 +41,8 @@ from nanoflow.energy import EnergyConfig, EnergyState, advance_harvest, try_cons
 from nanoflow.errors import ConfigMismatch  # noqa: E402
 from nanoflow.simcore import (RECORD, Anchor, ProtocolParams, SimPlan,  # noqa: E402
                               SimResult, _decide_responses, _decoded_beacons, decode_beacons,
-                              _max_range_cm, _row_dots, _sense_hits, _visit_schedule,
-                              _visit_windows,
+                              _instants, _max_range_cm, _row_dots, _scalar_map, _sense_hits,
+                              _visit_schedule, _visit_windows,
                               run_simulation)
 from nanoflow.vasculature import (MobilityTrace, build_reference_vasculature,  # noqa: E402
                                   simulate_mobility, upsample_trace)
@@ -803,7 +803,7 @@ def test_visit_windows_at_rest_and_on_a_tangent_equal_the_scalar_loop():
     dwell = np.concatenate(([d for _, _, d in placed], rng.uniform(-0.5, 4.0, n)))
     vt = np.concatenate((np.zeros(len(placed)), rng.uniform(0.0, 100.0, n)))
     args = (np.arange(len(vt)) // 5, vt, vt + dwell, vstart, vvel, np.zeros(3), 2.0)
-    got = list(_visit_windows(*args))
+    got = list(zip(*(x.tolist() for x in _visit_windows(*args))))
     assert ([(d, t0.hex(), t1.hex()) for d, t0, t1 in got]
             == [(d, t0.hex(), t1.hex()) for d, t0, t1 in _scalar_windows(*args)])
     chord = (3.0 - math.sqrt(3.0), 3.0 + math.sqrt(3.0))
@@ -812,6 +812,136 @@ def test_visit_windows_at_rest_and_on_a_tangent_equal_the_scalar_loop():
     aa, bb = np.einsum("ij,ij->i", vvel, vvel), 2.0 * np.einsum("ij,ij->i", vstart, vvel)
     disc = bb * bb - 4.0 * aa * (np.einsum("ij,ij->i", vstart, vstart) - 4.0)
     assert disc[3] == 0.0 and (aa == 0.0).sum() > 300 and len(got) > 500
+
+
+def _listed_instants(dev, t0, t1, interval, t_end):
+    """One anchor's beacon instants in the windows, as decode_beacons' loop
+    over the window tuples listed them: (devices, times)."""
+    devs, times, device = [], [], -1
+    for d, start, end in zip(dev, t0, t1):
+        if d != device:
+            device, k = d, 0
+        k = max(k, math.ceil((start - _T_EPS) / interval) - 1)
+        while True:
+            t = k * interval
+            if t > t_end or end < t - _T_EPS:
+                break
+            k += 1
+            if start > t + _T_EPS:
+                continue
+            devs.append(d)
+            times.append(t)
+    return devs, times
+
+
+def _beside(x, ulps):
+    """x moved by ulps floats (-1, 0 or 1)."""
+    return x if ulps == 0 else math.nextafter(x, math.copysign(math.inf, ulps))
+
+
+@st.composite
+def beacon_windows(draw):
+    """(dev, t0, t1, interval, duration): each device's windows with ends on
+    or one ulp beside k * interval, k * interval - _T_EPS or k * interval +
+    _T_EPS; a window may start where the one before ended, inside it or
+    before it (so k carries over), and past the duration."""
+    interval = draw(st.sampled_from([0.02, 0.025, 0.03, 0.07, 0.1, 1 / 3, 1.0]))
+    steps = draw(st.integers(1, 40))
+    duration = draw(st.sampled_from([steps * interval, steps * interval + 0.5 * interval,
+                                     steps * interval - _T_EPS]))
+
+    def edge(k):
+        return _beside(k * interval + draw(st.sampled_from([-_T_EPS, 0.0, _T_EPS])),
+                       draw(st.integers(-1, 1)))
+
+    dev, t0, t1 = [], [], []
+    for d in range(draw(st.integers(1, 4))):
+        k, end = draw(st.integers(-2, 4)), None
+        for _ in range(draw(st.integers(0, 6))):
+            k += draw(st.integers(-3, 5))
+            start = end if end is not None and draw(st.booleans()) else edge(k)   # adjacent
+            k += draw(st.integers(0, 4))
+            end = max(start, edge(k))
+            dev.append(d)
+            t0.append(start)
+            t1.append(end)
+        if draw(st.booleans()):   # windows past the duration, over several intervals
+            dev += [d, d]
+            t0 += [edge(steps + 1), edge(steps + 5)]
+            t1 += [edge(steps + 3), edge(steps + 9)]
+    return dev, t0, t1, interval, duration
+
+
+@settings(max_examples=300, deadline=None)
+@given(beacon_windows())
+def test_instants_equal_the_window_loop_bit_for_bit(case):
+    # nf_instants where the library loads (test_scan_python.py: the Python
+    # loop) against the loop decode_beacons ran over the window tuples
+    dev, t0, t1, interval, duration = case
+    got_dev, got_t = _instants(np.array(dev, np.int64), np.array(t0, float),
+                               np.array(t1, float), interval, duration + _T_EPS)
+    want_dev, want_t = _listed_instants(dev, t0, t1, interval, duration + _T_EPS)
+    assert got_dev.dtype == np.int64 and got_t.dtype == np.float64
+    assert got_dev.tolist() == want_dev
+    assert [t.hex() for t in got_t.tolist()] == [t.hex() for t in want_t]
+
+
+@pytest.mark.parametrize("start, error", [(1e300, None), (-1e300, None), (math.nan, ValueError),
+                                          (math.inf, OverflowError)])
+def test_instants_from_a_start_past_the_counter_range_are_listed_in_python(start, error):
+    # the compiled loop counts k in 64 bits: a window whose first k would
+    # leave (-2^62, 2^62) is listed by the Python loop, which raises where
+    # math.ceil does
+    dev, t0, t1 = [0, 0, 1], [0.5, start, 0.25], [1.0, 2e300, 0.5]
+    args = (np.array(dev, np.int64), np.array(t0), np.array(t1), 0.1, 2.0 + _T_EPS)
+    if error is not None:
+        with pytest.raises(error):
+            _instants(*args)
+        return
+    got_dev, got_t = _instants(*args)
+    want = _listed_instants(dev, t0, t1, 0.1, 2.0 + _T_EPS)
+    assert (got_dev.tolist(), got_t.tolist()) == want and len(want[0]) >= 9
+
+
+MAP_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, -1e-310, math.inf,
+             -math.inf, math.nan, -math.nan, 1e308, 1.7976931348623157e308, -1e308, 1e-300,
+             1.0, 10.0, 3082.0, 3083.0, -3235.0, -3240.0, -3250.0, 709.78, 709.79, -745.2]
+
+
+def _map_or_error(f, values):
+    """(the floats f maps the values to, None), or (None, the exception type)."""
+    try:
+        return np.fromiter(map(f, values), float, len(values)), None
+    except (ValueError, OverflowError) as exc:
+        return None, type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([math.log10, ch.dbm_to_mw, math.expm1]),
+       st.lists(st.sampled_from(MAP_EDGES) | st.floats(-4000.0, 4000.0)
+                | st.floats(allow_nan=True, allow_infinity=True), max_size=40),
+       st.sampled_from([0, 300]))
+def test_scalar_maps_equal_the_python_maps_bit_for_bit(f, values, pad):
+    # 256 values or more take nf_map where the library loads: each value as
+    # the Python map gives it, NaN bits included, and where the Python map
+    # raises, the same exception type
+    values = values + [1.5] * pad
+    want, error = _map_or_error(f, values)
+    if error is not None:
+        with pytest.raises(error):
+            _scalar_map(f, np.array(values))
+    else:
+        assert _scalar_map(f, np.array(values)).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("f, value, error", [
+    (math.log10, 0.0, ValueError), (math.log10, -0.0, ValueError), (math.log10, -2.5, ValueError),
+    (math.log10, -math.inf, ValueError), (ch.dbm_to_mw, 4000.0, OverflowError),
+    (math.expm1, 710.0, OverflowError)])
+def test_scalar_maps_raise_where_the_python_maps_raise(f, value, error):
+    for values in ([value], [1.5] * 300 + [value] + [2.5] * 10):
+        with pytest.raises(error):
+            _scalar_map(f, np.array(values))
 
 
 def _beacon_bits(beacons):
